@@ -5,39 +5,15 @@ Usage: python scripts/glm_sign_comparison.py [--n 10000] [--out runs/glm_cmp]
 """
 
 import argparse
-import math
 from pathlib import Path
 
 import numpy as np
 
 from amp_retrain.datafiles import write_table
-from amp_retrain.glm import (
-    GlmParams,
-    SignLink,
-    overlap_glm,
-    run_retraining_glm,
-    sample_glm_dataset,
-)
-from amp_retrain.glm_se import make_opt_schedule_glm, se_error_glm
+from amp_retrain.glm import glm_evaluator, sample_glm_dataset
+from amp_retrain.harness import ExperimentConfig, build_params, se_trace
 from amp_retrain.numerics import RngStream
-
-
-def hard_baseline_errors(data, rule, T):
-    # plain resubstitution loop, no memory terms: the non-Lipschitz rules
-    # admit no corrected iteration
-    g = data.y_noisy.astype(float)
-    errors = []
-    for _ in range(T):
-        beta = data.X.T @ g
-        y_soft = data.X @ beta
-        rho = overlap_glm(beta, data.beta_true)
-        errors.append(math.acos(rho) / math.pi)
-        if rule == "full":
-            g = np.sign(y_soft)
-            g[g == 0] = 1.0
-        else:
-            g = data.y_noisy * (y_soft * data.y_noisy > 0)
-    return errors
+from amp_retrain.retrain import run_hard_baseline, run_retraining
 
 
 def main():
@@ -51,23 +27,26 @@ def main():
     ap.add_argument("--out", type=str, default="runs/glm_comparison")
     args = ap.parse_args()
 
-    params = GlmParams(gamma=1.0, alpha=args.alpha, p=args.p, link=SignLink(), n=args.n)
-    states, schedule = make_opt_schedule_glm(params, args.iters)
+    config = ExperimentConfig(model="glm", gamma=1.0, alpha=args.alpha, p=args.p,
+                              link="sign", n=args.n, iterations=args.iters)
+    params = build_params(config)
+    se_rows, schedule = se_trace(config)
 
     opt_runs, ft_runs, ct_runs = [], [], []
     for rep in range(args.reps):
-        rng = RngStream(args.seed, rep)
-        data = sample_glm_dataset(params, rng)
-        opt_runs.append(run_retraining_glm(params, schedule, args.iters, rng, data=data).errors)
-        ft_runs.append(hard_baseline_errors(data, "full", args.iters))
-        ct_runs.append(hard_baseline_errors(data, "consensus", args.iters))
+        data = sample_glm_dataset(params, RngStream(args.seed, rep))
+        evaluate = glm_evaluator(data, params)
+        opt_runs.append(run_retraining(data, schedule, evaluate).errors)
+        # the hard rules are not Lipschitz and admit no corrected iteration
+        ft_runs.append(run_hard_baseline(data, "full", args.iters, evaluate).errors)
+        ct_runs.append(run_hard_baseline(data, "consensus", args.iters, evaluate).errors)
         print(f"replication {rep}: final opt error {opt_runs[-1][-1]:.4f}")
 
     rows = []
     for t in range(1, args.iters + 1):
         rows.append((
             t,
-            se_error_glm(states[t - 1].eta, params),
+            se_rows[t - 1][2],
             float(np.mean([r[t - 1] for r in opt_runs])),
             float(np.mean([r[t - 1] for r in ft_runs])),
             float(np.mean([r[t - 1] for r in ct_runs])),

@@ -11,16 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from amp_retrain.datafiles import write_table
-from amp_retrain.gmm import (
-    GmmParams,
-    run_retraining_gmm,
-    run_retraining_gmm_hard_baseline,
-    sample_gmm_dataset,
-    test_error_gmm,
-    vanilla_estimator,
-)
-from amp_retrain.gmm_se import make_opt_schedule_gmm, se_error_gmm
+from amp_retrain.gmm import gmm_evaluator, sample_gmm_dataset, test_error_gmm, vanilla_estimator
+from amp_retrain.harness import ExperimentConfig, build_params, se_trace
 from amp_retrain.numerics import RngStream
+from amp_retrain.retrain import run_hard_baseline, run_retraining
 
 
 def main():
@@ -36,26 +30,26 @@ def main():
     ap.add_argument("--out", type=str, default="runs/gmm_comparison")
     args = ap.parse_args()
 
-    params = GmmParams(gamma=args.gamma, alpha=args.alpha, p=args.p,
-                       pi_plus=args.pi_plus, n=args.n)
-    states, schedule = make_opt_schedule_gmm(params, args.iters)
+    config = ExperimentConfig(model="gmm", gamma=args.gamma, alpha=args.alpha, p=args.p,
+                              pi_plus=args.pi_plus, n=args.n, iterations=args.iters)
+    params = build_params(config)
+    se_rows, schedule = se_trace(config)
 
     curves = {"opt": [], "ft_hard": [], "ct_hard": [], "vanilla": []}
     for rep in range(args.reps):
-        rng = RngStream(args.seed, rep)
-        data = sample_gmm_dataset(params, rng)
+        data = sample_gmm_dataset(params, RngStream(args.seed, rep))
+        evaluate = gmm_evaluator(data)
         curves["vanilla"].append([test_error_gmm(vanilla_estimator(data), data.mu)] * args.iters)
-        curves["opt"].append(run_retraining_gmm(params, schedule, args.iters, rng, data=data).errors)
-        curves["ft_hard"].append(
-            run_retraining_gmm_hard_baseline(params, "full", args.iters, rng, data=data).errors)
+        curves["opt"].append(run_retraining(data, schedule, evaluate).errors)
+        curves["ft_hard"].append(run_hard_baseline(data, "full", args.iters, evaluate).errors)
         curves["ct_hard"].append(
-            run_retraining_gmm_hard_baseline(params, "consensus", args.iters, rng, data=data).errors)
+            run_hard_baseline(data, "consensus", args.iters, evaluate).errors)
 
     rows = []
     for t in range(1, args.iters + 1):
         rows.append((
             t,
-            se_error_gmm(states[t - 1], params),
+            se_rows[t - 1][2],
             float(np.mean([c[t - 1] for c in curves["opt"]])),
             float(np.mean([c[t - 1] for c in curves["ft_hard"]])),
             float(np.mean([c[t - 1] for c in curves["ct_hard"]])),

@@ -1,6 +1,6 @@
 """Iterative model retraining under label noise.
 
-Memory-corrected retraining iterations for Gaussian-mixture and
+One memory-corrected retraining engine for Gaussian-mixture and
 generalized-linear ground truths, the deterministic state-evolution recursions
 that predict their test error, Bayes-optimal label aggregation, and the
 practical bimodal-mixture soft-label recipe.
@@ -31,23 +31,16 @@ from .numerics import (
     std_normal_pdf,
 )
 from .gmm import (
-    AmpStateGmm,
     GmmDataset,
     GmmParams,
     IdentityAggregator,
     OptimalGmm,
     SmoothedConsensusRT,
     SmoothedFullRT,
-    Trajectory,
-    TrajectoryPoint,
-    amp_step_gmm,
     eval_aggregator,
     eval_aggregator_deriv,
-    initial_amp_state_gmm,
-    onsager_coefficient,
-    run_retraining_gmm,
-    run_retraining_gmm_hard_baseline,
     sample_gmm_dataset,
+    gmm_evaluator,
     test_error_gmm,
     vanilla_estimator,
 )
@@ -57,13 +50,11 @@ from .gmm_se import (
     SeMapSpec,
     SeStateGmm,
     cobweb_trace,
-    constant_schedule,
     eta_map_ct,
     eta_map_ft,
     eta_map_opt,
     find_crossover,
     find_fixed_points,
-    make_opt_schedule_gmm,
     opt_se_trace_gmm,
     p_star,
     se_error_from_eta,
@@ -72,7 +63,6 @@ from .gmm_se import (
     se_step_gmm,
 )
 from .glm import (
-    AmpStateGlm,
     GlmDataset,
     GlmParams,
     LogisticLink,
@@ -80,20 +70,17 @@ from .glm import (
     OptimalSign,
     ProbitLink,
     SignLink,
-    amp_step_glm,
     error_curve_glm,
+    glm_evaluator,
     hat_h_p,
     link_from_name,
-    onsager_coefficient_glm,
     optimal_aggregator_glm,
     optimal_aggregator_sign,
-    run_retraining_glm,
     sample_glm_dataset,
     test_error_glm,
 )
 from .glm_se import (
     SeStateGlm,
-    make_opt_schedule_glm,
     opt_se_trace_glm,
     quadrature_init_mu_glm,
     se_error_glm,
@@ -111,6 +98,15 @@ from .bayesmix import (
     em_loglik_history,
     emit_targets,
     fit_bimodal_em,
+)
+from .retrain import (
+    AmpState,
+    Trajectory,
+    TrajectoryPoint,
+    amp_step,
+    onsager_coefficient,
+    run_hard_baseline,
+    run_retraining,
 )
 from .harness import (
     ExperimentConfig,

@@ -1,28 +1,23 @@
 """Generalized-linear ground truth under label flipping.
 
 Link functions, data generation, the Bayes-optimal aggregator (generic link
-via quadrature, sign link in closed form), the memory-corrected retraining
-iteration, and test error through the overlap rho = beta.theta/(|beta||theta|).
+via quadrature, sign link in closed form) with its analytic derivative, and
+test error through the overlap rho = beta.theta/(|beta||theta|).  The
+retraining iteration is :mod:`amp_retrain.retrain`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateModelError,
-    DivergenceError,
-    DomainError,
-    ShapeError,
-)
+from .errors import ConfigError, DegenerateModelError, DomainError
 from scipy.special import ndtr
 
-from .gmm import IdentityAggregator, Trajectory, TrajectoryPoint, _as_float_arrays
+from .gmm import _as_float_arrays
 from .numerics import (
     RngStream,
     expect_gauss_1d,
@@ -35,8 +30,6 @@ from .numerics import (
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
-
-FD_STEP = 1e-5  # central finite-difference step for the memory coefficient
 
 
 # --------------------------------------------------------------------------
@@ -176,6 +169,11 @@ class GlmDataset:
     def d(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def scale(self) -> float:
+        """Matvec scale of the retraining step: 1, X already carries the 1/n covariance."""
+        return 1.0
+
 
 def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
     """Rows x_i ~ N(0, I/n); P(y=1|x) = h(x.beta); labels flipped w.p. p."""
@@ -197,6 +195,49 @@ def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
 def _label_factor(z, link, p: float, yhat: float):
     hp = hat_h_p(z, link, p)
     return hp if yhat > 0 else 1.0 - hp
+
+
+def _posterior_sums(u, yhat, quad_a, lin_b, link, p, prior_var, order, tail_width, moments):
+    """Normalizer and the sums of f * moment(z, z - m) of the unnormalized
+    posterior of Z, by the quadrature rule described in posterior_mean_latent.
+
+    Each moment is a function of the node z and its offset z - m from the
+    quadrature centre; the rule (and so the label factor f) is evaluated once
+    for all of them.
+    """
+    u = np.asarray(u, dtype=float)
+    s2 = 1.0 / (quad_a + 1.0 / prior_var)
+    s = math.sqrt(s2)
+    m = lin_b * s2 * u
+    if not link.discontinuities:
+        rule = gauss_hermite(order)
+        dz = _SQRT_2 * s * rule.nodes
+        z = m[..., None] + dz
+        f = _label_factor(z, link, p, yhat)
+        den = f @ rule.weights
+        sums = [(f * moment(z, dz)) @ rule.weights for moment in moments]
+    else:
+        rule = gauss_legendre(order)
+        lo = m - tail_width * s
+        hi = m + tail_width * s
+        cuts = [lo] + [np.clip(b, lo, hi) for b in sorted(link.discontinuities)] + [hi]
+        den = np.zeros_like(m)
+        sums = [np.zeros_like(m) for _ in moments]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            half = 0.5 * (b - a)
+            mid = 0.5 * (b + a)
+            z = mid[..., None] + half[..., None] * rule.nodes
+            w = half[..., None] * rule.weights
+            dz = z - m[..., None]
+            wf = w * np.exp(-0.5 * dz ** 2 / s2) * _label_factor(z, link, p, yhat)
+            den += np.sum(wf, axis=-1)
+            for total, moment in zip(sums, moments):
+                total += np.sum(wf * moment(z, dz), axis=-1)
+    if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
+        raise DomainError(
+            "posterior normalization vanished (label factor has no mass near the channel)"
+        )
+    return den, sums
 
 
 def posterior_mean_latent(
@@ -223,37 +264,23 @@ def posterior_mean_latent(
 
     Vectorized over u.
     """
-    u = np.asarray(u, dtype=float)
-    s2 = 1.0 / (quad_a + 1.0 / prior_var)
-    s = math.sqrt(s2)
-    m = lin_b * s2 * u
-    if not link.discontinuities:
-        rule = gauss_hermite(order)
-        z = m[..., None] + _SQRT_2 * s * rule.nodes
-        f = _label_factor(z, link, p, yhat)
-        den = f @ rule.weights
-        num = (f * z) @ rule.weights
-    else:
-        rule = gauss_legendre(order)
-        lo = m - tail_width * s
-        hi = m + tail_width * s
-        cuts = [lo] + [np.clip(b, lo, hi) for b in sorted(link.discontinuities)] + [hi]
-        num = np.zeros_like(m)
-        den = np.zeros_like(m)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            half = 0.5 * (b - a)
-            mid = 0.5 * (b + a)
-            z = mid[..., None] + half[..., None] * rule.nodes
-            w = half[..., None] * rule.weights
-            dens = np.exp(-0.5 * (z - m[..., None]) ** 2 / s2)
-            f = _label_factor(z, link, p, yhat)
-            den += np.sum(w * dens * f, axis=-1)
-            num += np.sum(w * dens * f * z, axis=-1)
-    if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
-        raise DomainError(
-            "posterior normalization vanished (label factor has no mass near the channel)"
-        )
+    den, (num,) = _posterior_sums(u, yhat, quad_a, lin_b, link, p, prior_var, order,
+                                  tail_width, (lambda z, dz: z,))
     return num / den
+
+
+def _posterior_var_latent(u, yhat, quad_a, lin_b, link, p, prior_var, order,
+                          tail_width: float = 13.0):
+    """Var[Z | u, yhat] by the rule of posterior_mean_latent.
+
+    Moments are taken about the quadrature centre m, where the first one is
+    small, so the difference of the second and the squared first does not
+    cancel.
+    """
+    den, (c1, c2) = _posterior_sums(u, yhat, quad_a, lin_b, link, p, prior_var, order,
+                                    tail_width, (lambda z, dz: dz, lambda z, dz: dz * dz))
+    c1 = c1 / den
+    return c2 / den - c1 * c1
 
 
 # --------------------------------------------------------------------------
@@ -311,18 +338,32 @@ class OptimalGlm:
             eta=state.eta,
         )
 
-    def value(self, u, yhat):
+    def _per_label(self, u, yhat, fn):
         u, yhat = _as_float_arrays(u, yhat)
         out = np.empty_like(u)
         for lab in (1.0, -1.0):
             mask = yhat == lab
             if np.any(mask):
-                pm = posterior_mean_latent(
-                    u[mask], lab, self.quad_a, self.lin_b,
-                    self.link, self.p, self.prior_var, self.order,
-                )
-                out[mask] = (1.0 / self.prior_var + self.quad_a) * pm - self.lin_b * u[mask]
+                out[mask] = fn(u[mask], lab)
         return out
+
+    def value(self, u, yhat):
+        def g(u, lab):
+            pm = posterior_mean_latent(u, lab, self.quad_a, self.lin_b,
+                                       self.link, self.p, self.prior_var, self.order)
+            return (1.0 / self.prior_var + self.quad_a) * pm - self.lin_b * u
+
+        return self._per_label(u, yhat, g)
+
+    def deriv(self, u, yhat):
+        """dg/du = (1/prior_var + quad_a) * lin_b * Var[Z | u, yhat] - lin_b,
+        since dE[Z | u, yhat]/du = lin_b * Var[Z | u, yhat]."""
+        def dg(u, lab):
+            var = _posterior_var_latent(u, lab, self.quad_a, self.lin_b,
+                                        self.link, self.p, self.prior_var, self.order)
+            return (1.0 / self.prior_var + self.quad_a) * self.lin_b * var - self.lin_b
+
+        return self._per_label(u, yhat, dg)
 
 
 @dataclass(frozen=True)
@@ -352,15 +393,27 @@ class OptimalSign:
         return cls(quad_a=(state.mu / state.sigma) ** 2, lin_b=state.mu / state.sigma**2,
                    p=params.p, alpha=params.alpha, eta=state.eta)
 
+    @property
+    def _s(self) -> float:
+        return math.sqrt(1.0 / (1.0 / self.alpha + self.quad_a))
+
     def value(self, u, yhat):
         u, yhat = _as_float_arrays(u, yhat)
-        s2 = 1.0 / (1.0 / self.alpha + self.quad_a)
-        s = math.sqrt(s2)
+        s = self._s
         r = self.lin_b * s * u
         amp = (1.0 - 2.0 * self.p) * yhat
         num = amp * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r * r)
         den = 1.0 + amp * (2.0 * std_normal_cdf(r) - 1.0)
         return num / (den * s)
+
+    def deriv(self, u, yhat):
+        """dg/du = -lin_b * (r*s*g + s^2*g^2): the numerator's r-derivative is
+        -r times itself and the denominator's is the numerator."""
+        g = self.value(u, yhat)
+        u, _ = _as_float_arrays(u, yhat)
+        s = self._s
+        r = self.lin_b * s * u
+        return -self.lin_b * (r * s * g + s * s * g * g)
 
 
 def optimal_aggregator_glm(
@@ -377,54 +430,6 @@ def optimal_aggregator_sign(u, yhat, eta: float, params: GlmParams):
     agg = OptimalSign.from_eta(eta, params)
     out = agg.value(u, yhat)
     return float(out) if np.ndim(u) == 0 and np.ndim(yhat) == 0 else out
-
-
-def onsager_coefficient_glm(agg, y_soft: np.ndarray, y_noisy: np.ndarray, step: float = FD_STEP) -> float:
-    """(1/n) sum_i dg/dy by central finite differences.
-
-    The quadrature-backed aggregators have no convenient closed derivative;
-    they are smooth, and only the empirical average enters the update.
-    """
-    y_soft = np.asarray(y_soft, dtype=float)
-    y_noisy = np.asarray(y_noisy, dtype=float)
-    if y_soft.shape != y_noisy.shape:
-        raise ShapeError(f"length mismatch: {y_soft.shape} vs {y_noisy.shape}")
-    up = agg.value(y_soft + step, y_noisy)
-    dn = agg.value(y_soft - step, y_noisy)
-    return float(np.mean((up - dn) / (2.0 * step)))
-
-
-# --------------------------------------------------------------------------
-# the iteration
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class AmpStateGlm:
-    beta_est: np.ndarray  # (d,)
-    y_soft: np.ndarray    # (n,)
-    t: int
-
-
-def initial_amp_state_glm(data: GlmDataset) -> AmpStateGlm:
-    return AmpStateGlm(beta_est=np.zeros(data.d), y_soft=np.zeros(data.n), t=0)
-
-
-def amp_step_glm(state: AmpStateGlm, data: GlmDataset, agg) -> AmpStateGlm:
-    """beta' = X^T g - C*beta ; y' = X beta' - g*d/n.
-
-    No 1/sqrt(n) factors here: the design matrix already carries the 1/n
-    covariance scaling.
-    """
-    if state.beta_est.shape[0] != data.d or state.y_soft.shape[0] != data.n:
-        raise ShapeError("state dimensions do not match dataset")
-    g = agg.value(state.y_soft, data.y_noisy)
-    c = onsager_coefficient_glm(agg, state.y_soft, data.y_noisy)
-    beta_new = data.X.T @ g - c * state.beta_est
-    y_new = data.X @ beta_new - g * (data.d / data.n)
-    t_new = state.t + 1
-    if not (np.all(np.isfinite(beta_new)) and np.all(np.isfinite(y_new))):
-        raise DivergenceError("non-finite values in retraining update", iteration=t_new)
-    return AmpStateGlm(beta_est=beta_new, y_soft=y_new, t=t_new)
 
 
 # --------------------------------------------------------------------------
@@ -488,40 +493,10 @@ def test_error_glm(theta: np.ndarray, data: GlmDataset, params: GlmParams, order
     return error_curve_glm(rho, params, order)
 
 
-ScheduleGlm = Callable[[int, AmpStateGlm, GlmDataset], object]
+def glm_evaluator(data: GlmDataset, params: GlmParams):
+    """evaluate(beta) -> (test error, overlap rho) for the engine."""
 
+    def evaluate(beta):
+        return test_error_glm(beta, data, params), overlap_glm(beta, data.beta_true)
 
-def run_retraining_glm(
-    params: GlmParams,
-    schedule: ScheduleGlm,
-    T: int,
-    rng: RngStream,
-    data: Optional[GlmDataset] = None,
-) -> Trajectory:
-    """Run T retraining steps; first step is the identity aggregator."""
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    if data is None:
-        data = sample_glm_dataset(params, rng)
-    state = initial_amp_state_glm(data)
-    identity = IdentityAggregator()
-    points = []
-    diverged_at = None
-    for _ in range(T):
-        agg = identity if state.t == 0 else schedule(state.t, state, data)
-        try:
-            state = amp_step_glm(state, data, agg)
-            rho = overlap_glm(state.beta_est, data.beta_true)
-            points.append(TrajectoryPoint(
-                t=state.t,
-                error=test_error_glm(state.beta_est, data, params),
-                overlap=rho,
-                model_norm=float(np.linalg.norm(state.beta_est)),
-            ))
-        except DivergenceError as exc:
-            diverged_at = exc.iteration
-            break
-        except DegenerateModelError:
-            diverged_at = state.t
-            break
-    return Trajectory(points=points, diverged_at=diverged_at)
+    return evaluate

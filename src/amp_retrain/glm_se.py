@@ -204,14 +204,3 @@ def opt_se_trace_glm(
         agg = optimal_aggregator_for_state(states[-1], params)
         states.append(se_step_glm_generic(states[-1], agg, params, order))
     return states
-
-
-def make_opt_schedule_glm(params: GlmParams, T: int, order: int = DEFAULT_ORDER_2D):
-    """(states, schedule): aggregator for step t matched to trace state t."""
-    states = opt_se_trace_glm(params, T, order)
-    aggs = [optimal_aggregator_for_state(s, params) for s in states]
-
-    def schedule(t: int, state, data):
-        return aggs[t - 1]
-
-    return states, schedule

@@ -1,10 +1,9 @@
 """Two-component Gaussian-mixture classification under label flipping.
 
-Data generation, the retraining aggregator family, the memory-corrected
-iterative retraining update, the plain one-shot linear baseline, and test
-error.  The iteration alternates a model-update step and a soft-prediction
-step; both carry correction terms that debias the reuse of a fixed data
-matrix, which keeps the iterates asymptotically Gaussian and lets the
+Data generation, the retraining aggregator family, the plain one-shot linear
+baseline, and test error.  The memory-corrected iteration itself lives in
+:mod:`amp_retrain.retrain`; its correction terms debias the reuse of a fixed
+data matrix, which keeps the iterates asymptotically Gaussian and lets the
 deterministic recursion in :mod:`amp_retrain.gmm_se` predict their behavior.
 """
 
@@ -12,17 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateModelError,
-    DivergenceError,
-    DomainError,
-    ShapeError,
-)
+from .errors import ConfigError, DegenerateModelError, DomainError
 from .numerics import RngStream, stable_logistic, std_normal_cdf
 
 
@@ -89,6 +82,11 @@ class GmmDataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    @property
+    def scale(self) -> float:
+        """Matvec scale sqrt(n) of the retraining step (the noise has unit variance)."""
+        return math.sqrt(self.n)
 
 
 def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
@@ -265,52 +263,9 @@ def eval_aggregator_deriv(agg, y, yhat):
     return float(out) if np.ndim(y) == 0 and np.ndim(yhat) == 0 else out
 
 
-def onsager_coefficient(agg, y_soft: np.ndarray, y_noisy: np.ndarray) -> float:
-    """(1/n) sum_i dg/dy(y_soft_i, y_noisy_i): the memory-correction weight."""
-    y_soft = np.asarray(y_soft, dtype=float)
-    y_noisy = np.asarray(y_noisy, dtype=float)
-    if y_soft.shape != y_noisy.shape:
-        raise ShapeError(f"length mismatch: {y_soft.shape} vs {y_noisy.shape}")
-    return float(np.mean(agg.deriv(y_soft, y_noisy)))
-
-
 # --------------------------------------------------------------------------
-# the iteration
+# scoring a model vector
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class AmpStateGmm:
-    """Model vector, soft predictions on the training set, and the step index."""
-
-    theta: np.ndarray   # (d,)
-    y_soft: np.ndarray  # (n,)
-    t: int
-
-
-def initial_amp_state_gmm(data: GmmDataset) -> AmpStateGmm:
-    """Zero state at t = 0; the first step with the identity aggregator then
-    produces theta^1 = X^T y_noisy / sqrt(n) exactly."""
-    return AmpStateGmm(theta=np.zeros(data.d), y_soft=np.zeros(data.n), t=0)
-
-
-def amp_step_gmm(state: AmpStateGmm, data: GmmDataset, agg) -> AmpStateGmm:
-    """One retraining step with memory correction.
-
-    theta' = X^T g(y, yhat)/sqrt(n) - C*theta ; y' = X theta'/sqrt(n) - g*d/n
-    where C is the Onsager coefficient of the aggregator at the current state.
-    """
-    if state.theta.shape[0] != data.d or state.y_soft.shape[0] != data.n:
-        raise ShapeError("state dimensions do not match dataset")
-    n, d = data.n, data.d
-    g = agg.value(state.y_soft, data.y_noisy)
-    c = onsager_coefficient(agg, state.y_soft, data.y_noisy)
-    theta_new = data.X.T @ g / np.sqrt(n) - c * state.theta
-    y_new = data.X @ theta_new / np.sqrt(n) - g * (d / n)
-    t_new = state.t + 1
-    if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(y_new))):
-        raise DivergenceError("non-finite values in retraining update", iteration=t_new)
-    return AmpStateGmm(theta=theta_new, y_soft=y_new, t=t_new)
-
 
 def test_error_gmm(theta: np.ndarray, mu: np.ndarray) -> float:
     """Population misclassification rate Phi(-mu.theta / ||theta||)."""
@@ -326,113 +281,11 @@ def vanilla_estimator(data: GmmDataset) -> np.ndarray:
     return data.X.T @ data.y_noisy / data.n
 
 
-# --------------------------------------------------------------------------
-# trajectories
-# --------------------------------------------------------------------------
+def gmm_evaluator(data: GmmDataset):
+    """evaluate(theta) -> (test error, overlap mu.theta/||theta||) for the engine."""
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: int
-    error: float
-    overlap: float      # mu.theta / ||theta||  (or rho for the GLM run)
-    model_norm: float
+    def evaluate(theta):
+        return (test_error_gmm(theta, data.mu),
+                float(data.mu @ theta / np.linalg.norm(theta)))
 
-
-@dataclass(frozen=True)
-class Trajectory:
-    points: list
-    diverged_at: Optional[int] = None
-
-    @property
-    def errors(self) -> np.ndarray:
-        return np.array([pt.error for pt in self.points])
-
-
-# schedule(t, state, data) -> aggregator used to advance from step t
-ScheduleGmm = Callable[[int, AmpStateGmm, GmmDataset], object]
-
-
-def run_retraining_gmm(
-    params: GmmParams,
-    schedule: ScheduleGmm,
-    T: int,
-    rng: RngStream,
-    data: Optional[GmmDataset] = None,
-) -> Trajectory:
-    """Run T retraining steps from the identity-aggregator initialization.
-
-    The first step always uses the identity aggregator on the given labels;
-    the schedule supplies the aggregator for every later step.  On divergence
-    the trajectory is truncated and flagged rather than raised.
-    """
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    if data is None:
-        data = sample_gmm_dataset(params, rng)
-    state = initial_amp_state_gmm(data)
-    identity = IdentityAggregator()
-    points = []
-    diverged_at = None
-    for _ in range(T):
-        agg = identity if state.t == 0 else schedule(state.t, state, data)
-        try:
-            state = amp_step_gmm(state, data, agg)
-            # entries can stay finite while the squared norm overflows
-            points.append(TrajectoryPoint(
-                t=state.t,
-                error=test_error_gmm(state.theta, data.mu),
-                overlap=float(data.mu @ state.theta / np.linalg.norm(state.theta)),
-                model_norm=float(np.linalg.norm(state.theta)),
-            ))
-        except DivergenceError as exc:
-            diverged_at = exc.iteration
-            break
-        except DegenerateModelError:
-            diverged_at = state.t
-            break
-    return Trajectory(points=points, diverged_at=diverged_at)
-
-
-def run_retraining_gmm_hard_baseline(
-    params: GmmParams,
-    rule: str,
-    T: int,
-    rng: RngStream,
-    data: Optional[GmmDataset] = None,
-) -> Trajectory:
-    """Hard full/consensus retraining without memory-correction terms.
-
-    The hard sign and indicator rules are not Lipschitz, so the corrected
-    iteration is undefined for them; this baseline mode simply iterates
-    theta' = X^T g / sqrt(n), y' = X theta' / sqrt(n) with g = sign(y) (rule
-    "full") or g = yhat * 1{y*yhat > 0} (rule "consensus").
-    """
-    if rule not in ("full", "consensus"):
-        raise ConfigError(f"unknown hard baseline rule: {rule!r}")
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    if data is None:
-        data = sample_gmm_dataset(params, rng)
-    n, d = data.n, data.d
-    g = data.y_noisy.astype(float)
-    points = []
-    diverged_at = None
-    theta = None
-    for t in range(1, T + 1):
-        theta = data.X.T @ g / np.sqrt(n)
-        y_soft = data.X @ theta / np.sqrt(n)
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(y_soft))):
-            diverged_at = t
-            break
-        points.append(TrajectoryPoint(
-            t=t,
-            error=test_error_gmm(theta, data.mu),
-            overlap=float(data.mu @ theta / np.linalg.norm(theta)),
-            model_norm=float(np.linalg.norm(theta)),
-        ))
-        if rule == "full":
-            g = np.sign(y_soft)
-            g[g == 0] = 1.0
-        else:
-            g = data.y_noisy * (y_soft * data.y_noisy > 0)
-    return Trajectory(points=points, diverged_at=diverged_at)
+    return evaluate

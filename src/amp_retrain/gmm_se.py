@@ -378,7 +378,7 @@ def p_star(params: GmmParams, tol: float = 1e-12) -> PStarResult:
 
 
 # --------------------------------------------------------------------------
-# traces and schedules for the empirical runs
+# traces for the empirical runs
 # --------------------------------------------------------------------------
 
 def optimal_aggregator_for_state(state: SeStateGmm, params: GmmParams) -> OptimalGmm:
@@ -406,27 +406,12 @@ def opt_se_trace_gmm(
     return states
 
 
-def make_opt_schedule_gmm(params: GmmParams, T: int, order: int = DEFAULT_ORDER):
-    """(states, schedule) with the aggregator for step t built from state t.
-
-    The schedule is theory-driven: the signal-to-noise values come from the
-    deterministic trace, not from data.
-    """
-    states = opt_se_trace_gmm(params, T, order)
-    aggs = [optimal_aggregator_for_state(s, params) for s in states]
-
-    def schedule(t: int, state, data) -> OptimalGmm:
-        return aggs[t - 1]
-
-    return states, schedule
-
-
 def estimate_se_state_gmm(theta: np.ndarray, mu: np.ndarray, params: GmmParams) -> SeStateGmm:
     """Plug-in state estimate from a model vector (needs the true mean).
 
     m_hat = mu.theta/(sqrt(d)*gamma), sigma_hat^2 = ||theta||^2/d - m_hat^2.
-    Exploration aid for data-driven schedules; the default schedules use the
-    deterministic trace instead.
+    Compares an empirical iterate with its state-evolution state; the
+    schedules use the deterministic trace.
     """
     theta = np.asarray(theta, dtype=float)
     d = theta.shape[0]
@@ -435,22 +420,3 @@ def estimate_se_state_gmm(theta: np.ndarray, mu: np.ndarray, params: GmmParams) 
     if s2_hat <= 0:
         raise DomainError("plug-in variance estimate non-positive")
     return SeStateGmm(m=m_hat, sigma=math.sqrt(s2_hat), gamma=params.gamma, alpha=params.alpha)
-
-
-def make_plugin_opt_schedule_gmm(params: GmmParams):
-    """Schedule estimating the channel from the current iterate (exploratory)."""
-
-    def schedule(t: int, state, data) -> OptimalGmm:
-        est = estimate_se_state_gmm(state.theta, data.mu, params)
-        return OptimalGmm.from_se_state(est, params)
-
-    return schedule
-
-
-def constant_schedule(agg):
-    """Use the same aggregator at every retraining step."""
-
-    def schedule(t: int, state, data):
-        return agg
-
-    return schedule

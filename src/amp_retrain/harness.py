@@ -23,36 +23,35 @@ from .errors import ConfigError
 from .gmm import (
     GmmParams,
     IdentityAggregator,
+    OptimalGmm,
     SmoothedConsensusRT,
     SmoothedFullRT,
-    run_retraining_gmm,
+    gmm_evaluator,
     sample_gmm_dataset,
-    test_error_gmm,
     vanilla_estimator,
 )
 from .gmm_se import (
     SeMapSpec,
-    constant_schedule,
+    cobweb_trace,
     eta_map_ct,
     eta_map_ft,
     find_crossover,
-    make_opt_schedule_gmm,
+    opt_se_trace_gmm,
     se_error_from_eta,
     se_error_gmm,
     se_init_gmm,
     se_step_gmm,
-    cobweb_trace,
 )
-from .glm import (
-    GlmParams,
-    link_from_name,
-    overlap_glm,
-    run_retraining_glm,
-    sample_glm_dataset,
-    test_error_glm,
+from .glm import GlmParams, glm_evaluator, link_from_name, sample_glm_dataset
+from .glm_se import (
+    opt_se_trace_glm,
+    optimal_aggregator_for_state,
+    se_error_glm,
+    se_init_glm,
+    se_step_glm_opt,
 )
-from .glm_se import make_opt_schedule_glm, se_error_glm, se_init_glm, se_step_glm_opt
 from .numerics import RngStream
+from .retrain import run_retraining
 
 GMM_AGGREGATORS = ("opt", "identity", "smoothed_ft", "smoothed_ct")
 GLM_AGGREGATORS = ("opt", "identity")
@@ -128,31 +127,38 @@ def _gmm_aggregator(config: ExperimentConfig):
     raise ConfigError(f"no constant aggregator for {config.aggregator!r}")
 
 
-def se_trace(config: ExperimentConfig) -> Tuple[List[Tuple[int, float, float]], object]:
-    """((t, eta_t, predicted error) rows, schedule) for the configured run."""
+def se_trace(config: ExperimentConfig) -> Tuple[List[Tuple[int, float, float]], Tuple]:
+    """((t, eta_t, predicted error) rows, schedule) for the configured run.
+
+    The schedule is the aggregator tuple of the empirical run: the identity
+    at step 1, then at step t + 1 the aggregator for state t (matched to its
+    channel for "opt", the configured constant one otherwise).
+    """
     params = build_params(config)
     T = config.iterations
     if config.model == "gmm":
         order = config.order or 201
         if config.aggregator == "opt":
-            states, schedule = make_opt_schedule_gmm(params, T, order)
+            states = opt_se_trace_gmm(params, T, order)
+            later = [OptimalGmm.from_se_state(s, params) for s in states[:-1]]
         else:
             agg = _gmm_aggregator(config)
             states = [se_init_gmm(params)]
             for _ in range(T - 1):
                 states.append(se_step_gmm(states[-1], agg, params, order))
-            schedule = constant_schedule(agg)
+            later = [agg] * (T - 1)
         rows = [(t + 1, s.eta, se_error_gmm(s, params)) for t, s in enumerate(states)]
-        return rows, schedule
-    order = config.order or 41
-    if config.aggregator == "opt":
-        states, schedule = make_opt_schedule_glm(params, T, order)
     else:
-        # identity keeps re-entering the first state
-        states = [se_init_glm(params)] * T
-        schedule = constant_schedule(IdentityAggregator())
-    rows = [(t + 1, s.eta, se_error_glm(s.eta, params)) for t, s in enumerate(states)]
-    return rows, schedule
+        order = config.order or 41
+        if config.aggregator == "opt":
+            states = opt_se_trace_glm(params, T, order)
+            later = [optimal_aggregator_for_state(s, params) for s in states[:-1]]
+        else:
+            # identity keeps re-entering the first state
+            states = [se_init_glm(params)] * T
+            later = [IdentityAggregator()] * (T - 1)
+        rows = [(t + 1, s.eta, se_error_glm(s.eta, params)) for t, s in enumerate(states)]
+    return rows, (IdentityAggregator(), *later)
 
 
 def se_limit_trace(config: ExperimentConfig, variant: str) -> List[Tuple[int, float, float]]:
@@ -180,37 +186,26 @@ class ReplicationResult:
     diverged_at: Optional[int]
 
 
-def run_replication(config: ExperimentConfig, rep: int, schedule=None) -> ReplicationResult:
-    """One full retraining run on stream (master_seed, rep).
+def run_replication(config: ExperimentConfig, rep: int, schedule: Tuple) -> ReplicationResult:
+    """One full retraining run of the schedule on stream (master_seed, rep).
 
     Row t=0 is the one-shot baseline X^T y_noisy (same direction as the first
-    retraining iterate, measured independently).  A precomputed schedule can
-    be passed to avoid rebuilding the theory trace per replication.
+    retraining iterate, measured independently).
     """
     params = build_params(config)
-    if schedule is None:
-        _, schedule = se_trace(config)
     rng = RngStream(config.master_seed, rep)
     if config.model == "gmm":
         data = sample_gmm_dataset(params, rng)
+        evaluate = gmm_evaluator(data)
         theta0 = vanilla_estimator(data)
-        base = (0, test_error_gmm(theta0, data.mu),
-                float(data.mu @ theta0 / np.linalg.norm(theta0)),
-                float(np.linalg.norm(theta0)))
-        traj = run_retraining_gmm(params, schedule, config.iterations, rng, data=data)
     else:
         data = sample_glm_dataset(params, rng)
+        evaluate = glm_evaluator(data, params)
         theta0 = data.X.T @ data.y_noisy
-        base = (0, test_error_glm(theta0, data, params),
-                overlap_glm(theta0, data.beta_true),
-                float(np.linalg.norm(theta0)))
-        traj = run_retraining_glm(params, schedule, config.iterations, rng, data=data)
+    base = (0, *evaluate(theta0), float(np.linalg.norm(theta0)))
+    traj = run_retraining(data, schedule, evaluate)
     rows = [base] + [(pt.t, pt.error, pt.overlap, pt.model_norm) for pt in traj.points]
     return ReplicationResult(rep=rep, rows=rows, diverged_at=traj.diverged_at)
-
-
-def _replication_worker(payload: Dict, rep: int) -> ReplicationResult:
-    return run_replication(ExperimentConfig.from_dict(payload), rep)
 
 
 @dataclass(frozen=True)
@@ -220,31 +215,23 @@ class SimulationResult:
     report_rows: List[Tuple[int, float, float, float, float, int]]
     replications: List[ReplicationResult]
 
-    @property
-    def all_diverged(self) -> bool:
-        return all(r.diverged_at is not None and not r.rows[1:] for r in self.replications)
-
-    def gap_by_iteration(self) -> Dict[int, float]:
-        return {row[0]: row[4] for row in self.report_rows}
-
 
 def simulate(config: ExperimentConfig, jobs: int = 1) -> SimulationResult:
     """Replicated runs plus the matching theory trace and gap report.
 
+    The schedule is built once and handed to every replication (its
+    aggregators are frozen dataclasses, so it pickles into pool workers).
     Results are keyed by replication index and merged in order, so the output
     is identical for any job count.
     """
     se_rows, schedule = se_trace(config)
+    reps_idx = range(config.replications)
     if jobs > 1:
-        payload = config.to_dict()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_replication_worker, payload, rep)
-                       for rep in range(config.replications)]
-            reps = [f.result() for f in futures]
+            reps = list(pool.map(run_replication, [config] * len(reps_idx), reps_idx,
+                                 [schedule] * len(reps_idx)))
     else:
-        reps = [run_replication(config, rep, schedule=schedule)
-                for rep in range(config.replications)]
-    reps.sort(key=lambda r: r.rep)
+        reps = [run_replication(config, rep, schedule) for rep in reps_idx]
 
     predicted = {t: err for (t, _eta, err) in se_rows}
     predicted[0] = predicted[1]  # the t=0 baseline shares the first iterate's law

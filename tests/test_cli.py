@@ -35,13 +35,20 @@ class TestSimulate:
         assert (out1 / "report.tsv").read_bytes() == (out2 / "report.tsv").read_bytes()
 
     def test_jobs_do_not_change_results(self, tmp_path):
-        args = ("simulate", "--model", "gmm", "--gamma", "1.0", "--alpha", "0.5",
-                "--p", "0.1", "--n", "120", "--iterations", "2",
-                "--replications", "3", "--seed", "5")
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        assert run_cli(*args, "--jobs", "1", "--out", str(seq)) == 0
-        assert run_cli(*args, "--jobs", "3", "--out", str(par)) == 0
-        assert (seq / "report.tsv").read_bytes() == (par / "report.tsv").read_bytes()
+        # the glm case pickles the quadrature aggregator and its link into the workers
+        cases = {
+            "gmm": ("--model", "gmm", "--gamma", "1.0", "--alpha", "0.5", "--p", "0.1",
+                    "--n", "120", "--iterations", "2"),
+            "glm": ("--model", "glm", "--link", "logistic", "--gamma", "2.0",
+                    "--alpha", "0.5", "--p", "0.2", "--n", "120", "--iterations", "3"),
+        }
+        for name, model_args in cases.items():
+            args = ("simulate", *model_args, "--replications", "3", "--seed", "5")
+            seq, par = tmp_path / f"{name}-seq", tmp_path / f"{name}-par"
+            assert run_cli(*args, "--jobs", "1", "--out", str(seq)) == 0
+            assert run_cli(*args, "--jobs", "3", "--out", str(par)) == 0
+            for table in ("report.tsv", "trajectories.tsv"):
+                assert (seq / table).read_bytes() == (par / table).read_bytes(), (name, table)
 
     def test_t0_row_present(self, tmp_path):
         out = tmp_path / "r"

@@ -5,31 +5,39 @@ import pytest
 
 from amp_retrain.errors import ConfigError, DomainError
 from amp_retrain.glm import (
-    AmpStateGlm,
-    FD_STEP,
     GlmDataset,
     GlmParams,
-    IdentityAggregator,
     LogisticLink,
     OptimalGlm,
     OptimalSign,
     ProbitLink,
     SignLink,
-    amp_step_glm,
     error_curve_glm,
+    glm_evaluator,
     hat_h_p,
-    initial_amp_state_glm,
     link_from_name,
-    onsager_coefficient_glm,
     optimal_aggregator_glm,
     optimal_aggregator_sign,
     overlap_glm,
-    run_retraining_glm,
     sample_glm_dataset,
 )
 from amp_retrain.glm import test_error_glm as glm_error
-from amp_retrain.gmm_se import constant_schedule
+from amp_retrain.gmm import IdentityAggregator
 from amp_retrain.numerics import RngStream
+from amp_retrain.retrain import AmpState, amp_step, onsager_coefficient, run_retraining
+
+
+def zero_state(data):
+    return AmpState(w=np.zeros(data.d), y_soft=np.zeros(data.n), t=0)
+
+
+def step(state, data, agg):
+    return amp_step(state, data.X, data.y_noisy, data.scale, agg)
+
+
+def schedule(agg, T):
+    """Identity first, then agg for the remaining T - 1 steps."""
+    return (IdentityAggregator(),) + (agg,) * (T - 1)
 
 
 class HalfLink:
@@ -165,27 +173,34 @@ class TestOnsagerGlm:
     def test_identity_zero(self):
         y = np.linspace(-1, 1, 9)
         yhat = np.ones(9)
-        assert onsager_coefficient_glm(IdentityAggregator(), y, yhat) == 0.0
+        assert onsager_coefficient(IdentityAggregator(), y, yhat) == 0.0
 
-    def test_matches_dense_difference(self):
-        params = sign_params(alpha=0.5, p=0.2)
-        agg = OptimalSign.from_eta(0.8, params)
-        gen = RngStream(6).generator()
-        y = gen.standard_normal(200)
-        yhat = np.sign(gen.standard_normal(200))
-        c = onsager_coefficient_glm(agg, y, yhat)
-        manual = np.mean(
-            (agg.value(y + FD_STEP, yhat) - agg.value(y - FD_STEP, yhat)) / (2 * FD_STEP)
-        )
-        assert c == pytest.approx(float(manual), abs=1e-15)
+    def test_deriv_matches_central_difference(self):
+        # the analytic derivative behind the Onsager term, against a central
+        # difference of the aggregator itself
+        smooth = dict(gamma=1.5, alpha=0.5, p=0.2, n=100)
+        aggs = [
+            OptimalSign.from_eta(0.8, sign_params(alpha=0.5, p=0.2)),
+            OptimalGlm.from_eta(0.8, GlmParams(link=LogisticLink(), **smooth)),
+            OptimalGlm.from_eta(0.8, GlmParams(link=ProbitLink(2.0), **smooth)),
+            OptimalGlm.from_eta(0.8, sign_params(alpha=0.5, p=0.2)),  # quadrature
+        ]
+        u = np.linspace(-6.0, 6.0, 241)
+        h = 1e-5
+        for agg in aggs:
+            for lab in (1.0, -1.0):
+                yhat = np.full_like(u, lab)
+                central = (agg.value(u + h, yhat) - agg.value(u - h, yhat)) / (2 * h)
+                gap = np.max(np.abs(agg.deriv(u, yhat) - central))
+                assert gap <= 1e-8, f"{agg!r}, label {lab}: gap {gap:.2e}"
 
 
 class TestAmpStepGlm:
     def test_first_step_exact(self):
         params = sign_params(n=80, alpha=0.5)
         data = sample_glm_dataset(params, RngStream(7))
-        state = amp_step_glm(initial_amp_state_glm(data), data, IdentityAggregator())
-        assert np.array_equal(state.beta_est, data.X.T @ data.y_noisy)
+        state = step(zero_state(data), data, IdentityAggregator())
+        assert np.array_equal(state.w, data.X.T @ data.y_noisy)
 
     def test_zero_matrix(self):
         n, d = 20, 10
@@ -195,18 +210,18 @@ class TestAmpStepGlm:
         agg = OptimalSign.from_eta(0.5, params)
         beta0 = np.linspace(1, 2, d)
         y0 = np.linspace(-1, 1, n)
-        state = amp_step_glm(AmpStateGlm(beta0, y0, 1), data, agg)
-        c = onsager_coefficient_glm(agg, y0, data.y_noisy)
-        assert np.allclose(state.beta_est, -c * beta0, atol=1e-15)
+        state = step(AmpState(beta0, y0, 1), data, agg)
+        c = onsager_coefficient(agg, y0, data.y_noisy)
+        assert np.allclose(state.w, -c * beta0, atol=1e-15)
 
     def test_against_straight_line_reimplementation(self):
         params = sign_params(alpha=0.5, p=0.2, n=50)
         assert params.d == 25
         data = sample_glm_dataset(params, RngStream(8))
         agg = OptimalSign.from_eta(0.7, params)
-        state = initial_amp_state_glm(data)
-        state = amp_step_glm(state, data, IdentityAggregator())
-        state = amp_step_glm(state, data, agg)
+        state = zero_state(data)
+        state = step(state, data, IdentityAggregator())
+        state = step(state, data, agg)
 
         n, d, alpha, p, eta = 50, 25, 0.5, 0.2, 0.7
         beta = data.X.T @ data.y_noisy
@@ -223,7 +238,7 @@ class TestAmpStepGlm:
         c = np.mean((g_fn(y + h) - g_fn(y - h)) / (2 * h))
         beta2 = data.X.T @ g_fn(y) - c * beta
         y2 = data.X @ beta2 - g_fn(y) * d / n
-        assert np.max(np.abs(state.beta_est - beta2)) <= 1e-10
+        assert np.max(np.abs(state.w - beta2)) <= 1e-10
         assert np.max(np.abs(state.y_soft - y2)) <= 1e-10
 
 
@@ -278,8 +293,8 @@ class TestRunRetrainingGlm:
     def test_single_step(self):
         params = sign_params(alpha=0.5, n=400)
         data = sample_glm_dataset(params, RngStream(11))
-        traj = run_retraining_glm(params, constant_schedule(IdentityAggregator()),
-                                  1, RngStream(11), data=data)
+        traj = run_retraining(data, schedule(IdentityAggregator(), 1),
+                              glm_evaluator(data, params))
         beta1 = data.X.T @ data.y_noisy
         rho = overlap_glm(beta1, data.beta_true)
         assert traj.points[0].error == pytest.approx(math.acos(rho) / math.pi, abs=1e-14)
@@ -287,6 +302,9 @@ class TestRunRetrainingGlm:
     def test_deterministic(self):
         params = sign_params(alpha=0.5, n=300)
         agg = OptimalSign.from_eta(0.6, params)
-        a = run_retraining_glm(params, constant_schedule(agg), 3, RngStream(12, 4))
-        b = run_retraining_glm(params, constant_schedule(agg), 3, RngStream(12, 4))
+        runs = []
+        for _ in range(2):
+            data = sample_glm_dataset(params, RngStream(12, 4))
+            runs.append(run_retraining(data, schedule(agg, 3), glm_evaluator(data, params)))
+        a, b = runs
         assert [p.error for p in a.points] == [p.error for p in b.points]

@@ -6,12 +6,12 @@ import pytest
 from amp_retrain.errors import DomainError
 from amp_retrain.glm import (
     GlmParams,
-    IdentityAggregator,
     LogisticLink,
     OptimalGlm,
     ProbitLink,
     SignLink,
 )
+from amp_retrain.gmm import IdentityAggregator
 from amp_retrain.glm_se import (
     SeStateGlm,
     opt_se_trace_glm,

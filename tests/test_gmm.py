@@ -12,30 +12,49 @@ from amp_retrain.errors import (
     ShapeError,
 )
 from amp_retrain.gmm import (
-    AmpStateGmm,
     GmmDataset,
     GmmParams,
     IdentityAggregator,
     OptimalGmm,
     SmoothedConsensusRT,
     SmoothedFullRT,
-    amp_step_gmm,
     eval_aggregator,
     eval_aggregator_deriv,
-    initial_amp_state_gmm,
-    onsager_coefficient,
-    run_retraining_gmm,
-    run_retraining_gmm_hard_baseline,
+    gmm_evaluator,
     sample_gmm_dataset,
     vanilla_estimator,
 )
 from amp_retrain.gmm import test_error_gmm as gmm_error
-from amp_retrain.gmm_se import constant_schedule, label_atoms, se_init_gmm
+from amp_retrain.gmm_se import label_atoms, se_init_gmm
 from amp_retrain.numerics import RngStream, gauss_hermite, std_normal_cdf
+from amp_retrain.retrain import (
+    AmpState,
+    amp_step,
+    onsager_coefficient,
+    run_hard_baseline,
+    run_retraining,
+)
 
 
 def params_for(gamma=1.5, alpha=0.8, p=0.3, pi_plus=0.5, n=1000, d=None):
     return GmmParams(gamma=gamma, alpha=alpha, p=p, pi_plus=pi_plus, n=n, d=d)
+
+
+def zero_state(data):
+    return AmpState(w=np.zeros(data.d), y_soft=np.zeros(data.n), t=0)
+
+
+def step(state, data, agg):
+    return amp_step(state, data.X, data.y_noisy, data.scale, agg)
+
+
+def schedule(agg, T):
+    """Identity first, then agg for the remaining T - 1 steps."""
+    return (IdentityAggregator(),) + (agg,) * (T - 1)
+
+
+def retrain(data, aggregators):
+    return run_retraining(data, aggregators, gmm_evaluator(data))
 
 
 class TestParams:
@@ -183,9 +202,9 @@ class TestAmpStep:
     def test_first_step_exact(self):
         params = params_for(n=60, alpha=0.5)
         data = sample_gmm_dataset(params, RngStream(5))
-        state = amp_step_gmm(initial_amp_state_gmm(data), data, IdentityAggregator())
+        state = step(zero_state(data), data, IdentityAggregator())
         expected = data.X.T @ data.y_noisy / math.sqrt(data.n)
-        assert np.array_equal(state.theta, expected)
+        assert np.array_equal(state.w, expected)
         assert state.t == 1
 
     def test_zero_matrix_linearity(self):
@@ -195,9 +214,9 @@ class TestAmpStep:
         agg = SmoothedFullRT(beta=2.0)
         theta0 = np.linspace(1, 2, d)
         y0 = np.linspace(-1, 1, n)
-        state = amp_step_gmm(AmpStateGmm(theta0, y0, 3), data, agg)
+        state = step(AmpState(theta0, y0, 3), data, agg)
         c = onsager_coefficient(agg, y0, data.y_noisy)
-        assert np.allclose(state.theta, -c * theta0, atol=1e-15)
+        assert np.allclose(state.w, -c * theta0, atol=1e-15)
         assert np.allclose(state.y_soft, -agg.value(y0, data.y_noisy) * d / n, atol=1e-15)
 
     def test_against_straight_line_reimplementation(self):
@@ -205,9 +224,9 @@ class TestAmpStep:
         params = params_for(gamma=1.2, alpha=0.8, p=0.2, n=50, d=40)
         data = sample_gmm_dataset(params, RngStream(77))
         agg = OptimalGmm.from_eta(0.6, params)
-        state = initial_amp_state_gmm(data)
-        state = amp_step_gmm(state, data, IdentityAggregator())
-        state = amp_step_gmm(state, data, agg)
+        state = zero_state(data)
+        state = step(state, data, IdentityAggregator())
+        state = step(state, data, agg)
 
         n, d = 50, 40
         theta = data.X.T @ data.y_noisy / np.sqrt(n)
@@ -218,7 +237,7 @@ class TestAmpStep:
         c = np.mean(0.5 * slope * (1 - g**2))
         theta2 = data.X.T @ g / np.sqrt(n) - c * theta
         y2 = data.X @ theta2 / np.sqrt(n) - g * d / n
-        assert np.max(np.abs(state.theta - theta2)) <= 1e-12
+        assert np.max(np.abs(state.w - theta2)) <= 1e-12
         assert np.max(np.abs(state.y_soft - y2)) <= 1e-12
 
 
@@ -292,17 +311,16 @@ class TestRunRetraining:
     def test_single_step_matches_manual(self):
         params = params_for(n=200)
         data = sample_gmm_dataset(params, RngStream(21))
-        traj = run_retraining_gmm(params, constant_schedule(IdentityAggregator()),
-                                  1, RngStream(21), data=data)
+        traj = retrain(data, schedule(IdentityAggregator(), 1))
         theta1 = data.X.T @ data.y_noisy / math.sqrt(data.n)
         assert traj.points[0].t == 1
         assert traj.points[0].error == pytest.approx(gmm_error(theta1, data.mu), abs=1e-15)
 
     def test_deterministic(self):
         params = params_for(n=150)
-        sched = constant_schedule(SmoothedFullRT(3.0))
-        a = run_retraining_gmm(params, sched, 4, RngStream(99, 1))
-        b = run_retraining_gmm(params, sched, 4, RngStream(99, 1))
+        sched = schedule(SmoothedFullRT(3.0), 4)
+        a = retrain(sample_gmm_dataset(params, RngStream(99, 1)), sched)
+        b = retrain(sample_gmm_dataset(params, RngStream(99, 1)), sched)
         assert [p.error for p in a.points] == [p.error for p in b.points]
 
     def test_bayes_identity_small_run(self):
@@ -330,16 +348,17 @@ class TestRunRetraining:
                 return np.full_like(np.asarray(y, dtype=float), 1e200)
 
         params = params_for(n=60)
-        traj = run_retraining_gmm(params, constant_schedule(ExplodingAggregator()),
-                                  6, RngStream(13))
+        traj = retrain(sample_gmm_dataset(params, RngStream(13)),
+                       schedule(ExplodingAggregator(), 6))
         assert traj.diverged_at is not None
         assert len(traj.points) < 6
 
     def test_hard_baselines_run(self):
         params = params_for(gamma=1.0, alpha=0.8, p=0.2, pi_plus=0.3, n=300)
+        data = sample_gmm_dataset(params, RngStream(17))
         for rule in ("full", "consensus"):
-            traj = run_retraining_gmm_hard_baseline(params, rule, 5, RngStream(17))
+            traj = run_hard_baseline(data, rule, 5, gmm_evaluator(data))
             assert len(traj.points) == 5
             assert all(0.0 <= pt.error <= 1.0 for pt in traj.points)
         with pytest.raises(ConfigError):
-            run_retraining_gmm_hard_baseline(params, "soft", 3, RngStream(17))
+            run_hard_baseline(data, "soft", 3, gmm_evaluator(data))

@@ -282,9 +282,10 @@ class TestSmoothedTrajectory:
 
 class TestPluginSchedule:
     def test_estimate_matches_theory_at_scale(self):
-        from amp_retrain.gmm import run_retraining_gmm, sample_gmm_dataset
-        from amp_retrain.gmm_se import estimate_se_state_gmm, make_plugin_opt_schedule_gmm
+        from amp_retrain.gmm import OptimalGmm, sample_gmm_dataset, test_error_gmm
+        from amp_retrain.gmm_se import estimate_se_state_gmm
         from amp_retrain.numerics import RngStream
+        from amp_retrain.retrain import AmpState, amp_step
 
         params = GmmParams(gamma=1.5, alpha=0.8, p=0.2, pi_plus=0.5, n=2000)
         data = sample_gmm_dataset(params, RngStream(55))
@@ -293,11 +294,14 @@ class TestPluginSchedule:
         init = se_init_gmm(params)
         assert est.m == pytest.approx(init.m, abs=0.1)
         assert est.sigma == pytest.approx(init.sigma, abs=0.1)
-        # the exploratory data-driven schedule runs and stays finite
-        traj = run_retraining_gmm(params, make_plugin_opt_schedule_gmm(params),
-                                  4, RngStream(55), data=data)
-        assert traj.diverged_at is None
-        assert all(0.0 <= pt.error <= 1.0 for pt in traj.points)
+        # steps whose aggregator is matched to the plug-in estimate of the
+        # current iterate run and stay finite
+        state = amp_step(AmpState(np.zeros(data.d), np.zeros(data.n), 0),
+                         data.X, data.y_noisy, data.scale, IdentityAggregator())
+        for _ in range(3):
+            agg = OptimalGmm.from_se_state(estimate_se_state_gmm(state.w, data.mu, params), params)
+            state = amp_step(state, data.X, data.y_noisy, data.scale, agg)
+            assert 0.0 <= test_error_gmm(state.w, data.mu) <= 1.0
 
 
 class TestCobwebDivergence:
