@@ -21,14 +21,10 @@ from .errors import (
 )
 from .numerics import (
     RngStream,
-    expect_gauss_1d,
-    expect_gauss_2d,
-    expect_std_normal_split,
     find_root_bisect,
-    gauss_hermite,
+    gaussian_rule,
     stable_logistic,
     std_normal_cdf,
-    std_normal_pdf,
 )
 from .gmm import (
     GmmDataset,

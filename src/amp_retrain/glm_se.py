@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -25,11 +25,9 @@ from .glm import (
     hat_h_p,
     posterior_mean_latent,
 )
-from .numerics import gauss_hermite, gauss_legendre
+from .numerics import gaussian_rule
 
 DEFAULT_ORDER_2D = 41
-_SQRT_PI = math.sqrt(math.pi)
-_SQRT_2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -50,36 +48,10 @@ class SeStateGlm:
         return self.mu / self.sigma
 
 
-def _latent_nodes(params: GlmParams, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes/probability-weights for the latent margin Z ~ N(0, prior_var).
-
-    Links with jump discontinuities get a split Gauss-Legendre rule (the label
-    probability is only piecewise smooth in Z); smooth links use Gauss-Hermite.
-    Legendre nodes are interior points, so no node ever lands on a jump.
-    """
-    sd = math.sqrt(params.prior_var)
-    if params.link.discontinuities:
-        rule = gauss_legendre(order)
-        cuts = sorted({-14.0 * sd, 14.0 * sd,
-                       *(b for b in params.link.discontinuities if abs(b) < 14.0 * sd)})
-        nodes = []
-        weights = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            z = mid + half * rule.nodes
-            dens = np.exp(-0.5 * (z / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-            nodes.append(z)
-            weights.append(half * rule.weights * dens)
-        return np.concatenate(nodes), np.concatenate(weights)
-    rule = gauss_hermite(order)
-    return _SQRT_2 * sd * rule.nodes, rule.weights / _SQRT_PI
-
-
 def quadrature_init_mu_glm(params: GlmParams, order: int = 201) -> float:
     """mu_1 = (2/prior_var) * E[Z * hhat_p(Z)], Z ~ N(0, prior_var), by quadrature."""
-    z, w = _latent_nodes(params, order)
-    return 2.0 / params.prior_var * float(np.sum(w * z * hat_h_p(z, params.link, params.p)))
+    z, w = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
+    return 2.0 / params.prior_var * float((z * hat_h_p(z, params.link, params.p)) @ w)
 
 
 def se_init_glm(params: GlmParams, order: int = 201) -> SeStateGlm:
@@ -107,10 +79,10 @@ def _grid_expectations(
     values_fn(u, yhat_label) -> array of integrand values on the u grid;
     returns the scalar expectation with label weights hhat_p(Z) / 1-hhat_p(Z).
     """
-    z, zw = _latent_nodes(params, order)
-    rule = gauss_hermite(order)
-    g = _SQRT_2 * rule.nodes
-    gw = rule.weights / _SQRT_PI
+    # the latent margin's rule is split at the link's jumps, where the label
+    # probability is only piecewise smooth in Z
+    z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
+    g, gw = gaussian_rule(0.0, 1.0, (), order)
     u = channel_mu * z[:, None] + channel_sigma * g[None, :]
     hp = hat_h_p(z, params.link, params.p)[:, None]
     w2 = zw[:, None] * gw[None, :]

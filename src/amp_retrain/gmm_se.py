@@ -22,21 +22,13 @@ from .gmm import (
     SmoothedConsensusRT,
     SmoothedFullRT,
 )
-from .numerics import (
-    expect_std_normal_split,
-    find_root_bisect,
-    gauss_hermite,
-    std_normal_cdf,
-)
+from .numerics import find_root_bisect, gaussian_rule, std_normal_cdf
 
-# Default Gauss-Hermite order for the scalar expectations here.  The optimal
+# Default quadrature order for the scalar expectations here.  The optimal
 # aggregator can be a steep tanh, and the self-consistency identities are
 # tested at 1e-9; order 201 keeps the quadrature error comfortably below that
 # at negligible cost (4 atoms x order evaluations per step).
 DEFAULT_ORDER = 201
-
-_SQRT_PI = math.sqrt(math.pi)
-_SQRT_2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -95,35 +87,18 @@ def _channel_expectations(
 ) -> Tuple[float, float]:
     """(E[g*Y], E[g^2]) over the four label atoms and the Gaussian channel.
 
-    Smooth aggregators use Gauss-Hermite.  Aggregators that declare steep
-    transition points (the logistic surrogates at large beta) are integrated
-    with the split Gauss-Legendre rule; a global Hermite rule under-resolves
-    their transition layer.
+    The rule is split at the transition points an aggregator declares (the
+    logistic surrogates, steep at large beta); a global Hermite rule
+    under-resolves their transition layer.
     """
     e_gy = 0.0
     e_gg = 0.0
-    use_split = bool(getattr(agg, "y_breakpoints", ()))
-    if not use_split:
-        rule = gauss_hermite(order)
-        g_nodes = _SQRT_2 * rule.nodes
-        for w, y_lab, yhat in label_atoms(params):
-            vals = agg.value(m_bar * y_lab + sigma_bar * g_nodes, yhat)
-            e_gy += w * y_lab * float(rule.weights @ vals) / _SQRT_PI
-            e_gg += w * float(rule.weights @ (vals * vals)) / _SQRT_PI
-        return e_gy, e_gg
+    breakpoints = getattr(agg, "y_breakpoints", ())
     for w, y_lab, yhat in label_atoms(params):
-        if sigma_bar == 0.0:
-            v = float(agg.value(m_bar * y_lab, yhat))
-            e_gy += w * y_lab * v
-            e_gg += w * v * v
-            continue
-        cuts = [(b - m_bar * y_lab) / sigma_bar for b in agg.y_breakpoints]
-        e_gy += w * y_lab * expect_std_normal_split(
-            lambda g: agg.value(m_bar * y_lab + sigma_bar * g, yhat), cuts, order
-        )
-        e_gg += w * expect_std_normal_split(
-            lambda g: agg.value(m_bar * y_lab + sigma_bar * g, yhat) ** 2, cuts, order
-        )
+        y, pw = gaussian_rule(m_bar * y_lab, sigma_bar, breakpoints, order)
+        vals = agg.value(y, yhat)
+        e_gy += w * y_lab * float(vals @ pw)
+        e_gg += w * float((vals * vals) @ pw)
     return e_gy, e_gg
 
 
@@ -163,21 +138,18 @@ def eta_map_opt(u: float, params: GmmParams, order: int = DEFAULT_ORDER) -> floa
     """
     if u < 0:
         raise DomainError("u must be non-negative")
+    if params.p == 0.0:
+        return params.gamma**2 / params.alpha   # g~ = yhat, so E[g~^2] = 1
     loc = params.gamma**2 * u / (1.0 + u)
     sc = params.gamma * math.sqrt(u / (1.0 + u))
-    log_odds = math.log((1 - params.p) / params.p) if params.p > 0 else math.inf
-    log_prior = math.log(params.pi_plus / params.pi_minus)
-    rule = gauss_hermite(order)
-    g_nodes = _SQRT_2 * rule.nodes
-    total = 0.0
-    for w, y_lab, yhat in label_atoms(params):
-        if params.p == 0.0:
-            vals = np.full_like(g_nodes, yhat)
-        else:
-            y = loc * y_lab + sc * g_nodes
-            vals = np.tanh(0.5 * (yhat * log_odds + 2.0 * y + log_prior))
-        total += w * float(rule.weights @ (vals * vals)) / _SQRT_PI
-    return params.gamma**2 / params.alpha * total
+    # OptimalGmm's constants carry the prior-term limits +-inf at pi_plus in
+    # {0, 1}, where g~ = +-1 and the map is the constant gamma^2/alpha
+    agg = OptimalGmm._build(2.0, params, None)
+    w, y_lab, yhat = np.array(label_atoms(params)).T
+    g, pw = gaussian_rule(0.0, 1.0, (), order)
+    shift = 0.5 * (yhat * agg.log_odds + agg.slope * loc * y_lab + agg.log_prior)
+    vals = np.tanh(shift[:, None] + (0.5 * agg.slope * sc) * g)
+    return params.gamma**2 / params.alpha * float(w @ ((vals * vals) @ pw))
 
 
 def eta_map_ft(u: float, params: GmmParams) -> float:
@@ -262,6 +234,16 @@ def _map_function(map_spec: MapLike) -> Callable[[float], float]:
     return map_spec.as_function() if isinstance(map_spec, SeMapSpec) else map_spec
 
 
+def _grid_roots(fn: Callable[[float], float], us: np.ndarray, tol: float) -> List[float]:
+    """Roots of fn on the grid's range, ascending: grid points where fn is
+    exactly 0, and each sign change between neighbours refined by bisection."""
+    vals = np.array([fn(u) for u in us])
+    roots = [float(u) for u, v in zip(us, vals) if v == 0.0]
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+        roots.append(find_root_bisect(fn, float(us[i]), float(us[i + 1]), tol=tol))
+    return sorted(roots)
+
+
 def find_fixed_points(
     map_spec: MapLike,
     u_max: float = 50.0,
@@ -281,19 +263,7 @@ def find_fixed_points(
         bound = map_spec.params.gamma**2 / map_spec.params.alpha
         u_max = max(u_max, 1.05 * bound + 1.0)
     f = _map_function(map_spec)
-    us = np.linspace(0.0, u_max, grid + 1)
-    resid = np.array([f(u) - u for u in us])
-    roots: List[float] = []
-    for i in range(len(us) - 1):
-        if resid[i] == 0.0:
-            roots.append(float(us[i]))
-        elif resid[i] * resid[i + 1] < 0:
-            roots.append(
-                find_root_bisect(lambda u: f(u) - u, float(us[i]), float(us[i + 1]), tol=tol)
-            )
-    if resid[-1] == 0.0:
-        roots.append(float(us[-1]))
-    return sorted(roots)
+    return _grid_roots(lambda u: f(u) - u, np.linspace(0.0, u_max, grid + 1), tol)
 
 
 @dataclass(frozen=True)
@@ -332,14 +302,7 @@ def find_crossover(
     """
     diff = lambda u: eta_map_ct(u, params) - eta_map_ft(u, params)
     us = np.linspace(0.0, u_max, grid + 1)[1:]  # skip u=0 where FT is trivially 0
-    vals = np.array([diff(u) for u in us])
-    roots: List[float] = []
-    for i in range(len(us) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(us[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(find_root_bisect(diff, float(us[i]), float(us[i + 1]), tol=tol))
-    return sorted(roots)
+    return _grid_roots(diff, us, tol)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Shared numerical kernels.
 
-Gaussian CDF/PDF, Gauss-Hermite expectation rules, a piecewise Gauss-Legendre
-rule for integrands with known kinks or jumps, bisection root finding, an
-overflow-safe logistic, and deterministic splittable RNG streams.
+Gaussian CDF, one builder of quadrature rules for Gaussian expectations,
+bisection root finding, an overflow-safe logistic, and deterministic
+splittable RNG streams.
 
 Quadrature conventions
 ----------------------
-Physicists' Gauss-Hermite: the raw rule integrates ``exp(-x**2) f(x)`` and its
-weights sum to ``sqrt(pi)``.  Expectations over a standard normal use the
-change of variables ``g = sqrt(2) * x`` and divide by ``sqrt(pi)``, so the
-normalization satisfies ``expect_gauss_1d(lambda g: 1.0) == 1`` to better than
-1e-12.
+:func:`gaussian_rule` returns nodes and probability weights (they sum to 1),
+so ``f(nodes) @ prob_weights`` is E[f(X)] for X ~ N(mean, sd^2).  Smooth
+integrands use Gauss-Hermite; integrands with jumps or kinks at known points
+use Gauss-Legendre pieces split at those points on the window mean +- 14 sd.
+The raw rules under it, :func:`gauss_hermite` (physicists' normalization,
+weights summing to sqrt(pi)) and :func:`gauss_legendre` (on [-1, 1], weights
+summing to 2), are cached per order.
 
 All functions are pure and re-entrant; quadrature rules are cached immutable
 values and :class:`RngStream` instances are frozen.
@@ -18,6 +20,7 @@ values and :class:`RngStream` instances are frozen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -29,6 +32,11 @@ from .errors import BracketError, ConfigError, DomainError
 
 _SQRT_PI = np.sqrt(np.pi)
 _SQRT_2 = np.sqrt(2.0)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+# Half-width, in standard deviations, of the window a split rule covers: the
+# Gaussian mass outside it is below 1e-40.
+_SPLIT_HALF_WIDTH = 14.0
 
 
 def _validate_finite(x: np.ndarray, what: str) -> None:
@@ -44,13 +52,6 @@ def std_normal_cdf(x):
     arr = np.asarray(x, dtype=float)
     _validate_finite(arr, "std_normal_cdf argument")
     out = ndtr(arr)
-    return float(out) if arr.ndim == 0 else out
-
-
-def std_normal_pdf(x):
-    """Standard normal density."""
-    arr = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * arr * arr) / np.sqrt(2.0 * np.pi)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -97,48 +98,45 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
-def expect_gauss_1d(f: Callable[[np.ndarray], np.ndarray], order: int = 61) -> float:
-    """E[f(G)] for G ~ N(0,1) by Gauss-Hermite; f must accept ndarray."""
-    rule = gauss_hermite(order)
-    vals = np.asarray(f(_SQRT_2 * rule.nodes), dtype=float)
-    return float(rule.weights @ vals) / _SQRT_PI
+def gaussian_rule(mean, sd: float, breakpoints: Sequence[float] = (), order: int = 61):
+    """Nodes and probability weights for expectations over X ~ N(mean, sd^2).
 
+    E[f(X)] is the dot product of f(nodes) and the weights over the last axis
+    (``f(nodes) @ prob_weights`` when the weights are one-dimensional).
 
-def expect_gauss_2d(f: Callable[[np.ndarray, np.ndarray], np.ndarray], order: int = 41) -> float:
-    """E[f(Z0, G)] for independent standard normals Z0, G (tensor rule).
+    Without breakpoints the rule is Gauss-Hermite with ``order`` nodes.  With
+    breakpoints it is Gauss-Legendre with ``order`` nodes on each piece of the
+    window mean +- 14 sd, split at the breakpoints clipped into the window.
+    Nodes are interior points, so none lands on a breakpoint, and integrands
+    with jumps, kinks or steep transitions there converge quickly; a global
+    Hermite rule converges only polynomially for them.
 
-    Callers wanting a non-unit variance apply their own scaling to the first
-    argument.
+    ``mean`` may be an array; the nodes then have shape ``mean.shape + (K,)``.
+    Hermite weights have shape ``(order,)``; split weights move with the
+    window and have the shape of the nodes.
     """
-    rule = gauss_hermite(order)
-    z = _SQRT_2 * rule.nodes
-    vals = np.asarray(f(z[:, None], z[None, :]), dtype=float)
-    return float(rule.weights @ vals @ rule.weights) / np.pi
-
-
-def expect_std_normal_split(
-    f: Callable[[np.ndarray], np.ndarray],
-    breakpoints: Sequence[float],
-    order: int = 61,
-    half_width: float = 14.0,
-) -> float:
-    """E[f(G)], G ~ N(0,1), by Gauss-Legendre pieces split at ``breakpoints``.
-
-    Handles integrands with jumps or kinks (or very steep transitions) at
-    known locations, where a global Hermite rule converges too slowly.  The
-    domain is truncated to [-half_width, half_width]; the discarded tail mass
-    is below 1e-40 at the default width.
-    """
+    if not (0.0 < sd < math.inf):
+        raise DomainError(f"sd must be positive and finite, got {sd}")
+    mean = np.asarray(mean, dtype=float)[..., None]
+    if len(breakpoints) == 0:
+        rule = gauss_hermite(order)
+        return mean + (_SQRT_2 * sd) * rule.nodes, rule.weights / _SQRT_PI
     rule = gauss_legendre(order)
-    cuts = sorted({-half_width, half_width, *(float(b) for b in breakpoints if -half_width < b < half_width)})
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        z = mid + half * rule.nodes
-        dens = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-        total += half * float(rule.weights @ (np.asarray(f(z), dtype=float) * dens))
-    return total
+    lo = mean - _SPLIT_HALF_WIDTH * sd
+    hi = mean + _SPLIT_HALF_WIDTH * sd
+    cuts = np.stack([lo, *(np.clip(b, lo, hi) for b in sorted(breakpoints)), hi], axis=-2)
+    half = 0.5 * (cuts[..., 1:, :] - cuts[..., :-1, :])
+    # one rule per centre can make these arrays large: build them in place
+    nodes = half * rule.nodes
+    nodes += 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
+    weights = nodes - mean[..., None]
+    weights *= weights
+    weights *= -0.5 / (sd * sd)
+    np.exp(weights, out=weights)
+    weights *= half / (sd * _SQRT_2PI)
+    weights *= rule.weights
+    shape = mean.shape[:-1] + (-1,)
+    return nodes.reshape(shape), weights.reshape(shape)
 
 
 def find_root_bisect(

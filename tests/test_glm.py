@@ -163,6 +163,17 @@ class TestOptimalAggregator:
         with pytest.raises(DomainError):
             OptimalGlm.from_eta(0.0, params)  # sign link: use the closed form
 
+    def test_labels_other_than_plus_minus_one_rejected(self):
+        smooth = GlmParams(gamma=1.0, alpha=1.0, p=0.2, link=LogisticLink(), n=100)
+        aggs = [OptimalGlm.from_eta(0.5, smooth), OptimalGlm.from_eta(0.5, sign_params()),
+                OptimalSign.from_eta(0.5, sign_params())]
+        for agg in aggs:
+            for yhat in ([0.0, 0.5], [1.0, 0.0], 2.0):
+                with pytest.raises(DomainError):
+                    agg.value([0.3, 0.5], yhat)
+                with pytest.raises(DomainError):
+                    agg.deriv([0.3, 0.5], yhat)
+
     def test_logistic_smooth_eta_zero_allowed(self):
         params = GlmParams(gamma=1.0, alpha=1.0, p=0.2, link=LogisticLink(), n=100)
         v = optimal_aggregator_glm(0.3, 1, 0.0, params)

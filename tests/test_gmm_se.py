@@ -27,7 +27,7 @@ from amp_retrain.gmm_se import (
     se_init_gmm,
     se_step_gmm,
 )
-from amp_retrain.numerics import expect_gauss_1d, std_normal_cdf
+from amp_retrain.numerics import gaussian_rule, std_normal_cdf
 
 
 def params_for(gamma=1.5, alpha=2.0, p=0.3, pi_plus=0.3, n=100):
@@ -98,12 +98,10 @@ class TestStep:
         m_acc = 0.0
         s2_acc = 0.0
         for w, y_lab, yhat in label_atoms(params):
-            m_acc += w * y_lab * expect_gauss_1d(
-                lambda g: agg.value(state.m_bar * y_lab + state.sigma_bar * g, yhat), 201
-            )
-            s2_acc += w * expect_gauss_1d(
-                lambda g: agg.value(state.m_bar * y_lab + state.sigma_bar * g, yhat) ** 2, 201
-            )
+            y, weights = gaussian_rule(state.m_bar * y_lab, state.sigma_bar, (), 201)
+            vals = agg.value(y, yhat)
+            m_acc += w * y_lab * float(vals @ weights)
+            s2_acc += w * float((vals * vals) @ weights)
         assert stepped.m == pytest.approx(params.gamma / math.sqrt(params.alpha) * m_acc, abs=1e-9)
         assert stepped.sigma**2 == pytest.approx(s2_acc, abs=1e-9)
 
@@ -167,6 +165,16 @@ class TestMaps:
     def test_negative_u_rejected(self):
         with pytest.raises(DomainError):
             eta_map_opt(-0.1, FIG_MAP_PARAMS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opt_single_class_is_constant(self):
+        # pi_plus in {0, 1}: the prior term is infinite, g~ = +-1 everywhere
+        for pi_plus in (0.0, 1.0):
+            for p in (0.0, 0.3):
+                params = params_for(p=p, pi_plus=pi_plus)
+                for u in (0.0, 0.5, 40.0):
+                    assert eta_map_opt(u, params) == pytest.approx(
+                        params.gamma**2 / params.alpha, abs=1e-12)
 
     def test_dominance_over_sharp_limits(self):
         for p in (0.1, 0.3):

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ from hypothesis import strategies as st
 from amp_retrain.errors import BracketError, ConfigError, DomainError
 from amp_retrain.numerics import (
     RngStream,
-    expect_gauss_1d,
-    expect_gauss_2d,
-    expect_std_normal_split,
     find_root_bisect,
     gauss_hermite,
+    gaussian_rule,
     stable_logistic,
     std_normal_cdf,
-    std_normal_pdf,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "amp_retrain"
+
+
+def expect(f, breakpoints=(), order=61, mean=0.0, sd=1.0):
+    nodes, weights = gaussian_rule(mean, sd, breakpoints, order)
+    return float(f(nodes) @ weights)
 
 
 def erf_series(x: float, terms: int = 60) -> float:
@@ -64,12 +69,6 @@ class TestStdNormalCdf:
     def test_symmetry(self, x):
         assert std_normal_cdf(x) + std_normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
 
-    def test_pdf_matches_derivative(self):
-        h = 1e-6
-        for x in (-2.0, -0.3, 0.0, 1.7):
-            fd = (std_normal_cdf(x + h) - std_normal_cdf(x - h)) / (2 * h)
-            assert std_normal_pdf(x) == pytest.approx(fd, abs=1e-8)
-
 
 class TestGaussHermite:
     def test_weights_sum_sqrt_pi(self):
@@ -84,7 +83,11 @@ class TestGaussHermite:
         assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) <= 1e-12
 
     def test_normalization_of_expectation(self):
-        assert abs(expect_gauss_1d(lambda g: np.ones_like(g)) - 1.0) <= 1e-12
+        for breakpoints in ((), (0.0,), (-0.5, 2.0)):
+            for order in (61, 101):
+                _, weights = gaussian_rule(0.3, 1.7, breakpoints, order)
+                assert abs(weights.sum() - 1.0) <= 1e-12
+                assert np.all(weights > 0)
 
     @pytest.mark.parametrize("order", [6, 15, 40])
     def test_polynomial_exactness(self, order):
@@ -98,43 +101,65 @@ class TestGaussHermite:
         for k in range(2, degree + 1, 2):
             moments[k] = moments[k - 2] * (k - 1)
         exact = float(coeffs @ moments)
-        got = expect_gauss_1d(lambda g: np.polynomial.polynomial.polyval(g, coeffs), order)
+        got = expect(lambda g: np.polynomial.polynomial.polyval(g, coeffs), order=order)
         assert got == pytest.approx(exact, rel=1e-11, abs=1e-11)
 
     def test_order_validation(self):
-        with pytest.raises(ConfigError):
-            expect_gauss_1d(lambda g: g, order=1)
+        for breakpoints in ((), (0.0,)):
+            with pytest.raises(ConfigError):
+                gaussian_rule(0.0, 1.0, breakpoints, order=1)
 
 
 class TestExpectations:
     def test_1d_examples(self):
-        assert expect_gauss_1d(lambda g: np.ones_like(g)) == pytest.approx(1.0, abs=1e-14)
-        assert expect_gauss_1d(lambda g: g * g) == pytest.approx(1.0, abs=1e-12)
+        assert expect(lambda g: np.ones_like(g)) == pytest.approx(1.0, abs=1e-14)
+        assert expect(lambda g: g * g) == pytest.approx(1.0, abs=1e-12)
         # symmetry oracle: E[Phi(G)] = P(G' < G) = 1/2
-        assert expect_gauss_1d(lambda g: std_normal_cdf(g)) == pytest.approx(0.5, abs=1e-10)
-
-    def test_2d_examples(self):
-        assert expect_gauss_2d(lambda z, g: np.ones_like(z * g)) == pytest.approx(1.0, abs=1e-13)
-        assert expect_gauss_2d(lambda z, g: z * g) == pytest.approx(0.0, abs=1e-12)
-        # product-moment oracle: E[Z^2]E[G^2] = 1
-        assert expect_gauss_2d(lambda z, g: z * z * g * g) == pytest.approx(1.0, abs=1e-10)
+        assert expect(lambda g: std_normal_cdf(g)) == pytest.approx(0.5, abs=1e-10)
 
     def test_split_rule_handles_kink(self):
         # |G| has a kink at 0: the split rule nails E|G| = sqrt(2/pi)
-        got = expect_std_normal_split(np.abs, breakpoints=[0.0], order=61)
+        got = expect(np.abs, breakpoints=[0.0], order=61)
         assert got == pytest.approx(math.sqrt(2 / math.pi), abs=1e-12)
 
     def test_split_rule_handles_jump(self):
-        got = expect_std_normal_split(lambda g: (g > 0).astype(float), [0.0], order=61)
+        got = expect(lambda g: (g > 0).astype(float), [0.0], order=61)
         assert got == pytest.approx(0.5, abs=1e-13)
 
     def test_split_matches_hermite_on_smooth(self):
         # pole structure of tanh slows Hermite convergence; order 201 reaches
         # the accuracy the split rule already has at order 61
         f = lambda g: np.tanh(1.3 * g + 0.2) ** 2
-        assert expect_std_normal_split(f, [0.0], order=61) == pytest.approx(
-            expect_gauss_1d(f, order=201), abs=1e-12
-        )
+        assert expect(f, [0.0], order=61) == pytest.approx(expect(f, order=201), abs=1e-12)
+
+    @pytest.mark.parametrize("breakpoints", [(), (0.0,), (-40.0, 0.5, 40.0)])
+    def test_moments_of_shifted_law(self, breakpoints):
+        mean, sd = -2.3, 0.45
+        assert expect(lambda x: x, breakpoints, mean=mean, sd=sd) == pytest.approx(mean, abs=1e-12)
+        assert expect(lambda x: (x - mean) ** 2, breakpoints, mean=mean, sd=sd) == pytest.approx(
+            sd * sd, abs=1e-12)
+
+    @pytest.mark.parametrize("breakpoints", [(), (0.0,), (-1.0, 3.0)])
+    def test_array_mean_rows_equal_scalar_rules(self, breakpoints):
+        # breakpoints inside, at the edge of and outside the window of a row
+        means = np.array([[-30.0, -1.2, 0.0], [0.4, 2.9, 45.0]])
+        nodes, weights = gaussian_rule(means, 0.8, breakpoints, 21)
+        assert nodes.shape == means.shape + (21 * (len(breakpoints) + 1),)
+        for idx in np.ndindex(means.shape):
+            row_nodes, row_weights = gaussian_rule(means[idx], 0.8, breakpoints, 21)
+            assert np.array_equal(nodes[idx], row_nodes)
+            assert np.array_equal(np.broadcast_to(weights, nodes.shape)[idx], row_weights)
+
+    def test_sd_validation(self):
+        for sd in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                gaussian_rule(0.0, sd)
+
+    def test_raw_rules_only_used_by_the_builder(self):
+        for path in SRC.glob("*.py"):
+            if path.name != "numerics.py":
+                text = path.read_text()
+                assert "gauss_hermite(" not in text and "gauss_legendre(" not in text, path.name
 
 
 class TestBisection:
