@@ -6,7 +6,7 @@ that predict their test error, Bayes-optimal label aggregation, and the
 practical bimodal-mixture soft-label recipe.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     AmpRetrainError,

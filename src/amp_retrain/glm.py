@@ -169,7 +169,7 @@ def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
     gen = rng.generator()
     beta = gen.standard_normal(params.d)
     beta *= params.gamma_eff * math.sqrt(params.d) / np.linalg.norm(beta)
-    X = gen.standard_normal((params.n, params.d)) / math.sqrt(params.n)
+    X = rng.gaussian_matrix(params.n, params.d, sd=1.0 / math.sqrt(params.n))
     margins = X @ beta
     y = np.where(gen.random(params.n) < params.link.h(margins), 1.0, -1.0)
     flips = gen.random(params.n) < params.p

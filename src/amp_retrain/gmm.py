@@ -93,8 +93,11 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
     """Draw x_i = y_i * mu + z_i with z_i ~ N(0, I_d) and flipped labels.
 
     The mean is sampled with iid standard normal entries and rescaled so its
-    norm equals gamma exactly.  Draw order (mu, labels, noise, flips) is fixed
-    so identical streams reproduce identical datasets.
+    norm equals gamma exactly.  The stream's generator draws mu, the labels
+    and the flips, in that order; the noise matrix comes from the stream's
+    block children (:meth:`RngStream.gaussian_matrix`).  Identical streams
+    reproduce identical datasets.  (Before version 0.2.0 the generator also
+    drew the noise, between the labels and the flips.)
     """
     if params.n * (params.d or 0) == 0:
         raise ConfigError("empty dataset requested")
@@ -102,7 +105,8 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
     mu = gen.standard_normal(params.d)
     mu *= params.gamma / np.linalg.norm(mu)
     y = np.where(gen.random(params.n) < params.pi_plus, 1.0, -1.0)
-    X = y[:, None] * mu[None, :] + gen.standard_normal((params.n, params.d))
+    X = rng.gaussian_matrix(params.n, params.d)
+    X += y[:, None] * mu[None, :]
     flips = gen.random(params.n) < params.p
     y_noisy = np.where(flips, -y, y)
     return GmmDataset(X=X, y_true=y, y_noisy=y_noisy, mu=mu)

@@ -28,7 +28,6 @@ from .gmm import (
     SmoothedFullRT,
     gmm_evaluator,
     sample_gmm_dataset,
-    vanilla_estimator,
 )
 from .gmm_se import (
     SeMapSpec,
@@ -189,22 +188,24 @@ class ReplicationResult:
 def run_replication(config: ExperimentConfig, rep: int, schedule: Tuple) -> ReplicationResult:
     """One full retraining run of the schedule on stream (master_seed, rep).
 
-    Row t=0 is the one-shot baseline X^T y_noisy (same direction as the first
-    retraining iterate, measured independently).
+    Row t=0 is the one-shot baseline X^T y_noisy / scale^2.  The identity
+    first step computes w_1 = X^T y_noisy / scale, so the baseline is
+    w_1 / scale: it shares step 1's error and overlap (both scale-invariant)
+    and its norm is step 1's over the scale.  A run that diverges at step 1
+    has no t=0 row.
     """
     params = build_params(config)
     rng = RngStream(config.master_seed, rep)
     if config.model == "gmm":
         data = sample_gmm_dataset(params, rng)
         evaluate = gmm_evaluator(data)
-        theta0 = vanilla_estimator(data)
     else:
         data = sample_glm_dataset(params, rng)
         evaluate = glm_evaluator(data, params)
-        theta0 = data.X.T @ data.y_noisy
-    base = (0, *evaluate(theta0), float(np.linalg.norm(theta0)))
     traj = run_retraining(data, schedule, evaluate)
-    rows = [base] + [(pt.t, pt.error, pt.overlap, pt.model_norm) for pt in traj.points]
+    rows = [(pt.t, pt.error, pt.overlap, pt.model_norm) for pt in traj.points]
+    if rows:
+        rows.insert(0, (0, rows[0][1], rows[0][2], rows[0][3] / data.scale))
     return ReplicationResult(rep=rep, rows=rows, diverged_at=traj.diverged_at)
 
 

@@ -2,7 +2,7 @@
 
 Gaussian CDF, one builder of quadrature rules for Gaussian expectations,
 bisection root finding, an overflow-safe logistic, and deterministic
-splittable RNG streams.
+splittable RNG streams with a block-parallel Gaussian matrix sampler.
 
 Quadrature conventions
 ----------------------
@@ -16,11 +16,21 @@ summing to 2), are cached per order.
 
 All functions are pure and re-entrant; quadrature rules are cached immutable
 values and :class:`RngStream` instances are frozen.
+
+Random matrices
+---------------
+:meth:`RngStream.gaussian_matrix` fills fixed row blocks of about
+``_BLOCK_ELEMENTS`` entries, block k from child k of the stream's
+``SeedSequence``, on a thread pool (numpy's bulk fills release the GIL).  The
+block layout depends only on the shape, so the matrix is the same for any
+thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -37,6 +47,10 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Half-width, in standard deviations, of the window a split rule covers: the
 # Gaussian mass outside it is below 1e-40.
 _SPLIT_HALF_WIDTH = 14.0
+
+# Entries per row block of a Gaussian matrix (16 MB of float64); a block
+# holds max(1, _BLOCK_ELEMENTS // d) rows.
+_BLOCK_ELEMENTS = 2**21
 
 
 def _validate_finite(x: np.ndarray, what: str) -> None:
@@ -175,6 +189,13 @@ def find_root_bisect(
     return 0.5 * (lo + hi)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic, splittable random stream keyed by (master_seed, stream_index).
@@ -193,9 +214,44 @@ class RngStream:
         if int(self.stream_index) < 0:
             raise ConfigError("stream_index must be non-negative")
 
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence((int(self.master_seed), int(self.stream_index)))
+
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence((int(self.master_seed), int(self.stream_index)))
-        return np.random.Generator(np.random.PCG64(seq))
+        return np.random.Generator(np.random.PCG64(self._seed_sequence()))
+
+    def gaussian_matrix(self, n: int, d: int, sd: float = 1.0) -> np.ndarray:
+        """(n, d) matrix of iid N(0, sd^2) entries, drawn in fixed row blocks.
+
+        Block k (rows k*r to (k+1)*r, r = max(1, 2**21 // d)) is filled by
+        child k of ``SeedSequence((master_seed, stream_index)).spawn(blocks)``,
+        independent of :meth:`generator`'s stream.  The blocks are filled on
+        min(blocks, usable CPUs) threads; the result depends only on the key
+        and (n, d, sd), never on the thread count.
+        """
+        if n < 1 or d < 1:
+            raise ConfigError(f"matrix shape must be positive, got ({n}, {d})")
+        rows = max(1, _BLOCK_ELEMENTS // d)
+        blocks = -(-n // rows)
+        children = self._seed_sequence().spawn(blocks)
+        out = np.empty((n, d))
+
+        # runs on the fill threads, so it calls numpy only: a traced package
+        # call from a second thread would corrupt perfbench's per-process span stack
+        def fill(k):
+            block = out[k * rows:(k + 1) * rows]
+            np.random.Generator(np.random.PCG64(children[k])).standard_normal(out=block)
+            if sd != 1.0:
+                block *= sd
+
+        threads = min(blocks, _usable_cpus())
+        if threads == 1:
+            for k in range(blocks):
+                fill(k)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(fill, range(blocks)))
+        return out
 
     def substream(self, index: int) -> "RngStream":
         return RngStream(self.master_seed, index)

@@ -3,10 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from amp_retrain import harness
 from amp_retrain.cli import main
 from amp_retrain.datafiles import read_table, write_logit_file
 from amp_retrain.bayesmix import LogitRecord
+from amp_retrain.glm import sample_glm_dataset
+from amp_retrain.gmm import sample_gmm_dataset, vanilla_estimator
+from amp_retrain.harness import ExperimentConfig, build_params, run_replication, se_trace
 from amp_retrain.numerics import RngStream
+from amp_retrain.retrain import Trajectory
 
 
 def run_cli(*argv):
@@ -35,20 +40,53 @@ class TestSimulate:
         assert (out1 / "report.tsv").read_bytes() == (out2 / "report.tsv").read_bytes()
 
     def test_jobs_do_not_change_results(self, tmp_path):
-        # the glm case pickles the quadrature aggregator and its link into the workers
+        # the glm case pickles the quadrature aggregator and its link into the
+        # workers; at n = 2200, d = 1100 (2**21 // 1100 = 1906 rows per block)
+        # every worker draws X in two blocks on threads
+        blocks = ("--gamma", "1.0", "--alpha", "0.5", "--p", "0.2", "--n", "2200",
+                  "--d", "1100", "--iterations", "2")
         cases = {
             "gmm": ("--model", "gmm", "--gamma", "1.0", "--alpha", "0.5", "--p", "0.1",
                     "--n", "120", "--iterations", "2"),
             "glm": ("--model", "glm", "--link", "logistic", "--gamma", "2.0",
                     "--alpha", "0.5", "--p", "0.2", "--n", "120", "--iterations", "3"),
+            "gmm-blocks": ("--model", "gmm", "--pi-plus", "0.3", *blocks),
+            "glm-blocks": ("--model", "glm", "--link", "sign", *blocks),
         }
         for name, model_args in cases.items():
             args = ("simulate", *model_args, "--replications", "3", "--seed", "5")
-            seq, par = tmp_path / f"{name}-seq", tmp_path / f"{name}-par"
+            seq = tmp_path / f"{name}-seq"
             assert run_cli(*args, "--jobs", "1", "--out", str(seq)) == 0
-            assert run_cli(*args, "--jobs", "3", "--out", str(par)) == 0
-            for table in ("report.tsv", "trajectories.tsv"):
-                assert (seq / table).read_bytes() == (par / table).read_bytes(), (name, table)
+            for jobs in ("2", "3"):
+                par = tmp_path / f"{name}-par{jobs}"
+                assert run_cli(*args, "--jobs", jobs, "--out", str(par)) == 0
+                for table in ("report.tsv", "trajectories.tsv"):
+                    assert (seq / table).read_bytes() == (par / table).read_bytes(), \
+                        (name, jobs, table)
+
+    @pytest.mark.parametrize("model", ["gmm", "glm"])
+    def test_t0_row_is_the_scaled_first_iterate(self, model):
+        config = ExperimentConfig(model=model, gamma=1.5, alpha=0.5, p=0.2, n=400,
+                                  iterations=3, master_seed=4)
+        rows = run_replication(config, 1, se_trace(config)[1]).rows
+        assert [r[0] for r in rows] == [0, 1, 2, 3]
+        assert rows[0][1:3] == rows[1][1:3]
+        # the one-shot vector the baseline row used to be computed from
+        params, rng = build_params(config), RngStream(4, 1)
+        if model == "gmm":
+            one_shot = vanilla_estimator(sample_gmm_dataset(params, rng))
+        else:
+            data = sample_glm_dataset(params, rng)
+            one_shot = data.X.T @ data.y_noisy
+        assert rows[0][3] == pytest.approx(np.linalg.norm(one_shot), rel=1e-12)
+
+    def test_no_t0_row_when_step_1_diverges(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_retraining",
+                            lambda data, schedule, evaluate: Trajectory([], diverged_at=1))
+        config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.5, p=0.2, n=100,
+                                  iterations=2)
+        result = run_replication(config, 0, se_trace(config)[1])
+        assert result.rows == [] and result.diverged_at == 1
 
     def test_t0_row_present(self, tmp_path):
         out = tmp_path / "r"

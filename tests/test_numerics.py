@@ -1,11 +1,14 @@
 import math
+import os
 import pathlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amp_retrain import numerics
 from amp_retrain.errors import BracketError, ConfigError, DomainError
 from amp_retrain.numerics import (
     RngStream,
@@ -238,3 +241,68 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ConfigError):
             RngStream(0, -2)
+
+
+class TestGaussianMatrix:
+    # 2**21 // 1000 = 2097 rows per block: two blocks, the second of 3 rows
+    N, D, ROWS = 2100, 1000, 2097
+
+    def draw(self, monkeypatch, cpus, sd=1.0, shape=(N, D)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(numerics, "ThreadPoolExecutor", RecordingPool)
+        return RngStream(42, 3).gaussian_matrix(*shape, sd=sd), pools
+
+    def test_same_for_any_thread_count(self, monkeypatch):
+        one, pools_one = self.draw(monkeypatch, 1)
+        two, pools_two = self.draw(monkeypatch, 2)
+        many, pools_many = self.draw(monkeypatch, 8)
+        assert pools_one == [] and pools_two == [2] and pools_many == [2]
+        assert np.array_equal(one, two) and np.array_equal(one, many)
+
+    def test_more_threads_than_cores(self, monkeypatch):
+        # rows of 2**20 + 1 entries: one row per block, four blocks on four threads
+        shape = (4, 2**20 + 1)
+        one, _pools = self.draw(monkeypatch, 1, shape=shape)
+        four, pools = self.draw(monkeypatch, 4, shape=shape)
+        assert pools == [4] and np.array_equal(one, four)
+
+    def test_block_k_is_child_k(self, monkeypatch):
+        X, _pools = self.draw(monkeypatch, 2, sd=0.5)
+        children = np.random.SeedSequence((42, 3)).spawn(2)
+        for k, rows in enumerate((slice(0, self.ROWS), slice(self.ROWS, self.N))):
+            block = np.random.Generator(np.random.PCG64(children[k])).standard_normal(
+                (rows.stop - rows.start, self.D))
+            assert np.array_equal(X[rows], block * 0.5)
+
+    def test_one_block_is_drawn_inline(self, monkeypatch):
+        small, pools = self.draw(monkeypatch, 2, shape=(30, 20))
+        assert pools == []
+        child = np.random.SeedSequence((42, 3)).spawn(1)[0]
+        assert np.array_equal(
+            small, np.random.Generator(np.random.PCG64(child)).standard_normal((30, 20)))
+
+    def test_independent_of_generator(self):
+        stream = RngStream(42, 3)
+        assert not np.array_equal(stream.gaussian_matrix(1, 50),
+                                  stream.generator().standard_normal((1, 50)))
+
+    def test_empty_shape_rejected(self):
+        with pytest.raises(ConfigError):
+            RngStream(0).gaussian_matrix(0, 5)
+        with pytest.raises(ConfigError):
+            RngStream(0).gaussian_matrix(5, 0)
+
+    def test_only_numerics_draws_matrices_or_starts_threads(self):
+        for path in SRC.glob("*.py"):
+            text = path.read_text()
+            assert "standard_normal((" not in text, path.name
+            if path.name != "numerics.py":
+                assert "ThreadPoolExecutor" not in text, path.name
