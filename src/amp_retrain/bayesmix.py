@@ -146,19 +146,6 @@ def fit_bimodal_em(logits: Sequence[float], cfg: BayesMixConfig) -> BimodalFit:
     )
 
 
-def em_loglik_history(logits: Sequence[float], cfg: BayesMixConfig) -> List[float]:
-    """Log-likelihood after each EM iteration (diagnostic for monotonicity)."""
-    z = np.asarray(logits, dtype=float)
-    history = []
-    for k in range(1, cfg.em_max_iters + 1):
-        sub = BayesMixConfig(p=cfg.p, em_max_iters=k, em_tol=1e-300,
-                             sigma_floor=cfg.sigma_floor)
-        history.append(fit_bimodal_em(z, sub).loglik)
-        if k > 2 and abs(history[-1] - history[-2]) < cfg.em_tol:
-            break
-    return history
-
-
 def bayesmix_aggregate(z, yhat, fit: BimodalFit, p: float):
     """Soft target from a logit and its given label.
 

@@ -1,5 +1,5 @@
-"""File formats: tab-separated tables with metadata headers, columnar dataset
-archives, and the logit/target exchange files for the soft-label pipeline.
+"""File formats: tab-separated tables with metadata headers, and the
+logit/target exchange files for the soft-label pipeline.
 
 Every emitted file embeds the resolved configuration and seed in its header
 comments, and float formatting uses shortest round-trip repr so re-running a
@@ -8,7 +8,6 @@ command with the same seed reproduces the file byte for byte.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -16,8 +15,6 @@ import numpy as np
 
 from .bayesmix import LogitRecord
 from .errors import ParseError
-from .glm import GlmDataset, GlmParams, link_from_name
-from .gmm import GmmDataset, GmmParams
 
 LOGIT_SCHEMA = "bayesmix-logits v1"
 TARGET_SCHEMA = "bayesmix-targets v1"
@@ -65,79 +62,6 @@ def read_table(path) -> Tuple[Dict[str, str], List[str], List[List[str]]]:
         else:
             rows.append(line.split("\t"))
     return meta, columns, rows
-
-
-# --------------------------------------------------------------------------
-# datasets
-# --------------------------------------------------------------------------
-
-def save_gmm_dataset(path, data: GmmDataset, params: GmmParams, seed_meta: Dict) -> None:
-    """Columnar binary archive with parameters and seed in the header."""
-    header = {
-        "kind": "gmm",
-        "params": {
-            "gamma": params.gamma, "alpha": params.alpha, "p": params.p,
-            "pi_plus": params.pi_plus, "n": params.n, "d": params.d,
-        },
-        "seed": seed_meta,
-    }
-    np.savez(
-        path,
-        header=np.array(json.dumps(header, sort_keys=True)),
-        X=data.X,
-        y_true=data.y_true,
-        y_noisy=data.y_noisy,
-        mu=data.mu,
-    )
-
-
-def load_gmm_dataset(path) -> Tuple[GmmDataset, GmmParams, Dict]:
-    with np.load(path) as archive:
-        header = json.loads(str(archive["header"]))
-        if header.get("kind") != "gmm":
-            raise ParseError(f"not a gmm dataset archive: {header.get('kind')}", line=0)
-        data = GmmDataset(
-            X=archive["X"], y_true=archive["y_true"],
-            y_noisy=archive["y_noisy"], mu=archive["mu"],
-        )
-    params = GmmParams(**header["params"])
-    return data, params, header.get("seed", {})
-
-
-def save_glm_dataset(path, data: GlmDataset, params: GlmParams, seed_meta: Dict) -> None:
-    header = {
-        "kind": "glm",
-        "params": {
-            "gamma": params.gamma, "alpha": params.alpha, "p": params.p,
-            "n": params.n, "d": params.d,
-            "link": params.link.name,
-            "link_scale": getattr(params.link, "scale", 1.0),
-        },
-        "seed": seed_meta,
-    }
-    np.savez(
-        path,
-        header=np.array(json.dumps(header, sort_keys=True)),
-        X=data.X,
-        beta_true=data.beta_true,
-        y_true=data.y_true,
-        y_noisy=data.y_noisy,
-    )
-
-
-def load_glm_dataset(path) -> Tuple[GlmDataset, GlmParams, Dict]:
-    with np.load(path) as archive:
-        header = json.loads(str(archive["header"]))
-        if header.get("kind") != "glm":
-            raise ParseError(f"not a glm dataset archive: {header.get('kind')}", line=0)
-        data = GlmDataset(
-            X=archive["X"], beta_true=archive["beta_true"],
-            y_true=archive["y_true"], y_noisy=archive["y_noisy"],
-        )
-    fields = dict(header["params"])
-    link = link_from_name(fields.pop("link"), fields.pop("link_scale"))
-    params = GlmParams(link=link, **fields)
-    return data, params, header.get("seed", {})
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateModelError, DomainError
 from scipy.special import ndtr
 
-from .gmm import _as_float_arrays
+from .gmm import _label_arrays, _validate_shared_params
 from .numerics import RngStream, gaussian_rule, stable_logistic, std_normal_cdf
 
 
@@ -116,22 +116,7 @@ class GlmParams:
     d: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ConfigError("gamma must be positive and finite")
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ConfigError("alpha must be positive and finite")
-        if not (0.0 <= self.p < 0.5):
-            raise ConfigError("p must lie in [0, 0.5)")
-        if self.n < 1:
-            raise ConfigError("n must be a positive integer")
-        if self.d is None:
-            object.__setattr__(self, "d", int(round(self.alpha * self.n)))
-        if self.d < 1:
-            raise ConfigError("d must be a positive integer")
-        if abs(self.d / self.n - self.alpha) > 1.0 / self.n + 1e-9:
-            raise ConfigError(
-                f"d/n = {self.d / self.n} inconsistent with alpha = {self.alpha}"
-            )
+        _validate_shared_params(self)
 
     @property
     def gamma_eff(self) -> float:
@@ -252,14 +237,6 @@ def _posterior_var_latent(u, yhat, quad_a, lin_b, link, p, prior_var, order):
 # --------------------------------------------------------------------------
 # aggregators
 # --------------------------------------------------------------------------
-
-def _label_arrays(u, yhat):
-    """Broadcast float arrays of (u, yhat); labels other than +-1 are rejected."""
-    u, yhat = _as_float_arrays(u, yhat)
-    if not np.all(np.abs(yhat) == 1.0):
-        raise DomainError("given label must be +1 or -1")
-    return u, yhat
-
 
 @dataclass(frozen=True)
 class OptimalGlm:
@@ -384,26 +361,10 @@ class OptimalSign:
         """dg/du = -lin_b * (r*s*g + s^2*g^2): the numerator's r-derivative is
         -r times itself and the denominator's is the numerator."""
         g = self.value(u, yhat)
-        u, _ = _as_float_arrays(u, yhat)
+        u, _ = _label_arrays(u, yhat)
         s = self._s
         r = self.lin_b * s * u
         return -self.lin_b * (r * s * g + s * s * g * g)
-
-
-def optimal_aggregator_glm(
-    u, yhat, eta: float, params: GlmParams, order: int = 61
-):
-    """Generic-link optimal aggregator at signal-to-noise eta (quadrature)."""
-    agg = OptimalGlm.from_eta(eta, params, order)
-    out = agg.value(u, yhat)
-    return float(out) if np.ndim(u) == 0 and np.ndim(yhat) == 0 else out
-
-
-def optimal_aggregator_sign(u, yhat, eta: float, params: GlmParams):
-    """Sign-link optimal aggregator in closed form at signal-to-noise eta."""
-    agg = OptimalSign.from_eta(eta, params)
-    out = agg.value(u, yhat)
-    return float(out) if np.ndim(u) == 0 and np.ndim(yhat) == 0 else out
 
 
 # --------------------------------------------------------------------------

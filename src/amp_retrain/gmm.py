@@ -23,6 +23,27 @@ from .numerics import RngStream, stable_logistic, std_normal_cdf
 # parameters and data
 # --------------------------------------------------------------------------
 
+def _validate_shared_params(params) -> None:
+    """Checks of the fields GmmParams and GlmParams share; fills in the default
+    d = round(alpha * n) on the frozen instance."""
+    if not (params.gamma > 0 and math.isfinite(params.gamma)):
+        raise ConfigError("gamma must be positive and finite")
+    if not (params.alpha > 0 and math.isfinite(params.alpha)):
+        raise ConfigError("alpha must be positive and finite")
+    if not (0.0 <= params.p < 0.5):
+        raise ConfigError("p must lie in [0, 0.5)")
+    if params.n < 1:
+        raise ConfigError("n must be a positive integer")
+    if params.d is None:
+        object.__setattr__(params, "d", int(round(params.alpha * params.n)))
+    if params.d < 1:
+        raise ConfigError("d must be a positive integer")
+    if abs(params.d / params.n - params.alpha) > 1.0 / params.n + 1e-9:
+        raise ConfigError(
+            f"d/n = {params.d / params.n} inconsistent with alpha = {params.alpha}"
+        )
+
+
 @dataclass(frozen=True)
 class GmmParams:
     """Experiment configuration for the Gaussian-mixture ground truth.
@@ -40,26 +61,11 @@ class GmmParams:
     d: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ConfigError("gamma must be positive and finite")
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ConfigError("alpha must be positive and finite")
-        if not (0.0 <= self.p < 0.5):
-            raise ConfigError("p must lie in [0, 0.5)")
+        _validate_shared_params(self)
         # pi_plus in the closed interval: the endpoints give single-class data,
         # useful as degenerate edge cases.
         if not (0.0 <= self.pi_plus <= 1.0):
             raise ConfigError("pi_plus must lie in [0, 1]")
-        if self.n < 1:
-            raise ConfigError("n must be a positive integer")
-        if self.d is None:
-            object.__setattr__(self, "d", int(round(self.alpha * self.n)))
-        if self.d < 1:
-            raise ConfigError("d must be a positive integer (n*d nonzero)")
-        if abs(self.d / self.n - self.alpha) > 1.0 / self.n + 1e-9:
-            raise ConfigError(
-                f"d/n = {self.d / self.n} inconsistent with alpha = {self.alpha}"
-            )
 
     @property
     def pi_minus(self) -> float:
@@ -106,7 +112,11 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
     mu *= params.gamma / np.linalg.norm(mu)
     y = np.where(gen.random(params.n) < params.pi_plus, 1.0, -1.0)
     X = rng.gaussian_matrix(params.n, params.d)
-    X += y[:, None] * mu[None, :]
+    # add +-mu row by row in place (exact, y is +-1): y[:, None] * mu would
+    # build a temporary as large as X
+    pos = (y > 0)[:, None]
+    np.add(X, mu, out=X, where=pos)
+    np.subtract(X, mu, out=X, where=~pos)
     flips = gen.random(params.n) < params.p
     y_noisy = np.where(flips, -y, y)
     return GmmDataset(X=X, y_true=y, y_noisy=y_noisy, mu=mu)
@@ -116,9 +126,19 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
 # aggregators g(y_soft, y_noisy)
 # --------------------------------------------------------------------------
 
-def _as_float_arrays(y, yhat):
+def _label_arrays(y, yhat):
+    """Soft predictions and given labels as broadcast float arrays.
+
+    Every aggregator's ``value`` and ``deriv`` take their arguments through
+    here: a non-finite prediction or a label other than +-1 raises
+    :class:`DomainError`.
+    """
     y = np.asarray(y, dtype=float)
     yhat = np.asarray(yhat, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise DomainError("soft prediction must be finite")
+    if not np.all(np.abs(yhat) == 1.0):
+        raise DomainError("given label must be +1 or -1")
     return np.broadcast_arrays(y, yhat)
 
 
@@ -129,11 +149,11 @@ class IdentityAggregator:
     y_breakpoints = ()
 
     def value(self, y, yhat):
-        y, yhat = _as_float_arrays(y, yhat)
+        y, yhat = _label_arrays(y, yhat)
         return yhat.copy()
 
     def deriv(self, y, yhat):
-        y, _ = _as_float_arrays(y, yhat)
+        y, _ = _label_arrays(y, yhat)
         return np.zeros_like(y)
 
 
@@ -168,7 +188,14 @@ class OptimalGmm:
     @classmethod
     def from_se_state(cls, state, params: GmmParams) -> "OptimalGmm":
         """Slope 2*m_bar/sigma_bar^2: exact posterior mean for the prediction
-        channel described by a state-evolution state (see gmm_se)."""
+        channel described by a state-evolution state (see gmm_se).
+
+        On the self-consistent trajectory this equals the slope of
+        :meth:`from_eta`; after the identity first step the exact channel
+        slope differs from it by a factor (1-2p), and using the exact slope is
+        what makes the empirical run track the state evolution (and the Bayes
+        identity hold) from t = 1 on.
+        """
         slope = 2.0 * state.m_bar / state.sigma_bar**2
         return cls._build(slope, params, state.eta)
 
@@ -183,7 +210,7 @@ class OptimalGmm:
                    log_prior=log_prior, eta=eta)
 
     def value(self, y, yhat):
-        y, yhat = _as_float_arrays(y, yhat)
+        y, yhat = _label_arrays(y, yhat)
         if self.p == 0.0:
             # infinite log-odds limit: the flipped label is perfectly reliable
             return yhat.copy()
@@ -213,7 +240,7 @@ class SmoothedFullRT:
             raise ConfigError("beta must be positive and finite")
 
     def value(self, y, yhat):
-        y, _ = _as_float_arrays(y, yhat)
+        y, _ = _label_arrays(y, yhat)
         return np.tanh(0.5 * self.beta * y)
 
     def deriv(self, y, yhat):
@@ -235,36 +262,13 @@ class SmoothedConsensusRT:
             raise ConfigError("beta must be positive and finite")
 
     def value(self, y, yhat):
-        y, yhat = _as_float_arrays(y, yhat)
+        y, yhat = _label_arrays(y, yhat)
         return yhat * stable_logistic(self.beta * y * yhat)
 
     def deriv(self, y, yhat):
-        y, yhat = _as_float_arrays(y, yhat)
+        y, yhat = _label_arrays(y, yhat)
         s = stable_logistic(self.beta * y * yhat)
         return self.beta * s * (1.0 - s)
-
-
-def _validate_agg_args(y, yhat):
-    y = np.asarray(y, dtype=float)
-    yhat_arr = np.asarray(yhat, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DomainError("soft prediction must be finite")
-    if not np.all(np.abs(yhat_arr) == 1.0):
-        raise DomainError("given label must be +1 or -1")
-
-
-def eval_aggregator(agg, y, yhat):
-    """Evaluate g(y, yhat); scalar in, scalar out."""
-    _validate_agg_args(y, yhat)
-    out = agg.value(y, yhat)
-    return float(out) if np.ndim(y) == 0 and np.ndim(yhat) == 0 else out
-
-
-def eval_aggregator_deriv(agg, y, yhat):
-    """Analytic partial derivative of g in its first argument."""
-    _validate_agg_args(y, yhat)
-    out = agg.deriv(y, yhat)
-    return float(out) if np.ndim(y) == 0 and np.ndim(yhat) == 0 else out
 
 
 # --------------------------------------------------------------------------

@@ -344,18 +344,6 @@ def p_star(params: GmmParams, tol: float = 1e-12) -> PStarResult:
 # traces for the empirical runs
 # --------------------------------------------------------------------------
 
-def optimal_aggregator_for_state(state: SeStateGmm, params: GmmParams) -> OptimalGmm:
-    """Posterior-mean aggregator matched to the channel of a given state.
-
-    On the self-consistent trajectory this coincides with the eta-formula
-    slope 2*gamma^2/(alpha*(eta^2+1)); after the identity first step the exact
-    channel slope 2*m_bar/sigma_bar^2 differs from it by a factor (1-2p), and
-    using the exact slope is what makes the empirical run track the
-    eta-recursion (and the Bayes identity hold) from t = 1 on.
-    """
-    return OptimalGmm.from_se_state(state, params)
-
-
 def opt_se_trace_gmm(
     params: GmmParams, T: int, order: int = DEFAULT_ORDER
 ) -> List[SeStateGmm]:
@@ -364,7 +352,7 @@ def opt_se_trace_gmm(
         raise ConfigError("T must be >= 1")
     states = [se_init_gmm(params)]
     for _ in range(T - 1):
-        agg = optimal_aggregator_for_state(states[-1], params)
+        agg = OptimalGmm.from_se_state(states[-1], params)
         states.append(se_step_gmm(states[-1], agg, params, order))
     return states
 

@@ -227,8 +227,10 @@ def simulate(config: ExperimentConfig, jobs: int = 1) -> SimulationResult:
     """
     se_rows, schedule = se_trace(config)
     reps_idx = range(config.replications)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool forks all its workers at start-up, so never more than there is work for
+    workers = min(jobs, config.replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reps = list(pool.map(run_replication, [config] * len(reps_idx), reps_idx,
                                  [schedule] * len(reps_idx)))
     else:

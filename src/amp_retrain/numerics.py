@@ -252,6 +252,3 @@ class RngStream:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(fill, range(blocks)))
         return out
-
-    def substream(self, index: int) -> "RngStream":
-        return RngStream(self.master_seed, index)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -63,6 +64,34 @@ class TestSimulate:
                 for table in ("report.tsv", "trajectories.tsv"):
                     assert (seq / table).read_bytes() == (par / table).read_bytes(), \
                         (name, jobs, table)
+
+    def test_jobs_capped_at_replications(self, monkeypatch):
+        # a pool forks all of its workers at start-up; a serial stand-in
+        # records how many were asked for, so no process is started here
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.5, p=0.2, n=200,
+                                  iterations=3, replications=2, master_seed=6)
+        capped = harness.simulate(config, jobs=64)
+        assert asked == [2]
+        assert capped == harness.simulate(config, jobs=1)
+        single = dataclasses.replace(config, replications=1)
+        harness.simulate(single, jobs=64)
+        assert asked == [2]   # one replication runs inline
 
     @pytest.mark.parametrize("model", ["gmm", "glm"])
     def test_t0_row_is_the_scaled_first_iterate(self, model):

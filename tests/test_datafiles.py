@@ -3,20 +3,13 @@ import pytest
 
 from amp_retrain.bayesmix import LogitRecord
 from amp_retrain.datafiles import (
-    load_glm_dataset,
-    load_gmm_dataset,
     read_logit_file,
     read_table,
-    save_glm_dataset,
-    save_gmm_dataset,
     write_logit_file,
     write_table,
     write_targets_file,
 )
 from amp_retrain.errors import ParseError
-from amp_retrain.glm import GlmParams, LogisticLink, sample_glm_dataset
-from amp_retrain.gmm import GmmParams, sample_gmm_dataset
-from amp_retrain.numerics import RngStream
 
 
 class TestTables:
@@ -35,37 +28,6 @@ class TestTables:
         write_table(p1, {"k": "v"}, ["i", "x"], rows)
         write_table(p2, {"k": "v"}, ["i", "x"], rows)
         assert p1.read_bytes() == p2.read_bytes()
-
-
-class TestDatasetArchives:
-    def test_gmm_roundtrip(self, tmp_path):
-        params = GmmParams(gamma=1.5, alpha=0.8, p=0.3, pi_plus=0.3, n=40)
-        data = sample_gmm_dataset(params, RngStream(5))
-        path = tmp_path / "gmm.npz"
-        save_gmm_dataset(path, data, params, {"master_seed": 5, "stream_index": 0})
-        loaded, lparams, seed = load_gmm_dataset(path)
-        assert np.array_equal(loaded.X, data.X)
-        assert np.array_equal(loaded.y_noisy, data.y_noisy)
-        assert lparams == params
-        assert seed["master_seed"] == 5
-
-    def test_glm_roundtrip(self, tmp_path):
-        params = GlmParams(gamma=1.2, alpha=0.5, p=0.2, link=LogisticLink(2.0), n=30)
-        data = sample_glm_dataset(params, RngStream(6))
-        path = tmp_path / "glm.npz"
-        save_glm_dataset(path, data, params, {"master_seed": 6})
-        loaded, lparams, _seed = load_glm_dataset(path)
-        assert np.array_equal(loaded.beta_true, data.beta_true)
-        assert lparams.link == LogisticLink(2.0)
-        assert lparams.gamma == params.gamma
-
-    def test_kind_mismatch(self, tmp_path):
-        params = GmmParams(gamma=1.5, alpha=0.8, p=0.3, n=10)
-        data = sample_gmm_dataset(params, RngStream(7))
-        path = tmp_path / "d.npz"
-        save_gmm_dataset(path, data, params, {})
-        with pytest.raises(ParseError):
-            load_glm_dataset(path)
 
 
 class TestLogitFiles:

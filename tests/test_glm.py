@@ -16,8 +16,6 @@ from amp_retrain.glm import (
     glm_evaluator,
     hat_h_p,
     link_from_name,
-    optimal_aggregator_glm,
-    optimal_aggregator_sign,
     overlap_glm,
     sample_glm_dataset,
 )
@@ -121,21 +119,21 @@ class TestOptimalAggregator:
         params = GlmParams(gamma=1.0, alpha=2.0, p=0.2, link=HalfLink(), n=100)
         for u in (-2.0, 0.0, 1.3, 4.0):
             for yhat in (1, -1):
-                assert abs(optimal_aggregator_glm(u, yhat, 0.7, params)) <= 1e-12
+                assert abs(float(OptimalGlm.from_eta(0.7, params).value(u, yhat))) <= 1e-12
 
     def test_sign_quadrature_matches_closed_form(self):
         params = sign_params(alpha=2.0, p=0.2)
         for u in np.linspace(-3, 3, 13):
             for yhat in (1, -1):
-                quad = optimal_aggregator_glm(float(u), yhat, 0.5, params)
-                closed = optimal_aggregator_sign(float(u), yhat, 0.5, params)
+                quad = float(OptimalGlm.from_eta(0.5, params).value(float(u), yhat))
+                closed = float(OptimalSign.from_eta(0.5, params).value(float(u), yhat))
                 assert abs(quad - closed) <= 1e-6
 
     def test_sign_antisymmetry(self):
         params = sign_params(alpha=2.0, p=0.2)
         for u in np.linspace(-3, 3, 7):
-            a = optimal_aggregator_glm(float(u), 1, 0.5, params)
-            b = optimal_aggregator_glm(float(-u), -1, 0.5, params)
+            a = float(OptimalGlm.from_eta(0.5, params).value(float(u), 1))
+            b = float(OptimalGlm.from_eta(0.5, params).value(float(-u), -1))
             assert abs(a + b) <= 1e-9
 
     def test_closed_form_at_origin(self):
@@ -143,23 +141,23 @@ class TestOptimalAggregator:
         eta = 0.5
         s = 1.0 / math.sqrt(1.0 / 2.0 + eta**2)
         expected = (1 - 2 * 0.2) * math.sqrt(2 / math.pi) / s
-        assert optimal_aggregator_sign(0.0, 1, eta, params) == pytest.approx(expected, abs=1e-14)
-        assert optimal_aggregator_sign(0.0, -1, eta, params) == pytest.approx(-expected, abs=1e-14)
+        assert float(OptimalSign.from_eta(eta, params).value(0.0, 1)) == pytest.approx(expected, abs=1e-14)
+        assert float(OptimalSign.from_eta(eta, params).value(0.0, -1)) == pytest.approx(-expected, abs=1e-14)
 
     def test_closed_form_decays(self):
         params = sign_params(alpha=2.0, p=0.2)
-        assert abs(optimal_aggregator_sign(1e4, 1, 0.5, params)) <= 1e-280
+        assert abs(float(OptimalSign.from_eta(0.5, params).value(1e4, 1))) <= 1e-280
 
     def test_near_pure_noise_vanishes(self):
         params = sign_params(alpha=2.0, p=0.4999999)
-        assert abs(optimal_aggregator_sign(0.7, 1, 0.5, params)) <= 1e-5
+        assert abs(float(OptimalSign.from_eta(0.5, params).value(0.7, 1))) <= 1e-5
 
     def test_domain_errors(self):
         params = sign_params()
         with pytest.raises(DomainError):
-            optimal_aggregator_sign(0.0, 1, 0.0, params)
+            OptimalSign.from_eta(0.0, params)
         with pytest.raises(DomainError):
-            optimal_aggregator_sign(0.0, 1, -0.5, params)
+            OptimalSign.from_eta(-0.5, params)
         with pytest.raises(DomainError):
             OptimalGlm.from_eta(0.0, params)  # sign link: use the closed form
 
@@ -176,7 +174,7 @@ class TestOptimalAggregator:
 
     def test_logistic_smooth_eta_zero_allowed(self):
         params = GlmParams(gamma=1.0, alpha=1.0, p=0.2, link=LogisticLink(), n=100)
-        v = optimal_aggregator_glm(0.3, 1, 0.0, params)
+        v = float(OptimalGlm.from_eta(0.0, params).value(0.3, 1))
         assert math.isfinite(v)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,13 +19,12 @@ from amp_retrain.gmm import (
     OptimalGmm,
     SmoothedConsensusRT,
     SmoothedFullRT,
-    eval_aggregator,
-    eval_aggregator_deriv,
     gmm_evaluator,
     sample_gmm_dataset,
     vanilla_estimator,
 )
 from amp_retrain.gmm import test_error_gmm as gmm_error
+from amp_retrain.glm import GlmParams, LogisticLink, OptimalGlm, OptimalSign, SignLink
 from amp_retrain.gmm_se import label_atoms, se_init_gmm
 from amp_retrain.numerics import RngStream, gauss_hermite, std_normal_cdf
 from amp_retrain.retrain import (
@@ -98,41 +98,73 @@ class TestSampling:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y_noisy, b.y_noisy)
 
+    def test_means_added_by_label(self):
+        data = sample_gmm_dataset(params_for(alpha=77 / 333, n=333, d=77), RngStream(8))
+        noise = RngStream(8).gaussian_matrix(333, 77)
+        assert np.array_equal(data.X, noise + data.y_true[:, None] * data.mu[None, :])
+
+    def test_means_added_in_place(self):
+        # the means go into X without an n x d temporary: the traced peak stays
+        # near one matrix (two blocks, so the threaded fill is traced too)
+        params = params_for(alpha=0.5, n=2200, d=1100)
+        tracemalloc.start()
+        try:
+            data = sample_gmm_dataset(params, RngStream(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * data.X.nbytes
+
 
 class TestAggregators:
     def test_optimal_at_zero_balanced(self):
         # exponent vanishes at y=0 with equal priors: value collapses to 1-2p
         params = params_for(p=0.3, pi_plus=0.5)
         agg = OptimalGmm.from_eta(0.7, params)
-        assert eval_aggregator(agg, 0.0, 1) == pytest.approx(0.4, abs=1e-14)
-        assert eval_aggregator(agg, 0.0, -1) == pytest.approx(-0.4, abs=1e-14)
+        assert float(agg.value(0.0, 1)) == pytest.approx(0.4, abs=1e-14)
+        assert float(agg.value(0.0, -1)) == pytest.approx(-0.4, abs=1e-14)
 
     def test_optimal_saturates(self):
         agg = OptimalGmm.from_eta(0.5, params_for(p=0.2, pi_plus=0.3))
-        assert eval_aggregator(agg, 1e6, 1) == pytest.approx(1.0, abs=1e-12)
-        assert eval_aggregator(agg, -1e6, 1) == pytest.approx(-1.0, abs=1e-12)
+        assert float(agg.value(1e6, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert float(agg.value(-1e6, 1)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_optimal_p_zero_returns_label(self):
         agg = OptimalGmm.from_eta(0.5, params_for(p=0.0))
-        assert eval_aggregator(agg, 3.7, -1) == -1.0
-        assert eval_aggregator_deriv(agg, 3.7, -1) == 0.0
+        assert float(agg.value(3.7, -1)) == -1.0
+        assert float(agg.deriv(3.7, -1)) == 0.0
 
     def test_smoothed_ft_at_zero(self):
         agg = SmoothedFullRT(beta=5.0)
-        assert eval_aggregator(agg, 0.0, 1) == 0.0
-        assert eval_aggregator_deriv(agg, 0.0, 1) == pytest.approx(2.5, abs=1e-15)
+        assert float(agg.value(0.0, 1)) == 0.0
+        assert float(agg.deriv(0.0, 1)) == pytest.approx(2.5, abs=1e-15)
 
     def test_identity_derivative_zero(self):
         agg = IdentityAggregator()
-        assert eval_aggregator_deriv(agg, 1.3, -1) == 0.0
-        assert eval_aggregator(agg, 1.3, -1) == -1.0
+        assert float(agg.deriv(1.3, -1)) == 0.0
+        assert float(agg.value(1.3, -1)) == -1.0
 
     def test_invalid_inputs(self):
-        agg = IdentityAggregator()
-        with pytest.raises(DomainError):
-            eval_aggregator(agg, float("nan"), 1)
-        with pytest.raises(DomainError):
-            eval_aggregator(agg, 0.0, 0)
+        # all six aggregators check their inputs in value and in deriv
+        glm = dict(gamma=1.0, alpha=1.0, p=0.2, n=100)
+        aggs = [
+            IdentityAggregator(),
+            OptimalGmm.from_eta(0.5, params_for(p=0.2, pi_plus=0.3)),
+            SmoothedFullRT(2.5),
+            SmoothedConsensusRT(4.0),
+            OptimalGlm.from_eta(0.5, GlmParams(link=LogisticLink(), **glm)),
+            OptimalSign.from_eta(0.5, GlmParams(link=SignLink(), **glm)),
+        ]
+        bad = [(float("nan"), 1), (0.0, 0), (0.3, 0.5),
+               ([0.3, np.inf], [1, -1]), ([0.3, 0.5], [1, 0])]
+        for agg in aggs:
+            for method in ("value", "deriv"):
+                for y, yhat in bad:
+                    try:
+                        getattr(agg, method)(y, yhat)
+                    except DomainError:
+                        continue
+                    pytest.fail(f"{type(agg).__name__}.{method}({y}, {yhat}) did not raise")
 
     @pytest.mark.parametrize("agg", [
         IdentityAggregator(),
@@ -163,7 +195,7 @@ class TestAggregators:
     def test_optimal_bounded_open_interval(self, y, yhat):
         # strict bounds hold in floats away from tanh saturation (~|arg| > 19)
         agg = OptimalGmm.from_eta(0.5, GmmParams(gamma=1.5, alpha=2.0, p=0.2, pi_plus=0.3, n=100))
-        v = eval_aggregator(agg, y, yhat)
+        v = float(agg.value(y, yhat))
         assert -1.0 < v < 1.0
 
     def test_optimal_strictly_increasing_in_y(self):

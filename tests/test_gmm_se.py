@@ -7,6 +7,7 @@ from amp_retrain.errors import ConfigError, DomainError
 from amp_retrain.gmm import (
     GmmParams,
     IdentityAggregator,
+    OptimalGmm,
     SmoothedFullRT,
 )
 from amp_retrain.gmm_se import (
@@ -20,7 +21,6 @@ from amp_retrain.gmm_se import (
     find_fixed_points,
     label_atoms,
     opt_se_trace_gmm,
-    optimal_aggregator_for_state,
     p_star,
     se_error_from_eta,
     se_error_gmm,
@@ -75,7 +75,7 @@ class TestStep:
         params = params_for()
         state = se_init_gmm(params)
         for _ in range(4):
-            agg = optimal_aggregator_for_state(state, params)
+            agg = OptimalGmm.from_se_state(state, params)
             state = se_step_gmm(state, agg, params)
             assert abs(state.m - params.gamma / math.sqrt(params.alpha) * state.sigma**2) <= 1e-9
 
@@ -84,7 +84,7 @@ class TestStep:
         state = se_init_gmm(params)
         for _ in range(4):
             expected = eta_map_opt(state.eta**2, params)
-            agg = optimal_aggregator_for_state(state, params)
+            agg = OptimalGmm.from_se_state(state, params)
             state = se_step_gmm(state, agg, params)
             assert state.eta**2 == pytest.approx(expected, abs=1e-9)
 

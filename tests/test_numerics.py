@@ -232,10 +232,6 @@ class TestRngStream:
         # crude independence check: correlation of independent streams is small
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.15
 
-    def test_substream(self):
-        base = RngStream(7)
-        assert base.substream(5) == RngStream(7, 5)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             RngStream(-1)
