@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, DomainError
-from .gmm import GmmParams, sample_gmm_dataset, test_error_gmm
+from .gmm import GmmParams, _label_arrays, sample_gmm_dataset, test_error_gmm
 from .numerics import RngStream
 
 
@@ -152,16 +152,14 @@ def bayesmix_aggregate(z, yhat, fit: BimodalFit, p: float):
     tanh of half the posterior log-odds: label evidence yhat*log((1-p)/p),
     the two quadratic mixture terms, and the component-weight prior.  p = 0
     returns the given label exactly (infinite label evidence); p = 0.5 removes
-    the label term.  Vectorized over z / yhat.
+    the label term.  Vectorized over z / yhat; a non-finite logit or a label
+    other than +-1 raises :class:`DomainError`, as for the aggregators.
     """
     if not (0.0 <= p <= 0.5):
         raise DomainError("p must lie in [0, 0.5]")
-    z = np.asarray(z, dtype=float)
-    yhat_arr = np.asarray(yhat, dtype=float)
-    if not np.all(np.abs(yhat_arr) == 1.0):
-        raise DomainError("yhat must be +1 or -1")
+    z, yhat_arr = _label_arrays(z, yhat)
     if p == 0.0:
-        out = np.broadcast_arrays(z, yhat_arr)[1].astype(float)
+        out = yhat_arr.copy()
         return float(out) if out.ndim == 0 else out
     label_term = yhat_arr * math.log((1.0 - p) / p)
     quad = (z - fit.mu_minus) ** 2 / (2.0 * fit.sigma_minus**2) - (

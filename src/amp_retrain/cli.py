@@ -28,13 +28,12 @@ from .bayesmix import (
 )
 from .errors import AmpRetrainError, ConfigError, DivergenceError, ParseError
 from .gmm import GmmParams
+from .gmm_se import VARIANTS
 from .harness import (
     ExperimentConfig,
-    SE_VARIANTS_GMM,
     cobweb_rows,
     crossover_rows,
-    se_limit_trace,
-    se_trace,
+    se_rows,
     simulate,
     write_simulation_outputs,
 )
@@ -99,6 +98,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(payload)
 
 
+def _config_and_variant(args: argparse.Namespace):
+    """The config and the variant a theory table (se, cobweb) computes:
+    --variant, else the configured aggregator.  The table's header keeps the
+    config as given and names the variant."""
+    config = _config_from_args(args)
+    return config, args.variant or config.aggregator
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out if args.out else _default_out())
     out.mkdir(parents=True, exist_ok=True)
@@ -125,16 +132,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_se(args: argparse.Namespace) -> int:
     from .datafiles import write_table
 
-    variant = args.variant
-    config = _config_from_args(args)
-    if variant in ("ft_limit", "ct_limit"):
-        rows = se_limit_trace(config, variant)
-    else:
-        rows, _ = se_trace(config)
+    config, variant = _config_and_variant(args)
+    rows = se_rows(config, variant)
     out = _out_dir(args)
     path = out / "se.tsv"
     meta = {"config": json.dumps(config.to_dict(), sort_keys=True),
-            "variant": variant or config.aggregator,
+            "variant": variant,
             "master_seed": str(config.master_seed), "version": __version__}
     write_table(path, meta, ["t", "eta", "predicted_error"], rows)
     for t, eta, err in rows:
@@ -146,13 +149,13 @@ def _cmd_se(args: argparse.Namespace) -> int:
 def _cmd_cobweb(args: argparse.Namespace) -> int:
     from .datafiles import write_table
 
-    config = _config_from_args(args)
-    rows = cobweb_rows(config, args.u1, args.steps, variant=args.variant)
+    config, variant = _config_and_variant(args)
+    rows = cobweb_rows(config, args.u1, args.steps, variant)
     out = _out_dir(args)
     path = out / "cobweb.tsv"
     meta = {"config": json.dumps(config.to_dict(), sort_keys=True),
             "u1": repr(args.u1), "steps": str(args.steps),
-            "variant": args.variant or config.aggregator, "version": __version__}
+            "variant": variant, "version": __version__}
     write_table(path, meta, ["kind", "u", "value"], rows)
     print(f"wrote {path}")
     return EXIT_OK
@@ -243,16 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     se = subs.add_parser("se", help="pure theory trajectory")
     _add_model_args(se)
-    se.add_argument("--variant", choices=SE_VARIANTS_GMM, default=None,
-                    help="override: ft_limit / ct_limit give the sharp-limit maps")
+    se.add_argument("--variant", choices=VARIANTS, default=None,
+                    help="trace of this aggregator, or a sharp-limit map (gmm); "
+                         "default: --aggregator")
     se.set_defaults(func=_cmd_se)
 
     cob = subs.add_parser("cobweb", help="map iterates and samples for staircase plots")
     _add_model_args(cob)
     cob.add_argument("--u1", type=float, required=True)
     cob.add_argument("--steps", type=int, default=12)
-    cob.add_argument("--variant", choices=("opt", "ft_limit", "ct_limit",
-                                           "smoothed_ft", "smoothed_ct"), default=None)
+    cob.add_argument("--variant", choices=VARIANTS, default=None,
+                     help="map of this aggregator, or a sharp-limit map (the glm "
+                          "has the opt map only); default: --aggregator")
     cob.set_defaults(func=_cmd_cobweb)
 
     cross = subs.add_parser("crossover", help="full-vs-consensus map crossing points")

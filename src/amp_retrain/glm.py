@@ -257,6 +257,8 @@ class OptimalGlm:
     order: int = 61
     eta: Optional[float] = None
 
+    y_breakpoints = ()
+
     @classmethod
     def from_eta(cls, eta: float, params: GlmParams, order: int = 61) -> "OptimalGlm":
         if not (eta >= 0 and math.isfinite(eta)):
@@ -331,6 +333,8 @@ class OptimalSign:
     p: float
     alpha: float
     eta: Optional[float] = None
+
+    y_breakpoints = ()
 
     @classmethod
     def from_eta(cls, eta: float, params: GlmParams) -> "OptimalSign":

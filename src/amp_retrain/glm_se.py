@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .glm import (
     GlmParams,
     OptimalGlm,
@@ -67,28 +66,23 @@ def se_init_glm(params: GlmParams, order: int = 201) -> SeStateGlm:
     return SeStateGlm(mu=quadrature_init_mu_glm(params, order), sigma=sigma1)
 
 
-def _grid_expectations(
-    params: GlmParams,
-    channel_mu: float,
-    channel_sigma: float,
-    values_fn,
-    order: int,
-):
-    """Weighted sums E[fn(Z_t, Yhat) ...] over the (Z, G, Yhat) grid.
+def _grid_expectations(params: GlmParams, channel_mu: float, channel_sigma: float,
+                       breakpoints, values_fn, order: int):
+    """Expectations E[f(Z_t, Yhat)] over the (Z, Z_t, Yhat) grid, one per integrand.
 
-    values_fn(u, yhat_label) -> array of integrand values on the u grid;
-    returns the scalar expectation with label weights hhat_p(Z) / 1-hhat_p(Z).
+    values_fn(u, yhat_label) -> a tuple of integrand arrays on the u grid; the
+    labels weigh hhat_p(Z) and 1-hhat_p(Z).  The prediction Z_t given Z has
+    the law N(channel_mu*Z, channel_sigma^2) and, as the mixture's channel,
+    a rule split at the aggregator's breakpoints.
     """
     # the latent margin's rule is split at the link's jumps, where the label
     # probability is only piecewise smooth in Z
     z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
-    g, gw = gaussian_rule(0.0, 1.0, (), order)
-    u = channel_mu * z[:, None] + channel_sigma * g[None, :]
+    u, uw = gaussian_rule(channel_mu * z, channel_sigma, breakpoints, order)
     hp = hat_h_p(z, params.link, params.p)[:, None]
-    w2 = zw[:, None] * gw[None, :]
-    total = np.sum(w2 * hp * values_fn(u, 1.0))
-    total += np.sum(w2 * (1.0 - hp) * values_fn(u, -1.0))
-    return float(total)
+    w2 = zw[:, None] * uw
+    return [float(np.sum(w2 * hp * plus) + np.sum(w2 * (1.0 - hp) * minus))
+            for plus, minus in zip(values_fn(u, 1.0), values_fn(u, -1.0))]
 
 
 def se_step_glm_opt(eta: float, params: GlmParams, order: int = DEFAULT_ORDER_2D) -> float:
@@ -102,11 +96,12 @@ def se_step_glm_opt(eta: float, params: GlmParams, order: int = DEFAULT_ORDER_2D
         agg = OptimalSign.from_eta(eta, params)
     else:
         agg = OptimalGlm.from_eta(eta, params, order=max(order, 61))
-    e_gg = _grid_expectations(
+    (e_gg,) = _grid_expectations(
         params,
         channel_mu=params.alpha * eta**2,
         channel_sigma=params.alpha * eta,
-        values_fn=lambda u, lab: agg.value(u, lab) ** 2,
+        breakpoints=agg.y_breakpoints,
+        values_fn=lambda u, lab: (agg.value(u, lab) ** 2,),
         order=order,
     )
     return math.sqrt(e_gg / params.alpha)
@@ -128,17 +123,15 @@ def se_step_glm_generic(
     prefac = 1.0 / params.prior_var + quad_a
     inner_order = max(order, 61)
 
-    def mu_terms(u, lab):
+    def integrands(u, lab):
         gv = agg.value(u, lab)
         pm = posterior_mean_latent(
             u, lab, quad_a, lin_b, params.link, params.p, params.prior_var, inner_order
         )
-        return (prefac * pm - lin_b * u) * gv
+        return (prefac * pm - lin_b * u) * gv, gv ** 2
 
-    mu_next = _grid_expectations(params, state.mu, state.sigma, mu_terms, order)
-    e_gg = _grid_expectations(
-        params, state.mu, state.sigma, lambda u, lab: agg.value(u, lab) ** 2, order
-    )
+    mu_next, e_gg = _grid_expectations(params, state.mu, state.sigma, agg.y_breakpoints,
+                                       integrands, order)
     s2 = params.alpha * e_gg
     if not (s2 > 0 and math.isfinite(s2) and math.isfinite(mu_next)):
         raise DomainError("state-evolution expectation degenerate or non-finite")
@@ -163,16 +156,3 @@ def optimal_aggregator_for_state(state: SeStateGlm, params: GlmParams, order: in
     if isinstance(params.link, SignLink):
         return OptimalSign.from_se_state(state, params)
     return OptimalGlm.from_se_state(state, params, order=order)
-
-
-def opt_se_trace_glm(
-    params: GlmParams, T: int, order: int = DEFAULT_ORDER_2D
-) -> List[SeStateGlm]:
-    """States 1..T of the optimal-aggregation state evolution."""
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    states = [se_init_glm(params)]
-    for _ in range(T - 1):
-        agg = optimal_aggregator_for_state(states[-1], params)
-        states.append(se_step_glm_generic(states[-1], agg, params, order))
-    return states

@@ -271,6 +271,35 @@ class SmoothedConsensusRT:
         return self.beta * s * (1.0 - s)
 
 
+# the aggregators that stay the same at every step, by name; "opt" names the
+# one matched to each state instead
+_CONSTANT_AGGREGATORS = {
+    "identity": IdentityAggregator,
+    "smoothed_ft": SmoothedFullRT,
+    "smoothed_ct": SmoothedConsensusRT,
+}
+AGGREGATORS = ("opt", *_CONSTANT_AGGREGATORS)
+
+
+def aggregator_from_name(name: str, beta: Optional[float] = None):
+    """The aggregator a name in :data:`AGGREGATORS` stands for, for both models.
+
+    None for "opt": its aggregator is matched to each state-evolution state
+    (:meth:`OptimalGmm.from_se_state`, ``glm_se.optimal_aggregator_for_state``).
+    The smoothed aggregators need ``beta``.
+    """
+    if name not in AGGREGATORS:
+        raise ConfigError(f"aggregator must be one of {AGGREGATORS}, got {name!r}")
+    if name == "opt":
+        return None
+    cls = _CONSTANT_AGGREGATORS[name]
+    if cls is IdentityAggregator:
+        return cls()
+    if not beta:
+        raise ConfigError(f"aggregator {name} needs beta (--beta)")
+    return cls(beta)
+
+
 # --------------------------------------------------------------------------
 # scoring a model vector
 # --------------------------------------------------------------------------

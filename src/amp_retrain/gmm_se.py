@@ -16,12 +16,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import BracketError, ConfigError, DomainError
-from .gmm import (
-    GmmParams,
-    OptimalGmm,
-    SmoothedConsensusRT,
-    SmoothedFullRT,
-)
+from .gmm import AGGREGATORS, GmmParams, OptimalGmm, aggregator_from_name
 from .numerics import find_root_bisect, gaussian_rule, std_normal_cdf
 
 # Default quadrature order for the scalar expectations here.  The optimal
@@ -93,9 +88,8 @@ def _channel_expectations(
     """
     e_gy = 0.0
     e_gg = 0.0
-    breakpoints = getattr(agg, "y_breakpoints", ())
     for w, y_lab, yhat in label_atoms(params):
-        y, pw = gaussian_rule(m_bar * y_lab, sigma_bar, breakpoints, order)
+        y, pw = gaussian_rule(m_bar * y_lab, sigma_bar, agg.y_breakpoints, order)
         vals = agg.value(y, yhat)
         e_gy += w * y_lab * float(vals @ pw)
         e_gg += w * float((vals * vals) @ pw)
@@ -175,16 +169,23 @@ def eta_map_ct(u: float, params: GmmParams) -> float:
     return params.gamma**2 / params.alpha * (phi - params.p) ** 2 / (params.p + (1 - 2 * params.p) * phi)
 
 
+_LIMIT_MAPS = {"ft_limit": eta_map_ft, "ct_limit": eta_map_ct}
+# what a theory table (the `se` and `cobweb` commands) can compute: an
+# aggregator's state evolution or map, or a sharp-limit map
+VARIANTS = AGGREGATORS + tuple(_LIMIT_MAPS)
+
+
 @dataclass(frozen=True)
 class SeMapSpec:
     """A chosen one-dimensional update map u -> F(u).
 
-    variant: "opt" | "ft_limit" | "ct_limit" | "smoothed_ft" | "smoothed_ct".
-    The smoothed variants evaluate one state-evolution step from the
+    variant: one of :data:`VARIANTS`.  "opt" is :func:`eta_map_opt`, the
+    limits are :func:`eta_map_ft` and :func:`eta_map_ct`.  A constant
+    aggregator's map evaluates one state-evolution step from the
     self-consistent slice m = sqrt(alpha)/gamma * u, sigma = sqrt(alpha*u)/gamma
     (finite-beta dynamics are not exactly one-dimensional; this slice is the
-    one the optimal trajectory lives on, and it converges to the sharp-limit
-    maps as beta grows).
+    one the optimal trajectory lives on, and the smoothed maps converge to the
+    sharp-limit maps as beta grows).
     """
 
     variant: str
@@ -193,24 +194,18 @@ class SeMapSpec:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
-        known = ("opt", "ft_limit", "ct_limit", "smoothed_ft", "smoothed_ct")
-        if self.variant not in known:
-            raise ConfigError(f"variant must be one of {known}")
-        if self.variant.startswith("smoothed") and not self.beta:
-            raise ConfigError("smoothed variants need beta")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}")
+        if self.variant not in _LIMIT_MAPS:
+            aggregator_from_name(self.variant, self.beta)
 
     def as_function(self) -> Callable[[float], float]:
-        if self.variant == "opt":
+        if self.variant in _LIMIT_MAPS:
+            limit_map = _LIMIT_MAPS[self.variant]
+            return lambda u: limit_map(u, self.params)
+        agg = aggregator_from_name(self.variant, self.beta)
+        if agg is None:
             return lambda u: eta_map_opt(u, self.params, self.order)
-        if self.variant == "ft_limit":
-            return lambda u: eta_map_ft(u, self.params)
-        if self.variant == "ct_limit":
-            return lambda u: eta_map_ct(u, self.params)
-        agg = (
-            SmoothedFullRT(self.beta)
-            if self.variant == "smoothed_ft"
-            else SmoothedConsensusRT(self.beta)
-        )
 
         def step(u: float) -> float:
             if u < 0:
@@ -341,21 +336,8 @@ def p_star(params: GmmParams, tol: float = 1e-12) -> PStarResult:
 
 
 # --------------------------------------------------------------------------
-# traces for the empirical runs
+# the plug-in state of an empirical run
 # --------------------------------------------------------------------------
-
-def opt_se_trace_gmm(
-    params: GmmParams, T: int, order: int = DEFAULT_ORDER
-) -> List[SeStateGmm]:
-    """States 1..T of the optimal-aggregation state evolution."""
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    states = [se_init_gmm(params)]
-    for _ in range(T - 1):
-        agg = OptimalGmm.from_se_state(states[-1], params)
-        states.append(se_step_gmm(states[-1], agg, params, order))
-    return states
-
 
 def estimate_se_state_gmm(theta: np.ndarray, mu: np.ndarray, params: GmmParams) -> SeStateGmm:
     """Plug-in state estimate from a model vector (needs the true mean).

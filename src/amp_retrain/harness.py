@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,21 +22,21 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .gmm import (
+    AGGREGATORS,
     GmmParams,
     IdentityAggregator,
     OptimalGmm,
-    SmoothedConsensusRT,
-    SmoothedFullRT,
+    aggregator_from_name,
     gmm_evaluator,
     sample_gmm_dataset,
 )
 from .gmm_se import (
+    DEFAULT_ORDER,
     SeMapSpec,
     cobweb_trace,
     eta_map_ct,
     eta_map_ft,
     find_crossover,
-    opt_se_trace_gmm,
     se_error_from_eta,
     se_error_gmm,
     se_init_gmm,
@@ -43,18 +44,15 @@ from .gmm_se import (
 )
 from .glm import GlmParams, glm_evaluator, link_from_name, sample_glm_dataset
 from .glm_se import (
-    opt_se_trace_glm,
+    DEFAULT_ORDER_2D,
     optimal_aggregator_for_state,
     se_error_glm,
     se_init_glm,
+    se_step_glm_generic,
     se_step_glm_opt,
 )
 from .numerics import RngStream
 from .retrain import run_retraining
-
-GMM_AGGREGATORS = ("opt", "identity", "smoothed_ft", "smoothed_ct")
-GLM_AGGREGATORS = ("opt", "identity")
-SE_VARIANTS_GMM = GMM_AGGREGATORS + ("ft_limit", "ct_limit")
 
 
 @dataclass(frozen=True)
@@ -78,14 +76,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in ("gmm", "glm"):
             raise ConfigError(f"model must be 'gmm' or 'glm', got {self.model!r}")
-        allowed = GMM_AGGREGATORS if self.model == "gmm" else GLM_AGGREGATORS
-        if self.aggregator not in allowed:
-            raise ConfigError(
-                f"aggregator {self.aggregator!r} not available for {self.model} "
-                f"(choose from {allowed})"
-            )
-        if self.aggregator.startswith("smoothed") and not self.beta:
-            raise ConfigError("smoothed aggregators need --beta")
+        aggregator_from_name(self.aggregator, self.beta)
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.replications < 1:
@@ -116,62 +107,57 @@ def build_params(config: ExperimentConfig):
 # theory traces
 # --------------------------------------------------------------------------
 
-def _gmm_aggregator(config: ExperimentConfig):
-    if config.aggregator == "identity":
-        return IdentityAggregator()
-    if config.aggregator == "smoothed_ft":
-        return SmoothedFullRT(config.beta)
-    if config.aggregator == "smoothed_ct":
-        return SmoothedConsensusRT(config.beta)
-    raise ConfigError(f"no constant aggregator for {config.aggregator!r}")
+def se_states(config: ExperimentConfig) -> Tuple[List, Tuple]:
+    """(states 1..T, schedule) of the configured run's state evolution.
+
+    State 1 is the model's state after the identity first step.  Step t + 1
+    applies the model's SE step with the aggregator for state t: matched to
+    its channel for "opt", the configured constant one otherwise.  The
+    schedule is the aggregator tuple of the empirical run, identity first.
+    """
+    params = build_params(config)
+    if config.model == "gmm":
+        init, step, matched, order = se_init_gmm, se_step_gmm, OptimalGmm.from_se_state, DEFAULT_ORDER
+    else:
+        init, step, matched, order = (se_init_glm, se_step_glm_generic,
+                                      optimal_aggregator_for_state, DEFAULT_ORDER_2D)
+    order = config.order or order
+    constant = aggregator_from_name(config.aggregator, config.beta)
+    states = [init(params)]
+    schedule = [IdentityAggregator()]
+    for _ in range(config.iterations - 1):
+        agg = matched(states[-1], params) if constant is None else constant
+        states.append(step(states[-1], agg, params, order))
+        schedule.append(agg)
+    return states, tuple(schedule)
 
 
 def se_trace(config: ExperimentConfig) -> Tuple[List[Tuple[int, float, float]], Tuple]:
-    """((t, eta_t, predicted error) rows, schedule) for the configured run.
-
-    The schedule is the aggregator tuple of the empirical run: the identity
-    at step 1, then at step t + 1 the aggregator for state t (matched to its
-    channel for "opt", the configured constant one otherwise).
-    """
+    """((t, eta_t, predicted error) rows, schedule) of :func:`se_states`."""
+    states, schedule = se_states(config)
     params = build_params(config)
-    T = config.iterations
     if config.model == "gmm":
-        order = config.order or 201
-        if config.aggregator == "opt":
-            states = opt_se_trace_gmm(params, T, order)
-            later = [OptimalGmm.from_se_state(s, params) for s in states[:-1]]
-        else:
-            agg = _gmm_aggregator(config)
-            states = [se_init_gmm(params)]
-            for _ in range(T - 1):
-                states.append(se_step_gmm(states[-1], agg, params, order))
-            later = [agg] * (T - 1)
-        rows = [(t + 1, s.eta, se_error_gmm(s, params)) for t, s in enumerate(states)]
+        rows = [(t, s.eta, se_error_gmm(s, params)) for t, s in enumerate(states, 1)]
     else:
-        order = config.order or 41
-        if config.aggregator == "opt":
-            states = opt_se_trace_glm(params, T, order)
-            later = [optimal_aggregator_for_state(s, params) for s in states[:-1]]
-        else:
-            # identity keeps re-entering the first state
-            states = [se_init_glm(params)] * T
-            later = [IdentityAggregator()] * (T - 1)
-        rows = [(t + 1, s.eta, se_error_glm(s.eta, params)) for t, s in enumerate(states)]
-    return rows, (IdentityAggregator(), *later)
+        rows = [(t, s.eta, se_error_glm(s.eta, params)) for t, s in enumerate(states, 1)]
+    return rows, schedule
 
 
-def se_limit_trace(config: ExperimentConfig, variant: str) -> List[Tuple[int, float, float]]:
-    """Sharp-limit trajectories (full / consensus) iterated from the standard start."""
+def se_rows(config: ExperimentConfig, variant: str) -> List[Tuple[int, float, float]]:
+    """(t, eta_t, predicted error) rows of a variant for T steps.
+
+    An aggregator name gives that aggregator's :func:`se_trace`; a sharp-limit
+    map (mixture only) is iterated from the state after the first step.
+    """
+    if variant in AGGREGATORS:
+        return se_trace(dataclasses.replace(config, aggregator=variant))[0]
     if config.model != "gmm":
-        raise ConfigError("limit traces are defined for the gmm model")
+        raise ConfigError(f"the {variant} map is defined for the gmm model")
     params = build_params(config)
-    fmap = eta_map_ft if variant == "ft_limit" else eta_map_ct
-    u = se_init_gmm(params).eta ** 2
-    rows = []
-    for t in range(1, config.iterations + 1):
-        rows.append((t, np.sqrt(u), se_error_from_eta(np.sqrt(u), params.gamma)))
-        u = fmap(u, params)
-    return rows
+    trace = cobweb_trace(SeMapSpec(variant, params), se_init_gmm(params).eta ** 2,
+                         config.iterations)
+    return [(t, math.sqrt(u), se_error_from_eta(math.sqrt(u), params.gamma))
+            for t, (u, _fu) in enumerate(trace.points, 1)]
 
 
 # --------------------------------------------------------------------------
@@ -290,16 +276,21 @@ def write_simulation_outputs(result: SimulationResult, out_dir) -> Dict[str, Pat
 
 
 def cobweb_rows(config: ExperimentConfig, u1: float, steps: int,
-                variant: Optional[str] = None) -> List[Tuple[str, float, float]]:
-    """(kind, x, y) rows: the sampled map, the diagonal, and the iterate trace."""
+                variant: str) -> List[Tuple[str, float, float]]:
+    """(kind, x, y) rows: the sampled map, the diagonal, and the iterate trace.
+
+    The mixture has the map of every variant (:class:`SeMapSpec`); the GLM
+    has the optimal map only.
+    """
     params = build_params(config)
     if config.model == "gmm":
-        variant = variant or ("opt" if config.aggregator == "opt" else config.aggregator)
         spec = SeMapSpec(variant=variant, params=params, beta=config.beta,
-                         order=config.order or 201)
+                         order=config.order or DEFAULT_ORDER)
         fmap = spec.as_function()
+    elif variant == "opt":
+        fmap = lambda u: se_step_glm_opt(np.sqrt(u), params, config.order or DEFAULT_ORDER_2D) ** 2
     else:
-        fmap = lambda u: se_step_glm_opt(np.sqrt(u), params, config.order or 41) ** 2
+        raise ConfigError(f"the glm cobweb has the opt map only, not {variant}")
     trace = cobweb_trace(fmap, u1, steps)
     top = max((u for (u, fu) in trace.points), default=1.0)
     top = max(top, u1, 1.0) * 1.2

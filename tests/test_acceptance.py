@@ -28,7 +28,6 @@ from amp_retrain.gmm_se import (
     eta_map_opt,
     find_crossover,
     label_atoms,
-    opt_se_trace_gmm,
     p_star,
     se_error_from_eta,
     se_error_gmm,
@@ -42,8 +41,8 @@ from amp_retrain.glm import (
     SignLink,
     error_curve_glm,
 )
-from amp_retrain.glm_se import opt_se_trace_glm, se_init_glm
-from amp_retrain.harness import ExperimentConfig, simulate
+from amp_retrain.glm_se import se_init_glm
+from amp_retrain.harness import ExperimentConfig, se_states, simulate
 from amp_retrain.numerics import RngStream, gauss_hermite
 
 
@@ -115,13 +114,15 @@ def test_criterion_04_initializations_exact():
 def test_criterion_05_posterior_mean_step_identities():
     """Optimal steps satisfy m' = (gamma/sqrt(alpha)) sigma'^2 and sigma'^2 = alpha mu'."""
     params = GmmParams(gamma=1.5, alpha=0.8, p=0.4, pi_plus=0.3, n=100)
-    states = opt_se_trace_gmm(params, 10)
+    states, _ = se_states(ExperimentConfig(model="gmm", gamma=1.5, alpha=0.8, p=0.4,
+                                           pi_plus=0.3, n=100, iterations=10))
     worst = 0.0
     for state in states[1:]:
         worst = max(worst, abs(state.m - params.gamma / math.sqrt(params.alpha) * state.sigma**2))
     assert worst <= 1e-9
     glm = GlmParams(gamma=1.0, alpha=0.5, p=0.2, link=SignLink(), n=100)
-    glm_states = opt_se_trace_glm(glm, 10)
+    glm_states, _ = se_states(ExperimentConfig(model="glm", gamma=1.0, alpha=0.5, p=0.2,
+                                               link="sign", n=100, iterations=10))
     worst_glm = 0.0
     for state in glm_states[1:]:
         worst_glm = max(worst_glm, abs(state.sigma**2 - glm.alpha * state.mu))

@@ -164,6 +164,17 @@ class TestAggregate:
         with pytest.raises(DomainError):
             bayesmix_aggregate(0.0, 2, symmetric_fit(), 0.2)
 
+    def test_non_finite_logit(self):
+        for z in (math.nan, math.inf, -math.inf, [0.5, math.nan]):
+            for p in (0.0, 0.2):
+                with pytest.raises(DomainError):
+                    bayesmix_aggregate(z, 1, symmetric_fit(), p)
+
+    def test_scalar_in_float_out(self):
+        assert type(bayesmix_aggregate(0.4, -1, symmetric_fit(), 0.2)) is float
+        assert type(bayesmix_aggregate(0.4, -1, symmetric_fit(), 0.0)) is float
+        assert bayesmix_aggregate([0.4, 1.0], 1, symmetric_fit(), 0.0).shape == (2,)
+
 
 class TestEmitTargets:
     def test_empty(self):

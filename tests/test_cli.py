@@ -1,15 +1,19 @@
+import argparse
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from amp_retrain import harness
-from amp_retrain.cli import main
+from amp_retrain.cli import build_parser, main
 from amp_retrain.datafiles import read_table, write_logit_file
 from amp_retrain.bayesmix import LogitRecord
 from amp_retrain.glm import sample_glm_dataset
-from amp_retrain.gmm import sample_gmm_dataset, vanilla_estimator
+from amp_retrain.errors import ConfigError
+from amp_retrain.gmm import AGGREGATORS, GmmParams, sample_gmm_dataset, vanilla_estimator
+from amp_retrain.gmm_se import VARIANTS, SeMapSpec
 from amp_retrain.harness import ExperimentConfig, build_params, run_replication, se_trace
 from amp_retrain.numerics import RngStream
 from amp_retrain.retrain import Trajectory
@@ -153,6 +157,21 @@ class TestSe:
         _m, _c, rows = read_table(out / "se.tsv")
         assert len(rows) == 4
 
+    def test_variant_is_the_aggregator_run(self, tmp_path):
+        args = ("se", "--model", "gmm", "--gamma", "1.5", "--alpha", "2.0", "--p", "0.3",
+                "--pi-plus", "0.3", "--beta", "20", "--iterations", "4")
+        assert run_cli(*args, "--variant", "smoothed_ft", "--out", str(tmp_path / "v")) == 0
+        assert run_cli(*args, "--aggregator", "smoothed_ft", "--out", str(tmp_path / "a")) == 0
+        meta_v, _c, rows_v = read_table(tmp_path / "v" / "se.tsv")
+        meta_a, _c, rows_a = read_table(tmp_path / "a" / "se.tsv")
+        assert rows_v == rows_a
+        assert meta_v["variant"] == meta_a["variant"] == "smoothed_ft"
+        assert json.loads(meta_v["config"])["aggregator"] == "opt"
+
+    def test_glm_has_no_limit_maps(self, tmp_path):
+        assert run_cli("se", "--model", "glm", "--gamma", "1.0", "--alpha", "0.5",
+                       "--p", "0.2", "--variant", "ct_limit", "--out", str(tmp_path)) == 2
+
     def test_glm_sign_trace(self, tmp_path):
         out = tmp_path / "se4"
         assert run_cli("se", "--model", "glm", "--gamma", "1.0", "--alpha", "0.5",
@@ -184,6 +203,14 @@ class TestCobweb:
                        "--out", str(out)) == 0
         _m, _c, rows = read_table(out / "cobweb.tsv")
         assert len([r for r in rows if r[0] == "trace"]) == 1
+
+
+    def test_glm_has_the_opt_map_only(self, tmp_path):
+        args = ("cobweb", "--model", "glm", "--gamma", "1.0", "--alpha", "0.5", "--p", "0.2",
+                "--u1", "0.5", "--steps", "2", "--out", str(tmp_path))
+        assert run_cli(*args, "--aggregator", "identity") == 2
+        assert run_cli(*args, "--variant", "ft_limit") == 2
+        assert not (tmp_path / "cobweb.tsv").exists()
 
 
 class TestCrossover:
@@ -255,10 +282,13 @@ class TestErrorsAndEnv:
                        "--p", "0.2", "--out", str(tmp_path)) == 2
 
     def test_bad_aggregator(self, tmp_path):
-        assert run_cli("simulate", "--model", "glm", "--gamma", "1.0",
-                       "--alpha", "0.5", "--p", "0.2",
-                       "--aggregator", "smoothed_ft", "--beta", "5",
-                       "--out", str(tmp_path)) == 2
+        args = ("--gamma", "1.0", "--alpha", "0.5", "--p", "0.2", "--n", "100",
+                "--out", str(tmp_path))
+        for model in ("gmm", "glm"):
+            assert run_cli("simulate", "--model", model, *args, "--aggregator", "bogus") == 2
+            assert run_cli("simulate", "--model", model, *args,
+                           "--aggregator", "smoothed_ft") == 2   # no --beta
+        assert not (tmp_path / "report.tsv").exists()
 
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AMP_RETRAIN_OUTDIR", str(tmp_path / "envout"))
@@ -266,3 +296,36 @@ class TestErrorsAndEnv:
         assert run_cli("crossover", "--gamma", "1.5", "--alpha", "2.0",
                        "--p-list", "0.3") == 0
         assert (tmp_path / "envout" / "crossover.tsv").exists()
+
+
+class TestOneList:
+    """One aggregator list and one variant list serve every command."""
+
+    @staticmethod
+    def variant_choices(command):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        sub = subparsers.choices[command]
+        return tuple(next(a for a in sub._actions if a.dest == "variant").choices)
+
+    def test_variant_choices(self):
+        assert self.variant_choices("se") == VARIANTS
+        assert self.variant_choices("cobweb") == VARIANTS
+        assert VARIANTS[:len(AGGREGATORS)] == AGGREGATORS
+
+    def test_map_spec_takes_the_variants(self):
+        params = GmmParams(gamma=1.5, alpha=2.0, p=0.3, pi_plus=0.3, n=100)
+        for variant in VARIANTS:
+            beta = 20.0 if variant.startswith("smoothed") else None
+            fmap = SeMapSpec(variant, params, beta=beta).as_function()
+            assert math.isfinite(fmap(0.5)), variant
+        for bad in ("bogus", "OPT", "", "smoothed", "limit"):
+            with pytest.raises(ConfigError):
+                SeMapSpec(bad, params, beta=20.0)
+
+    def test_config_takes_every_aggregator_for_both_models(self):
+        for model in ("gmm", "glm"):
+            for aggregator in AGGREGATORS:
+                config = ExperimentConfig(model=model, gamma=1.0, alpha=0.5, p=0.2, n=100,
+                                          iterations=2, aggregator=aggregator, beta=5.0)
+                assert len(se_trace(config)[1]) == 2

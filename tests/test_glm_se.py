@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import expit
 
 from amp_retrain.errors import DomainError
 from amp_retrain.glm import (
@@ -10,11 +12,11 @@ from amp_retrain.glm import (
     OptimalGlm,
     ProbitLink,
     SignLink,
+    hat_h_p,
 )
-from amp_retrain.gmm import IdentityAggregator
+from amp_retrain.gmm import IdentityAggregator, SmoothedConsensusRT, SmoothedFullRT
 from amp_retrain.glm_se import (
     SeStateGlm,
-    opt_se_trace_glm,
     optimal_aggregator_for_state,
     quadrature_init_mu_glm,
     se_error_glm,
@@ -22,6 +24,8 @@ from amp_retrain.glm_se import (
     se_step_glm_generic,
     se_step_glm_opt,
 )
+from amp_retrain.harness import ExperimentConfig, se_states
+from amp_retrain.numerics import gaussian_rule
 
 
 class HalfLink:
@@ -34,6 +38,13 @@ class HalfLink:
 
 def sign_params(alpha=0.5, p=0.2, n=1000, gamma=1.0):
     return GlmParams(gamma=gamma, alpha=alpha, p=p, link=SignLink(), n=n)
+
+
+def sign_states(iterations, alpha=0.5, p=0.2, n=1000, gamma=1.0):
+    """Optimal-aggregation states 1..iterations of the sign_params problem."""
+    config = ExperimentConfig(model="glm", gamma=gamma, alpha=alpha, p=p, link="sign",
+                              n=n, iterations=iterations)
+    return se_states(config)[0]
 
 
 class TestInit:
@@ -134,6 +145,40 @@ class TestGenericStep:
         assert nxt.eta == pytest.approx(se_step_glm_opt(state.eta, params, order=41), abs=1e-8)
 
 
+class TestSmoothedAggregators:
+    def test_label_blind_full_retraining_carries_no_signal(self):
+        # g(u) ignores the label and (Z, Z_t) is Gaussian, so E[Z | Z_t] is
+        # linear with (1/prior_var + a) * E[Z | Z_t] = b * Z_t, and
+        # mu' = E[g(Z_t) * ((1/prior_var + a) * E[Z | Z_t] - b * Z_t)] = 0
+        for link in (SignLink(), LogisticLink(), ProbitLink()):
+            params = GlmParams(gamma=1.0, alpha=0.5, p=0.2, link=link, n=100)
+            for beta in (5.0, 20.0):
+                nxt = se_step_glm_generic(se_init_glm(params), SmoothedFullRT(beta), params)
+                assert abs(nxt.mu) <= 1e-7, (link, beta, nxt.mu)
+
+    def test_consensus_resolved_at_default_order(self):
+        # reference E[g^2] for g = yhat * sigmoid(beta * u * yhat): the latent
+        # margin on an order-201 rule, the prediction given it by adaptive
+        # integration split at g's transition
+        params = sign_params(alpha=0.5, p=0.2)
+        state = se_init_glm(params)
+        beta = 20.0
+        z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), (0.0,), 201)
+        total = 0.0
+        for zi, wi in zip(z, zw):
+            cut = -state.mu * zi / state.sigma
+            hp = float(hat_h_p(zi, params.link, params.p))
+            for lab, weight in ((1.0, hp), (-1.0, 1.0 - hp)):
+                def f(g):
+                    u = state.mu * zi + state.sigma * g
+                    return expit(beta * u * lab) ** 2 * math.exp(-0.5 * g * g)
+                inner = sum(integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+                            for lo, hi in ((-14.0, cut), (cut, 14.0)))
+                total += wi * weight * inner / math.sqrt(2.0 * math.pi)
+        nxt = se_step_glm_generic(state, SmoothedConsensusRT(beta), params)
+        assert nxt.sigma == pytest.approx(math.sqrt(params.alpha * total), abs=1e-5)
+
+
 class TestMonteCarloFixture:
     def test_quadrature_matches_frozen_monte_carlo(self):
         # regression fixture: 1e7-sample Monte Carlo of the squared-aggregator
@@ -149,15 +194,15 @@ class TestMonteCarloFixture:
 class TestTrajectories:
     def test_dual_route_consistency_over_ten_steps(self):
         params = sign_params(alpha=0.5, p=0.2)
-        states = opt_se_trace_glm(params, 10)
+        states = sign_states(alpha=0.5, p=0.2, iterations=10)
         eta = states[0].eta
         for state in states[1:]:
             eta = se_step_glm_opt(eta, params)
             assert state.eta == pytest.approx(eta, abs=1e-8)
 
     def test_sign_scale_invariance(self):
-        a = opt_se_trace_glm(sign_params(gamma=1.0), 5)
-        b = opt_se_trace_glm(sign_params(gamma=2.0), 5)
+        a = sign_states(gamma=1.0, iterations=5)
+        b = sign_states(gamma=2.0, iterations=5)
         for sa, sb in zip(a, b):
             assert sa.eta == pytest.approx(sb.eta, abs=1e-12)
 

@@ -20,13 +20,13 @@ from amp_retrain.gmm_se import (
     find_crossover,
     find_fixed_points,
     label_atoms,
-    opt_se_trace_gmm,
     p_star,
     se_error_from_eta,
     se_error_gmm,
     se_init_gmm,
     se_step_gmm,
 )
+from amp_retrain.harness import ExperimentConfig, se_states
 from amp_retrain.numerics import gaussian_rule, std_normal_cdf
 
 
@@ -333,9 +333,16 @@ class TestSeMapSpec:
         for u in (0.2, 1.0, 3.0):
             assert f_smooth(u) == pytest.approx(f_sharp(u), abs=5e-3)
 
+    def test_identity_map_is_the_first_state(self):
+        # the identity ignores the prediction, so every step re-enters state 1
+        f = SeMapSpec(variant="identity", params=FIG_MAP_PARAMS).as_function()
+        for u in (0.0, 0.5, 3.0):
+            assert f(u) == pytest.approx(se_init_gmm(FIG_MAP_PARAMS).eta ** 2, abs=1e-12)
+
     def test_opt_trace_matches_map_iterates(self):
         params = FIG_MAP_PARAMS
-        states = opt_se_trace_gmm(params, 5)
+        states, _ = se_states(ExperimentConfig(model="gmm", gamma=1.5, alpha=2.0, p=0.3,
+                                               pi_plus=0.3, n=100, iterations=5))
         u = states[0].eta ** 2
         for state in states[1:]:
             u = eta_map_opt(u, params)
