@@ -15,7 +15,7 @@ from typing import ClassVar, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, DomainError
-from scipy.special import ndtr
+from scipy.special import erfcx, ndtr
 
 from .gmm import _label_arrays, _validate_shared_params
 from .numerics import RngStream, gaussian_rule, stable_logistic, std_normal_cdf
@@ -163,20 +163,25 @@ def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
 
 
 # --------------------------------------------------------------------------
-# posterior-mean integrals
+# posterior moments of the latent margin
 # --------------------------------------------------------------------------
 
-def _label_factor(z, link, p: float, yhat: float):
-    hp = hat_h_p(z, link, p)
-    return hp if yhat > 0 else 1.0 - hp
+def _posterior_moments(u, labels, quad_a, lin_b, link, p, prior_var, order, variance):
+    """E[Z | u, yhat], and Var[Z | u, yhat] when ``variance``, for each yhat in
+    ``labels``: {yhat: (mean, var or None)}, vectorized over u.
 
+    The posterior density is proportional to
+        exp(-quad_a*z^2/2 + lin_b*u*z) * f_yhat(z) * exp(-z^2/(2*prior_var)),
+    i.e. a Gaussian N(m, s^2) with s^2 = 1/(quad_a + 1/prior_var), m =
+    lin_b*s^2*u, reweighted by the label factor f_+ = hhat_p, f_- = 1 - hhat_p.
+    Completing the square and centering the quadrature on (m, s) keeps the
+    integrand bounded, so no log-domain rescue is needed.  The rule is
+    :func:`gaussian_rule` split at the link's jumps, so smooth links get
+    Gauss-Hermite.  One rule and one link evaluation serve every label.
 
-def _posterior_sums(u, yhat, quad_a, lin_b, link, p, prior_var, order, moments):
-    """Normalizer and the sums of f * moment(z, m) of the unnormalized
-    posterior of Z, by the quadrature rule described in posterior_mean_latent.
-
-    Each moment is a function of the nodes z and the rule's centre m; the
-    rule (and so the label factor f) is evaluated once for all of them.
+    The variance takes its moments about the rule's centre m, where the first
+    one is small, so the difference of the second and the squared first does
+    not cancel.
     """
     s2 = 1.0 / (quad_a + 1.0 / prior_var)
     m = lin_b * s2 * np.asarray(u, dtype=float)
@@ -184,54 +189,23 @@ def _posterior_sums(u, yhat, quad_a, lin_b, link, p, prior_var, order, moments):
     # split weights move with each centre; Hermite weights are shared, and a
     # matrix-vector product contracts them several times faster
     dot = np.matmul if w.ndim == 1 else np.vecdot
-    f = _label_factor(z, link, p, yhat)
-    den = dot(f, w)
-    if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
-        raise DomainError(
-            "posterior normalization vanished (label factor has no mass near the channel)"
-        )
-    return den, [dot(f * moment(z, m), w) for moment in moments]
-
-
-def posterior_mean_latent(
-    u,
-    yhat: float,
-    quad_a: float,
-    lin_b: float,
-    link,
-    p: float,
-    prior_var: float,
-    order: int = 61,
-):
-    """E[Z | channel observation u, flipped label yhat] for the latent margin.
-
-    The posterior density is proportional to
-        exp(-quad_a*z^2/2 + lin_b*u*z) * f_yhat(z) * exp(-z^2/(2*prior_var)),
-    i.e. a Gaussian N(m, s^2) with s^2 = 1/(quad_a + 1/prior_var), m =
-    lin_b*s^2*u, reweighted by the label factor f.  Completing the square and
-    centering the quadrature on (m, s) keeps the integrand bounded, so no
-    log-domain rescue is needed.  The rule is :func:`gaussian_rule` split at
-    the link's jumps, so smooth links get Gauss-Hermite.
-
-    Vectorized over u.
-    """
-    den, (num,) = _posterior_sums(u, yhat, quad_a, lin_b, link, p, prior_var, order,
-                                  (lambda z, m: z,))
-    return num / den
-
-
-def _posterior_var_latent(u, yhat, quad_a, lin_b, link, p, prior_var, order):
-    """Var[Z | u, yhat] by the rule of posterior_mean_latent.
-
-    Moments are taken about the quadrature centre m, where the first one is
-    small, so the difference of the second and the squared first does not
-    cancel.
-    """
-    offset = lambda z, m: z - m[..., None]
-    den, (c1, c2) = _posterior_sums(u, yhat, quad_a, lin_b, link, p, prior_var, order,
-                                    (offset, lambda z, m: offset(z, m) ** 2))
-    c1 = c1 / den
-    return c2 / den - c1 * c1
+    hp = hat_h_p(z, link, p)
+    out = {}
+    # +1 first: the factor of -1, 1 - hhat_p, is written over hhat_p
+    for lab in sorted(labels, reverse=True):
+        f = hp if lab > 0 else np.subtract(1.0, hp, out=hp)
+        den = dot(f, w)
+        if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
+            raise DomainError(
+                "posterior normalization vanished (label factor has no mass near the channel)"
+            )
+        var = None
+        if variance:
+            # each offset is a fresh temporary, which numpy reuses in place
+            c1 = dot(f * (z - m[..., None]), w) / den
+            var = dot(f * (z - m[..., None]) ** 2, w) / den - c1 * c1
+        out[lab] = (dot(f * z, w) / den, var)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -291,32 +265,45 @@ class OptimalGlm:
             eta=state.eta,
         )
 
-    def _per_label(self, u, yhat, fn):
+    def _evaluate(self, u, labels, deriv):
+        """{yhat: (g, dg/du or None)} at the points u for each label of ``labels``.
+
+        dg/du = (1/prior_var + quad_a) * lin_b * Var[Z | u, yhat] - lin_b,
+        since dE[Z | u, yhat]/du = lin_b * Var[Z | u, yhat].
+        """
+        prefac = 1.0 / self.prior_var + self.quad_a
+        moments = _posterior_moments(u, labels, self.quad_a, self.lin_b, self.link,
+                                     self.p, self.prior_var, self.order, deriv)
+        return {lab: (prefac * mean - self.lin_b * u,
+                      prefac * self.lin_b * var - self.lin_b if deriv else None)
+                for lab, (mean, var) in moments.items()}
+
+    def _per_label(self, u, yhat, deriv):
+        # each point has one label: one posterior rule per label's subset
         u, yhat = _label_arrays(u, yhat)
-        out = np.empty_like(u)
+        g = np.empty_like(u)
+        dg = np.empty_like(u) if deriv else None
         for lab in (1.0, -1.0):
             mask = yhat == lab
             if np.any(mask):
-                out[mask] = fn(u[mask], lab)
-        return out
+                g_lab, dg_lab = self._evaluate(u[mask], (lab,), deriv)[lab]
+                g[mask] = g_lab
+                if deriv:
+                    dg[mask] = dg_lab
+        return g, dg
 
     def value(self, u, yhat):
-        def g(u, lab):
-            pm = posterior_mean_latent(u, lab, self.quad_a, self.lin_b,
-                                       self.link, self.p, self.prior_var, self.order)
-            return (1.0 / self.prior_var + self.quad_a) * pm - self.lin_b * u
+        return self._per_label(u, yhat, False)[0]
 
-        return self._per_label(u, yhat, g)
+    def value_and_deriv(self, u, yhat):
+        return self._per_label(u, yhat, True)
 
-    def deriv(self, u, yhat):
-        """dg/du = (1/prior_var + quad_a) * lin_b * Var[Z | u, yhat] - lin_b,
-        since dE[Z | u, yhat]/du = lin_b * Var[Z | u, yhat]."""
-        def dg(u, lab):
-            var = _posterior_var_latent(u, lab, self.quad_a, self.lin_b,
-                                        self.link, self.p, self.prior_var, self.order)
-            return (1.0 / self.prior_var + self.quad_a) * self.lin_b * var - self.lin_b
-
-        return self._per_label(u, yhat, dg)
+    def label_values(self, u):
+        """(g(u, +1), g(u, -1)): both labels at the same points share the rule
+        and the link evaluation."""
+        u, _ = _label_arrays(u, 1.0)
+        g = self._evaluate(u.ravel(), (1.0, -1.0), False)
+        return g[1.0][0].reshape(u.shape), g[-1.0][0].reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -325,7 +312,8 @@ class OptimalSign:
 
     With s^2 = (1/alpha + quad_a)^(-1) and r = lin_b*u*s:
     g(u, yhat) = (1/s) * (1-2p)*yhat*sqrt(2/pi)*exp(-r^2/2)
-                 / (1 + (1-2p)*yhat*(2*Phi(r) - 1)).
+                 / (1 + (1-2p)*yhat*(2*Phi(r) - 1)),
+    evaluated at p = 0 as (1/s) * yhat*sqrt(2/pi) / erfcx(-yhat*r/sqrt(2)).
     """
 
     quad_a: float
@@ -352,23 +340,33 @@ class OptimalSign:
     def _s(self) -> float:
         return math.sqrt(1.0 / (1.0 / self.alpha + self.quad_a))
 
-    def value(self, u, yhat):
+    def _value(self, u, yhat):
+        """(g, r, s) at the points u."""
         u, yhat = _label_arrays(u, yhat)
         s = self._s
         r = self.lin_b * s * u
+        if self.p == 0.0:
+            # 1 + yhat*(2*Phi(r) - 1) = 2*Phi(yhat*r), which underflows where
+            # yhat*r << 0; exp(-r^2/2) / (2*Phi(yhat*r)) = 1/erfcx(-yhat*r/sqrt(2))
+            g = yhat * math.sqrt(2.0 / math.pi) / erfcx(-yhat * r / math.sqrt(2.0))
+            return g / s, r, s
         amp = (1.0 - 2.0 * self.p) * yhat
         num = amp * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r * r)
         den = 1.0 + amp * (2.0 * std_normal_cdf(r) - 1.0)
-        return num / (den * s)
+        return num / (den * s), r, s
 
-    def deriv(self, u, yhat):
+    def value(self, u, yhat):
+        return self._value(u, yhat)[0]
+
+    def value_and_deriv(self, u, yhat):
         """dg/du = -lin_b * (r*s*g + s^2*g^2): the numerator's r-derivative is
         -r times itself and the denominator's is the numerator."""
-        g = self.value(u, yhat)
-        u, _ = _label_arrays(u, yhat)
-        s = self._s
-        r = self.lin_b * s * u
-        return -self.lin_b * (r * s * g + s * s * g * g)
+        g, r, s = self._value(u, yhat)
+        return g, -self.lin_b * (r * s * g + s * s * g * g)
+
+    def label_values(self, u):
+        """(g(u, +1), g(u, -1)), in closed form."""
+        return self.value(u, 1.0), self.value(u, -1.0)
 
 
 # --------------------------------------------------------------------------

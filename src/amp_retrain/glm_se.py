@@ -3,8 +3,8 @@
 Tracks (mu_t, sigma_t), the law of the soft predictions Z_t = mu_t*Z +
 sigma_t*G with Z the latent margin, and predicts the test error through the
 signal-to-noise ratio eta_t = mu_t/sigma_t.  The sign link admits closed
-forms; generic links go through the same posterior-mean quadrature machinery
-used by the aggregator itself.
+forms; for generic links the mean update integrates the quadrature optimal
+aggregator matched to the state against the scheduled one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .glm import (
     SignLink,
     error_curve_glm,
     hat_h_p,
-    posterior_mean_latent,
 )
 from .numerics import gaussian_rule
 
@@ -70,10 +69,11 @@ def _grid_expectations(params: GlmParams, channel_mu: float, channel_sigma: floa
                        breakpoints, values_fn, order: int):
     """Expectations E[f(Z_t, Yhat)] over the (Z, Z_t, Yhat) grid, one per integrand.
 
-    values_fn(u, yhat_label) -> a tuple of integrand arrays on the u grid; the
-    labels weigh hhat_p(Z) and 1-hhat_p(Z).  The prediction Z_t given Z has
-    the law N(channel_mu*Z, channel_sigma^2) and, as the mixture's channel,
-    a rule split at the aggregator's breakpoints.
+    values_fn(u) -> (integrands at label +1, integrands at label -1), each a
+    tuple of arrays on the u grid; the labels weigh hhat_p(Z) and
+    1-hhat_p(Z).  The prediction Z_t given Z has the law
+    N(channel_mu*Z, channel_sigma^2) and, as the mixture's channel, a rule
+    split at the aggregator's breakpoints.
     """
     # the latent margin's rule is split at the link's jumps, where the label
     # probability is only piecewise smooth in Z
@@ -81,8 +81,9 @@ def _grid_expectations(params: GlmParams, channel_mu: float, channel_sigma: floa
     u, uw = gaussian_rule(channel_mu * z, channel_sigma, breakpoints, order)
     hp = hat_h_p(z, params.link, params.p)[:, None]
     w2 = zw[:, None] * uw
-    return [float(np.sum(w2 * hp * plus) + np.sum(w2 * (1.0 - hp) * minus))
-            for plus, minus in zip(values_fn(u, 1.0), values_fn(u, -1.0))]
+    plus, minus = values_fn(u)
+    return [float(np.sum(w2 * hp * a) + np.sum(w2 * (1.0 - hp) * b))
+            for a, b in zip(plus, minus)]
 
 
 def se_step_glm_opt(eta: float, params: GlmParams, order: int = DEFAULT_ORDER_2D) -> float:
@@ -101,7 +102,7 @@ def se_step_glm_opt(eta: float, params: GlmParams, order: int = DEFAULT_ORDER_2D
         channel_mu=params.alpha * eta**2,
         channel_sigma=params.alpha * eta,
         breakpoints=agg.y_breakpoints,
-        values_fn=lambda u, lab: (agg.value(u, lab) ** 2,),
+        values_fn=lambda u: [(g ** 2,) for g in agg.label_values(u)],
         order=order,
     )
     return math.sqrt(e_gg / params.alpha)
@@ -110,25 +111,22 @@ def se_step_glm_opt(eta: float, params: GlmParams, order: int = DEFAULT_ORDER_2D
 def se_step_glm_generic(
     state: SeStateGlm, agg, params: GlmParams, order: int = DEFAULT_ORDER_2D
 ) -> SeStateGlm:
-    """One (mu, sigma) step for an arbitrary aggregator.
+    """One (mu, sigma) step for an arbitrary aggregator g.
 
-    mu' = (1/prior_var + (mu/sigma)^2) * E[E(Z|Z_t,Yhat) g] - (mu/sigma^2) * E[Z_t g]
-    sigma'^2 = alpha * E[g^2]
-    with the conditional mean evaluated by the same integral machinery as the
-    optimal aggregator.  Supports the identity aggregator (no-retraining
-    baseline): there sigma'^2 = alpha exactly.
+    mu' = E[g*(Z_t, Yhat) g(Z_t, Yhat)],  sigma'^2 = alpha * E[g^2],
+    where g* = (1/prior_var + (mu/sigma)^2) E[Z | Z_t, Yhat] - (mu/sigma^2) Z_t
+    is the aggregator matched to the state's channel
+    (:func:`optimal_aggregator_for_state`, at order max(order, 61)).  When g
+    is that aggregator its values are reused, so an optimal step evaluates
+    the posterior once.  The identity aggregator (no-retraining baseline)
+    gives sigma'^2 = alpha exactly.
     """
-    quad_a = (state.mu / state.sigma) ** 2
-    lin_b = state.mu / state.sigma**2
-    prefac = 1.0 / params.prior_var + quad_a
-    inner_order = max(order, 61)
+    star = optimal_aggregator_for_state(state, params, order=max(order, 61))
 
-    def integrands(u, lab):
-        gv = agg.value(u, lab)
-        pm = posterior_mean_latent(
-            u, lab, quad_a, lin_b, params.link, params.p, params.prior_var, inner_order
-        )
-        return (prefac * pm - lin_b * u) * gv, gv ** 2
+    def integrands(u):
+        star_values = star.label_values(u)
+        values = star_values if agg == star else [agg.value(u, lab) for lab in (1.0, -1.0)]
+        return [(s * g, g ** 2) for s, g in zip(star_values, values)]
 
     mu_next, e_gg = _grid_expectations(params, state.mu, state.sigma, agg.y_breakpoints,
                                        integrands, order)

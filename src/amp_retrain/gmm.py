@@ -129,8 +129,8 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
 def _label_arrays(y, yhat):
     """Soft predictions and given labels as broadcast float arrays.
 
-    Every aggregator's ``value`` and ``deriv`` take their arguments through
-    here: a non-finite prediction or a label other than +-1 raises
+    Every aggregator's ``value`` and ``value_and_deriv`` take their arguments
+    through here: a non-finite prediction or a label other than +-1 raises
     :class:`DomainError`.
     """
     y = np.asarray(y, dtype=float)
@@ -152,9 +152,9 @@ class IdentityAggregator:
         y, yhat = _label_arrays(y, yhat)
         return yhat.copy()
 
-    def deriv(self, y, yhat):
-        y, _ = _label_arrays(y, yhat)
-        return np.zeros_like(y)
+    def value_and_deriv(self, y, yhat):
+        y, yhat = _label_arrays(y, yhat)
+        return yhat.copy(), np.zeros_like(y)
 
 
 @dataclass(frozen=True)
@@ -216,11 +216,11 @@ class OptimalGmm:
             return yhat.copy()
         return np.tanh(0.5 * (yhat * self.log_odds + self.slope * y + self.log_prior))
 
-    def deriv(self, y, yhat):
+    def value_and_deriv(self, y, yhat):
         v = self.value(y, yhat)
         if self.p == 0.0:
-            return np.zeros_like(v)
-        return 0.5 * self.slope * (1.0 - v * v)
+            return v, np.zeros_like(v)
+        return v, 0.5 * self.slope * (1.0 - v * v)
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,9 @@ class SmoothedFullRT:
         y, _ = _label_arrays(y, yhat)
         return np.tanh(0.5 * self.beta * y)
 
-    def deriv(self, y, yhat):
+    def value_and_deriv(self, y, yhat):
         v = self.value(y, yhat)
-        return 0.5 * self.beta * (1.0 - v * v)
+        return v, 0.5 * self.beta * (1.0 - v * v)
 
 
 @dataclass(frozen=True)
@@ -265,10 +265,10 @@ class SmoothedConsensusRT:
         y, yhat = _label_arrays(y, yhat)
         return yhat * stable_logistic(self.beta * y * yhat)
 
-    def deriv(self, y, yhat):
+    def value_and_deriv(self, y, yhat):
         y, yhat = _label_arrays(y, yhat)
         s = stable_logistic(self.beta * y * yhat)
-        return self.beta * s * (1.0 - s)
+        return yhat * s, self.beta * s * (1.0 - s)
 
 
 # the aggregators that stay the same at every step, by name; "opt" names the

@@ -5,12 +5,12 @@ denoiser g and its derivative:
 
     w' = X^T g(y, yhat) / s - c * w,    y' = X w' / s - g * d/n,
 
-with c = mean(dg/dy).  The models differ only in the scale s of the design
-matrix (sqrt(n) for the mixture, whose noise has unit variance; 1 for the
-GLM, whose rows already carry the 1/n covariance), read from the dataset's
-``scale``, and in how a model vector is scored, passed in as
-``evaluate(w) -> (error, overlap)``.  The scale is applied by dividing after
-each matvec.
+with c = mean(dg/dy); g and dg/dy come from one ``agg.value_and_deriv(y,
+yhat)`` call.  The models differ only in the scale s of the design matrix
+(sqrt(n) for the mixture, whose noise has unit variance; 1 for the GLM, whose
+rows already carry the 1/n covariance), read from the dataset's ``scale``,
+and in how a model vector is scored, passed in as ``evaluate(w) -> (error,
+overlap)``.  The scale is applied by dividing after each matvec.
 
 A schedule is a tuple of aggregators, one per step.  Its first entry is the
 identity aggregator, which makes the first iterate the one-shot estimator
@@ -62,7 +62,7 @@ def onsager_coefficient(agg, y_soft: np.ndarray, y_noisy: np.ndarray) -> float:
     y_noisy = np.asarray(y_noisy, dtype=float)
     if y_soft.shape != y_noisy.shape:
         raise ShapeError(f"length mismatch: {y_soft.shape} vs {y_noisy.shape}")
-    return float(np.mean(agg.deriv(y_soft, y_noisy)))
+    return float(np.mean(agg.value_and_deriv(y_soft, y_noisy)[1]))
 
 
 def _checked(w: np.ndarray, y_soft: np.ndarray, t: int) -> AmpState:
@@ -82,10 +82,10 @@ def amp_step(state: AmpState, X: np.ndarray, y_noisy: np.ndarray, scale: float,
     is not finite.
     """
     n, d = X.shape
-    if state.w.shape[0] != d or state.y_soft.shape[0] != n:
+    if state.w.shape[0] != d or state.y_soft.shape[0] != n or np.shape(y_noisy) != (n,):
         raise ShapeError("state dimensions do not match dataset")
-    g = agg.value(state.y_soft, y_noisy)
-    c = onsager_coefficient(agg, state.y_soft, y_noisy)
+    g, dg = agg.value_and_deriv(state.y_soft, y_noisy)
+    c = float(np.mean(dg))
     with np.errstate(over="ignore", invalid="ignore"):
         w = X.T @ g / scale - c * state.w
         y_soft = X @ w / scale - g * (d / n)

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,22 @@ class TestSimulate:
                                   iterations=2)
         result = run_replication(config, 0, se_trace(config)[1])
         assert result.rows == [] and result.diverged_at == 1
+
+    def test_sign_link_without_flips(self, tmp_path):
+        # p = 0: the sign aggregator's denominator 2*Phi(yhat*r) underflows to
+        # zero for confident wrong-side predictions unless taken through erfcx
+        out = tmp_path / "p0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("simulate", "--model", "glm", "--link", "sign", "--gamma", "1.0",
+                           "--alpha", "0.5", "--p", "0", "--n", "400", "--iterations", "12",
+                           "--replications", "2", "--seed", "1", "--out", str(out)) == 0
+        for table in ("report.tsv", "trajectories.tsv", "se.tsv"):
+            _meta, cols, rows = read_table(out / table)
+            assert rows
+            for row in rows:
+                cells = [float(c) for col, c in zip(cols, row) if col != "status"]
+                assert all(math.isfinite(c) for c in cells), (table, row)
 
     def test_t0_row_present(self, tmp_path):
         out = tmp_path / "r"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amp_retrain.errors import ConfigError, DomainError
+from amp_retrain.errors import ConfigError, DomainError, ShapeError
 from amp_retrain.glm import (
     GlmDataset,
     GlmParams,
@@ -148,6 +148,23 @@ class TestOptimalAggregator:
         params = sign_params(alpha=2.0, p=0.2)
         assert abs(float(OptimalSign.from_eta(0.5, params).value(1e4, 1))) <= 1e-280
 
+    def test_sign_without_flips(self):
+        # p = 0 takes the erfcx form: the closed form with its denominator
+        # 1 + yhat*(2*Phi(r) - 1) = 2*Phi(yhat*r) = erfc(-yhat*r/sqrt(2)) where
+        # nothing underflows, finite beyond
+        agg = OptimalSign.from_eta(0.8, sign_params(alpha=0.5, p=0.0))
+        s = 1.0 / math.sqrt(2.0 + 0.8**2)
+        u = np.linspace(-6.0, 6.0, 121)
+        for yhat in (1.0, -1.0):
+            r = 2.0 * s * u
+            den = np.vectorize(math.erfc)(-yhat * r / math.sqrt(2.0))
+            closed = yhat * math.sqrt(2 / math.pi) * np.exp(-r * r / 2) / (den * s)
+            assert np.allclose(agg.value(u, yhat), closed, rtol=1e-13, atol=0.0)
+            far = np.array([-1e6, -60.0, 60.0, 1e6])
+            g, dg = agg.value_and_deriv(far, yhat)
+            assert np.all(np.isfinite(g)) and np.all(np.isfinite(dg))
+            assert np.all(g[far * yhat > 0] == 0.0)
+
     def test_near_pure_noise_vanishes(self):
         params = sign_params(alpha=2.0, p=0.4999999)
         assert abs(float(OptimalSign.from_eta(0.5, params).value(0.7, 1))) <= 1e-5
@@ -170,7 +187,7 @@ class TestOptimalAggregator:
                 with pytest.raises(DomainError):
                     agg.value([0.3, 0.5], yhat)
                 with pytest.raises(DomainError):
-                    agg.deriv([0.3, 0.5], yhat)
+                    agg.value_and_deriv([0.3, 0.5], yhat)
 
     def test_logistic_smooth_eta_zero_allowed(self):
         params = GlmParams(gamma=1.0, alpha=1.0, p=0.2, link=LogisticLink(), n=100)
@@ -193,14 +210,17 @@ class TestOnsagerGlm:
             OptimalGlm.from_eta(0.8, GlmParams(link=LogisticLink(), **smooth)),
             OptimalGlm.from_eta(0.8, GlmParams(link=ProbitLink(2.0), **smooth)),
             OptimalGlm.from_eta(0.8, sign_params(alpha=0.5, p=0.2)),  # quadrature
+            OptimalSign.from_eta(0.8, sign_params(alpha=0.5, p=0.0)),  # erfcx form
         ]
         u = np.linspace(-6.0, 6.0, 241)
         h = 1e-5
         for agg in aggs:
             for lab in (1.0, -1.0):
                 yhat = np.full_like(u, lab)
+                value, deriv = agg.value_and_deriv(u, yhat)
+                assert np.array_equal(value, agg.value(u, yhat))
                 central = (agg.value(u + h, yhat) - agg.value(u - h, yhat)) / (2 * h)
-                gap = np.max(np.abs(agg.deriv(u, yhat) - central))
+                gap = np.max(np.abs(deriv - central))
                 assert gap <= 1e-8, f"{agg!r}, label {lab}: gap {gap:.2e}"
 
 
@@ -222,6 +242,14 @@ class TestAmpStepGlm:
         state = step(AmpState(beta0, y0, 1), data, agg)
         c = onsager_coefficient(agg, y0, data.y_noisy)
         assert np.allclose(state.w, -c * beta0, atol=1e-15)
+
+    def test_label_count_must_match_rows(self):
+        params = sign_params(n=20, alpha=0.5)
+        data = sample_glm_dataset(params, RngStream(7))
+        state = AmpState(np.zeros(data.d), np.zeros(data.n), 1)
+        with pytest.raises(ShapeError):
+            amp_step(state, data.X, data.y_noisy[:-1], data.scale,
+                     OptimalSign.from_eta(0.5, params))
 
     def test_against_straight_line_reimplementation(self):
         params = sign_params(alpha=0.5, p=0.2, n=50)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -14,8 +16,14 @@ from amp_retrain.glm import (
     SignLink,
     hat_h_p,
 )
-from amp_retrain.gmm import IdentityAggregator, SmoothedConsensusRT, SmoothedFullRT
+from amp_retrain.gmm import (
+    IdentityAggregator,
+    SmoothedConsensusRT,
+    SmoothedFullRT,
+    aggregator_from_name,
+)
 from amp_retrain.glm_se import (
+    DEFAULT_ORDER_2D,
     SeStateGlm,
     optimal_aggregator_for_state,
     quadrature_init_mu_glm,
@@ -26,6 +34,7 @@ from amp_retrain.glm_se import (
 )
 from amp_retrain.harness import ExperimentConfig, se_states
 from amp_retrain.numerics import gaussian_rule
+from amp_retrain.retrain import AmpState, amp_step
 
 
 class HalfLink:
@@ -226,3 +235,106 @@ class TestErrorPrediction:
         etas = np.linspace(0, 4, 50)
         errs = [se_error_glm(float(e), params) for e in etas]
         assert np.all(np.diff(errs) < 0)
+
+
+@dataclass(frozen=True)
+class CountingLink(LogisticLink):
+    """Logistic link that records the size of every h evaluation."""
+
+    sizes: ClassVar[list] = []
+
+    def h(self, z):
+        CountingLink.sizes.append(int(np.size(z)))
+        return super().h(z)
+
+
+def counting_params():
+    params = GlmParams(gamma=2.0, alpha=0.5, p=0.2, link=CountingLink(), n=100)
+    CountingLink.sizes.clear()
+    return params
+
+
+class TestLinkEvaluations:
+    # one posterior rule and one link evaluation serve both labels, the value
+    # and the derivative, and the SE's g* and the scheduled aggregator
+    K, INNER = DEFAULT_ORDER_2D, 61
+
+    def inner_grid_evaluations(self):
+        # the outer latent-margin rule's hhat_p is the K-node call
+        return [size for size in CountingLink.sizes if size != self.K]
+
+    def test_opt_map_step(self):
+        params = counting_params()
+        se_step_glm_opt(0.8, params)
+        assert CountingLink.sizes.count(self.K) == 1
+        assert self.inner_grid_evaluations() == [self.K * self.K * self.INNER]
+
+    def test_generic_opt_step(self):
+        params = counting_params()
+        state = se_init_glm(params)
+        CountingLink.sizes.clear()
+        se_step_glm_generic(state, optimal_aggregator_for_state(state, params), params)
+        assert self.inner_grid_evaluations() == [self.K * self.K * self.INNER]
+
+    def test_generic_step_of_another_aggregator(self):
+        params = counting_params()
+        state = se_init_glm(params)
+        for agg in (IdentityAggregator(), SmoothedConsensusRT(5.0)):
+            CountingLink.sizes.clear()
+            se_step_glm_generic(state, agg, params)
+            u_nodes = self.K * self.K * (len(agg.y_breakpoints) + 1)
+            assert self.inner_grid_evaluations() == [u_nodes * self.INNER]
+
+    def test_amp_step_once_per_label_subset(self):
+        params = counting_params()
+        y_soft = np.linspace(-3.0, 3.0, 40)
+        y_noisy = np.where(np.arange(40) % 3 == 0, -1.0, 1.0)
+        X = np.random.default_rng(0).standard_normal((40, 20)) / math.sqrt(40)
+        agg = OptimalGlm.from_eta(0.8, params)
+        CountingLink.sizes.clear()
+        amp_step(AmpState(w=np.ones(20), y_soft=y_soft, t=1), X, y_noisy, 1.0, agg)
+        assert CountingLink.sizes == [26 * self.INNER, 14 * self.INNER]
+
+
+def old_generic_step(state, agg, params, order=DEFAULT_ORDER_2D):
+    """The generic step as prefac * E[Z | u, yhat] - b * u against g, with the
+    posterior mean by its own quadrature at order 61."""
+    quad_a = (state.mu / state.sigma) ** 2
+    lin_b = state.mu / state.sigma**2
+    prefac = 1.0 / params.prior_var + quad_a
+    z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
+    u, uw = gaussian_rule(state.mu * z, state.sigma, agg.y_breakpoints, order)
+    hp = hat_h_p(z, params.link, params.p)[:, None]
+    w2 = zw[:, None] * uw
+    s2 = 1.0 / (quad_a + 1.0 / params.prior_var)
+    m = lin_b * s2 * u.ravel()
+    nodes, weights = gaussian_rule(m, math.sqrt(s2), params.link.discontinuities, 61)
+    dot = np.matmul if weights.ndim == 1 else np.vecdot
+    h_nodes = hat_h_p(nodes, params.link, params.p)
+    mu = e_gg = 0.0
+    for lab, weight in ((1.0, hp), (-1.0, 1.0 - hp)):
+        f = h_nodes if lab > 0 else 1.0 - h_nodes
+        mean = (dot(f * nodes, weights) / dot(f, weights)).reshape(u.shape)
+        g = agg.value(u, lab)
+        mu += np.sum(w2 * weight * ((prefac * mean - lin_b * u) * g))
+        e_gg += np.sum(w2 * weight * g ** 2)
+    return float(mu), math.sqrt(params.alpha * float(e_gg))
+
+
+class TestMeanUpdateIsTheMatchedAggregator:
+    @pytest.mark.parametrize("link", [SignLink(), LogisticLink(), ProbitLink(2.0)],
+                             ids=["sign", "logistic", "probit"])
+    @pytest.mark.parametrize("name", ["opt", "identity", "smoothed_ft", "smoothed_ct"])
+    def test_against_the_posterior_mean_formula(self, link, name):
+        params = GlmParams(gamma=1.5, alpha=0.5, p=0.2, link=link, n=100)
+        state = se_init_glm(params)
+        for _ in range(2):
+            agg = aggregator_from_name(name, 5.0) or optimal_aggregator_for_state(state, params)
+            new = se_step_glm_generic(state, agg, params)
+            mu, sigma = old_generic_step(state, agg, params)
+            if isinstance(link, SignLink):
+                assert new.mu == pytest.approx(mu, abs=1e-13)
+                assert new.sigma == pytest.approx(sigma, abs=1e-13)
+            else:
+                assert (new.mu, new.sigma) == (mu, sigma)
+            state = new

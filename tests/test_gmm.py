@@ -132,20 +132,20 @@ class TestAggregators:
     def test_optimal_p_zero_returns_label(self):
         agg = OptimalGmm.from_eta(0.5, params_for(p=0.0))
         assert float(agg.value(3.7, -1)) == -1.0
-        assert float(agg.deriv(3.7, -1)) == 0.0
+        assert float(agg.value_and_deriv(3.7, -1)[1]) == 0.0
 
     def test_smoothed_ft_at_zero(self):
         agg = SmoothedFullRT(beta=5.0)
         assert float(agg.value(0.0, 1)) == 0.0
-        assert float(agg.deriv(0.0, 1)) == pytest.approx(2.5, abs=1e-15)
+        assert float(agg.value_and_deriv(0.0, 1)[1]) == pytest.approx(2.5, abs=1e-15)
 
     def test_identity_derivative_zero(self):
         agg = IdentityAggregator()
-        assert float(agg.deriv(1.3, -1)) == 0.0
+        assert float(agg.value_and_deriv(1.3, -1)[1]) == 0.0
         assert float(agg.value(1.3, -1)) == -1.0
 
     def test_invalid_inputs(self):
-        # all six aggregators check their inputs in value and in deriv
+        # all six aggregators check their inputs in value and in value_and_deriv
         glm = dict(gamma=1.0, alpha=1.0, p=0.2, n=100)
         aggs = [
             IdentityAggregator(),
@@ -158,7 +158,7 @@ class TestAggregators:
         bad = [(float("nan"), 1), (0.0, 0), (0.3, 0.5),
                ([0.3, np.inf], [1, -1]), ([0.3, 0.5], [1, 0])]
         for agg in aggs:
-            for method in ("value", "deriv"):
+            for method in ("value", "value_and_deriv"):
                 for y, yhat in bad:
                     try:
                         getattr(agg, method)(y, yhat)
@@ -177,9 +177,10 @@ class TestAggregators:
         ys = np.linspace(-3, 3, 50)
         h = 1e-5
         for yhat in (1.0, -1.0):
-            analytic = agg.deriv(ys, yhat)
+            value, analytic = agg.value_and_deriv(ys, yhat)
+            assert np.array_equal(value, agg.value(ys, yhat))
             fd = (agg.value(ys + h, yhat) - agg.value(ys - h, yhat)) / (2 * h)
-            assert np.max(np.abs(analytic - fd)) <= 1e-6
+            assert np.max(np.abs(analytic - fd)) <= 1e-8
 
     @pytest.mark.parametrize("agg,bound", [
         (SmoothedFullRT(7.0), 3.5),
@@ -188,7 +189,7 @@ class TestAggregators:
     def test_lipschitz_bound(self, agg, bound):
         ys = np.linspace(-5, 5, 400)
         for yhat in (1.0, -1.0):
-            assert np.max(np.abs(agg.deriv(ys, yhat))) <= bound + 1e-12
+            assert np.max(np.abs(agg.value_and_deriv(ys, yhat)[1])) <= bound + 1e-12
 
     @given(st.floats(-3, 3), st.sampled_from([-1, 1]))
     @settings(max_examples=100, deadline=None)
@@ -222,7 +223,7 @@ class TestOnsager:
         y = np.array([0.4])
         yhat = np.array([-1.0])
         assert onsager_coefficient(agg, y, yhat) == pytest.approx(
-            float(agg.deriv(0.4, -1.0)), abs=1e-15
+            float(agg.value_and_deriv(0.4, -1.0)[1]), abs=1e-15
         )
 
     def test_shape_mismatch(self):
@@ -373,11 +374,9 @@ class TestRunRetraining:
         class ExplodingAggregator:
             y_breakpoints = ()
 
-            def value(self, y, yhat):
-                return 1e200 * (np.asarray(y, dtype=float) + 1.0)
-
-            def deriv(self, y, yhat):
-                return np.full_like(np.asarray(y, dtype=float), 1e200)
+            def value_and_deriv(self, y, yhat):
+                y = np.asarray(y, dtype=float)
+                return 1e200 * (y + 1.0), np.full_like(y, 1e200)
 
         params = params_for(n=60)
         traj = retrain(sample_gmm_dataset(params, RngStream(13)),
