@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -72,14 +72,10 @@ def _add_model_args(sub: argparse.ArgumentParser, include_reps: bool = False) ->
     sub.add_argument("--out", type=str, default=None)
 
 
-_CONFIG_FIELDS = (
-    "model", "gamma", "alpha", "p", "pi_plus", "link", "link_scale", "n", "d",
-    "aggregator", "beta", "iterations", "order", "master_seed", "replications",
-)
+_CONFIG_FIELDS = tuple(field.name for field in fields(ExperimentConfig))
 
-_DEFAULTS = {"model": "gmm", "pi_plus": 0.5, "link": "sign", "link_scale": 1.0,
-             "aggregator": "opt", "iterations": 10, "master_seed": 0,
-             "replications": 1, "n": 1000}
+# the values the CLI supplies where the config has no default
+_DEFAULTS = {"model": "gmm", "iterations": 10, "n": 1000}
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:

@@ -227,9 +227,7 @@ class OptimalGlm:
     link: object
     p: float
     prior_var: float
-    alpha: float
     order: int = 61
-    eta: Optional[float] = None
 
     y_breakpoints = ()
 
@@ -247,9 +245,7 @@ class OptimalGlm:
             link=params.link,
             p=params.p,
             prior_var=params.prior_var,
-            alpha=params.alpha,
             order=order,
-            eta=eta,
         )
 
     @classmethod
@@ -260,9 +256,7 @@ class OptimalGlm:
             link=params.link,
             p=params.p,
             prior_var=params.prior_var,
-            alpha=params.alpha,
             order=order,
-            eta=state.eta,
         )
 
     def _evaluate(self, u, labels, deriv):
@@ -320,7 +314,6 @@ class OptimalSign:
     lin_b: float
     p: float
     alpha: float
-    eta: Optional[float] = None
 
     y_breakpoints = ()
 
@@ -328,13 +321,12 @@ class OptimalSign:
     def from_eta(cls, eta: float, params: GlmParams) -> "OptimalSign":
         if not (eta > 0 and math.isfinite(eta)):
             raise DomainError("eta must be positive and finite")
-        return cls(quad_a=eta**2, lin_b=1.0 / params.alpha, p=params.p,
-                   alpha=params.alpha, eta=eta)
+        return cls(quad_a=eta**2, lin_b=1.0 / params.alpha, p=params.p, alpha=params.alpha)
 
     @classmethod
     def from_se_state(cls, state, params: GlmParams) -> "OptimalSign":
         return cls(quad_a=(state.mu / state.sigma) ** 2, lin_b=state.mu / state.sigma**2,
-                   p=params.p, alpha=params.alpha, eta=state.eta)
+                   p=params.p, alpha=params.alpha)
 
     @property
     def _s(self) -> float:
@@ -387,14 +379,9 @@ def error_curve_glm(rho: float, params: GlmParams, order: int = 61) -> float:
     if abs(rho) >= 1.0 - 1e-14:
         sgn = 1.0 if rho > 0 else -1.0
 
-        def integrand_limit(z):
-            big = np.where(sgn * z >= 0, np.inf, -np.inf)
+        def integrand(z):
             hv = params.link.h(scale * z)
-            return np.where(np.isposinf(big), 1.0, 0.0) * (1.0 - hv) + np.where(
-                np.isneginf(big), 1.0, 0.0
-            ) * hv
-
-        integrand = integrand_limit
+            return np.where(sgn * z >= 0, 1.0 - hv, hv)
     else:
         coef = rho / math.sqrt(1.0 - rho * rho)
 
@@ -404,6 +391,14 @@ def error_curve_glm(rho: float, params: GlmParams, order: int = 61) -> float:
 
     z, w = gaussian_rule(0.0, 1.0, [b / scale for b in params.link.discontinuities], order)
     return float(integrand(z) @ w)
+
+
+def _error_from_overlap(rho: float, params: GlmParams, order: int) -> float:
+    """Misclassification rate at overlap rho: arccos(rho)/pi exactly for the
+    sign link, the quadrature error curve for other links."""
+    if isinstance(params.link, SignLink):
+        return float(np.arccos(np.clip(rho, -1.0, 1.0)) / math.pi)
+    return error_curve_glm(rho, params, order)
 
 
 def overlap_glm(theta: np.ndarray, beta_true: np.ndarray) -> float:
@@ -422,10 +417,7 @@ def test_error_glm(theta: np.ndarray, data: GlmDataset, params: GlmParams, order
     Sign link uses the exact identity arccos(rho)/pi; other links evaluate the
     quadrature error curve.
     """
-    rho = overlap_glm(theta, data.beta_true)
-    if isinstance(params.link, SignLink):
-        return float(np.arccos(rho) / math.pi)
-    return error_curve_glm(rho, params, order)
+    return _error_from_overlap(overlap_glm(theta, data.beta_true), params, order)
 
 
 def glm_evaluator(data: GlmDataset, params: GlmParams):

@@ -12,18 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .glm import (
-    GlmParams,
-    OptimalGlm,
-    OptimalSign,
-    SignLink,
-    error_curve_glm,
-    hat_h_p,
-)
-from .numerics import gaussian_rule
+from .glm import GlmParams, OptimalGlm, OptimalSign, SignLink, _error_from_overlap, hat_h_p
+from .numerics import expect_output_channel, gaussian_rule
 
 DEFAULT_ORDER_2D = 41
 
@@ -65,47 +56,18 @@ def se_init_glm(params: GlmParams, order: int = 201) -> SeStateGlm:
     return SeStateGlm(mu=quadrature_init_mu_glm(params, order), sigma=sigma1)
 
 
-def _grid_expectations(params: GlmParams, channel_mu: float, channel_sigma: float,
-                       breakpoints, values_fn, order: int):
-    """Expectations E[f(Z_t, Yhat)] over the (Z, Z_t, Yhat) grid, one per integrand.
-
-    values_fn(u) -> (integrands at label +1, integrands at label -1), each a
-    tuple of arrays on the u grid; the labels weigh hhat_p(Z) and
-    1-hhat_p(Z).  The prediction Z_t given Z has the law
-    N(channel_mu*Z, channel_sigma^2) and, as the mixture's channel, a rule
-    split at the aggregator's breakpoints.
-    """
-    # the latent margin's rule is split at the link's jumps, where the label
-    # probability is only piecewise smooth in Z
-    z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
-    u, uw = gaussian_rule(channel_mu * z, channel_sigma, breakpoints, order)
-    hp = hat_h_p(z, params.link, params.p)[:, None]
-    w2 = zw[:, None] * uw
-    plus, minus = values_fn(u)
-    return [float(np.sum(w2 * hp * a) + np.sum(w2 * (1.0 - hp) * b))
-            for a, b in zip(plus, minus)]
-
-
 def se_step_glm_opt(eta: float, params: GlmParams, order: int = DEFAULT_ORDER_2D) -> float:
     """eta' = sqrt((1/alpha) * E[g*(alpha*eta^2*Z + alpha*eta*G, Yhat)^2]).
 
-    The aggregator is matched to that channel (coefficients (eta^2, 1/alpha)).
+    The generic step from the self-consistent state (mu, sigma) =
+    (alpha*eta^2, alpha*eta) with the aggregator matched to it (coefficients
+    (eta^2, 1/alpha)), where mu' = E[g*^2] and sigma'^2 = alpha*E[g*^2].
     """
     if not (eta > 0 and math.isfinite(eta)):
         raise DomainError("eta must be positive (use se_init_glm for the first state)")
-    if isinstance(params.link, SignLink):
-        agg = OptimalSign.from_eta(eta, params)
-    else:
-        agg = OptimalGlm.from_eta(eta, params, order=max(order, 61))
-    (e_gg,) = _grid_expectations(
-        params,
-        channel_mu=params.alpha * eta**2,
-        channel_sigma=params.alpha * eta,
-        breakpoints=agg.y_breakpoints,
-        values_fn=lambda u: [(g ** 2,) for g in agg.label_values(u)],
-        order=order,
-    )
-    return math.sqrt(e_gg / params.alpha)
+    state = SeStateGlm(mu=params.alpha * eta**2, sigma=params.alpha * eta)
+    star = optimal_aggregator_for_state(state, params, order=max(order, 61))
+    return se_step_glm_generic(state, star, params, order).eta
 
 
 def se_step_glm_generic(
@@ -128,8 +90,11 @@ def se_step_glm_generic(
         values = star_values if agg == star else [agg.value(u, lab) for lab in (1.0, -1.0)]
         return [(s * g, g ** 2) for s, g in zip(star_values, values)]
 
-    mu_next, e_gg = _grid_expectations(params, state.mu, state.sigma, agg.y_breakpoints,
-                                       integrands, order)
+    # the latent margin's rule is split at the link's jumps, where the label
+    # probability is only piecewise smooth in Z
+    z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
+    mu_next, e_gg = expect_output_channel(z, zw, hat_h_p(z, params.link, params.p), state.mu,
+                                          state.sigma, agg.y_breakpoints, integrands, order)
     s2 = params.alpha * e_gg
     if not (s2 > 0 and math.isfinite(s2) and math.isfinite(mu_next)):
         raise DomainError("state-evolution expectation degenerate or non-finite")
@@ -143,10 +108,8 @@ def se_error_glm(eta: float, params: GlmParams, order: int = 61) -> float:
     arccos(rho)/pi exactly, other links through the quadrature error curve.
     """
     g = params.gamma_eff
-    rho = eta * g / math.sqrt(eta**2 * g**2 + 1.0 / params.alpha)
-    if isinstance(params.link, SignLink):
-        return float(np.arccos(np.clip(rho, -1.0, 1.0)) / math.pi)
-    return error_curve_glm(rho, params, order)
+    return _error_from_overlap(eta * g / math.sqrt(eta**2 * g**2 + 1.0 / params.alpha),
+                               params, order)
 
 
 def optimal_aggregator_for_state(state: SeStateGlm, params: GlmParams, order: int = 61):

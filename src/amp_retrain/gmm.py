@@ -172,7 +172,6 @@ class OptimalGmm:
     p: float
     log_odds: float
     log_prior: float
-    eta: Optional[float] = None  # diagnostic: signal-to-noise this slope corresponds to
 
     y_breakpoints = ()
 
@@ -183,7 +182,7 @@ class OptimalGmm:
         if not (eta >= 0 and math.isfinite(eta)):
             raise DomainError("eta must be finite and non-negative")
         slope = 2.0 * params.gamma**2 / (params.alpha * (eta**2 + 1.0))
-        return cls._build(slope, params, eta)
+        return cls._build(slope, params)
 
     @classmethod
     def from_se_state(cls, state, params: GmmParams) -> "OptimalGmm":
@@ -197,17 +196,16 @@ class OptimalGmm:
         identity hold) from t = 1 on.
         """
         slope = 2.0 * state.m_bar / state.sigma_bar**2
-        return cls._build(slope, params, state.eta)
+        return cls._build(slope, params)
 
     @classmethod
-    def _build(cls, slope, params, eta):
+    def _build(cls, slope, params):
         log_odds = math.log((1 - params.p) / params.p) if params.p > 0 else math.inf
         if params.pi_plus in (0.0, 1.0):
             log_prior = math.inf if params.pi_plus == 1.0 else -math.inf
         else:
             log_prior = math.log(params.pi_plus / params.pi_minus)
-        return cls(slope=slope, p=params.p, log_odds=log_odds,
-                   log_prior=log_prior, eta=eta)
+        return cls(slope=slope, p=params.p, log_odds=log_odds, log_prior=log_prior)
 
     def value(self, y, yhat):
         y, yhat = _label_arrays(y, yhat)

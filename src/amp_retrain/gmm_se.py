@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BracketError, ConfigError, DomainError
 from .gmm import AGGREGATORS, GmmParams, OptimalGmm, aggregator_from_name
-from .numerics import find_root_bisect, gaussian_rule, std_normal_cdf
+from .numerics import expect_output_channel, find_root_bisect, gaussian_rule, std_normal_cdf
 
 # Default quadrature order for the scalar expectations here.  The optimal
 # aggregator can be a steep tanh, and the self-consistency identities are
@@ -77,23 +77,23 @@ def label_atoms(params: GmmParams) -> List[Tuple[float, float, float]]:
     ]
 
 
-def _channel_expectations(
-    agg, m_bar: float, sigma_bar: float, params: GmmParams, order: int
-) -> Tuple[float, float]:
-    """(E[g*Y], E[g^2]) over the four label atoms and the Gaussian channel.
+def _class_moments(agg, m_bar: float, sigma_bar: float, params: GmmParams,
+                   order: int) -> Tuple[float, float]:
+    """(E[g*Y], E[g^2]) over the classes Y, the flipped label and the Gaussian
+    channel N(m_bar*Y, sigma_bar^2); sigma_bar = 0 is the point mass m_bar*Y.
 
     The rule is split at the transition points an aggregator declares (the
     logistic surrogates, steep at large beta); a global Hermite rule
     under-resolves their transition layer.
     """
-    e_gy = 0.0
-    e_gg = 0.0
-    for w, y_lab, yhat in label_atoms(params):
-        y, pw = gaussian_rule(m_bar * y_lab, sigma_bar, agg.y_breakpoints, order)
-        vals = agg.value(y, yhat)
-        e_gy += w * y_lab * float(vals @ pw)
-        e_gg += w * float((vals * vals) @ pw)
-    return e_gy, e_gg
+    classes = np.array([1.0, -1.0])
+
+    def integrands(u):
+        return [(g * classes[:, None], g * g) for g in (agg.value(u, 1.0), agg.value(u, -1.0))]
+
+    return expect_output_channel(classes, (params.pi_plus, params.pi_minus),
+                                 (1.0 - params.p, params.p), m_bar, sigma_bar,
+                                 agg.y_breakpoints, integrands, order)
 
 
 def se_step_gmm(
@@ -101,7 +101,7 @@ def se_step_gmm(
 ) -> SeStateGmm:
     """One state-evolution step for an arbitrary aggregator:
     m' = (gamma/sqrt(alpha)) E[g*Y], (sigma')^2 = E[g^2]."""
-    e_gy, e_gg = _channel_expectations(agg, state.m_bar, state.sigma_bar, params, order)
+    e_gy, e_gg = _class_moments(agg, state.m_bar, state.sigma_bar, params, order)
     m_next = params.gamma / math.sqrt(params.alpha) * e_gy
     s2 = e_gg
     if not (s2 > 0 and math.isfinite(s2) and math.isfinite(m_next)):
@@ -110,8 +110,8 @@ def se_step_gmm(
 
 
 def se_error_gmm(state: SeStateGmm, params: GmmParams) -> float:
-    """Predicted test error Phi(-m*gamma / sqrt(m^2 + sigma^2))."""
-    return std_normal_cdf(-state.m * params.gamma / math.sqrt(state.m**2 + state.sigma**2))
+    """Predicted test error Phi(-gamma*eta / sqrt(eta^2 + 1)) at eta = m/sigma."""
+    return se_error_from_eta(state.eta, params.gamma)
 
 
 def se_error_from_eta(eta: float, gamma: float) -> float:
@@ -138,7 +138,7 @@ def eta_map_opt(u: float, params: GmmParams, order: int = DEFAULT_ORDER) -> floa
     sc = params.gamma * math.sqrt(u / (1.0 + u))
     # OptimalGmm's constants carry the prior-term limits +-inf at pi_plus in
     # {0, 1}, where g~ = +-1 and the map is the constant gamma^2/alpha
-    agg = OptimalGmm._build(2.0, params, None)
+    agg = OptimalGmm._build(2.0, params)
     w, y_lab, yhat = np.array(label_atoms(params)).T
     g, pw = gaussian_rule(0.0, 1.0, (), order)
     shift = 0.5 * (yhat * agg.log_odds + agg.slope * loc * y_lab + agg.log_prior)
@@ -182,10 +182,13 @@ class SeMapSpec:
     variant: one of :data:`VARIANTS`.  "opt" is :func:`eta_map_opt`, the
     limits are :func:`eta_map_ft` and :func:`eta_map_ct`.  A constant
     aggregator's map evaluates one state-evolution step from the
-    self-consistent slice m = sqrt(alpha)/gamma * u, sigma = sqrt(alpha*u)/gamma
-    (finite-beta dynamics are not exactly one-dimensional; this slice is the
-    one the optimal trajectory lives on, and the smoothed maps converge to the
-    sharp-limit maps as beta grows).
+    self-consistent slice m = sqrt(alpha)/gamma * u, sigma = sqrt(alpha*u)/gamma,
+    whose channel is (m_bar, sigma_bar) = (alpha*u, (alpha/gamma)*sqrt(u*(1+u))),
+    as F(u) = (gamma^2/alpha) E[g*Y]^2 / E[g^2], and 0 where E[g^2] = 0.  At
+    u = 0 the channel is the point mass at 0 (finite-beta dynamics are not
+    exactly one-dimensional; this slice is the one the optimal trajectory
+    lives on, and the smoothed maps converge to the sharp-limit maps as beta
+    grows).
     """
 
     variant: str
@@ -210,14 +213,10 @@ class SeMapSpec:
         def step(u: float) -> float:
             if u < 0:
                 raise DomainError("u must be non-negative")
-            scale = math.sqrt(self.params.alpha) / self.params.gamma
-            state = SeStateGmm(
-                m=scale * u,
-                sigma=scale * math.sqrt(u) if u > 0 else 1e-12,
-                gamma=self.params.gamma,
-                alpha=self.params.alpha,
-            )
-            return se_step_gmm(state, agg, self.params, self.order).eta ** 2
+            alpha, gamma = self.params.alpha, self.params.gamma
+            e_gy, e_gg = _class_moments(agg, alpha * u, alpha / gamma * math.sqrt(u * (1.0 + u)),
+                                        self.params, self.order)
+            return gamma**2 / alpha * e_gy**2 / e_gg if e_gg > 0 else 0.0
 
         return step
 

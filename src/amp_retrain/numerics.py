@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Gaussian CDF, one builder of quadrature rules for Gaussian expectations,
-bisection root finding, an overflow-safe logistic, and deterministic
-splittable RNG streams with a block-parallel Gaussian matrix sampler.
+Gaussian CDF, one builder of quadrature rules for Gaussian expectations, the
+output-channel expectation of a state-evolution step, bisection root
+finding, an overflow-safe logistic, and deterministic splittable RNG streams
+with a block-parallel Gaussian matrix sampler.
 
 Quadrature conventions
 ----------------------
@@ -151,6 +152,33 @@ def gaussian_rule(mean, sd: float, breakpoints: Sequence[float] = (), order: int
     weights *= rule.weights
     shape = mean.shape[:-1] + (-1,)
     return nodes.reshape(shape), weights.reshape(shape)
+
+
+def expect_output_channel(latent, latent_weights, label_prob, gain: float, sd: float,
+                          breakpoints: Sequence[float], values_fn, order: int):
+    """E[f(U, Yhat)] for each integrand f of ``values_fn``: the output-channel
+    expectation of a state-evolution step.
+
+    The latent L takes the values ``latent`` with probabilities
+    ``latent_weights``; given L the label Yhat is +1 with probability
+    ``label_prob`` (q(L), one per latent value) and -1 otherwise, and the
+    prediction is U ~ N(gain*L, sd^2) on :func:`gaussian_rule` split at
+    ``breakpoints``.  sd = 0 is the point mass U = gain*L.
+
+    ``values_fn(u)``, with u of shape (latent values, nodes), returns
+    (integrands at label +1, integrands at label -1), each a sequence of
+    arrays shaped like u; row i of u belongs to latent value i.
+    """
+    latent = np.asarray(latent, dtype=float)
+    if sd == 0.0:
+        u, uw = (gain * latent)[:, None], np.ones(1)
+    else:
+        u, uw = gaussian_rule(gain * latent, sd, breakpoints, order)
+    hp = np.asarray(label_prob, dtype=float)[:, None]
+    w2 = np.asarray(latent_weights, dtype=float)[:, None] * uw
+    plus, minus = values_fn(u)
+    return [float(np.sum(w2 * hp * a) + np.sum(w2 * (1.0 - hp) * b))
+            for a, b in zip(plus, minus)]
 
 
 def find_root_bisect(

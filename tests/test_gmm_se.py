@@ -339,6 +339,16 @@ class TestSeMapSpec:
         for u in (0.0, 0.5, 3.0):
             assert f(u) == pytest.approx(se_init_gmm(FIG_MAP_PARAMS).eta ** 2, abs=1e-12)
 
+    def test_map_at_zero_is_the_point_mass(self):
+        # at u = 0 the prediction is exactly 0: g = yhat (identity), yhat/2
+        # (smoothed_ct) and 0 (smoothed_ft, whose E[g^2] vanishes)
+        params = FIG_MAP_PARAMS
+        expected = params.gamma**2 / params.alpha * (1 - 2 * params.p) ** 2
+        for variant in ("identity", "smoothed_ct"):
+            f = SeMapSpec(variant=variant, params=params, beta=20.0).as_function()
+            assert abs(f(0.0) - expected) <= 1e-15
+        assert SeMapSpec(variant="smoothed_ft", params=params, beta=20.0).as_function()(0.0) == 0.0
+
     def test_opt_trace_matches_map_iterates(self):
         params = FIG_MAP_PARAMS
         states, _ = se_states(ExperimentConfig(model="gmm", gamma=1.5, alpha=2.0, p=0.3,

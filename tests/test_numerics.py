@@ -12,6 +12,7 @@ from amp_retrain import numerics
 from amp_retrain.errors import BracketError, ConfigError, DomainError
 from amp_retrain.numerics import (
     RngStream,
+    expect_output_channel,
     find_root_bisect,
     gauss_hermite,
     gaussian_rule,
@@ -163,6 +164,42 @@ class TestExpectations:
             if path.name != "numerics.py":
                 text = path.read_text()
                 assert "gauss_hermite(" not in text and "gauss_legendre(" not in text, path.name
+
+
+class TestOutputChannel:
+    def test_point_mass(self):
+        seen = []
+
+        def values(u):
+            seen.append(u)
+            return (np.cos(u), u), (u * u, np.ones_like(u))
+
+        got = expect_output_channel([0.5, -2.0, 3.0], (0.2, 0.5, 0.3), (0.9, 0.4, 0.1), 1.5, 0.0,
+                                    (0.0,), values, 61)
+        assert np.array_equal(seen[0], [[0.75], [-3.0], [4.5]])
+        # enumeration of the (latent, label) atoms at U = 1.5 * L
+        atoms = [(0.2 * 0.9, 0.75, 1), (0.2 * 0.1, 0.75, -1), (0.5 * 0.4, -3.0, 1),
+                 (0.5 * 0.6, -3.0, -1), (0.3 * 0.1, 4.5, 1), (0.3 * 0.9, 4.5, -1)]
+        first = sum(w * (math.cos(u) if lab > 0 else u * u) for w, u, lab in atoms)
+        second = sum(w * (u if lab > 0 else 1.0) for w, u, lab in atoms)
+        assert got == pytest.approx([first, second], rel=1e-15)
+
+    def test_two_atoms_against_enumeration(self):
+        # U | L ~ N(gain*L, sd^2): E[U] = gain*L, E[U^2] = (gain*L)^2 + sd^2,
+        # P(U > 0) = Phi(gain*L/sd) (the jump needs the breakpoint)
+        gain, sd = 0.9, 0.6
+
+        def values(u):
+            return (u, (u > 0).astype(float)), (u * u, np.zeros_like(u))
+
+        got = expect_output_channel([1.0, -1.0], (0.3, 0.7), (0.8, 0.25), gain, sd, (0.0,),
+                                    values, 61)
+        first = second = 0.0
+        for lat, w, q in zip((1.0, -1.0), (0.3, 0.7), (0.8, 0.25)):
+            mean = gain * lat
+            first += w * (q * mean + (1 - q) * (mean * mean + sd * sd))
+            second += w * q * std_normal_cdf(mean / sd)
+        assert got == pytest.approx([first, second], abs=1e-12)
 
 
 class TestBisection:
