@@ -57,14 +57,13 @@ def _add_model_args(sub: argparse.ArgumentParser, include_reps: bool = False) ->
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--p", type=float, default=None)
     sub.add_argument("--pi-plus", dest="pi_plus", type=float, default=None)
-    sub.add_argument("--link", choices=("sign", "logistic", "probit"), default=None)
-    sub.add_argument("--link-scale", dest="link_scale", type=float, default=None)
+    sub.add_argument("--link", choices=("sign", "logistic", "probit"), default=None,
+                     help="glm label link; a steeper link is a larger --gamma")
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--d", type=int, default=None)
     sub.add_argument("--aggregator", type=str, default=None)
     sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--iterations", "-T", type=int, default=None)
-    sub.add_argument("--order", type=int, default=None)
     sub.add_argument("--seed", dest="master_seed", type=int, default=None)
     if include_reps:
         sub.add_argument("--replications", type=int, default=None)
@@ -81,7 +80,13 @@ _DEFAULTS = {"model": "gmm", "iterations": 10, "n": 1000}
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     payload = {}
     if args.config:
-        payload.update(json.loads(Path(args.config).read_text()))
+        try:
+            stored = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(stored, dict):
+            raise ConfigError(f"--config {args.config} must hold a JSON object of config fields")
+        payload.update(stored)
     for field in _CONFIG_FIELDS:
         value = getattr(args, field, None)
         if value is not None:
@@ -160,7 +165,10 @@ def _cmd_cobweb(args: argparse.Namespace) -> int:
 def _cmd_crossover(args: argparse.Namespace) -> int:
     from .datafiles import write_table
 
-    p_list = [float(tok) for tok in args.p_list.split(",") if tok.strip()]
+    try:
+        p_list = [float(tok) for tok in args.p_list.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"--p-list must be comma-separated numbers: {args.p_list!r}") from None
     if not p_list:
         raise ConfigError("--p-list must contain at least one value")
     rows = crossover_rows(args.gamma, args.alpha, p_list, pi_plus=args.pi_plus)

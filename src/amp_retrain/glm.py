@@ -21,17 +21,16 @@ from .gmm import _label_arrays, _validate_shared_params
 from .numerics import RngStream, gaussian_rule, stable_logistic, std_normal_cdf
 
 
+# Quadrature order of the posterior rule of OptimalGlm and of the error curve.
+ORDER = 61
+
+
 # --------------------------------------------------------------------------
 # link functions
 # --------------------------------------------------------------------------
-
-def _check_monotone_margin(link) -> None:
-    # h(u) > h(-u) for u > 0 is what makes the error curve decreasing in the
-    # overlap; asserted numerically on a grid at construction.
-    u = np.linspace(1e-3, 8.0, 64)
-    if not np.all(link.h(u) > link.h(-u)):
-        raise ConfigError(f"link {link!r} violates h(u) > h(-u) for u > 0")
-
+# Each link has h(u) > h(-u) for u > 0, which makes the error curve decreasing
+# in the overlap.  A link has no scale of its own: a steeper link is a larger
+# gamma, the norm of beta.
 
 @dataclass(frozen=True)
 class SignLink:
@@ -46,44 +45,33 @@ class SignLink:
 
 @dataclass(frozen=True)
 class LogisticLink:
-    scale: float = 1.0
+    """h(z) = 1/(1 + exp(-z))."""
 
     name: ClassVar[str] = "logistic"
     discontinuities: ClassVar[Tuple[float, ...]] = ()
 
-    def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ConfigError("link scale must be positive and finite")
-        _check_monotone_margin(self)
-
     def h(self, z):
-        return stable_logistic(self.scale * np.asarray(z, dtype=float))
+        return stable_logistic(np.asarray(z, dtype=float))
 
 
 @dataclass(frozen=True)
 class ProbitLink:
-    scale: float = 1.0
+    """h(z) = Phi(z)."""
 
     name: ClassVar[str] = "probit"
     discontinuities: ClassVar[Tuple[float, ...]] = ()
 
-    def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ConfigError("link scale must be positive and finite")
-        _check_monotone_margin(self)
-
     def h(self, z):
-        return ndtr(self.scale * np.asarray(z, dtype=float))
+        return ndtr(np.asarray(z, dtype=float))
 
 
-def link_from_name(name: str, scale: float = 1.0):
-    if name == "sign":
-        return SignLink()
-    if name == "logistic":
-        return LogisticLink(scale)
-    if name == "probit":
-        return ProbitLink(scale)
-    raise ConfigError(f"unknown link: {name!r}")
+_LINKS = {link.name: link for link in (SignLink, LogisticLink, ProbitLink)}
+
+
+def link_from_name(name: str):
+    if name not in _LINKS:
+        raise ConfigError(f"unknown link: {name!r}")
+    return _LINKS[name]()
 
 
 def hat_h_p(z, link, p: float):
@@ -166,7 +154,7 @@ def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
 # posterior moments of the latent margin
 # --------------------------------------------------------------------------
 
-def _posterior_moments(u, labels, quad_a, lin_b, link, p, prior_var, order, variance):
+def _posterior_moments(u, labels, quad_a, lin_b, link, p, prior_var, variance):
     """E[Z | u, yhat], and Var[Z | u, yhat] when ``variance``, for each yhat in
     ``labels``: {yhat: (mean, var or None)}, vectorized over u.
 
@@ -177,7 +165,8 @@ def _posterior_moments(u, labels, quad_a, lin_b, link, p, prior_var, order, vari
     Completing the square and centering the quadrature on (m, s) keeps the
     integrand bounded, so no log-domain rescue is needed.  The rule is
     :func:`gaussian_rule` split at the link's jumps, so smooth links get
-    Gauss-Hermite.  One rule and one link evaluation serve every label.
+    Gauss-Hermite, of :data:`ORDER` nodes.  One rule and one link evaluation
+    serve every label.
 
     The variance takes its moments about the rule's centre m, where the first
     one is small, so the difference of the second and the squared first does
@@ -185,7 +174,7 @@ def _posterior_moments(u, labels, quad_a, lin_b, link, p, prior_var, order, vari
     """
     s2 = 1.0 / (quad_a + 1.0 / prior_var)
     m = lin_b * s2 * np.asarray(u, dtype=float)
-    z, w = gaussian_rule(m, math.sqrt(s2), link.discontinuities, order)
+    z, w = gaussian_rule(m, math.sqrt(s2), link.discontinuities, ORDER)
     # split weights move with each centre; Hermite weights are shared, and a
     # matrix-vector product contracts them several times faster
     dot = np.matmul if w.ndim == 1 else np.vecdot
@@ -227,12 +216,11 @@ class OptimalGlm:
     link: object
     p: float
     prior_var: float
-    order: int = 61
 
     y_breakpoints = ()
 
     @classmethod
-    def from_eta(cls, eta: float, params: GlmParams, order: int = 61) -> "OptimalGlm":
+    def from_eta(cls, eta: float, params: GlmParams) -> "OptimalGlm":
         if not (eta >= 0 and math.isfinite(eta)):
             raise DomainError("eta must be finite and non-negative")
         if eta == 0.0 and isinstance(params.link, SignLink):
@@ -245,18 +233,16 @@ class OptimalGlm:
             link=params.link,
             p=params.p,
             prior_var=params.prior_var,
-            order=order,
         )
 
     @classmethod
-    def from_se_state(cls, state, params: GlmParams, order: int = 61) -> "OptimalGlm":
+    def from_se_state(cls, state, params: GlmParams) -> "OptimalGlm":
         return cls(
             quad_a=(state.mu / state.sigma) ** 2,
             lin_b=state.mu / state.sigma**2,
             link=params.link,
             p=params.p,
             prior_var=params.prior_var,
-            order=order,
         )
 
     def _evaluate(self, u, labels, deriv):
@@ -267,7 +253,7 @@ class OptimalGlm:
         """
         prefac = 1.0 / self.prior_var + self.quad_a
         moments = _posterior_moments(u, labels, self.quad_a, self.lin_b, self.link,
-                                     self.p, self.prior_var, self.order, deriv)
+                                     self.p, self.prior_var, deriv)
         return {lab: (prefac * mean - self.lin_b * u,
                       prefac * self.lin_b * var - self.lin_b if deriv else None)
                 for lab, (mean, var) in moments.items()}
@@ -365,8 +351,9 @@ class OptimalSign:
 # test error
 # --------------------------------------------------------------------------
 
-def error_curve_glm(rho: float, params: GlmParams, order: int = 61) -> float:
-    """Misclassification rate as a function of the overlap rho, by quadrature.
+def error_curve_glm(rho: float, params: GlmParams) -> float:
+    """Misclassification rate as a function of the overlap rho, by quadrature
+    of :data:`ORDER` nodes per piece.
 
     E_Z[Phi(rho*Z/sqrt(1-rho^2))*(1-h(sqrt(alpha)*gamma*Z))
         + Phi(-rho*Z/sqrt(1-rho^2))*h(sqrt(alpha)*gamma*Z)],  Z ~ N(0,1).
@@ -389,16 +376,16 @@ def error_curve_glm(rho: float, params: GlmParams, order: int = 61) -> float:
             hv = params.link.h(scale * z)
             return ndtr(coef * z) * (1.0 - hv) + ndtr(-coef * z) * hv
 
-    z, w = gaussian_rule(0.0, 1.0, [b / scale for b in params.link.discontinuities], order)
+    z, w = gaussian_rule(0.0, 1.0, [b / scale for b in params.link.discontinuities], ORDER)
     return float(integrand(z) @ w)
 
 
-def _error_from_overlap(rho: float, params: GlmParams, order: int) -> float:
+def _error_from_overlap(rho: float, params: GlmParams) -> float:
     """Misclassification rate at overlap rho: arccos(rho)/pi exactly for the
     sign link, the quadrature error curve for other links."""
     if isinstance(params.link, SignLink):
         return float(np.arccos(np.clip(rho, -1.0, 1.0)) / math.pi)
-    return error_curve_glm(rho, params, order)
+    return error_curve_glm(rho, params)
 
 
 def overlap_glm(theta: np.ndarray, beta_true: np.ndarray) -> float:
@@ -411,13 +398,13 @@ def overlap_glm(theta: np.ndarray, beta_true: np.ndarray) -> float:
     return float(np.clip(beta_true @ theta / (bn * tn), -1.0, 1.0))
 
 
-def test_error_glm(theta: np.ndarray, data: GlmDataset, params: GlmParams, order: int = 61) -> float:
+def test_error_glm(theta: np.ndarray, data: GlmDataset, params: GlmParams) -> float:
     """Population misclassification rate of sign(x.theta).
 
     Sign link uses the exact identity arccos(rho)/pi; other links evaluate the
     quadrature error curve.
     """
-    return _error_from_overlap(overlap_glm(theta, data.beta_true), params, order)
+    return _error_from_overlap(overlap_glm(theta, data.beta_true), params)
 
 
 def glm_evaluator(data: GlmDataset, params: GlmParams):

@@ -19,7 +19,7 @@ from .errors import BracketError, ConfigError, DomainError
 from .gmm import AGGREGATORS, GmmParams, OptimalGmm, aggregator_from_name
 from .numerics import expect_output_channel, find_root_bisect, gaussian_rule, std_normal_cdf
 
-# Default quadrature order for the scalar expectations here.  The optimal
+# Quadrature order of every expectation here (SE steps and maps).  The optimal
 # aggregator can be a steep tanh, and the self-consistency identities are
 # tested at 1e-9; order 201 keeps the quadrature error comfortably below that
 # at negligible cost (4 atoms x order evaluations per step).
@@ -77,8 +77,7 @@ def label_atoms(params: GmmParams) -> List[Tuple[float, float, float]]:
     ]
 
 
-def _class_moments(agg, m_bar: float, sigma_bar: float, params: GmmParams,
-                   order: int) -> Tuple[float, float]:
+def _class_moments(agg, m_bar: float, sigma_bar: float, params: GmmParams) -> Tuple[float, float]:
     """(E[g*Y], E[g^2]) over the classes Y, the flipped label and the Gaussian
     channel N(m_bar*Y, sigma_bar^2); sigma_bar = 0 is the point mass m_bar*Y.
 
@@ -93,15 +92,13 @@ def _class_moments(agg, m_bar: float, sigma_bar: float, params: GmmParams,
 
     return expect_output_channel(classes, (params.pi_plus, params.pi_minus),
                                  (1.0 - params.p, params.p), m_bar, sigma_bar,
-                                 agg.y_breakpoints, integrands, order)
+                                 agg.y_breakpoints, integrands, DEFAULT_ORDER)
 
 
-def se_step_gmm(
-    state: SeStateGmm, agg, params: GmmParams, order: int = DEFAULT_ORDER
-) -> SeStateGmm:
+def se_step_gmm(state: SeStateGmm, agg, params: GmmParams) -> SeStateGmm:
     """One state-evolution step for an arbitrary aggregator:
     m' = (gamma/sqrt(alpha)) E[g*Y], (sigma')^2 = E[g^2]."""
-    e_gy, e_gg = _class_moments(agg, state.m_bar, state.sigma_bar, params, order)
+    e_gy, e_gg = _class_moments(agg, state.m_bar, state.sigma_bar, params)
     m_next = params.gamma / math.sqrt(params.alpha) * e_gy
     s2 = e_gg
     if not (s2 > 0 and math.isfinite(s2) and math.isfinite(m_next)):
@@ -123,7 +120,7 @@ def se_error_from_eta(eta: float, gamma: float) -> float:
 # one-dimensional update maps in u = eta^2
 # --------------------------------------------------------------------------
 
-def eta_map_opt(u: float, params: GmmParams, order: int = DEFAULT_ORDER) -> float:
+def eta_map_opt(u: float, params: GmmParams) -> float:
     """Optimal-aggregation map F(u) = (gamma^2/alpha) E[g~(...)^2].
 
     The reduced aggregator g~ has unit slope pair: the channel is
@@ -140,7 +137,7 @@ def eta_map_opt(u: float, params: GmmParams, order: int = DEFAULT_ORDER) -> floa
     # {0, 1}, where g~ = +-1 and the map is the constant gamma^2/alpha
     agg = OptimalGmm._build(2.0, params)
     w, y_lab, yhat = np.array(label_atoms(params)).T
-    g, pw = gaussian_rule(0.0, 1.0, (), order)
+    g, pw = gaussian_rule(0.0, 1.0, (), DEFAULT_ORDER)
     shift = 0.5 * (yhat * agg.log_odds + agg.slope * loc * y_lab + agg.log_prior)
     vals = np.tanh(shift[:, None] + (0.5 * agg.slope * sc) * g)
     return params.gamma**2 / params.alpha * float(w @ ((vals * vals) @ pw))
@@ -194,7 +191,6 @@ class SeMapSpec:
     variant: str
     params: GmmParams
     beta: Optional[float] = None
-    order: int = DEFAULT_ORDER
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -208,14 +204,14 @@ class SeMapSpec:
             return lambda u: limit_map(u, self.params)
         agg = aggregator_from_name(self.variant, self.beta)
         if agg is None:
-            return lambda u: eta_map_opt(u, self.params, self.order)
+            return lambda u: eta_map_opt(u, self.params)
 
         def step(u: float) -> float:
             if u < 0:
                 raise DomainError("u must be non-negative")
             alpha, gamma = self.params.alpha, self.params.gamma
             e_gy, e_gg = _class_moments(agg, alpha * u, alpha / gamma * math.sqrt(u * (1.0 + u)),
-                                        self.params, self.order)
+                                        self.params)
             return gamma**2 / alpha * e_gy**2 / e_gg if e_gg > 0 else 0.0
 
         return step

@@ -15,7 +15,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .gmm import (
     sample_gmm_dataset,
 )
 from .gmm_se import (
-    DEFAULT_ORDER,
     SeMapSpec,
     cobweb_trace,
     eta_map_ct,
@@ -44,7 +43,6 @@ from .gmm_se import (
 )
 from .glm import GlmParams, glm_evaluator, link_from_name, sample_glm_dataset
 from .glm_se import (
-    DEFAULT_ORDER_2D,
     optimal_aggregator_for_state,
     se_error_glm,
     se_init_glm,
@@ -53,6 +51,10 @@ from .glm_se import (
 )
 from .numerics import RngStream
 from .retrain import run_retraining
+
+
+# the Python types a value of each annotated config type may have
+_TYPES = {str: (str,), int: (int,), float: (int, float), type(None): (type(None),)}
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,17 @@ class ExperimentConfig:
     d: Optional[int] = None
     pi_plus: float = 0.5           # gmm only
     link: str = "sign"             # glm only
-    link_scale: float = 1.0        # glm only
     aggregator: str = "opt"
     beta: Optional[float] = None   # smoothed aggregators
-    order: Optional[int] = None    # quadrature override
 
     def __post_init__(self):
+        # each value must have its field's type: an int is a float, None is a
+        # value only of the optional fields, and bool is neither int nor float
+        for name, kind in get_type_hints(type(self)).items():
+            value, kinds = getattr(self, name), get_args(kind) or (kind,)
+            accepted = sum(map(_TYPES.get, kinds), ())
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"config field {name} must be {kinds[0].__name__}: {value!r}")
         if self.model not in ("gmm", "glm"):
             raise ConfigError(f"model must be 'gmm' or 'glm', got {self.model!r}")
         aggregator_from_name(self.aggregator, self.beta)
@@ -98,9 +105,8 @@ def build_params(config: ExperimentConfig):
     if config.model == "gmm":
         return GmmParams(gamma=config.gamma, alpha=config.alpha, p=config.p,
                          pi_plus=config.pi_plus, n=config.n, d=config.d)
-    link = link_from_name(config.link, config.link_scale)
     return GlmParams(gamma=config.gamma, alpha=config.alpha, p=config.p,
-                     link=link, n=config.n, d=config.d)
+                     link=link_from_name(config.link), n=config.n, d=config.d)
 
 
 # --------------------------------------------------------------------------
@@ -117,17 +123,15 @@ def se_states(config: ExperimentConfig) -> Tuple[List, Tuple]:
     """
     params = build_params(config)
     if config.model == "gmm":
-        init, step, matched, order = se_init_gmm, se_step_gmm, OptimalGmm.from_se_state, DEFAULT_ORDER
+        init, step, matched = se_init_gmm, se_step_gmm, OptimalGmm.from_se_state
     else:
-        init, step, matched, order = (se_init_glm, se_step_glm_generic,
-                                      optimal_aggregator_for_state, DEFAULT_ORDER_2D)
-    order = config.order or order
+        init, step, matched = se_init_glm, se_step_glm_generic, optimal_aggregator_for_state
     constant = aggregator_from_name(config.aggregator, config.beta)
     states = [init(params)]
     schedule = [IdentityAggregator()]
     for _ in range(config.iterations - 1):
         agg = matched(states[-1], params) if constant is None else constant
-        states.append(step(states[-1], agg, params, order))
+        states.append(step(states[-1], agg, params))
         schedule.append(agg)
     return states, tuple(schedule)
 
@@ -284,11 +288,9 @@ def cobweb_rows(config: ExperimentConfig, u1: float, steps: int,
     """
     params = build_params(config)
     if config.model == "gmm":
-        spec = SeMapSpec(variant=variant, params=params, beta=config.beta,
-                         order=config.order or DEFAULT_ORDER)
-        fmap = spec.as_function()
+        fmap = SeMapSpec(variant=variant, params=params, beta=config.beta).as_function()
     elif variant == "opt":
-        fmap = lambda u: se_step_glm_opt(np.sqrt(u), params, config.order or DEFAULT_ORDER_2D) ** 2
+        fmap = lambda u: se_step_glm_opt(np.sqrt(u), params) ** 2
     else:
         raise ConfigError(f"the glm cobweb has the opt map only, not {variant}")
     trace = cobweb_trace(fmap, u1, steps)
@@ -302,11 +304,11 @@ def cobweb_rows(config: ExperimentConfig, u1: float, steps: int,
 
 
 def crossover_rows(gamma: float, alpha: float, p_list: List[float],
-                   pi_plus: float = 0.5, n: int = 100) -> List[Tuple]:
+                   pi_plus: float = 0.5) -> List[Tuple]:
     """(p, u_star, residual, n_crossings) per noise level; NaN when none found."""
     rows = []
     for p in p_list:
-        params = GmmParams(gamma=gamma, alpha=alpha, p=p, pi_plus=pi_plus, n=n)
+        params = GmmParams(gamma=gamma, alpha=alpha, p=p, pi_plus=pi_plus)
         roots = find_crossover(params)
         if roots:
             u = roots[0]

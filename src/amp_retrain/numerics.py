@@ -94,9 +94,13 @@ class QuadratureRule:
 
 @lru_cache(maxsize=64)
 def gauss_hermite(order: int) -> QuadratureRule:
+    """Gauss-Hermite rule; above order 370 numpy's weights overflow to 0 or NaN."""
     if order < 2:
         raise ConfigError(f"quadrature order must be >= 2, got {order}")
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    with np.errstate(all="ignore"):
+        nodes, weights = np.polynomial.hermite.hermgauss(order)
+    if not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise ConfigError(f"no Gauss-Hermite rule of order {order} (its weights overflow)")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
@@ -113,7 +117,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
-def gaussian_rule(mean, sd: float, breakpoints: Sequence[float] = (), order: int = 61):
+def gaussian_rule(mean, sd: float, breakpoints: Sequence[float], order: int):
     """Nodes and probability weights for expectations over X ~ N(mean, sd^2).
 
     E[f(X)] is the dot product of f(nodes) and the weights over the last axis

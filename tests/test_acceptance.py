@@ -188,7 +188,7 @@ def test_criterion_08_smoothed_limit_convergence():
     u = state.eta**2
     worst = 0.0
     for _ in range(10):
-        state = se_step_gmm(state, agg, params, order=61)
+        state = se_step_gmm(state, agg, params)
         u = eta_map_ft(u, params)
         worst = max(worst, abs(se_error_gmm(state, params)
                                - se_error_from_eta(math.sqrt(u), params.gamma)))

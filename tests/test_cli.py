@@ -315,6 +315,60 @@ class TestErrorsAndEnv:
         assert (tmp_path / "envout" / "crossover.tsv").exists()
 
 
+class TestInputErrors:
+    """Bad input on the command line or in a --config file exits 2 with a
+    message naming the flag or field, never a traceback."""
+
+    def run_config(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "o"))
+        return code, capsys.readouterr().err
+
+    def test_p_list_not_numbers(self, tmp_path, capsys):
+        assert run_cli("crossover", "--gamma", "1.5", "--alpha", "2.0", "--p-list", "0.2,x",
+                       "--out", str(tmp_path)) == 2
+        assert "--p-list" in capsys.readouterr().err
+
+    def test_config_not_json(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys, '{"gamma": 1.0,')
+        assert code == 2 and "not valid JSON" in err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys, "[1, 2]")
+        assert code == 2 and "JSON object" in err
+
+    def test_config_field_of_the_wrong_type(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys,
+                                    '{"gamma": "a", "alpha": 0.5, "p": 0.2}')
+        assert code == 2 and "gamma" in err
+        base = dict(model="gmm", gamma=1.0, alpha=0.5, p=0.2, n=100, iterations=2)
+        for field, value in (("n", 1.5), ("n", True), ("model", 1), ("d", "5"), ("beta", "a")):
+            for build in (ExperimentConfig.from_dict, lambda kw: ExperimentConfig(**kw)):
+                with pytest.raises(ConfigError, match=field):
+                    build({**base, field: value})
+        # an int is a float, and None is a value of the optional fields
+        config = ExperimentConfig.from_dict({"model": "gmm", "gamma": 1, "alpha": 0.5, "p": 0.2,
+                                             "n": 100, "iterations": 2, "d": None})
+        assert build_params(config).d == 50
+
+    def test_config_of_version_0_2_0_is_refused(self, tmp_path, capsys):
+        # the quadrature order and the link scale left the config in 0.3.0
+        stored = {"aggregator": "opt", "alpha": 0.5, "beta": None, "d": None, "gamma": 1.2,
+                  "iterations": 2, "link": "sign", "link_scale": 1.0, "master_seed": 3,
+                  "model": "gmm", "n": 150, "order": None, "p": 0.2, "pi_plus": 0.5,
+                  "replications": 1}
+        code, err = self.run_config(tmp_path, capsys, json.dumps(stored))
+        assert code == 2 and "link_scale" in err and "order" in err
+
+    @pytest.mark.parametrize("flag", ["--order", "--link-scale"])
+    def test_removed_flags(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("se", "--model", "glm", "--gamma", "1.0", "--alpha", "0.5", "--p", "0.2",
+                    flag, "10", "--out", str(tmp_path))
+        assert exc.value.code == 2
+
+
 class TestOneList:
     """One aggregator list and one variant list serve every command."""
 
@@ -324,6 +378,14 @@ class TestOneList:
                           if isinstance(a, argparse._SubParsersAction))
         sub = subparsers.choices[command]
         return tuple(next(a for a in sub._actions if a.dest == "variant").choices)
+
+    def test_simulate_flags_are_the_config_fields(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in subparsers.choices["simulate"]._actions} - {"help"}
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert dests == fields | {"config", "jobs", "out"}
+        assert "--seed" in subparsers.choices["simulate"]._option_string_actions
 
     def test_variant_choices(self):
         assert self.variant_choices("se") == VARIANTS

@@ -55,16 +55,16 @@ def sign_params(alpha=2.0, p=0.2, n=1000, gamma=1.0):
 class TestLinks:
     def test_factory(self):
         assert isinstance(link_from_name("sign"), SignLink)
-        assert link_from_name("logistic", 2.0).scale == 2.0
+        assert isinstance(link_from_name("logistic"), LogisticLink)
         assert isinstance(link_from_name("probit"), ProbitLink)
         with pytest.raises(ConfigError):
             link_from_name("cauchy")
 
-    def test_scale_validation(self):
-        with pytest.raises(ConfigError):
-            LogisticLink(scale=-1.0)
-        with pytest.raises(ConfigError):
-            ProbitLink(scale=0.0)
+    def test_margin_favours_the_positive_label(self):
+        # h(u) > h(-u) for u > 0 makes the error curve decreasing in the overlap
+        u = np.linspace(1e-3, 8.0, 64)
+        for link in (SignLink(), LogisticLink(), ProbitLink()):
+            assert np.all(link.h(u) > link.h(-u)), link
 
     def test_hat_h_p_sign(self):
         link = SignLink()
@@ -208,7 +208,8 @@ class TestOnsagerGlm:
         aggs = [
             OptimalSign.from_eta(0.8, sign_params(alpha=0.5, p=0.2)),
             OptimalGlm.from_eta(0.8, GlmParams(link=LogisticLink(), **smooth)),
-            OptimalGlm.from_eta(0.8, GlmParams(link=ProbitLink(2.0), **smooth)),
+            # a steep probit link: Phi(2z) at gamma 1.5 is Phi(z) at gamma 3
+            OptimalGlm.from_eta(0.8, GlmParams(link=ProbitLink(), **dict(smooth, gamma=3.0))),
             OptimalGlm.from_eta(0.8, sign_params(alpha=0.5, p=0.2)),  # quadrature
             OptimalSign.from_eta(0.8, sign_params(alpha=0.5, p=0.0)),  # erfcx form
         ]
@@ -295,8 +296,9 @@ class TestErrorCurve:
         assert error_curve_glm(0.0, params) == pytest.approx(0.5, abs=1e-10)
 
     def test_decreasing_in_overlap(self):
-        for link in (SignLink(), LogisticLink(), ProbitLink(0.7)):
-            params = GlmParams(gamma=1.2, alpha=1.5, p=0.1, link=link, n=100)
+        # the probit link at gamma 0.84 is a shallow one, Phi(0.7z) at gamma 1.2
+        for link, gamma in ((SignLink(), 1.2), (LogisticLink(), 1.2), (ProbitLink(), 0.84)):
+            params = GlmParams(gamma=gamma, alpha=1.5, p=0.1, link=link, n=100)
             rhos = np.linspace(-0.99, 0.99, 41)
             vals = [error_curve_glm(float(r), params) for r in rhos]
             assert np.all(np.diff(vals) < 0)

@@ -32,8 +32,8 @@ from amp_retrain.glm_se import (
     se_step_glm_generic,
     se_step_glm_opt,
 )
-from amp_retrain.harness import ExperimentConfig, se_states
-from amp_retrain.numerics import gaussian_rule
+from amp_retrain.harness import ExperimentConfig, build_params, se_states
+from amp_retrain.numerics import expect_output_channel, gaussian_rule
 from amp_retrain.retrain import AmpState, amp_step
 
 
@@ -150,8 +150,8 @@ class TestGenericStep:
         params = GlmParams(gamma=1.0, alpha=1.0, p=0.1, link=LogisticLink(), n=100)
         state = se_init_glm(params)
         agg = optimal_aggregator_for_state(state, params)
-        nxt = se_step_glm_generic(state, agg, params, order=41)
-        assert nxt.eta == pytest.approx(se_step_glm_opt(state.eta, params, order=41), abs=1e-8)
+        nxt = se_step_glm_generic(state, agg, params)
+        assert nxt.eta == pytest.approx(se_step_glm_opt(state.eta, params), abs=1e-8)
 
 
 class TestSmoothedAggregators:
@@ -218,7 +218,7 @@ class TestTrajectories:
 
 class TestErrorPrediction:
     def test_chance_level_every_link(self):
-        for link in (SignLink(), LogisticLink(), ProbitLink(1.0)):
+        for link in (SignLink(), LogisticLink(), ProbitLink()):
             params = GlmParams(gamma=1.0, alpha=0.5, p=0.2, link=link, n=100)
             assert se_error_glm(0.0, params) == pytest.approx(0.5, abs=1e-10)
 
@@ -322,11 +322,13 @@ def old_generic_step(state, agg, params, order=DEFAULT_ORDER_2D):
 
 
 class TestMeanUpdateIsTheMatchedAggregator:
-    @pytest.mark.parametrize("link", [SignLink(), LogisticLink(), ProbitLink(2.0)],
+    # the probit case is a steep link: Phi(2z) at gamma 1.5 is Phi(z) at gamma 3
+    @pytest.mark.parametrize("link,gamma", [(SignLink(), 1.5), (LogisticLink(), 1.5),
+                                            (ProbitLink(), 3.0)],
                              ids=["sign", "logistic", "probit"])
     @pytest.mark.parametrize("name", ["opt", "identity", "smoothed_ft", "smoothed_ct"])
-    def test_against_the_posterior_mean_formula(self, link, name):
-        params = GlmParams(gamma=1.5, alpha=0.5, p=0.2, link=link, n=100)
+    def test_against_the_posterior_mean_formula(self, link, gamma, name):
+        params = GlmParams(gamma=gamma, alpha=0.5, p=0.2, link=link, n=100)
         state = se_init_glm(params)
         for _ in range(2):
             agg = aggregator_from_name(name, 5.0) or optimal_aggregator_for_state(state, params)
@@ -338,3 +340,43 @@ class TestMeanUpdateIsTheMatchedAggregator:
             else:
                 assert (new.mu, new.sigma) == (mu, sigma)
             state = new
+
+
+def reference_step(state, agg, params, order=82):
+    """se_step_glm_generic on a finer (latent margin, prediction) grid."""
+    star = optimal_aggregator_for_state(state, params)
+
+    def integrands(u):
+        return [(s * g, g * g) for s, g in zip(star.label_values(u),
+                                                (agg.value(u, 1.0), agg.value(u, -1.0)))]
+
+    z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
+    mu, e_gg = expect_output_channel(z, zw, hat_h_p(z, params.link, params.p), state.mu,
+                                     state.sigma, agg.y_breakpoints, integrands, order)
+    return SeStateGlm(mu=mu, sigma=math.sqrt(params.alpha * e_gg))
+
+
+class TestFixedOrdersResolveTheTrace:
+    # the quadrature orders are fixed, so each trace is checked against one
+    # computed on an 82-point grid from a first state on an order-301 rule.
+    # Largest gaps measured: 5.0e-12 at beta 5 and 3.9e-7 at beta 20, where
+    # the surrogate's transition is steepest.
+    @pytest.mark.parametrize("link", ["sign", "logistic", "probit"])
+    @pytest.mark.parametrize("name,beta,tol", [("opt", None, 1e-10), ("identity", None, 1e-10),
+                                               ("smoothed_ft", 5.0, 1e-10),
+                                               ("smoothed_ct", 5.0, 1e-10),
+                                               ("smoothed_ft", 20.0, 1e-5),
+                                               ("smoothed_ct", 20.0, 1e-5)])
+    def test_against_an_82_point_grid(self, link, name, beta, tol):
+        config = ExperimentConfig(model="glm", link=link, gamma=2.0, alpha=0.5, p=0.2, n=100,
+                                  iterations=8, aggregator=name, beta=beta)
+        states, _ = se_states(config)
+        params = build_params(config)
+        z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, 301)
+        mu1 = 2.0 / params.prior_var * float((z * hat_h_p(z, params.link, params.p)) @ zw)
+        ref = SeStateGlm(mu=mu1, sigma=math.sqrt(params.alpha))
+        assert abs(states[0].eta - ref.eta) <= 1e-12
+        for state in states[1:]:
+            agg = aggregator_from_name(name, beta) or optimal_aggregator_for_state(ref, params)
+            ref = reference_step(ref, agg, params)
+            assert abs(state.eta - ref.eta) <= tol

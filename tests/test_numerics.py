@@ -113,6 +113,14 @@ class TestGaussHermite:
             with pytest.raises(ConfigError):
                 gaussian_rule(0.0, 1.0, breakpoints, order=1)
 
+    def test_refuses_orders_it_cannot_build(self):
+        # numpy's construction overflows from order 371 on; the suite runs
+        # with RuntimeWarnings as errors, so a warning would fail this test
+        assert np.all(gauss_hermite(370).weights > 0)
+        for order in (371, 400):
+            with pytest.raises(ConfigError, match=f"order {order}"):
+                gauss_hermite(order)
+
 
 class TestExpectations:
     def test_1d_examples(self):
@@ -157,7 +165,7 @@ class TestExpectations:
     def test_sd_validation(self):
         for sd in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
-                gaussian_rule(0.0, sd)
+                gaussian_rule(0.0, sd, (), 61)
 
     def test_raw_rules_only_used_by_the_builder(self):
         for path in SRC.glob("*.py"):
