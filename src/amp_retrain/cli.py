@@ -77,16 +77,21 @@ _CONFIG_FIELDS = tuple(field.name for field in fields(ExperimentConfig))
 _DEFAULTS = {"model": "gmm", "iterations": 10, "n": 1000}
 
 
+def _read_json_object(path: str, flag: str, what: str) -> dict:
+    """The JSON object in the file a flag names; anything else is a ConfigError."""
+    try:
+        stored = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{flag} {path} is not valid JSON: {exc}") from None
+    if not isinstance(stored, dict):
+        raise ConfigError(f"{flag} {path} must hold a JSON object of {what}")
+    return stored
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     payload = {}
     if args.config:
-        try:
-            stored = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--config {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(stored, dict):
-            raise ConfigError(f"--config {args.config} must hold a JSON object of config fields")
-        payload.update(stored)
+        payload.update(_read_json_object(args.config, "--config", "config fields"))
     for field in _CONFIG_FIELDS:
         value = getattr(args, field, None)
         if value is not None:
@@ -205,13 +210,16 @@ def _cmd_bayesmix(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.action == "apply":
         records = read_logit_file(args.input)
-        payload = json.loads(Path(args.fit).read_text())
-        fit = BimodalFit(**payload["fit"])
+        stored = _read_json_object(args.fit, "--fit", "a fit run's fit.json").get("fit")
+        try:
+            fit = BimodalFit(**stored)
+        except TypeError:
+            raise ConfigError(f'--fit {args.fit} lacks the "fit" object of a fit.json') from None
         targets = emit_targets(records, fit, cfg)
         path = out / "targets.tsv"
         write_targets_file(path, targets,
                            meta={"config": json.dumps(asdict(cfg), sort_keys=True),
-                                 "fit": json.dumps(payload["fit"], sort_keys=True)})
+                                 "fit": json.dumps(stored, sort_keys=True)})
         print(f"wrote {path}")
         return EXIT_OK
     # demo

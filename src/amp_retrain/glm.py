@@ -155,8 +155,8 @@ def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
 # --------------------------------------------------------------------------
 
 def _posterior_moments(u, labels, quad_a, lin_b, link, p, prior_var, variance):
-    """E[Z | u, yhat], and Var[Z | u, yhat] when ``variance``, for each yhat in
-    ``labels``: {yhat: (mean, var or None)}, vectorized over u.
+    """E[Z | u, yhat], Var[Z | u, yhat] when ``variance``, and P(yhat | u) for
+    each yhat in ``labels``: {yhat: (mean, var or None, prob)}, vectorized over u.
 
     The posterior density is proportional to
         exp(-quad_a*z^2/2 + lin_b*u*z) * f_yhat(z) * exp(-z^2/(2*prior_var)),
@@ -193,7 +193,7 @@ def _posterior_moments(u, labels, quad_a, lin_b, link, p, prior_var, variance):
             # each offset is a fresh temporary, which numpy reuses in place
             c1 = dot(f * (z - m[..., None]), w) / den
             var = dot(f * (z - m[..., None]) ** 2, w) / den - c1 * c1
-        out[lab] = (dot(f * z, w) / den, var)
+        out[lab] = (dot(f * z, w) / den, var, den)
     return out
 
 
@@ -227,26 +227,16 @@ class OptimalGlm:
             raise DomainError(
                 "eta = 0 with the sign link: use the closed-form sign aggregator limit"
             )
-        return cls(
-            quad_a=eta**2,
-            lin_b=1.0 / params.alpha,
-            link=params.link,
-            p=params.p,
-            prior_var=params.prior_var,
-        )
+        return cls(quad_a=eta**2, lin_b=1.0 / params.alpha, link=params.link, p=params.p,
+                   prior_var=params.prior_var)
 
     @classmethod
     def from_se_state(cls, state, params: GlmParams) -> "OptimalGlm":
-        return cls(
-            quad_a=(state.mu / state.sigma) ** 2,
-            lin_b=state.mu / state.sigma**2,
-            link=params.link,
-            p=params.p,
-            prior_var=params.prior_var,
-        )
+        return cls(quad_a=(state.mu / state.sigma) ** 2, lin_b=state.mu / state.sigma**2,
+                   link=params.link, p=params.p, prior_var=params.prior_var)
 
     def _evaluate(self, u, labels, deriv):
-        """{yhat: (g, dg/du or None)} at the points u for each label of ``labels``.
+        """{yhat: (g, dg/du or None, P(yhat | u))} at u for each label of ``labels``.
 
         dg/du = (1/prior_var + quad_a) * lin_b * Var[Z | u, yhat] - lin_b,
         since dE[Z | u, yhat]/du = lin_b * Var[Z | u, yhat].
@@ -255,8 +245,8 @@ class OptimalGlm:
         moments = _posterior_moments(u, labels, self.quad_a, self.lin_b, self.link,
                                      self.p, self.prior_var, deriv)
         return {lab: (prefac * mean - self.lin_b * u,
-                      prefac * self.lin_b * var - self.lin_b if deriv else None)
-                for lab, (mean, var) in moments.items()}
+                      prefac * self.lin_b * var - self.lin_b if deriv else None, prob)
+                for lab, (mean, var, prob) in moments.items()}
 
     def _per_label(self, u, yhat, deriv):
         # each point has one label: one posterior rule per label's subset
@@ -266,8 +256,7 @@ class OptimalGlm:
         for lab in (1.0, -1.0):
             mask = yhat == lab
             if np.any(mask):
-                g_lab, dg_lab = self._evaluate(u[mask], (lab,), deriv)[lab]
-                g[mask] = g_lab
+                g[mask], dg_lab, _ = self._evaluate(u[mask], (lab,), deriv)[lab]
                 if deriv:
                     dg[mask] = dg_lab
         return g, dg
@@ -279,11 +268,11 @@ class OptimalGlm:
         return self._per_label(u, yhat, True)
 
     def label_values(self, u):
-        """(g(u, +1), g(u, -1)): both labels at the same points share the rule
-        and the link evaluation."""
+        """(g(u, +1), g(u, -1), P(Yhat = +1 | u)): both labels at the same points
+        share the rule and the link evaluation."""
         u, _ = _label_arrays(u, 1.0)
         g = self._evaluate(u.ravel(), (1.0, -1.0), False)
-        return g[1.0][0].reshape(u.shape), g[-1.0][0].reshape(u.shape)
+        return tuple(a.reshape(u.shape) for a in (g[1.0][0], g[-1.0][0], g[1.0][2]))
 
 
 @dataclass(frozen=True)
@@ -338,13 +327,24 @@ class OptimalSign:
 
     def value_and_deriv(self, u, yhat):
         """dg/du = -lin_b * (r*s*g + s^2*g^2): the numerator's r-derivative is
-        -r times itself and the denominator's is the numerator."""
+        -r times itself and the denominator's is the numerator.  At p = 0 the
+        sum is lam*(t + lam) with t = yhat*r and lam = yhat*s*g = phi(t)/Phi(t)
+        the inverse Mills ratio, and t + lam cancels below t = -8; there it is
+        1/(x + 2/(x + 3/(x + ...))) at x = -t, exact to rounding at 20 terms."""
+        u, yhat = _label_arrays(u, yhat)
         g, r, s = self._value(u, yhat)
-        return g, -self.lin_b * (r * s * g + s * s * g * g)
+        dg = -self.lin_b * (r * s * g + s * s * g * g)
+        if self.p == 0.0:
+            x = cf = np.maximum(-yhat * r, 8.0)
+            for k in range(20, 1, -1):
+                cf = x + k / cf
+            dg = np.where(yhat * r <= -8.0, -self.lin_b * yhat * s * g / cf, dg)
+        return g, dg
 
     def label_values(self, u):
-        """(g(u, +1), g(u, -1)), in closed form."""
-        return self.value(u, 1.0), self.value(u, -1.0)
+        """(g(u, +1), g(u, -1), P(Yhat = +1 | u) = p + (1-2p)*Phi(r)), in closed form."""
+        g_plus, r, _ = self._value(u, 1.0)
+        return g_plus, self.value(u, -1.0), self.p + (1.0 - 2.0 * self.p) * std_normal_cdf(r)
 
 
 # --------------------------------------------------------------------------

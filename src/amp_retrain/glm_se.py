@@ -16,10 +16,9 @@ from .errors import DomainError
 from .glm import GlmParams, OptimalGlm, OptimalSign, SignLink, _error_from_overlap, hat_h_p
 from .numerics import expect_output_channel, gaussian_rule
 
-# Quadrature orders of the first state's rule and of each axis of a step's
-# (latent margin, prediction) grid; the posterior rule's is glm.ORDER.
-INIT_ORDER = 201
-DEFAULT_ORDER_2D = 41
+# Quadrature order of the first state's rule over the latent margin and of
+# each step's rule over the prediction; the posterior rule's is glm.ORDER.
+DEFAULT_ORDER = 201
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class SeStateGlm:
 def quadrature_init_mu_glm(params: GlmParams) -> float:
     """mu_1 = (2/prior_var) * E[Z * hhat_p(Z)], Z ~ N(0, prior_var), by quadrature."""
     z, w = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities,
-                         INIT_ORDER)
+                         DEFAULT_ORDER)
     return 2.0 / params.prior_var * float((z * hat_h_p(z, params.link, params.p)) @ w)
 
 
@@ -79,25 +78,21 @@ def se_step_glm_generic(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm
 
     mu' = E[g*(Z_t, Yhat) g(Z_t, Yhat)],  sigma'^2 = alpha * E[g^2],
     where g* = (1/prior_var + (mu/sigma)^2) E[Z | Z_t, Yhat] - (mu/sigma^2) Z_t
-    is the aggregator matched to the state's channel
-    (:func:`optimal_aggregator_for_state`).  When g is that aggregator its
-    values are reused, so an optimal step evaluates the posterior once.  The
-    identity aggregator (no-retraining baseline) gives sigma'^2 = alpha exactly.
+    is the aggregator matched to the state (:func:`optimal_aggregator_for_state`).
+    Yhat depends on Z_t only through the margin's posterior, so the expectation
+    is over Z_t ~ N(0, mu^2*prior_var + sigma^2), on a rule split at g's
+    breakpoints, with P(Yhat = +1 | Z_t) from g*'s ``label_values``.  When g is
+    g* its values are reused.  The identity aggregator gives sigma'^2 = alpha.
     """
     star = optimal_aggregator_for_state(state, params)
-
-    def integrands(u):
-        star_values = star.label_values(u)
-        values = star_values if agg == star else [agg.value(u, lab) for lab in (1.0, -1.0)]
-        return [(s * g, g ** 2) for s, g in zip(star_values, values)]
-
-    # the latent margin's rule is split at the link's jumps, where the label
-    # probability is only piecewise smooth in Z
-    z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities,
-                          DEFAULT_ORDER_2D)
-    mu_next, e_gg = expect_output_channel(z, zw, hat_h_p(z, params.link, params.p), state.mu,
-                                          state.sigma, agg.y_breakpoints, integrands,
-                                          DEFAULT_ORDER_2D)
+    sd = math.sqrt(state.mu**2 * params.prior_var + state.sigma**2)
+    u, uw = gaussian_rule(0.0, sd, agg.y_breakpoints, DEFAULT_ORDER)
+    *star_values, prob_plus = star.label_values(u)
+    values = star_values if agg == star else [agg.value(u, lab) for lab in (1.0, -1.0)]
+    # the kernel's latent is Z_t itself, as a point mass (sd 0): one column per node
+    integrands = [[(s * g)[:, None], (g * g)[:, None]] for s, g in zip(star_values, values)]
+    mu_next, e_gg = expect_output_channel(u, uw, prob_plus, 1.0, 0.0, (),
+                                          lambda _: integrands, DEFAULT_ORDER)
     s2 = params.alpha * e_gg
     if not (s2 > 0 and math.isfinite(s2) and math.isfinite(mu_next)):
         raise DomainError("state-evolution expectation degenerate or non-finite")

@@ -54,18 +54,14 @@ _SPLIT_HALF_WIDTH = 14.0
 _BLOCK_ELEMENTS = 2**21
 
 
-def _validate_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"{what} must be finite")
-
-
 def std_normal_cdf(x):
     """Standard normal CDF, accurate to <=1e-12 absolute (erf-based).
 
     Accepts scalars or arrays; non-finite input raises :class:`DomainError`.
     """
     arr = np.asarray(x, dtype=float)
-    _validate_finite(arr, "std_normal_cdf argument")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("std_normal_cdf argument must be finite")
     out = ndtr(arr)
     return float(out) if arr.ndim == 0 else out
 
@@ -89,7 +85,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 @lru_cache(maxsize=64)
@@ -103,7 +98,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
         raise ConfigError(f"no Gauss-Hermite rule of order {order} (its weights overflow)")
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 @lru_cache(maxsize=64)
@@ -114,7 +109,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
     nodes, weights = roots_legendre(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def gaussian_rule(mean, sd: float, breakpoints: Sequence[float], order: int):
@@ -145,15 +140,9 @@ def gaussian_rule(mean, sd: float, breakpoints: Sequence[float], order: int):
     hi = mean + _SPLIT_HALF_WIDTH * sd
     cuts = np.stack([lo, *(np.clip(b, lo, hi) for b in sorted(breakpoints)), hi], axis=-2)
     half = 0.5 * (cuts[..., 1:, :] - cuts[..., :-1, :])
-    # one rule per centre can make these arrays large: build them in place
-    nodes = half * rule.nodes
-    nodes += 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
-    weights = nodes - mean[..., None]
-    weights *= weights
-    weights *= -0.5 / (sd * sd)
-    np.exp(weights, out=weights)
-    weights *= half / (sd * _SQRT_2PI)
-    weights *= rule.weights
+    nodes = half * rule.nodes + 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
+    density = np.exp((nodes - mean[..., None]) ** 2 * (-0.5 / (sd * sd)))
+    weights = density * (half / (sd * _SQRT_2PI)) * rule.weights
     shape = mean.shape[:-1] + (-1,)
     return nodes.reshape(shape), weights.reshape(shape)
 

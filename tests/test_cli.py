@@ -286,6 +286,19 @@ class TestBayesmix:
         _m, _c, rows = read_table(out / "demo.tsv")
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("text", ['{"fit": {"mu_plus": 1.0,', '{"schema": "bayesmix-fit v1"}',
+                                      '{"fit": {"mu_plus": 1.0}}', '[1, 2]'],
+                             ids=["not_json", "no_fit", "fit_fields_missing", "not_an_object"])
+    def test_apply_with_a_bad_fit_file(self, tmp_path, capsys, text):
+        logit_path = tmp_path / "logits.tsv"
+        self._write_logits(logit_path)
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(text)
+        assert run_cli("bayesmix", "apply", "--input", str(logit_path), "--fit", str(fit_path),
+                       "--p", "0.3", "--out", str(tmp_path / "apply")) == 2
+        assert f"--fit {fit_path}" in capsys.readouterr().err
+        assert not (tmp_path / "apply" / "targets.tsv").exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("id\tz\tyhat\nx\toops\t1\n")

@@ -165,6 +165,24 @@ class TestOptimalAggregator:
             assert np.all(np.isfinite(g)) and np.all(np.isfinite(dg))
             assert np.all(g[far * yhat > 0] == 0.0)
 
+    def test_sign_without_flips_derivative_far_on_the_wrong_side(self):
+        # at confident wrong-side predictions the closed form's two terms
+        # cancel; against a 50-digit derivative of g = yhat*phi(r)/(s*Phi(yhat*r))
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        agg = OptimalSign.from_eta(3.0, sign_params(alpha=0.5, p=0.0))
+        s = 1 / mpmath.sqrt(1 / mpmath.mpf(agg.alpha) + agg.quad_a)
+
+        def g(u, yhat):
+            r = agg.lin_b * s * u
+            return yhat * mpmath.npdf(r) / (s * mpmath.ncdf(yhat * r))
+
+        for yhat in (1.0, -1.0):
+            for u in (-1e2, -1e3, -1e6):
+                exact = mpmath.diff(lambda x: g(x, yhat), mpmath.mpf(u * yhat))
+                dg = agg.value_and_deriv(u * yhat, yhat)[1]
+                assert abs(float((dg - exact) / exact)) <= 1e-12, (yhat, u)
+
     def test_near_pure_noise_vanishes(self):
         params = sign_params(alpha=2.0, p=0.4999999)
         assert abs(float(OptimalSign.from_eta(0.5, params).value(0.7, 1))) <= 1e-5

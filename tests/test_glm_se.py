@@ -23,7 +23,7 @@ from amp_retrain.gmm import (
     aggregator_from_name,
 )
 from amp_retrain.glm_se import (
-    DEFAULT_ORDER_2D,
+    DEFAULT_ORDER,
     SeStateGlm,
     optimal_aggregator_for_state,
     quadrature_init_mu_glm,
@@ -163,7 +163,7 @@ class TestSmoothedAggregators:
             params = GlmParams(gamma=1.0, alpha=0.5, p=0.2, link=link, n=100)
             for beta in (5.0, 20.0):
                 nxt = se_step_glm_generic(se_init_glm(params), SmoothedFullRT(beta), params)
-                assert abs(nxt.mu) <= 1e-7, (link, beta, nxt.mu)
+                assert abs(nxt.mu) <= 1e-13, (link, beta, nxt.mu)
 
     def test_consensus_resolved_at_default_order(self):
         # reference E[g^2] for g = yhat * sigmoid(beta * u * yhat): the latent
@@ -256,25 +256,21 @@ def counting_params():
 
 class TestLinkEvaluations:
     # one posterior rule and one link evaluation serve both labels, the value
-    # and the derivative, and the SE's g* and the scheduled aggregator
-    K, INNER = DEFAULT_ORDER_2D, 61
-
-    def inner_grid_evaluations(self):
-        # the outer latent-margin rule's hhat_p is the K-node call
-        return [size for size in CountingLink.sizes if size != self.K]
+    # and the derivative, and the SE's g*, its label probability and the
+    # scheduled aggregator; the prediction's rule needs no link evaluation
+    K, INNER = DEFAULT_ORDER, 61
 
     def test_opt_map_step(self):
         params = counting_params()
         se_step_glm_opt(0.8, params)
-        assert CountingLink.sizes.count(self.K) == 1
-        assert self.inner_grid_evaluations() == [self.K * self.K * self.INNER]
+        assert CountingLink.sizes == [self.K * self.INNER]
 
     def test_generic_opt_step(self):
         params = counting_params()
         state = se_init_glm(params)
         CountingLink.sizes.clear()
         se_step_glm_generic(state, optimal_aggregator_for_state(state, params), params)
-        assert self.inner_grid_evaluations() == [self.K * self.K * self.INNER]
+        assert CountingLink.sizes == [self.K * self.INNER]
 
     def test_generic_step_of_another_aggregator(self):
         params = counting_params()
@@ -282,8 +278,8 @@ class TestLinkEvaluations:
         for agg in (IdentityAggregator(), SmoothedConsensusRT(5.0)):
             CountingLink.sizes.clear()
             se_step_glm_generic(state, agg, params)
-            u_nodes = self.K * self.K * (len(agg.y_breakpoints) + 1)
-            assert self.inner_grid_evaluations() == [u_nodes * self.INNER]
+            pieces = len(agg.y_breakpoints) + 1
+            assert CountingLink.sizes == [pieces * self.K * self.INNER]
 
     def test_amp_step_once_per_label_subset(self):
         params = counting_params()
@@ -296,28 +292,31 @@ class TestLinkEvaluations:
         assert CountingLink.sizes == [26 * self.INNER, 14 * self.INNER]
 
 
-def old_generic_step(state, agg, params, order=DEFAULT_ORDER_2D):
-    """The generic step as prefac * E[Z | u, yhat] - b * u against g, with the
+def old_generic_step(state, agg, params, order):
+    """The generic step on a (latent margin, prediction) grid of ``order``
+    nodes per axis, as prefac * E[Z | u, yhat] - b * u against g, with the
     posterior mean by its own quadrature at order 61."""
     quad_a = (state.mu / state.sigma) ** 2
     lin_b = state.mu / state.sigma**2
     prefac = 1.0 / params.prior_var + quad_a
-    z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
-    u, uw = gaussian_rule(state.mu * z, state.sigma, agg.y_breakpoints, order)
-    hp = hat_h_p(z, params.link, params.p)[:, None]
-    w2 = zw[:, None] * uw
     s2 = 1.0 / (quad_a + 1.0 / params.prior_var)
-    m = lin_b * s2 * u.ravel()
-    nodes, weights = gaussian_rule(m, math.sqrt(s2), params.link.discontinuities, 61)
-    dot = np.matmul if weights.ndim == 1 else np.vecdot
-    h_nodes = hat_h_p(nodes, params.link, params.p)
+    z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
     mu = e_gg = 0.0
-    for lab, weight in ((1.0, hp), (-1.0, 1.0 - hp)):
-        f = h_nodes if lab > 0 else 1.0 - h_nodes
-        mean = (dot(f * nodes, weights) / dot(f, weights)).reshape(u.shape)
-        g = agg.value(u, lab)
-        mu += np.sum(w2 * weight * ((prefac * mean - lin_b * u) * g))
-        e_gg += np.sum(w2 * weight * g ** 2)
+    # a few latent nodes at a time bound the (prediction, posterior node) arrays
+    for rows in np.array_split(np.arange(z.size), max(1, z.size // 16)):
+        u, uw = gaussian_rule(state.mu * z[rows], state.sigma, agg.y_breakpoints, order)
+        hp = hat_h_p(z[rows], params.link, params.p)[:, None]
+        w2 = zw[rows, None] * uw
+        nodes, weights = gaussian_rule(lin_b * s2 * u.ravel(), math.sqrt(s2),
+                                       params.link.discontinuities, 61)
+        dot = np.matmul if weights.ndim == 1 else np.vecdot
+        h_nodes = hat_h_p(nodes, params.link, params.p)
+        for lab, weight in ((1.0, hp), (-1.0, 1.0 - hp)):
+            f = h_nodes if lab > 0 else 1.0 - h_nodes
+            mean = (dot(f * nodes, weights) / dot(f, weights)).reshape(u.shape)
+            g = agg.value(u, lab)
+            mu += np.sum(w2 * weight * ((prefac * mean - lin_b * u) * g))
+            e_gg += np.sum(w2 * weight * g ** 2)
     return float(mu), math.sqrt(params.alpha * float(e_gg))
 
 
@@ -333,12 +332,8 @@ class TestMeanUpdateIsTheMatchedAggregator:
         for _ in range(2):
             agg = aggregator_from_name(name, 5.0) or optimal_aggregator_for_state(state, params)
             new = se_step_glm_generic(state, agg, params)
-            mu, sigma = old_generic_step(state, agg, params)
-            if isinstance(link, SignLink):
-                assert new.mu == pytest.approx(mu, abs=1e-13)
-                assert new.sigma == pytest.approx(sigma, abs=1e-13)
-            else:
-                assert (new.mu, new.sigma) == (mu, sigma)
+            mu, sigma = old_generic_step(state, agg, params, order=201)
+            assert abs(new.mu - mu) <= 1e-12 and abs(new.sigma - sigma) <= 1e-12
             state = new
 
 
@@ -347,7 +342,8 @@ def reference_step(state, agg, params, order=82):
     star = optimal_aggregator_for_state(state, params)
 
     def integrands(u):
-        return [(s * g, g * g) for s, g in zip(star.label_values(u),
+        star_plus, star_minus, _ = star.label_values(u)
+        return [(s * g, g * g) for s, g in zip((star_plus, star_minus),
                                                 (agg.value(u, 1.0), agg.value(u, -1.0)))]
 
     z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
@@ -358,16 +354,12 @@ def reference_step(state, agg, params, order=82):
 
 class TestFixedOrdersResolveTheTrace:
     # the quadrature orders are fixed, so each trace is checked against one
-    # computed on an 82-point grid from a first state on an order-301 rule.
-    # Largest gaps measured: 5.0e-12 at beta 5 and 3.9e-7 at beta 20, where
-    # the surrogate's transition is steepest.
+    # computed on an 82-point 2-D grid from a first state on an order-301 rule
     @pytest.mark.parametrize("link", ["sign", "logistic", "probit"])
-    @pytest.mark.parametrize("name,beta,tol", [("opt", None, 1e-10), ("identity", None, 1e-10),
-                                               ("smoothed_ft", 5.0, 1e-10),
-                                               ("smoothed_ct", 5.0, 1e-10),
-                                               ("smoothed_ft", 20.0, 1e-5),
-                                               ("smoothed_ct", 20.0, 1e-5)])
-    def test_against_an_82_point_grid(self, link, name, beta, tol):
+    @pytest.mark.parametrize("name,beta", [("opt", None), ("identity", None),
+                                           ("smoothed_ft", 5.0), ("smoothed_ct", 5.0),
+                                           ("smoothed_ft", 20.0), ("smoothed_ct", 20.0)])
+    def test_against_an_82_point_grid(self, link, name, beta):
         config = ExperimentConfig(model="glm", link=link, gamma=2.0, alpha=0.5, p=0.2, n=100,
                                   iterations=8, aggregator=name, beta=beta)
         states, _ = se_states(config)
@@ -379,4 +371,4 @@ class TestFixedOrdersResolveTheTrace:
         for state in states[1:]:
             agg = aggregator_from_name(name, beta) or optimal_aggregator_for_state(ref, params)
             ref = reference_step(ref, agg, params)
-            assert abs(state.eta - ref.eta) <= tol
+            assert abs(state.eta - ref.eta) <= 1e-12
