@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, DomainError
 from .gmm import GmmParams, _label_arrays, sample_gmm_dataset, test_error_gmm
-from .numerics import RngStream
+from .numerics import RngStream, _matvec, _rmatvec
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,11 @@ class BayesMixConfig:
 
 @dataclass(frozen=True)
 class BimodalFit:
-    """Two-component 1-D Gaussian mixture; 'plus' is the higher-mean component."""
+    """Two-component 1-D Gaussian mixture; 'plus' is the higher-mean component.
+
+    The means must be finite, the sigmas positive and finite, and pi_plus in
+    (0, 1); anything else raises :class:`DegenerateFitError`.
+    """
 
     mu_plus: float
     mu_minus: float
@@ -63,6 +67,19 @@ class BimodalFit:
     loglik: float
     iterations: int
     sigma_clamped: bool = False
+
+    def __post_init__(self):
+        means = (self.mu_plus, self.mu_minus)
+        sigmas = (self.sigma_plus, self.sigma_minus)
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (*means, *sigmas, self.pi_plus)):
+            raise DegenerateFitError("fit means, sigmas and pi_plus must be numbers")
+        if not all(math.isfinite(m) for m in means):
+            raise DegenerateFitError("fit means must be finite")
+        if not all(0.0 < s < math.inf for s in sigmas):
+            raise DegenerateFitError("fit sigmas must be positive and finite")
+        if not 0.0 < self.pi_plus < 1.0:
+            raise DegenerateFitError("fit pi_plus must lie in (0, 1)")
 
 
 def _gauss_pdf(z, mu, sigma):
@@ -209,11 +226,11 @@ def bayesmix_retrain_demo(
     accuracies: List[float] = []
     halted_at = None
     for rnd in range(T):
-        w = data.X.T @ targets / data.n
+        w = _rmatvec(data.X, targets) / data.n
         accuracies.append(1.0 - test_error_gmm(w, data.mu))
         if rnd == T - 1:
             break
-        logits = data.X @ w
+        logits = _matvec(data.X, w)
         try:
             fit = fit_bimodal_em(logits, cfg)
         except DegenerateFitError:

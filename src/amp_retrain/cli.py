@@ -26,7 +26,13 @@ from .bayesmix import (
     emit_targets,
     fit_bimodal_em,
 )
-from .errors import AmpRetrainError, ConfigError, DivergenceError, ParseError
+from .errors import (
+    AmpRetrainError,
+    ConfigError,
+    DegenerateFitError,
+    DivergenceError,
+    ParseError,
+)
 from .gmm import GmmParams
 from .gmm_se import VARIANTS
 from .harness import (
@@ -215,6 +221,8 @@ def _cmd_bayesmix(args: argparse.Namespace) -> int:
             fit = BimodalFit(**stored)
         except TypeError:
             raise ConfigError(f'--fit {args.fit} lacks the "fit" object of a fit.json') from None
+        except DegenerateFitError as exc:
+            raise ConfigError(f"--fit {args.fit}: {exc}") from None
         targets = emit_targets(records, fit, cfg)
         path = out / "targets.tsv"
         write_targets_file(path, targets,

@@ -18,7 +18,7 @@ from .errors import ConfigError, DegenerateModelError, DomainError
 from scipy.special import erfcx, ndtr
 
 from .gmm import _label_arrays, _validate_shared_params
-from .numerics import RngStream, gaussian_rule, stable_logistic, std_normal_cdf
+from .numerics import RngStream, _matvec, gaussian_rule, stable_logistic, std_normal_cdf
 
 
 # Quadrature order of the posterior rule of OptimalGlm and of the error curve.
@@ -118,7 +118,12 @@ class GlmParams:
 
 @dataclass(frozen=True, eq=False)
 class GlmDataset:
-    X: np.ndarray          # (n, d), entries N(0, 1/n)
+    """Sampled design, coefficients, clean and flipped labels.
+
+    X is float32 (:func:`sample_glm_dataset`); the vectors are float64.
+    """
+
+    X: np.ndarray          # (n, d) float32, entries N(0, 1/n)
     beta_true: np.ndarray  # (d,), ||beta||^2/d = gamma_eff^2
     y_true: np.ndarray     # (n,) of +-1
     y_noisy: np.ndarray    # (n,) of +-1
@@ -138,12 +143,16 @@ class GlmDataset:
 
 
 def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
-    """Rows x_i ~ N(0, I/n); P(y=1|x) = h(x.beta); labels flipped w.p. p."""
+    """Rows x_i ~ N(0, I/n); P(y=1|x) = h(x.beta); labels flipped w.p. p.
+
+    X is the float32 :meth:`RngStream.gaussian_matrix`; the margins x.beta
+    are its float32 product with beta, returned as float64.
+    """
     gen = rng.generator()
     beta = gen.standard_normal(params.d)
     beta *= params.gamma_eff * math.sqrt(params.d) / np.linalg.norm(beta)
     X = rng.gaussian_matrix(params.n, params.d, sd=1.0 / math.sqrt(params.n))
-    margins = X @ beta
+    margins = _matvec(X, beta)
     y = np.where(gen.random(params.n) < params.link.h(margins), 1.0, -1.0)
     flips = gen.random(params.n) < params.p
     y_noisy = np.where(flips, -y, y)

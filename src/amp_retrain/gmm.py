@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, DomainError
-from .numerics import RngStream, stable_logistic, std_normal_cdf
+from .numerics import RngStream, _rmatvec, stable_logistic, std_normal_cdf
 
 
 # --------------------------------------------------------------------------
@@ -74,9 +74,12 @@ class GmmParams:
 
 @dataclass(frozen=True, eq=False)
 class GmmDataset:
-    """Sampled features, clean labels, flipped labels, and the mean direction."""
+    """Sampled features, clean labels, flipped labels, and the mean direction.
 
-    X: np.ndarray        # (n, d)
+    X is float32 (:func:`sample_gmm_dataset`); the vectors are float64.
+    """
+
+    X: np.ndarray        # (n, d) float32
     y_true: np.ndarray   # (n,) of +-1
     y_noisy: np.ndarray  # (n,) of +-1
     mu: np.ndarray       # (d,), norm equals gamma
@@ -101,9 +104,10 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
     The mean is sampled with iid standard normal entries and rescaled so its
     norm equals gamma exactly.  The stream's generator draws mu, the labels
     and the flips, in that order; the noise matrix comes from the stream's
-    block children (:meth:`RngStream.gaussian_matrix`).  Identical streams
-    reproduce identical datasets.  (Before version 0.2.0 the generator also
-    drew the noise, between the labels and the flips.)
+    block children (:meth:`RngStream.gaussian_matrix`), and X is that float32
+    matrix plus +-mu rounded to float32.  Identical streams reproduce
+    identical datasets.  (Before version 0.2.0 the generator also drew the
+    noise, between the labels and the flips.)
     """
     if params.n * (params.d or 0) == 0:
         raise ConfigError("empty dataset requested")
@@ -112,11 +116,12 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
     mu *= params.gamma / np.linalg.norm(mu)
     y = np.where(gen.random(params.n) < params.pi_plus, 1.0, -1.0)
     X = rng.gaussian_matrix(params.n, params.d)
-    # add +-mu row by row in place (exact, y is +-1): y[:, None] * mu would
-    # build a temporary as large as X
+    # add +-mu row by row in place (y is +-1): y[:, None] * mu would build a
+    # temporary as large as X, and a float64 mu would make numpy upcast X
     pos = (y > 0)[:, None]
-    np.add(X, mu, out=X, where=pos)
-    np.subtract(X, mu, out=X, where=~pos)
+    mu32 = mu.astype(X.dtype)
+    np.add(X, mu32, out=X, where=pos)
+    np.subtract(X, mu32, out=X, where=~pos)
     flips = gen.random(params.n) < params.p
     y_noisy = np.where(flips, -y, y)
     return GmmDataset(X=X, y_true=y, y_noisy=y_noisy, mu=mu)
@@ -313,7 +318,7 @@ def test_error_gmm(theta: np.ndarray, mu: np.ndarray) -> float:
 
 def vanilla_estimator(data: GmmDataset) -> np.ndarray:
     """One-shot linear baseline X^T y_noisy / n (no retraining)."""
-    return data.X.T @ data.y_noisy / data.n
+    return _rmatvec(data.X, data.y_noisy) / data.n
 
 
 def gmm_evaluator(data: GmmDataset):

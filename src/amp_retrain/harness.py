@@ -284,20 +284,23 @@ def cobweb_rows(config: ExperimentConfig, u1: float, steps: int,
     """(kind, x, y) rows: the sampled map, the diagonal, and the iterate trace.
 
     The mixture has the map of every variant (:class:`SeMapSpec`); the GLM
-    has the optimal map only.
+    has the optimal map only.  The map is evaluated once on the whole grid.
     """
     params = build_params(config)
     if config.model == "gmm":
         fmap = SeMapSpec(variant=variant, params=params, beta=config.beta).as_function()
     elif variant == "opt":
-        fmap = lambda u: se_step_glm_opt(np.sqrt(u), params) ** 2
+        # se_step_glm_opt takes one eta at a time
+        opt_map = np.vectorize(lambda u: se_step_glm_opt(np.sqrt(u), params) ** 2,
+                               otypes=[float])
+        fmap = lambda u: opt_map(u)[()]
     else:
         raise ConfigError(f"the glm cobweb has the opt map only, not {variant}")
     trace = cobweb_trace(fmap, u1, steps)
     top = max((u for (u, fu) in trace.points), default=1.0)
     top = max(top, u1, 1.0) * 1.2
     grid = np.linspace(0.0 if config.model == "gmm" else max(1e-6, u1 * 1e-3), top, 200)
-    rows = [("map", float(u), float(fmap(float(u)))) for u in grid]
+    rows = [("map", float(u), float(fu)) for u, fu in zip(grid, fmap(grid))]
     rows += [("diagonal", float(u), float(u)) for u in grid]
     rows += [("trace", float(u), float(fu)) for (u, fu) in trace.points]
     return rows

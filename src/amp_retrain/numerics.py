@@ -2,8 +2,9 @@
 
 Gaussian CDF, one builder of quadrature rules for Gaussian expectations, the
 output-channel expectation of a state-evolution step, bisection root
-finding, an overflow-safe logistic, and deterministic splittable RNG streams
-with a block-parallel Gaussian matrix sampler.
+finding, an overflow-safe logistic, deterministic splittable RNG streams
+with a block-parallel Gaussian matrix sampler, and the two products with a
+design matrix.
 
 Quadrature conventions
 ----------------------
@@ -24,7 +25,17 @@ Random matrices
 ``_BLOCK_ELEMENTS`` entries, block k from child k of the stream's
 ``SeedSequence``, on a thread pool (numpy's bulk fills release the GIL).  The
 block layout depends only on the shape, so the matrix is the same for any
-thread count.
+thread count.  The matrix is float32: each block is drawn in float64 through
+a small scratch buffer and rounded into it, so its entries are the float64
+draws rounded.
+
+Design-matrix products
+----------------------
+:func:`_matvec` and :func:`_rmatvec` cast only the vector to X's dtype:
+numpy would copy the whole matrix for a mixed-dtype product.  X^T v runs
+numpy's own einsum loop, which sums the rows in order; OpenBLAS's sgemv for
+it splits the sum by thread, so its bits would depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -49,9 +60,11 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Gaussian mass outside it is below 1e-40.
 _SPLIT_HALF_WIDTH = 14.0
 
-# Entries per row block of a Gaussian matrix (16 MB of float64); a block
+# Entries per row block of a Gaussian matrix (8 MB of float32); a block
 # holds max(1, _BLOCK_ELEMENTS // d) rows.
 _BLOCK_ELEMENTS = 2**21
+# Entries of the float64 scratch buffer a block is drawn through (512 KB)
+_SCRATCH_ELEMENTS = 2**16
 
 
 def std_normal_cdf(x):
@@ -242,28 +255,37 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(self._seed_sequence()))
 
     def gaussian_matrix(self, n: int, d: int, sd: float = 1.0) -> np.ndarray:
-        """(n, d) matrix of iid N(0, sd^2) entries, drawn in fixed row blocks.
+        """(n, d) float32 matrix of iid N(0, sd^2) entries, drawn in fixed row blocks.
 
         Block k (rows k*r to (k+1)*r, r = max(1, 2**21 // d)) is filled by
         child k of ``SeedSequence((master_seed, stream_index)).spawn(blocks)``,
-        independent of :meth:`generator`'s stream.  The blocks are filled on
-        min(blocks, usable CPUs) threads; the result depends only on the key
-        and (n, d, sd), never on the thread count.
+        independent of :meth:`generator`'s stream.  Each block's float64 draws
+        are scaled by sd and rounded to float32 in chunks; a chunked draw
+        continues one generator, so the entries are those of a whole-block
+        float64 draw, rounded.  The blocks are filled on min(blocks, usable
+        CPUs) threads; the result depends only on the key and (n, d, sd),
+        never on the thread count.
         """
         if n < 1 or d < 1:
             raise ConfigError(f"matrix shape must be positive, got ({n}, {d})")
         rows = max(1, _BLOCK_ELEMENTS // d)
         blocks = -(-n // rows)
         children = self._seed_sequence().spawn(blocks)
-        out = np.empty((n, d))
+        out = np.empty((n, d), dtype=np.float32)
+        flat = out.reshape(-1)
 
         # runs on the fill threads, so it calls numpy only: a traced package
         # call from a second thread would corrupt perfbench's per-process span stack
         def fill(k):
-            block = out[k * rows:(k + 1) * rows]
-            np.random.Generator(np.random.PCG64(children[k])).standard_normal(out=block)
-            if sd != 1.0:
-                block *= sd
+            gen = np.random.Generator(np.random.PCG64(children[k]))
+            scratch = np.empty(min(_SCRATCH_ELEMENTS, rows * d))
+            stop = min(n, (k + 1) * rows) * d
+            for lo in range(k * rows * d, stop, scratch.size):
+                chunk = scratch[:min(scratch.size, stop - lo)]
+                gen.standard_normal(out=chunk)
+                if sd != 1.0:
+                    chunk *= sd
+                flat[lo:lo + chunk.size] = chunk
 
         threads = min(blocks, _usable_cpus())
         if threads == 1:
@@ -273,3 +295,14 @@ class RngStream:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(fill, range(blocks)))
         return out
+
+
+def _matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X @ v with v cast to X's dtype, as float64."""
+    return (X @ v.astype(X.dtype, copy=False)).astype(float, copy=False)
+
+
+def _rmatvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X^T v with v cast to X's dtype, as float64; the rows are summed in
+    order, so the bits do not depend on the BLAS thread count."""
+    return np.einsum("ij,i->j", X, v.astype(X.dtype, copy=False)).astype(float, copy=False)

@@ -10,7 +10,9 @@ yhat)`` call.  The models differ only in the scale s of the design matrix
 (sqrt(n) for the mixture, whose noise has unit variance; 1 for the GLM, whose
 rows already carry the 1/n covariance), read from the dataset's ``scale``,
 and in how a model vector is scored, passed in as ``evaluate(w) -> (error,
-overlap)``.  The scale is applied by dividing after each matvec.
+overlap)``.  The scale is applied by dividing after each matvec.  The state
+(w, y_soft, g, c) is float64; each matvec casts its operand to the design
+matrix's dtype (float32 for the sampled datasets) and its result back.
 
 A schedule is a tuple of aggregators, one per step.  Its first entry is the
 identity aggregator, which makes the first iterate the one-shot estimator
@@ -25,6 +27,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, DivergenceError, ShapeError
+from .numerics import _matvec, _rmatvec
 
 Evaluate = Callable[[np.ndarray], Tuple[float, float]]
 
@@ -56,15 +59,6 @@ class Trajectory:
         return np.array([pt.error for pt in self.points])
 
 
-def onsager_coefficient(agg, y_soft: np.ndarray, y_noisy: np.ndarray) -> float:
-    """(1/n) sum_i dg/dy(y_soft_i, y_noisy_i): the memory-correction weight."""
-    y_soft = np.asarray(y_soft, dtype=float)
-    y_noisy = np.asarray(y_noisy, dtype=float)
-    if y_soft.shape != y_noisy.shape:
-        raise ShapeError(f"length mismatch: {y_soft.shape} vs {y_noisy.shape}")
-    return float(np.mean(agg.value_and_deriv(y_soft, y_noisy)[1]))
-
-
 def _checked(w: np.ndarray, y_soft: np.ndarray, t: int) -> AmpState:
     # entries can stay finite while the squared norm overflows; both are divergence
     with np.errstate(over="ignore", invalid="ignore"):
@@ -87,8 +81,8 @@ def amp_step(state: AmpState, X: np.ndarray, y_noisy: np.ndarray, scale: float,
     g, dg = agg.value_and_deriv(state.y_soft, y_noisy)
     c = float(np.mean(dg))
     with np.errstate(over="ignore", invalid="ignore"):
-        w = X.T @ g / scale - c * state.w
-        y_soft = X @ w / scale - g * (d / n)
+        w = _rmatvec(X, g) / scale - c * state.w
+        y_soft = _matvec(X, w) / scale - g * (d / n)
     return _checked(w, y_soft, state.t + 1)
 
 
@@ -156,8 +150,8 @@ def run_hard_baseline(data, rule: str, T: int, evaluate: Evaluate) -> Trajectory
     def step(state, g_of):
         g = g_of(state.y_soft, data.y_noisy)
         with np.errstate(over="ignore", invalid="ignore"):
-            w = data.X.T @ g / data.scale
-            y_soft = data.X @ w / data.scale
+            w = _rmatvec(data.X, g) / data.scale
+            y_soft = _matvec(data.X, w) / data.scale
         return _checked(w, y_soft, state.t + 1)
 
     return _run(data, (_given_labels,) + (_HARD_RULES[rule],) * (T - 1), step, evaluate)

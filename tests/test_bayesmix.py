@@ -92,6 +92,16 @@ class TestFit:
         fit = fit_bimodal_em(z, BayesMixConfig(p=0.1))
         assert math.isfinite(fit.loglik)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mu_plus", math.nan), ("mu_minus", -math.inf), ("mu_plus", "a"),
+        ("sigma_plus", -1.0), ("sigma_minus", 0.0), ("sigma_plus", math.inf),
+        ("pi_plus", 0.0), ("pi_plus", 1.0), ("pi_plus", math.nan), ("pi_plus", True)])
+    def test_fit_fields_validated(self, field, value):
+        fields = dict(mu_plus=2.0, mu_minus=-2.0, sigma_plus=1.0, sigma_minus=1.0,
+                      pi_plus=0.5, loglik=0.0, iterations=1)
+        with pytest.raises(DegenerateFitError):
+            BimodalFit(**dict(fields, **{field: value}))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             BayesMixConfig(p=0.7)

@@ -24,6 +24,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# the "fit" object of a bayesmix fit.json
+GOOD_FIT = {"mu_plus": 2.0, "mu_minus": -2.0, "sigma_plus": 0.8, "sigma_minus": 0.8,
+            "pi_plus": 0.5, "loglik": -300.0, "iterations": 5, "sigma_clamped": False}
+
+
 class TestSimulate:
     def test_small_run_and_reproducibility(self, tmp_path):
         args = ("simulate", "--model", "gmm", "--gamma", "1.5", "--alpha", "0.8",
@@ -111,7 +116,8 @@ class TestSimulate:
             one_shot = vanilla_estimator(sample_gmm_dataset(params, rng))
         else:
             data = sample_glm_dataset(params, rng)
-            one_shot = data.X.T @ data.y_noisy
+            # float32 products with the rows added in order, as the engine's
+            one_shot = (data.X * data.y_noisy.astype(np.float32)[:, None]).sum(axis=0)
         assert rows[0][3] == pytest.approx(np.linalg.norm(one_shot), rel=1e-12)
 
     def test_no_t0_row_when_step_1_diverges(self, monkeypatch):
@@ -287,8 +293,11 @@ class TestBayesmix:
         assert len(rows) == 3
 
     @pytest.mark.parametrize("text", ['{"fit": {"mu_plus": 1.0,', '{"schema": "bayesmix-fit v1"}',
-                                      '{"fit": {"mu_plus": 1.0}}', '[1, 2]'],
-                             ids=["not_json", "no_fit", "fit_fields_missing", "not_an_object"])
+                                      '{"fit": {"mu_plus": 1.0}}', '[1, 2]',
+                                      json.dumps({"fit": dict(GOOD_FIT, sigma_plus=-1.0)}),
+                                      json.dumps({"fit": dict(GOOD_FIT, mu_plus="a")})],
+                             ids=["not_json", "no_fit", "fit_fields_missing", "not_an_object",
+                                  "negative_sigma", "mean_not_a_number"])
     def test_apply_with_a_bad_fit_file(self, tmp_path, capsys, text):
         logit_path = tmp_path / "logits.tsv"
         self._write_logits(logit_path)

@@ -22,7 +22,7 @@ from amp_retrain.glm import (
 from amp_retrain.glm import test_error_glm as glm_error
 from amp_retrain.gmm import IdentityAggregator
 from amp_retrain.numerics import RngStream
-from amp_retrain.retrain import AmpState, amp_step, onsager_coefficient, run_retraining
+from amp_retrain.retrain import AmpState, amp_step, run_retraining
 
 
 def zero_state(data):
@@ -36,6 +36,12 @@ def step(state, data, agg):
 def schedule(agg, T):
     """Identity first, then agg for the remaining T - 1 steps."""
     return (IdentityAggregator(),) + (agg,) * (T - 1)
+
+
+def rows_sum(X, g):
+    """X^T g in float32 with the rows added in order, as float64: a plain
+    transcription of the engine's product."""
+    return (X * g.astype(np.float32)[:, None]).sum(axis=0).astype(float)
 
 
 class HalfLink:
@@ -215,9 +221,12 @@ class TestOptimalAggregator:
 
 class TestOnsagerGlm:
     def test_identity_zero(self):
+        # the engine's c, read off one step on a zero matrix from w = 1: w' = -c
         y = np.linspace(-1, 1, 9)
         yhat = np.ones(9)
-        assert onsager_coefficient(IdentityAggregator(), y, yhat) == 0.0
+        X = np.zeros((9, 1), dtype=np.float32)
+        state = amp_step(AmpState(np.ones(1), y, 0), X, yhat, 1.0, IdentityAggregator())
+        assert state.w[0] == 0.0
 
     def test_deriv_matches_central_difference(self):
         # the analytic derivative behind the Onsager term, against a central
@@ -248,7 +257,7 @@ class TestAmpStepGlm:
         params = sign_params(n=80, alpha=0.5)
         data = sample_glm_dataset(params, RngStream(7))
         state = step(zero_state(data), data, IdentityAggregator())
-        assert np.array_equal(state.w, data.X.T @ data.y_noisy)
+        assert np.array_equal(state.w, rows_sum(data.X, data.y_noisy))
 
     def test_zero_matrix(self):
         n, d = 20, 10
@@ -259,7 +268,7 @@ class TestAmpStepGlm:
         beta0 = np.linspace(1, 2, d)
         y0 = np.linspace(-1, 1, n)
         state = step(AmpState(beta0, y0, 1), data, agg)
-        c = onsager_coefficient(agg, y0, data.y_noisy)
+        c = np.mean(agg.value_and_deriv(y0, data.y_noisy)[1])
         assert np.allclose(state.w, -c * beta0, atol=1e-15)
 
     def test_label_count_must_match_rows(self):
@@ -280,8 +289,13 @@ class TestAmpStepGlm:
         state = step(state, data, agg)
 
         n, d, alpha, p, eta = 50, 25, 0.5, 0.2, 0.7
-        beta = data.X.T @ data.y_noisy
-        y = data.X @ beta - data.y_noisy * d / n
+        X = data.X
+
+        def matvec(v):   # float32 operand, float64 result
+            return (X @ v.astype(np.float32)).astype(float)
+
+        beta = rows_sum(X, data.y_noisy)
+        y = matvec(beta) - data.y_noisy * d / n
         s = 1.0 / math.sqrt(1 / alpha + eta**2)
 
         def g_fn(u):
@@ -292,8 +306,8 @@ class TestAmpStepGlm:
 
         h = 1e-5
         c = np.mean((g_fn(y + h) - g_fn(y - h)) / (2 * h))
-        beta2 = data.X.T @ g_fn(y) - c * beta
-        y2 = data.X @ beta2 - g_fn(y) * d / n
+        beta2 = rows_sum(X, g_fn(y)) - c * beta
+        y2 = matvec(beta2) - g_fn(y) * d / n
         assert np.max(np.abs(state.w - beta2)) <= 1e-10
         assert np.max(np.abs(state.y_soft - y2)) <= 1e-10
 
@@ -352,7 +366,7 @@ class TestRunRetrainingGlm:
         data = sample_glm_dataset(params, RngStream(11))
         traj = run_retraining(data, schedule(IdentityAggregator(), 1),
                               glm_evaluator(data, params))
-        beta1 = data.X.T @ data.y_noisy
+        beta1 = rows_sum(data.X, data.y_noisy)
         rho = overlap_glm(beta1, data.beta_true)
         assert traj.points[0].error == pytest.approx(math.acos(rho) / math.pi, abs=1e-14)
 

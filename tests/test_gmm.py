@@ -30,7 +30,6 @@ from amp_retrain.numerics import RngStream, gauss_hermite, std_normal_cdf
 from amp_retrain.retrain import (
     AmpState,
     amp_step,
-    onsager_coefficient,
     run_hard_baseline,
     run_retraining,
 )
@@ -55,6 +54,18 @@ def schedule(agg, T):
 
 def retrain(data, aggregators):
     return run_retraining(data, aggregators, gmm_evaluator(data))
+
+
+def rows_sum(X, g):
+    """X^T g in float32 with the rows added in order, as float64: a plain
+    transcription of the engine's product."""
+    return (X * g.astype(np.float32)[:, None]).sum(axis=0).astype(float)
+
+
+def onsager_of(agg, y_soft, y_noisy):
+    """The c of one amp_step on a zero matrix from w = 1, where w' = -c exactly."""
+    X = np.zeros((len(y_soft), 1), dtype=np.float32)
+    return -float(amp_step(AmpState(np.ones(1), y_soft, 0), X, y_noisy, 1.0, agg).w[0])
 
 
 class TestParams:
@@ -101,7 +112,9 @@ class TestSampling:
     def test_means_added_by_label(self):
         data = sample_gmm_dataset(params_for(alpha=77 / 333, n=333, d=77), RngStream(8))
         noise = RngStream(8).gaussian_matrix(333, 77)
-        assert np.array_equal(data.X, noise + data.y_true[:, None] * data.mu[None, :])
+        means = (data.y_true[:, None] * data.mu[None, :]).astype(np.float32)
+        assert data.X.dtype == np.float32
+        assert np.array_equal(data.X, noise + means)
 
     def test_means_added_in_place(self):
         # the means go into X without an n x d temporary: the traced peak stays
@@ -207,28 +220,29 @@ class TestAggregators:
 
 
 class TestOnsager:
+    # the engine's memory-correction weight c = mean(dg/dy), read off one step
     def test_identity_is_zero(self):
         y = np.random.default_rng(0).standard_normal(40)
         yhat = np.sign(np.random.default_rng(1).standard_normal(40))
-        assert onsager_coefficient(IdentityAggregator(), y, yhat) == 0.0
+        assert onsager_of(IdentityAggregator(), y, yhat) == 0.0
 
     def test_smoothed_ft_at_zero_predictions(self):
         agg = SmoothedFullRT(beta=3.0)
         y = np.zeros(17)
         yhat = np.ones(17)
-        assert onsager_coefficient(agg, y, yhat) == pytest.approx(1.5, abs=1e-15)
+        assert onsager_of(agg, y, yhat) == pytest.approx(1.5, abs=1e-15)
 
     def test_single_point(self):
         agg = SmoothedConsensusRT(beta=2.0)
         y = np.array([0.4])
         yhat = np.array([-1.0])
-        assert onsager_coefficient(agg, y, yhat) == pytest.approx(
+        assert onsager_of(agg, y, yhat) == pytest.approx(
             float(agg.value_and_deriv(0.4, -1.0)[1]), abs=1e-15
         )
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            onsager_coefficient(IdentityAggregator(), np.zeros(3), np.ones(4))
+            onsager_of(IdentityAggregator(), np.zeros(3), np.ones(4))
 
 
 class TestAmpStep:
@@ -236,7 +250,7 @@ class TestAmpStep:
         params = params_for(n=60, alpha=0.5)
         data = sample_gmm_dataset(params, RngStream(5))
         state = step(zero_state(data), data, IdentityAggregator())
-        expected = data.X.T @ data.y_noisy / math.sqrt(data.n)
+        expected = rows_sum(data.X, data.y_noisy) / math.sqrt(data.n)
         assert np.array_equal(state.w, expected)
         assert state.t == 1
 
@@ -248,7 +262,7 @@ class TestAmpStep:
         theta0 = np.linspace(1, 2, d)
         y0 = np.linspace(-1, 1, n)
         state = step(AmpState(theta0, y0, 3), data, agg)
-        c = onsager_coefficient(agg, y0, data.y_noisy)
+        c = np.mean(agg.value_and_deriv(y0, data.y_noisy)[1])
         assert np.allclose(state.w, -c * theta0, atol=1e-15)
         assert np.allclose(state.y_soft, -agg.value(y0, data.y_noisy) * d / n, atol=1e-15)
 
@@ -262,14 +276,19 @@ class TestAmpStep:
         state = step(state, data, agg)
 
         n, d = 50, 40
-        theta = data.X.T @ data.y_noisy / np.sqrt(n)
-        y = data.X @ theta / np.sqrt(n) - data.y_noisy * d / n
+        X = data.X
+
+        def matvec(v):   # float32 operand, float64 result
+            return (X @ v.astype(np.float32)).astype(float)
+
+        theta = rows_sum(X, data.y_noisy) / np.sqrt(n)
+        y = matvec(theta) / np.sqrt(n) - data.y_noisy * d / n
         L = np.log((1 - 0.2) / 0.2)
         slope = 2 * 1.2**2 / (0.8 * (0.6**2 + 1))
         g = np.tanh(0.5 * (data.y_noisy * L + slope * y))
         c = np.mean(0.5 * slope * (1 - g**2))
-        theta2 = data.X.T @ g / np.sqrt(n) - c * theta
-        y2 = data.X @ theta2 / np.sqrt(n) - g * d / n
+        theta2 = rows_sum(X, g) / np.sqrt(n) - c * theta
+        y2 = matvec(theta2) / np.sqrt(n) - g * d / n
         assert np.max(np.abs(state.w - theta2)) <= 1e-12
         assert np.max(np.abs(state.y_soft - y2)) <= 1e-12
 
@@ -345,7 +364,7 @@ class TestRunRetraining:
         params = params_for(n=200)
         data = sample_gmm_dataset(params, RngStream(21))
         traj = retrain(data, schedule(IdentityAggregator(), 1))
-        theta1 = data.X.T @ data.y_noisy / math.sqrt(data.n)
+        theta1 = rows_sum(data.X, data.y_noisy) / math.sqrt(data.n)
         assert traj.points[0].t == 1
         assert traj.points[0].error == pytest.approx(gmm_error(theta1, data.mu), abs=1e-15)
 

@@ -321,14 +321,15 @@ class TestGaussianMatrix:
         for k, rows in enumerate((slice(0, self.ROWS), slice(self.ROWS, self.N))):
             block = np.random.Generator(np.random.PCG64(children[k])).standard_normal(
                 (rows.stop - rows.start, self.D))
-            assert np.array_equal(X[rows], block * 0.5)
+            assert np.array_equal(X[rows], (block * 0.5).astype(np.float32))
 
     def test_one_block_is_drawn_inline(self, monkeypatch):
         small, pools = self.draw(monkeypatch, 2, shape=(30, 20))
         assert pools == []
         child = np.random.SeedSequence((42, 3)).spawn(1)[0]
-        assert np.array_equal(
-            small, np.random.Generator(np.random.PCG64(child)).standard_normal((30, 20)))
+        assert small.dtype == np.float32
+        assert np.array_equal(small, np.random.Generator(np.random.PCG64(child))
+                              .standard_normal((30, 20)).astype(np.float32))
 
     def test_independent_of_generator(self):
         stream = RngStream(42, 3)
