@@ -43,12 +43,12 @@ class BayesMixConfig:
     def __post_init__(self):
         if not (0.0 <= self.p < 0.5):
             raise ConfigError("p must lie in [0, 0.5)")
-        if self.em_tol <= 0:
-            raise ConfigError("em_tol must be positive")
+        if not 0 < self.em_tol < math.inf:
+            raise ConfigError("em_tol must be positive and finite")
         if self.em_max_iters < 1:
             raise ConfigError("em_max_iters must be >= 1")
-        if self.sigma_floor is not None and self.sigma_floor <= 0:
-            raise ConfigError("sigma_floor must be positive")
+        if self.sigma_floor is not None and not 0 < self.sigma_floor < math.inf:
+            raise ConfigError("sigma_floor must be positive and finite")
 
 
 @dataclass(frozen=True)

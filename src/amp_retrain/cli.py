@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -161,6 +162,8 @@ def _cmd_se(args: argparse.Namespace) -> int:
 def _cmd_cobweb(args: argparse.Namespace) -> int:
     from .datafiles import write_table
 
+    if not math.isfinite(args.u1):
+        raise ConfigError(f"--u1 must be finite, not {args.u1!r}")
     config, variant = _config_and_variant(args)
     rows = cobweb_rows(config, args.u1, args.steps, variant)
     out = _out_dir(args)
@@ -199,48 +202,54 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bayesmix(args: argparse.Namespace) -> int:
-    from .datafiles import read_logit_file, write_table, write_targets_file
+def _cmd_bayesmix_fit(args: argparse.Namespace) -> int:
+    from .datafiles import read_logit_file
 
-    out = _out_dir(args)
     cfg = BayesMixConfig(p=args.p, em_max_iters=args.em_max_iters,
                          em_tol=args.em_tol, sigma_floor=args.sigma_floor)
-    if args.action == "fit":
-        records = read_logit_file(args.input)
-        fit = fit_bimodal_em([r.z for r in records], cfg)
-        path = out / "fit.json"
-        path.write_text(json.dumps({"schema": "bayesmix-fit v1",
-                                    "config": asdict(cfg), "fit": asdict(fit)},
-                                   sort_keys=True, indent=2) + "\n")
-        print(f"wrote {path}")
-        return EXIT_OK
-    if args.action == "apply":
-        records = read_logit_file(args.input)
-        stored = _read_json_object(args.fit, "--fit", "a fit run's fit.json").get("fit")
-        try:
-            fit = BimodalFit(**stored)
-        except TypeError:
-            raise ConfigError(f'--fit {args.fit} lacks the "fit" object of a fit.json') from None
-        except DegenerateFitError as exc:
-            raise ConfigError(f"--fit {args.fit}: {exc}") from None
-        targets = emit_targets(records, fit, cfg)
-        path = out / "targets.tsv"
-        write_targets_file(path, targets,
-                           meta={"config": json.dumps(asdict(cfg), sort_keys=True),
-                                 "fit": json.dumps(stored, sort_keys=True)})
-        print(f"wrote {path}")
-        return EXIT_OK
-    # demo
+    fit = fit_bimodal_em([r.z for r in read_logit_file(args.input)], cfg)
+    path = _out_dir(args) / "fit.json"
+    path.write_text(json.dumps({"schema": "bayesmix-fit v1",
+                                "config": asdict(cfg), "fit": asdict(fit)},
+                               sort_keys=True, indent=2) + "\n")
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
+def _cmd_bayesmix_apply(args: argparse.Namespace) -> int:
+    from .datafiles import read_logit_file, write_targets_file
+
+    cfg = BayesMixConfig(p=args.p)
+    records = read_logit_file(args.input)
+    stored = _read_json_object(args.fit, "--fit", "a fit run's fit.json").get("fit")
+    try:
+        fit = BimodalFit(**stored)
+    except TypeError:
+        raise ConfigError(f'--fit {args.fit} lacks the "fit" object of a fit.json') from None
+    except DegenerateFitError as exc:
+        raise ConfigError(f"--fit {args.fit}: {exc}") from None
+    targets = emit_targets(records, fit, cfg)
+    path = _out_dir(args) / "targets.tsv"
+    write_targets_file(path, targets,
+                       meta={"config": json.dumps({"p": cfg.p}, sort_keys=True),
+                             "fit": json.dumps(stored, sort_keys=True)})
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
+def _cmd_bayesmix_demo(args: argparse.Namespace) -> int:
+    from .datafiles import write_table
+
+    cfg = BayesMixConfig(p=args.p, em_max_iters=args.em_max_iters,
+                         em_tol=args.em_tol, sigma_floor=args.sigma_floor)
     params = GmmParams(gamma=args.gamma, alpha=args.alpha, p=args.p,
                        pi_plus=args.pi_plus, n=args.n, d=args.d)
     result = bayesmix_retrain_demo(params, cfg, args.rounds,
                                    RngStream(args.master_seed, 0))
-    path = out / "demo.tsv"
-    meta = {"config": json.dumps({"gamma": args.gamma, "alpha": args.alpha,
-                                  "p": args.p, "pi_plus": args.pi_plus,
-                                  "n": args.n, "rounds": args.rounds,
-                                  "master_seed": args.master_seed,
-                                  **asdict(cfg)}, sort_keys=True),
+    path = _out_dir(args) / "demo.tsv"
+    shown = ("gamma", "alpha", "pi_plus", "n", "rounds", "master_seed")
+    config = {**{key: getattr(args, key) for key in shown}, **asdict(cfg)}
+    meta = {"config": json.dumps(config, sort_keys=True),
             "master_seed": str(args.master_seed), "version": __version__}
     if result.halted_at is not None:
         meta["halted_at_round"] = str(result.halted_at)
@@ -289,23 +298,32 @@ def build_parser() -> argparse.ArgumentParser:
     cross.add_argument("--out", type=str, default=None)
     cross.set_defaults(func=_cmd_crossover)
 
+    # the flags of the bayesmix actions: each action takes only those it reads
+    recipe = argparse.ArgumentParser(add_help=False)
+    recipe.add_argument("--p", type=float, required=True)
+    recipe.add_argument("--out", type=str, default=None)
+    logits = argparse.ArgumentParser(add_help=False)
+    logits.add_argument("--input", type=str, required=True, help="logit file (id, z, yhat)")
+    em = argparse.ArgumentParser(add_help=False)
+    em.add_argument("--em-max-iters", type=int, default=200)
+    em.add_argument("--em-tol", type=float, default=1e-8)
+    em.add_argument("--sigma-floor", type=float, default=None)
+
     bm = subs.add_parser("bayesmix", help="soft-label recipe: fit / apply / demo")
-    bm.add_argument("action", choices=("fit", "apply", "demo"))
-    bm.add_argument("--input", type=str, default=None, help="logit file (id, z, yhat)")
-    bm.add_argument("--fit", type=str, default=None, help="fit.json from a fit run")
-    bm.add_argument("--p", type=float, required=True)
-    bm.add_argument("--em-max-iters", type=int, default=200)
-    bm.add_argument("--em-tol", type=float, default=1e-8)
-    bm.add_argument("--sigma-floor", type=float, default=None)
-    bm.add_argument("--gamma", type=float, default=2.0)
-    bm.add_argument("--alpha", type=float, default=0.1)
-    bm.add_argument("--pi-plus", dest="pi_plus", type=float, default=0.5)
-    bm.add_argument("--n", type=int, default=2000)
-    bm.add_argument("--d", type=int, default=None)
-    bm.add_argument("--rounds", type=int, default=10)
-    bm.add_argument("--seed", dest="master_seed", type=int, default=0)
-    bm.add_argument("--out", type=str, default=None)
-    bm.set_defaults(func=_cmd_bayesmix)
+    actions = bm.add_subparsers(dest="action", required=True)
+    actions.add_parser("fit", parents=[logits, recipe, em]).set_defaults(func=_cmd_bayesmix_fit)
+    apply = actions.add_parser("apply", parents=[logits, recipe])
+    apply.add_argument("--fit", type=str, required=True, help="fit.json from a fit run")
+    apply.set_defaults(func=_cmd_bayesmix_apply)
+    demo = actions.add_parser("demo", parents=[recipe, em])
+    demo.add_argument("--gamma", type=float, default=2.0)
+    demo.add_argument("--alpha", type=float, default=0.1)
+    demo.add_argument("--pi-plus", dest="pi_plus", type=float, default=0.5)
+    demo.add_argument("--n", type=int, default=2000)
+    demo.add_argument("--d", type=int, default=None)
+    demo.add_argument("--rounds", type=int, default=10)
+    demo.add_argument("--seed", dest="master_seed", type=int, default=0)
+    demo.set_defaults(func=_cmd_bayesmix_demo)
     return parser
 
 
@@ -313,11 +331,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bayesmix":
-            if args.action in ("fit", "apply") and not args.input:
-                raise ConfigError(f"bayesmix {args.action} needs --input")
-            if args.action == "apply" and not args.fit:
-                raise ConfigError("bayesmix apply needs --fit")
         return args.func(args)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,24 +39,21 @@ class SeStateGlm:
         return self.mu / self.sigma
 
 
-def quadrature_init_mu_glm(params: GlmParams) -> float:
-    """mu_1 = (2/prior_var) * E[Z * hhat_p(Z)], Z ~ N(0, prior_var), by quadrature."""
-    z, w = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities,
-                         DEFAULT_ORDER)
-    return 2.0 / params.prior_var * float((z * hat_h_p(z, params.link, params.p)) @ w)
-
-
 def se_init_glm(params: GlmParams) -> SeStateGlm:
     """State after the identity first step: sigma_1 = sqrt(alpha).
 
     The sign link has the closed form eta_1 = (1-2p)*sqrt(2/pi)/alpha, used
-    directly; other links evaluate mu_1 by quadrature.
+    directly; other links evaluate mu_1 = (2/prior_var) * E[Z * hhat_p(Z)],
+    Z ~ N(0, prior_var), by quadrature.
     """
     sigma1 = math.sqrt(params.alpha)
     if isinstance(params.link, SignLink):
         eta1 = (1.0 - 2.0 * params.p) * math.sqrt(2.0 / math.pi) / params.alpha
         return SeStateGlm(mu=eta1 * sigma1, sigma=sigma1)
-    return SeStateGlm(mu=quadrature_init_mu_glm(params), sigma=sigma1)
+    z, w = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities,
+                         DEFAULT_ORDER)
+    mu1 = 2.0 / params.prior_var * float((z * hat_h_p(z, params.link, params.p)) @ w)
+    return SeStateGlm(mu=mu1, sigma=sigma1)
 
 
 def se_step_glm_opt(eta: float, params: GlmParams) -> float:

@@ -25,6 +25,14 @@ from .numerics import expect_output_channel, find_root_bisect, gaussian_rule, st
 # at negligible cost (4 atoms x order evaluations per step).
 DEFAULT_ORDER = 201
 
+# The fixed-point and crossover scans: _SCAN_GRID intervals, each sign change
+# refined by bisection to the scan's tolerance; p* is bisected to _P_STAR_TOL.
+_SCAN_GRID = 2000
+_FIXED_POINT_TOL = 1e-8
+_CROSSOVER_U_MAX = 50.0
+_CROSSOVER_TOL = 1e-10
+_P_STAR_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SeStateGmm:
@@ -242,12 +250,7 @@ def _grid_roots(fn: Callable, us: np.ndarray, tol: float) -> List[float]:
     return sorted(roots)
 
 
-def find_fixed_points(
-    map_spec: MapLike,
-    u_max: float = 50.0,
-    grid: int = 2000,
-    tol: float = 1e-8,
-) -> List[float]:
+def find_fixed_points(map_spec: MapLike, u_max: float = 50.0) -> List[float]:
     """Fixed points of F on [0, u_max], sorted ascending.
 
     Scans a uniform grid for sign changes of F(u) - u and refines each by
@@ -261,7 +264,8 @@ def find_fixed_points(
         bound = map_spec.params.gamma**2 / map_spec.params.alpha
         u_max = max(u_max, 1.05 * bound + 1.0)
     f = _map_function(map_spec)
-    return _grid_roots(lambda u: f(u) - u, np.linspace(0.0, u_max, grid + 1), tol)
+    return _grid_roots(lambda u: f(u) - u, np.linspace(0.0, u_max, _SCAN_GRID + 1),
+                       _FIXED_POINT_TOL)
 
 
 @dataclass(frozen=True)
@@ -274,8 +278,8 @@ class CobwebTrace:
 
 def cobweb_trace(map_spec: MapLike, u1: float, T: int) -> CobwebTrace:
     """Iterate u_{t+1} = F(u_t) for T steps starting from u1."""
-    if u1 < 0:
-        raise DomainError("u1 must be non-negative")
+    if not 0 <= u1 < math.inf:
+        raise DomainError("u1 must be non-negative and finite")
     if T < 1:
         raise ConfigError("T must be >= 1")
     f = _map_function(map_spec)
@@ -290,17 +294,15 @@ def cobweb_trace(map_spec: MapLike, u1: float, T: int) -> CobwebTrace:
     return CobwebTrace(points=pts, diverged=False)
 
 
-def find_crossover(
-    params: GmmParams, u_max: float = 50.0, grid: int = 2000, tol: float = 1e-10
-) -> List[float]:
-    """Roots of F_ct(u) - F_ft(u) on (0, u_max], ascending.
+def find_crossover(params: GmmParams) -> List[float]:
+    """Roots of F_ct(u) - F_ft(u) on (0, 50], ascending.
 
     Below the first root the consensus rule dominates, above it full
     retraining does.  Empty list means no crossover in range.
     """
     diff = lambda u: eta_map_ct(u, params) - eta_map_ft(u, params)
-    us = np.linspace(0.0, u_max, grid + 1)[1:]  # skip u=0 where FT is trivially 0
-    return _grid_roots(diff, us, tol)
+    us = np.linspace(0.0, _CROSSOVER_U_MAX, _SCAN_GRID + 1)[1:]  # skip u=0, where FT is 0
+    return _grid_roots(diff, us, _CROSSOVER_TOL)
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,7 @@ class PStarResult:
     condition_met: bool
 
 
-def p_star(params: GmmParams, tol: float = 1e-12) -> PStarResult:
+def p_star(params: GmmParams) -> PStarResult:
     """Unique root in (0, 1/2) of Phi(-gamma^2(1-2p)/sqrt(gamma^2(1-2p)^2+alpha)) = p.
 
     For p >= p_star the retraining trajectory is non-decreasing in
@@ -331,28 +333,8 @@ def p_star(params: GmmParams, tol: float = 1e-12) -> PStarResult:
         return std_normal_cdf(-g2 * one_m / math.sqrt(g2 * one_m**2 + alpha)) - p
 
     try:
-        root = find_root_bisect(h, 1e-9, 0.5 - 1e-9, tol=tol)
+        root = find_root_bisect(h, 1e-9, 0.5 - 1e-9, tol=_P_STAR_TOL)
     except BracketError:
         # outside the guarantee regime the equation may have no interior root
         return PStarResult(value=math.nan, residual=math.nan, condition_met=condition_met)
     return PStarResult(value=root, residual=h(root), condition_met=condition_met)
-
-
-# --------------------------------------------------------------------------
-# the plug-in state of an empirical run
-# --------------------------------------------------------------------------
-
-def estimate_se_state_gmm(theta: np.ndarray, mu: np.ndarray, params: GmmParams) -> SeStateGmm:
-    """Plug-in state estimate from a model vector (needs the true mean).
-
-    m_hat = mu.theta/(sqrt(d)*gamma), sigma_hat^2 = ||theta||^2/d - m_hat^2.
-    Compares an empirical iterate with its state-evolution state; the
-    schedules use the deterministic trace.
-    """
-    theta = np.asarray(theta, dtype=float)
-    d = theta.shape[0]
-    m_hat = float(mu @ theta) / (math.sqrt(d) * params.gamma)
-    s2_hat = float(theta @ theta) / d - m_hat**2
-    if s2_hat <= 0:
-        raise DomainError("plug-in variance estimate non-positive")
-    return SeStateGmm(m=m_hat, sigma=math.sqrt(s2_hat), gamma=params.gamma, alpha=params.alpha)

@@ -66,6 +66,9 @@ _BLOCK_ELEMENTS = 2**21
 # Entries of the float64 scratch buffer a block is drawn through (512 KB)
 _SCRATCH_ELEMENTS = 2**16
 
+# Most halvings find_root_bisect makes (a unit bracket is then far below 1 ulp)
+_BISECT_MAX_ITER = 200
+
 
 def std_normal_cdf(x):
     """Standard normal CDF, accurate to <=1e-12 absolute (erf-based).
@@ -192,12 +195,12 @@ def find_root_bisect(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> float:
     """Bisection root of f on [lo, hi].
 
-    Returns x with |f(x)| <= tol or bracket width <= tol.  Requires a sign
-    change over the bracket; deterministic given (f, lo, hi, tol).
+    Returns x with |f(x)| <= tol or bracket width <= tol, or the midpoint
+    after _BISECT_MAX_ITER halvings.  Requires a sign change over the
+    bracket; deterministic given (f, lo, hi, tol).
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
@@ -211,7 +214,7 @@ def find_root_bisect(
         return hi
     if flo * fhi > 0:
         raise BracketError(f"no sign change on [{lo}, {hi}] (f(lo)={flo}, f(hi)={fhi})")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if abs(fm) <= tol or (hi - lo) <= tol:

@@ -1,5 +1,6 @@
 """The documented API is the API: README's library table against the package."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -34,6 +35,29 @@ def test_every_listed_name_resolves():
             for part in name.split("."):
                 assert hasattr(obj, part), f"{module_name}.{name} does not resolve"
                 obj = getattr(obj, part)
+
+
+def defined_names(module):
+    """Public names the module's own top level binds (imports excluded), less
+    the type aliases its annotations use."""
+    names = []
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")
+            and getattr(getattr(module, name), "__module__", None) != "typing"]
+
+
+def test_every_defined_name_is_listed():
+    missing = []
+    for module_name, listed in library_table().items():
+        module = importlib.import_module(module_name)
+        missing += [f"{module_name}.{name}" for name in defined_names(module)
+                    if name not in listed]
+    assert missing == []
 
 
 def test_package_root_exports_no_names():

@@ -102,11 +102,13 @@ class TestFit:
         with pytest.raises(DegenerateFitError):
             BimodalFit(**dict(fields, **{field: value}))
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize("field, value", [
+        ("p", 0.7), ("p", math.nan), ("em_tol", 0.0), ("em_tol", math.nan),
+        ("em_tol", math.inf), ("em_max_iters", 0), ("sigma_floor", 0.0),
+        ("sigma_floor", math.nan), ("sigma_floor", math.inf)])
+    def test_config_validation(self, field, value):
         with pytest.raises(ConfigError):
-            BayesMixConfig(p=0.7)
-        with pytest.raises(ConfigError):
-            BayesMixConfig(p=0.1, em_tol=0.0)
+            BayesMixConfig(**dict({"p": 0.1}, **{field: value}))
 
 
 class TestAggregate:

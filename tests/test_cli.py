@@ -227,6 +227,13 @@ class TestCobweb:
         _m, _c, rows = read_table(out / "cobweb.tsv")
         assert len([r for r in rows if r[0] == "trace"]) == 1
 
+    @pytest.mark.parametrize("model", ["gmm", "glm"])
+    @pytest.mark.parametrize("u1", ["nan", "inf", "-inf"])
+    def test_non_finite_start_is_refused(self, tmp_path, capsys, model, u1):
+        assert run_cli("cobweb", "--model", model, "--gamma", "1.0", "--alpha", "0.5",
+                       "--p", "0.2", f"--u1={u1}", "--steps", "2", "--out", str(tmp_path)) == 2
+        assert "--u1" in capsys.readouterr().err
+        assert not (tmp_path / "cobweb.tsv").exists()
 
     def test_glm_has_the_opt_map_only(self, tmp_path):
         args = ("cobweb", "--model", "glm", "--gamma", "1.0", "--alpha", "0.5", "--p", "0.2",
@@ -279,7 +286,8 @@ class TestBayesmix:
         assert run_cli("bayesmix", "apply", "--input", str(logit_path),
                        "--fit", str(fit_dir / "fit.json"), "--p", "0.3",
                        "--out", str(apply_dir)) == 0
-        _m, cols, rows = read_table(apply_dir / "targets.tsv")
+        meta, cols, rows = read_table(apply_dir / "targets.tsv")
+        assert json.loads(meta["config"]) == {"p": 0.3}   # apply reads --p only
         assert cols == ["id", "target"]
         assert len(rows) == 200
         assert all(-1.0 <= float(r[1]) <= 1.0 for r in rows)
@@ -307,6 +315,22 @@ class TestBayesmix:
                        "--p", "0.3", "--out", str(tmp_path / "apply")) == 2
         assert f"--fit {fit_path}" in capsys.readouterr().err
         assert not (tmp_path / "apply" / "targets.tsv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--input", "logits.tsv", "--p", "0.3", "--gamma", "2"),
+        ("apply", "--input", "logits.tsv", "--fit", "fit.json", "--p", "0.3", "--em-tol", "1e-6"),
+        ("demo", "--p", "0.3", "--n", "200", "--rounds", "1", "--input", "logits.tsv"),
+        ("fit", "--p", "0.3"),
+        ("apply", "--input", "logits.tsv", "--p", "0.3"),
+    ], ids=["fit_gamma", "apply_em_tol", "demo_input", "fit_no_input", "apply_no_fit"])
+    def test_each_action_takes_only_the_flags_it_reads(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        self._write_logits(tmp_path / "logits.tsv")
+        (tmp_path / "fit.json").write_text(json.dumps({"fit": GOOD_FIT}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bayesmix", *argv, "--out", "out")
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.tsv"

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -26,7 +26,6 @@ from amp_retrain.glm_se import (
     DEFAULT_ORDER,
     SeStateGlm,
     optimal_aggregator_for_state,
-    quadrature_init_mu_glm,
     se_error_glm,
     se_init_glm,
     se_step_glm_generic,
@@ -43,6 +42,14 @@ class HalfLink:
 
     def h(self, z):
         return np.full_like(np.asarray(z, dtype=float), 0.5)
+
+
+class StepLink:
+    name = "step"
+    discontinuities = (0.0,)
+
+    def h(self, z):
+        return SignLink().h(z)
 
 
 def sign_params(alpha=0.5, p=0.2, n=1000, gamma=1.0):
@@ -63,10 +70,12 @@ class TestInit:
         assert state.sigma == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_sign_quadrature_cross_check(self):
+        # the sign link's h under another type takes the quadrature path
         params = sign_params(alpha=2.0, p=0.2)
-        mu_quad = quadrature_init_mu_glm(params)
+        quad = se_init_glm(replace(params, link=StepLink()))
         state = se_init_glm(params)
-        assert mu_quad == pytest.approx(state.mu, abs=1e-10)
+        assert quad.mu == pytest.approx(state.mu, abs=1e-10)
+        assert quad.sigma == state.sigma
 
     def test_uninformative_gives_zero_mean(self):
         params = GlmParams(gamma=1.0, alpha=1.0, p=0.2, link=HalfLink(), n=100)

@@ -218,7 +218,7 @@ class TestMaps:
 
 class TestFixedPoints:
     def test_synthetic_halving_map(self):
-        assert find_fixed_points(lambda u: 0.5 * u, u_max=5.0, grid=100) == [0.0]
+        assert find_fixed_points(lambda u: 0.5 * u, u_max=5.0) == [0.0]
 
     def test_opt_map_fixed_point(self):
         spec = SeMapSpec(variant="opt", params=FIG_MAP_PARAMS)
@@ -319,35 +319,16 @@ class TestSmoothedTrajectory:
             assert abs(err_smooth - err_limit) <= 0.01
 
 
-class TestPluginSchedule:
-    def test_estimate_matches_theory_at_scale(self):
-        from amp_retrain.gmm import OptimalGmm, sample_gmm_dataset, test_error_gmm
-        from amp_retrain.gmm_se import estimate_se_state_gmm
-        from amp_retrain.numerics import RngStream
-        from amp_retrain.retrain import AmpState, amp_step
-
-        params = GmmParams(gamma=1.5, alpha=0.8, p=0.2, pi_plus=0.5, n=2000)
-        data = sample_gmm_dataset(params, RngStream(55))
-        theta1 = data.X.T @ data.y_noisy / math.sqrt(data.n)
-        est = estimate_se_state_gmm(theta1, data.mu, params)
-        init = se_init_gmm(params)
-        assert est.m == pytest.approx(init.m, abs=0.1)
-        assert est.sigma == pytest.approx(init.sigma, abs=0.1)
-        # steps whose aggregator is matched to the plug-in estimate of the
-        # current iterate run and stay finite
-        state = amp_step(AmpState(np.zeros(data.d), np.zeros(data.n), 0),
-                         data.X, data.y_noisy, data.scale, IdentityAggregator())
-        for _ in range(3):
-            agg = OptimalGmm.from_se_state(estimate_se_state_gmm(state.w, data.mu, params), params)
-            state = amp_step(state, data.X, data.y_noisy, data.scale, agg)
-            assert 0.0 <= test_error_gmm(state.w, data.mu) <= 1.0
-
-
 class TestCobwebDivergence:
     def test_divergence_is_flagged(self):
         trace = cobweb_trace(lambda u: u * u * 1e308 + 1.0, 2.0, 6)
         assert trace.diverged
         assert len(trace.points) < 6
+
+    @pytest.mark.parametrize("u1", [-1.0, math.nan, math.inf])
+    def test_start_must_be_non_negative_and_finite(self, u1):
+        with pytest.raises(DomainError):
+            cobweb_trace(lambda u: 0.5 * u, u1, 3)
 
 
 class TestSeMapSpec:
