@@ -74,7 +74,9 @@ def _add_model_args(sub: argparse.ArgumentParser, include_reps: bool = False) ->
     sub.add_argument("--seed", dest="master_seed", type=int, default=None)
     if include_reps:
         sub.add_argument("--replications", type=int, default=None)
-        sub.add_argument("--jobs", type=int, default=1)
+        sub.add_argument("--jobs", type=int, default=None,
+                         help="worker processes; default: min(usable CPUs, replications, "
+                              "free memory / (8*n*d bytes))")
     sub.add_argument("--out", type=str, default=None)
 
 
@@ -126,8 +128,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, not {args.jobs}")
     config = _config_from_args(args)
-    result = simulate(config, jobs=max(1, args.jobs))
+    result = simulate(config, jobs=args.jobs)
     out = _out_dir(args)
     paths = write_simulation_outputs(result, out)
     failed = [r.rep for r in result.replications if r.diverged_at is not None]
@@ -165,6 +169,9 @@ def _cmd_cobweb(args: argparse.Namespace) -> int:
     if not math.isfinite(args.u1):
         raise ConfigError(f"--u1 must be finite, not {args.u1!r}")
     config, variant = _config_and_variant(args)
+    if config.model == "glm" and not args.u1 > 0.0:
+        raise ConfigError(f"--u1 must be positive for the glm map, whose domain is u > 0, "
+                          f"not {args.u1!r}")
     rows = cobweb_rows(config, args.u1, args.steps, variant)
     out = _out_dir(args)
     path = out / "cobweb.tsv"

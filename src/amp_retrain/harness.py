@@ -1,10 +1,11 @@
 """Experiment orchestration: replicated retraining runs vs. theory traces.
 
 A single flat :class:`ExperimentConfig` describes either ground-truth model;
-`simulate` fans replications out (optionally across processes), assembles a
-per-iteration comparison report against the matching state-evolution trace,
-and the writer functions emit byte-reproducible tab-separated outputs with
-the full resolved configuration embedded.
+`simulate` fans replications out (across processes when there are spare
+cores and memory), assembles a per-iteration comparison report against the
+matching state-evolution trace, and the writer functions emit
+byte-reproducible tab-separated outputs with the full resolved configuration
+embedded.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +51,7 @@ from .glm_se import (
     se_step_glm_generic,
     se_step_glm_opt,
 )
-from .numerics import RngStream
+from .numerics import RngStream, _usable_cpus
 from .retrain import run_retraining
 
 
@@ -207,14 +209,29 @@ class SimulationResult:
     replications: List[ReplicationResult]
 
 
-def simulate(config: ExperimentConfig, jobs: int = 1) -> SimulationResult:
+def _free_bytes() -> int:
+    """Physical memory not in use (free pages, page cache not counted)."""
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def simulate(config: ExperimentConfig, jobs: Optional[int] = None) -> SimulationResult:
     """Replicated runs plus the matching theory trace and gap report.
+
+    ``jobs`` processes run the replications; one runs them in this process.
+    None picks min(usable CPUs, replications, free memory // (2 * 4*n*d)),
+    at least 1: each worker holds one float32 X of 4*n*d bytes, and the
+    factor 2 leaves as much again for everything else.
 
     The schedule is built once and handed to every replication (its
     aggregators are frozen dataclasses, so it pickles into pool workers).
     Results are keyed by replication index and merged in order, so the output
     is identical for any job count.
     """
+    if jobs is None:
+        params = build_params(config)
+        jobs = min(_usable_cpus(), max(1, _free_bytes() // (8 * params.n * params.d)))
+    elif jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     se_rows, schedule = se_trace(config)
     reps_idx = range(config.replications)
     # a pool forks all its workers at start-up, so never more than there is work for

@@ -32,10 +32,11 @@ draws rounded.
 Design-matrix products
 ----------------------
 :func:`_matvec` and :func:`_rmatvec` cast only the vector to X's dtype:
-numpy would copy the whole matrix for a mixed-dtype product.  X^T v runs
-numpy's own einsum loop, which sums the rows in order; OpenBLAS's sgemv for
-it splits the sum by thread, so its bits would depend on the BLAS thread
-count.
+numpy would copy the whole matrix for a mixed-dtype product.  Neither is a
+BLAS sgemv, whose bits depend on the BLAS thread count: OpenBLAS splits X^T v
+by thread, and it rounds X v differently when it splits the rows (unless n is
+a multiple of 8).  X v is numpy's vecdot, one dot product per row; X^T v is
+numpy's own einsum loop, which sums the rows in order.
 """
 
 from __future__ import annotations
@@ -301,8 +302,9 @@ class RngStream:
 
 
 def _matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X @ v with v cast to X's dtype, as float64."""
-    return (X @ v.astype(X.dtype, copy=False)).astype(float, copy=False)
+    """X v with v cast to X's dtype, as float64; each row is its own dot
+    product, so the bits do not depend on the BLAS thread count."""
+    return np.vecdot(X, v.astype(X.dtype, copy=False)).astype(float, copy=False)
 
 
 def _rmatvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -68,16 +68,19 @@ class TestSimulate:
             args = ("simulate", *model_args, "--replications", "3", "--seed", "5")
             seq = tmp_path / f"{name}-seq"
             assert run_cli(*args, "--jobs", "1", "--out", str(seq)) == 0
-            for jobs in ("2", "3"):
-                par = tmp_path / f"{name}-par{jobs}"
-                assert run_cli(*args, "--jobs", jobs, "--out", str(par)) == 0
+            # no --jobs: the worker count of the machine
+            for jobs in ((), ("--jobs", "2"), ("--jobs", "3")):
+                par = tmp_path / f"{name}-par{''.join(jobs)}"
+                assert run_cli(*args, *jobs, "--out", str(par)) == 0
                 for table in ("report.tsv", "trajectories.tsv"):
                     assert (seq / table).read_bytes() == (par / table).read_bytes(), \
                         (name, jobs, table)
 
-    def test_jobs_capped_at_replications(self, monkeypatch):
-        # a pool forks all of its workers at start-up; a serial stand-in
-        # records how many were asked for, so no process is started here
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """The worker counts simulate asks pools for.  A pool forks all of its
+        workers at start-up; a serial stand-in records how many were asked
+        for, so no process is started."""
         asked = []
 
         class SerialPool:
@@ -94,6 +97,9 @@ class TestSimulate:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        return asked
+
+    def test_jobs_capped_at_replications(self, asked):
         config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.5, p=0.2, n=200,
                                   iterations=3, replications=2, master_seed=6)
         capped = harness.simulate(config, jobs=64)
@@ -102,6 +108,35 @@ class TestSimulate:
         single = dataclasses.replace(config, replications=1)
         harness.simulate(single, jobs=64)
         assert asked == [2]   # one replication runs inline
+
+    @pytest.mark.parametrize("cpus,replications,free_xs,workers", [
+        (4, 8, 100, 4),    # capped by the CPUs
+        (4, 3, 100, 3),    # by the replications
+        (4, 8, 7, 3),      # by memory: two X per worker, 7 X free
+        (4, 8, 1, 1),      # too little memory for two X still runs one
+        (1, 8, 100, 1),    # one CPU
+    ])
+    def test_default_jobs(self, asked, monkeypatch, cpus, replications, free_xs, workers):
+        # X is float32: 4 * n * d = 4 * 40 * 20 bytes
+        config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.5, p=0.2, n=40,
+                                  iterations=2, replications=replications, master_seed=6)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "_free_bytes", lambda: free_xs * 4 * 40 * 20)
+        result = harness.simulate(config)
+        assert asked == ([workers] if workers > 1 else [])
+        assert result == harness.simulate(config, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_refused(self, tmp_path, capsys, jobs):
+        config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.5, p=0.2, n=40,
+                                  iterations=2, replications=2)
+        with pytest.raises(ConfigError, match="jobs"):
+            harness.simulate(config, jobs=jobs)
+        assert run_cli("simulate", "--model", "gmm", "--gamma", "1.5", "--alpha", "0.5",
+                       "--p", "0.2", "--n", "40", "--replications", "2",
+                       "--jobs", str(jobs), "--out", str(tmp_path)) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "report.tsv").exists()
 
     @pytest.mark.parametrize("model", ["gmm", "glm"])
     def test_t0_row_is_the_scaled_first_iterate(self, model):
@@ -226,6 +261,14 @@ class TestCobweb:
                        "--out", str(out)) == 0
         _m, _c, rows = read_table(out / "cobweb.tsv")
         assert len([r for r in rows if r[0] == "trace"]) == 1
+
+    @pytest.mark.parametrize("u1", ["0", "-0.5"])
+    def test_glm_start_outside_the_domain_is_refused(self, tmp_path, capsys, u1):
+        assert run_cli("cobweb", "--model", "glm", "--gamma", "1.0", "--alpha", "0.5",
+                       "--p", "0.2", f"--u1={u1}", "--steps", "2", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "--u1" in err and "u > 0" in err
+        assert not (tmp_path / "cobweb.tsv").exists()
 
     @pytest.mark.parametrize("model", ["gmm", "glm"])
     @pytest.mark.parametrize("u1", ["nan", "inf", "-inf"])

@@ -92,18 +92,21 @@ class TestNoUpcastCopy:
         assert peak < self.LIMIT * X.nbytes
 
 
-# glm sign and mixture runs at n 2000, d 1000, and a bayesmix demo: large
-# enough that OpenBLAS splits a float32 X^T g over two threads
-RUNS = {
+# glm sign and mixture runs and a bayesmix demo at n 2000, d 1000, and again
+# at an n that is not a multiple of 8: large enough that OpenBLAS splits a
+# float32 X^T g over two threads, and where its sgemv for X w would round the
+# rows differently on two threads
+ARGS = {
     "glm": ["simulate", "--model", "glm", "--link", "sign", "--gamma", "1.0", "--alpha", "0.5",
-            "--p", "0.2", "--n", "2000", "--d", "1000", "--iterations", "5",
-            "--replications", "2", "--seed", "3"],
+            "--p", "0.2", "--iterations", "5", "--replications", "2", "--seed", "3"],
     "gmm": ["simulate", "--model", "gmm", "--gamma", "1.5", "--alpha", "0.5", "--p", "0.3",
-            "--pi-plus", "0.3", "--n", "2000", "--d", "1000", "--iterations", "5",
-            "--replications", "2", "--seed", "3"],
+            "--pi-plus", "0.3", "--iterations", "5", "--replications", "2", "--seed", "3"],
     "demo": ["bayesmix", "demo", "--p", "0.45", "--gamma", "2.0", "--alpha", "0.5",
-             "--n", "2000", "--d", "1000", "--rounds", "5", "--seed", "3"],
+             "--rounds", "5", "--seed", "3"],
 }
+SIZES = [("glm", 2000, 1000), ("gmm", 2000, 1000), ("demo", 2000, 1000),
+         ("glm", 2004, 1002), ("gmm", 2001, 1000), ("demo", 2004, 1002)]
+RUNS = {f"{kind}-{n}": ARGS[kind] + ["--n", str(n), "--d", str(d)] for kind, n, d in SIZES}
 TABLES = {"glm": ("report.tsv", "trajectories.tsv"), "gmm": ("report.tsv", "trajectories.tsv"),
           "demo": ("demo.tsv",)}
 SRC = str(Path(amp_retrain.__file__).resolve().parents[1])
@@ -123,7 +126,7 @@ def run_at_blas_threads(threads, out):
 def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
     run_at_blas_threads(1, tmp_path / "one")
     run_at_blas_threads(2, tmp_path / "two")
-    for name, tables in TABLES.items():
-        for table in tables:
+    for name in RUNS:
+        for table in TABLES[name.split("-")[0]]:
             one = (tmp_path / "one" / name / table).read_bytes()
             assert one == (tmp_path / "two" / name / table).read_bytes(), f"{name}/{table}"

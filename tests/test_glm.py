@@ -291,8 +291,8 @@ class TestAmpStepGlm:
         n, d, alpha, p, eta = 50, 25, 0.5, 0.2, 0.7
         X = data.X
 
-        def matvec(v):   # float32 operand, float64 result
-            return (X @ v.astype(np.float32)).astype(float)
+        def matvec(v):   # one float32 dot product per row, float64 result
+            return np.vecdot(X, v.astype(np.float32)).astype(float)
 
         beta = rows_sum(X, data.y_noisy)
         y = matvec(beta) - data.y_noisy * d / n

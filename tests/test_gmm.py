@@ -278,8 +278,8 @@ class TestAmpStep:
         n, d = 50, 40
         X = data.X
 
-        def matvec(v):   # float32 operand, float64 result
-            return (X @ v.astype(np.float32)).astype(float)
+        def matvec(v):   # one float32 dot product per row, float64 result
+            return np.vecdot(X, v.astype(np.float32)).astype(float)
 
         theta = rows_sum(X, data.y_noisy) / np.sqrt(n)
         y = matvec(theta) / np.sqrt(n) - data.y_noisy * d / n
