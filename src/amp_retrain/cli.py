@@ -27,6 +27,7 @@ from .bayesmix import (
     emit_targets,
     fit_bimodal_em,
 )
+from .datafiles import read_logit_file, write_table, write_targets_file
 from .errors import (
     AmpRetrainError,
     ConfigError,
@@ -147,8 +148,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_se(args: argparse.Namespace) -> int:
-    from .datafiles import write_table
-
     config, variant = _config_and_variant(args)
     rows = se_rows(config, variant)
     out = _out_dir(args)
@@ -164,8 +163,8 @@ def _cmd_se(args: argparse.Namespace) -> int:
 
 
 def _cmd_cobweb(args: argparse.Namespace) -> int:
-    from .datafiles import write_table
-
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, not {args.steps}")
     if not math.isfinite(args.u1):
         raise ConfigError(f"--u1 must be finite, not {args.u1!r}")
     config, variant = _config_and_variant(args)
@@ -184,8 +183,6 @@ def _cmd_cobweb(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
-    from .datafiles import write_table
-
     try:
         p_list = [float(tok) for tok in args.p_list.split(",") if tok.strip()]
     except ValueError:
@@ -210,8 +207,6 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def _cmd_bayesmix_fit(args: argparse.Namespace) -> int:
-    from .datafiles import read_logit_file
-
     cfg = BayesMixConfig(p=args.p, em_max_iters=args.em_max_iters,
                          em_tol=args.em_tol, sigma_floor=args.sigma_floor)
     fit = fit_bimodal_em([r.z for r in read_logit_file(args.input)], cfg)
@@ -224,8 +219,6 @@ def _cmd_bayesmix_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_bayesmix_apply(args: argparse.Namespace) -> int:
-    from .datafiles import read_logit_file, write_targets_file
-
     cfg = BayesMixConfig(p=args.p)
     records = read_logit_file(args.input)
     stored = _read_json_object(args.fit, "--fit", "a fit run's fit.json").get("fit")
@@ -245,8 +238,8 @@ def _cmd_bayesmix_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_bayesmix_demo(args: argparse.Namespace) -> int:
-    from .datafiles import write_table
-
+    if args.rounds < 1:
+        raise ConfigError(f"--rounds must be at least 1, not {args.rounds}")
     cfg = BayesMixConfig(p=args.p, em_max_iters=args.em_max_iters,
                          em_tol=args.em_tol, sigma_floor=args.sigma_floor)
     params = GmmParams(gamma=args.gamma, alpha=args.alpha, p=args.p,

@@ -160,53 +160,6 @@ def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
 
 
 # --------------------------------------------------------------------------
-# posterior moments of the latent margin
-# --------------------------------------------------------------------------
-
-def _posterior_moments(u, labels, quad_a, lin_b, link, p, prior_var, variance):
-    """E[Z | u, yhat], Var[Z | u, yhat] when ``variance``, and P(yhat | u) for
-    each yhat in ``labels``: {yhat: (mean, var or None, prob)}, vectorized over u.
-
-    The posterior density is proportional to
-        exp(-quad_a*z^2/2 + lin_b*u*z) * f_yhat(z) * exp(-z^2/(2*prior_var)),
-    i.e. a Gaussian N(m, s^2) with s^2 = 1/(quad_a + 1/prior_var), m =
-    lin_b*s^2*u, reweighted by the label factor f_+ = hhat_p, f_- = 1 - hhat_p.
-    Completing the square and centering the quadrature on (m, s) keeps the
-    integrand bounded, so no log-domain rescue is needed.  The rule is
-    :func:`gaussian_rule` split at the link's jumps, so smooth links get
-    Gauss-Hermite, of :data:`ORDER` nodes.  One rule and one link evaluation
-    serve every label.
-
-    The variance takes its moments about the rule's centre m, where the first
-    one is small, so the difference of the second and the squared first does
-    not cancel.
-    """
-    s2 = 1.0 / (quad_a + 1.0 / prior_var)
-    m = lin_b * s2 * np.asarray(u, dtype=float)
-    z, w = gaussian_rule(m, math.sqrt(s2), link.discontinuities, ORDER)
-    # split weights move with each centre; Hermite weights are shared, and a
-    # matrix-vector product contracts them several times faster
-    dot = np.matmul if w.ndim == 1 else np.vecdot
-    hp = hat_h_p(z, link, p)
-    out = {}
-    # +1 first: the factor of -1, 1 - hhat_p, is written over hhat_p
-    for lab in sorted(labels, reverse=True):
-        f = hp if lab > 0 else np.subtract(1.0, hp, out=hp)
-        den = dot(f, w)
-        if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
-            raise DomainError(
-                "posterior normalization vanished (label factor has no mass near the channel)"
-            )
-        var = None
-        if variance:
-            # each offset is a fresh temporary, which numpy reuses in place
-            c1 = dot(f * (z - m[..., None]), w) / den
-            var = dot(f * (z - m[..., None]) ** 2, w) / den - c1 * c1
-        out[lab] = (dot(f * z, w) / den, var, den)
-    return out
-
-
-# --------------------------------------------------------------------------
 # aggregators
 # --------------------------------------------------------------------------
 
@@ -245,36 +198,61 @@ class OptimalGlm:
                    link=params.link, p=params.p, prior_var=params.prior_var)
 
     def _evaluate(self, u, labels, deriv):
-        """{yhat: (g, dg/du or None, P(yhat | u))} at u for each label of ``labels``.
+        """{yhat: (g, dg/du or None, P(yhat | u))} at the points u, a 1-D array,
+        for each label of ``labels``.
 
-        dg/du = (1/prior_var + quad_a) * lin_b * Var[Z | u, yhat] - lin_b,
-        since dE[Z | u, yhat]/du = lin_b * Var[Z | u, yhat].
+        g = prefac * E[Z | u, yhat] - lin_b * u with prefac = 1/prior_var + quad_a,
+        and dg/du = prefac * lin_b * Var[Z | u, yhat] - lin_b, since
+        dE[Z | u, yhat]/du = lin_b * Var[Z | u, yhat].  The posterior density of
+        the margin is proportional to
+            exp(-quad_a*z^2/2 + lin_b*u*z) * f_yhat(z) * exp(-z^2/(2*prior_var)),
+        i.e. a Gaussian N(m, s^2) with s^2 = 1/prefac, m = lin_b*s^2*u,
+        reweighted by the label factor f_+ = hhat_p, f_- = 1 - hhat_p.
+        Completing the square and centering the quadrature on (m, s) keeps the
+        integrand bounded, so no log-domain rescue is needed.  The rule is
+        :func:`gaussian_rule` split at the link's jumps, so smooth links get
+        Gauss-Hermite, of :data:`ORDER` nodes.  One rule and one link evaluation
+        serve every label.
+
+        The variance takes its moments about the rule's centre m, where the first
+        one is small, so the difference of the second and the squared first does
+        not cancel.
         """
         prefac = 1.0 / self.prior_var + self.quad_a
-        moments = _posterior_moments(u, labels, self.quad_a, self.lin_b, self.link,
-                                     self.p, self.prior_var, deriv)
-        return {lab: (prefac * mean - self.lin_b * u,
-                      prefac * self.lin_b * var - self.lin_b if deriv else None, prob)
-                for lab, (mean, var, prob) in moments.items()}
+        s2 = 1.0 / prefac
+        m = self.lin_b * s2 * u
+        z, w = gaussian_rule(m, math.sqrt(s2), self.link.discontinuities, ORDER)
+        # split weights move with each centre; Hermite weights are shared, and a
+        # matrix-vector product contracts them several times faster
+        dot = np.matmul if w.ndim == 1 else np.vecdot
+        hp = hat_h_p(z, self.link, self.p)
+        out = {}
+        # +1 first: the factor of -1, 1 - hhat_p, is written over hhat_p
+        for lab in sorted(labels, reverse=True):
+            f = hp if lab > 0 else np.subtract(1.0, hp, out=hp)
+            den = dot(f, w)
+            if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
+                raise DomainError(
+                    "posterior normalization vanished (label factor has no mass near the channel)"
+                )
+            dg = None
+            if deriv:
+                # each offset is a fresh temporary, which numpy reuses in place
+                c1 = dot(f * (z - m[..., None]), w) / den
+                var = dot(f * (z - m[..., None]) ** 2, w) / den - c1 * c1
+                dg = prefac * self.lin_b * var - self.lin_b
+            out[lab] = (prefac * (dot(f * z, w) / den) - self.lin_b * u, dg, den)
+        return out
 
-    def _per_label(self, u, yhat, deriv):
+    def value_and_deriv(self, u, yhat):
         # each point has one label: one posterior rule per label's subset
         u, yhat = _label_arrays(u, yhat)
-        g = np.empty_like(u)
-        dg = np.empty_like(u) if deriv else None
+        g, dg = np.empty_like(u), np.empty_like(u)
         for lab in (1.0, -1.0):
             mask = yhat == lab
             if np.any(mask):
-                g[mask], dg_lab, _ = self._evaluate(u[mask], (lab,), deriv)[lab]
-                if deriv:
-                    dg[mask] = dg_lab
+                g[mask], dg[mask], _ = self._evaluate(u[mask], (lab,), True)[lab]
         return g, dg
-
-    def value(self, u, yhat):
-        return self._per_label(u, yhat, False)[0]
-
-    def value_and_deriv(self, u, yhat):
-        return self._per_label(u, yhat, True)
 
     def label_values(self, u):
         """(g(u, +1), g(u, -1), P(Yhat = +1 | u)): both labels at the same points
@@ -331,9 +309,6 @@ class OptimalSign:
         den = 1.0 + amp * (2.0 * std_normal_cdf(r) - 1.0)
         return num / (den * s), r, s
 
-    def value(self, u, yhat):
-        return self._value(u, yhat)[0]
-
     def value_and_deriv(self, u, yhat):
         """dg/du = -lin_b * (r*s*g + s^2*g^2): the numerator's r-derivative is
         -r times itself and the denominator's is the numerator.  At p = 0 the
@@ -353,7 +328,7 @@ class OptimalSign:
     def label_values(self, u):
         """(g(u, +1), g(u, -1), P(Yhat = +1 | u) = p + (1-2p)*Phi(r)), in closed form."""
         g_plus, r, _ = self._value(u, 1.0)
-        return g_plus, self.value(u, -1.0), self.p + (1.0 - 2.0 * self.p) * std_normal_cdf(r)
+        return g_plus, self._value(u, -1.0)[0], self.p + (1.0 - 2.0 * self.p) * std_normal_cdf(r)
 
 
 # --------------------------------------------------------------------------

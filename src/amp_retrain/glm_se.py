@@ -85,7 +85,8 @@ def se_step_glm_generic(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm
     sd = math.sqrt(state.mu**2 * params.prior_var + state.sigma**2)
     u, uw = gaussian_rule(0.0, sd, agg.y_breakpoints, DEFAULT_ORDER)
     *star_values, prob_plus = star.label_values(u)
-    values = star_values if agg == star else [agg.value(u, lab) for lab in (1.0, -1.0)]
+    values = (star_values if agg == star
+              else [agg.value_and_deriv(u, lab)[0] for lab in (1.0, -1.0)])
     # the kernel's latent is Z_t itself, as a point mass (sd 0): one column per node
     integrands = [[(s * g)[:, None], (g * g)[:, None]] for s, g in zip(star_values, values)]
     mu_next, e_gg = expect_output_channel(u, uw, prob_plus, 1.0, 0.0, (),

@@ -134,8 +134,8 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
 def _label_arrays(y, yhat):
     """Soft predictions and given labels as broadcast float arrays.
 
-    Every aggregator's ``value`` and ``value_and_deriv`` take their arguments
-    through here: a non-finite prediction or a label other than +-1 raises
+    Every aggregator's ``value_and_deriv`` takes its arguments through here:
+    a non-finite prediction or a label other than +-1 raises
     :class:`DomainError`.
     """
     y = np.asarray(y, dtype=float)
@@ -152,10 +152,6 @@ class IdentityAggregator:
     """g(y, yhat) = yhat: ignores the model prediction entirely."""
 
     y_breakpoints = ()
-
-    def value(self, y, yhat):
-        y, yhat = _label_arrays(y, yhat)
-        return yhat.copy()
 
     def value_and_deriv(self, y, yhat):
         y, yhat = _label_arrays(y, yhat)
@@ -212,17 +208,12 @@ class OptimalGmm:
             log_prior = math.log(params.pi_plus / params.pi_minus)
         return cls(slope=slope, p=params.p, log_odds=log_odds, log_prior=log_prior)
 
-    def value(self, y, yhat):
+    def value_and_deriv(self, y, yhat):
         y, yhat = _label_arrays(y, yhat)
         if self.p == 0.0:
             # infinite log-odds limit: the flipped label is perfectly reliable
-            return yhat.copy()
-        return np.tanh(0.5 * (yhat * self.log_odds + self.slope * y + self.log_prior))
-
-    def value_and_deriv(self, y, yhat):
-        v = self.value(y, yhat)
-        if self.p == 0.0:
-            return v, np.zeros_like(v)
+            return yhat.copy(), np.zeros_like(y)
+        v = np.tanh(0.5 * (yhat * self.log_odds + self.slope * y + self.log_prior))
         return v, 0.5 * self.slope * (1.0 - v * v)
 
 
@@ -242,12 +233,9 @@ class SmoothedFullRT:
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ConfigError("beta must be positive and finite")
 
-    def value(self, y, yhat):
-        y, _ = _label_arrays(y, yhat)
-        return np.tanh(0.5 * self.beta * y)
-
     def value_and_deriv(self, y, yhat):
-        v = self.value(y, yhat)
+        y, _ = _label_arrays(y, yhat)
+        v = np.tanh(0.5 * self.beta * y)
         return v, 0.5 * self.beta * (1.0 - v * v)
 
 
@@ -263,10 +251,6 @@ class SmoothedConsensusRT:
     def __post_init__(self):
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ConfigError("beta must be positive and finite")
-
-    def value(self, y, yhat):
-        y, yhat = _label_arrays(y, yhat)
-        return yhat * stable_logistic(self.beta * y * yhat)
 
     def value_and_deriv(self, y, yhat):
         y, yhat = _label_arrays(y, yhat)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,7 +96,8 @@ def _class_moments(agg, m_bar: float, sigma_bar: float, params: GmmParams) -> Tu
     classes = np.array([1.0, -1.0])
 
     def integrands(u):
-        return [(g * classes[:, None], g * g) for g in (agg.value(u, 1.0), agg.value(u, -1.0))]
+        return [(g * classes[:, None], g * g)
+                for g in (agg.value_and_deriv(u, 1.0)[0], agg.value_and_deriv(u, -1.0)[0])]
 
     return expect_output_channel(classes, (params.pi_plus, params.pi_minus),
                                  (1.0 - params.p, params.p), m_bar, sigma_bar,
@@ -213,13 +214,13 @@ class SeMapSpec:
         if self.variant not in _LIMIT_MAPS:
             aggregator_from_name(self.variant, self.beta)
 
-    def as_function(self) -> Callable[[float], float]:
+    def __call__(self, u):
+        """F(u), elementwise over arrays of u."""
         if self.variant in _LIMIT_MAPS:
-            limit_map = _LIMIT_MAPS[self.variant]
-            return lambda u: limit_map(u, self.params)
+            return _LIMIT_MAPS[self.variant](u, self.params)
         agg = aggregator_from_name(self.variant, self.beta)
         if agg is None:
-            return lambda u: eta_map_opt(u, self.params)
+            return eta_map_opt(u, self.params)
 
         def step(u: float) -> float:
             if u < 0:
@@ -229,14 +230,7 @@ class SeMapSpec:
                                         self.params)
             return gamma**2 / alpha * e_gy**2 / e_gg if e_gg > 0 else 0.0
 
-        return lambda u: np.vectorize(step, otypes=[float])(u)[()]
-
-
-MapLike = Union[SeMapSpec, Callable[[float], float]]
-
-
-def _map_function(map_spec: MapLike) -> Callable[[float], float]:
-    return map_spec.as_function() if isinstance(map_spec, SeMapSpec) else map_spec
+        return np.vectorize(step, otypes=[float])(u)[()]
 
 
 def _grid_roots(fn: Callable, us: np.ndarray, tol: float) -> List[float]:
@@ -250,7 +244,7 @@ def _grid_roots(fn: Callable, us: np.ndarray, tol: float) -> List[float]:
     return sorted(roots)
 
 
-def find_fixed_points(map_spec: MapLike, u_max: float = 50.0) -> List[float]:
+def find_fixed_points(fmap: Callable[[float], float], u_max: float = 50.0) -> List[float]:
     """Fixed points of F on [0, u_max], sorted ascending.
 
     Scans a uniform grid for sign changes of F(u) - u and refines each by
@@ -260,11 +254,10 @@ def find_fixed_points(map_spec: MapLike, u_max: float = 50.0) -> List[float]:
     """
     if u_max <= 0:
         raise ConfigError("u_max must be positive")
-    if isinstance(map_spec, SeMapSpec):
-        bound = map_spec.params.gamma**2 / map_spec.params.alpha
+    if isinstance(fmap, SeMapSpec):
+        bound = fmap.params.gamma**2 / fmap.params.alpha
         u_max = max(u_max, 1.05 * bound + 1.0)
-    f = _map_function(map_spec)
-    return _grid_roots(lambda u: f(u) - u, np.linspace(0.0, u_max, _SCAN_GRID + 1),
+    return _grid_roots(lambda u: fmap(u) - u, np.linspace(0.0, u_max, _SCAN_GRID + 1),
                        _FIXED_POINT_TOL)
 
 
@@ -276,17 +269,16 @@ class CobwebTrace:
     diverged: bool = False
 
 
-def cobweb_trace(map_spec: MapLike, u1: float, T: int) -> CobwebTrace:
+def cobweb_trace(fmap: Callable[[float], float], u1: float, T: int) -> CobwebTrace:
     """Iterate u_{t+1} = F(u_t) for T steps starting from u1."""
     if not 0 <= u1 < math.inf:
         raise DomainError("u1 must be non-negative and finite")
     if T < 1:
         raise ConfigError("T must be >= 1")
-    f = _map_function(map_spec)
     pts: List[Tuple[float, float]] = []
     u = float(u1)
     for _ in range(T):
-        fu = f(u)
+        fu = fmap(u)
         if not math.isfinite(fu):
             return CobwebTrace(points=pts, diverged=True)
         pts.append((u, fu))

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 import numpy as np
 
 from . import __version__
+from .datafiles import write_table
 from .errors import ConfigError
 from .gmm import (
     AGGREGATORS,
@@ -270,8 +271,6 @@ def _meta(config: ExperimentConfig) -> Dict[str, str]:
 
 
 def write_simulation_outputs(result: SimulationResult, out_dir) -> Dict[str, Path]:
-    from .datafiles import write_table
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = _meta(result.config)
@@ -305,7 +304,7 @@ def cobweb_rows(config: ExperimentConfig, u1: float, steps: int,
     """
     params = build_params(config)
     if config.model == "gmm":
-        fmap = SeMapSpec(variant=variant, params=params, beta=config.beta).as_function()
+        fmap = SeMapSpec(variant=variant, params=params, beta=config.beta)
     elif variant == "opt":
         # se_step_glm_opt takes one eta at a time
         opt_map = np.vectorize(lambda u: se_step_glm_opt(np.sqrt(u), params) ** 2,

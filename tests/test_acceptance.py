@@ -149,7 +149,7 @@ def test_criterion_06_bayes_identity_random_tuples():
         agg = OptimalGmm.from_se_state(state, params)
         e_yg = e_gg = 0.0
         for w, y_lab, yhat in label_atoms(params):
-            vals = agg.value(state.m_bar * y_lab + state.sigma_bar * nodes, yhat)
+            vals = agg.value_and_deriv(state.m_bar * y_lab + state.sigma_bar * nodes, yhat)[0]
             e_yg += w * y_lab * float(rule.weights @ vals) / math.sqrt(math.pi)
             e_gg += w * float(rule.weights @ (vals * vals)) / math.sqrt(math.pi)
         worst = max(worst, abs(e_yg - e_gg))
@@ -204,8 +204,8 @@ def test_criterion_09_closed_form_agreement():
     worst_g = 0.0
     for u in np.linspace(-3, 3, 13):
         for yhat in (1, -1):
-            quad = float(quad_agg.value(float(u), yhat))
-            closed = float(closed_agg.value(float(u), yhat))
+            quad = float(quad_agg.value_and_deriv(float(u), yhat)[0])
+            closed = float(closed_agg.value_and_deriv(float(u), yhat)[0])
             worst_g = max(worst_g, abs(quad - closed))
     assert worst_g <= 1e-6
     worst_f = 0.0
@@ -246,7 +246,7 @@ def test_criterion_11_bayesmix_reduction_and_em():
     for z in np.linspace(-4, 4, 33):
         for yhat in (1, -1):
             worst = max(worst, abs(bayesmix_aggregate(float(z), yhat, fit, p)
-                                   - float(agg.value(float(z), yhat))))
+                                   - float(agg.value_and_deriv(float(z), yhat)[0])))
     assert worst <= 1e-12
     gen = RngStream(1111).generator()
     for _ in range(10):

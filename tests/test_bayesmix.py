@@ -138,7 +138,7 @@ class TestAggregate:
         for z in np.linspace(-4, 4, 17):
             for yhat in (1, -1):
                 assert bayesmix_aggregate(float(z), yhat, fit, p) == pytest.approx(
-                    float(agg.value(float(z), yhat)), abs=1e-12
+                    float(agg.value_and_deriv(float(z), yhat)[0]), abs=1e-12
                 )
 
     def test_label_symmetry(self):

@@ -278,6 +278,13 @@ class TestCobweb:
         assert "--u1" in capsys.readouterr().err
         assert not (tmp_path / "cobweb.tsv").exists()
 
+    @pytest.mark.parametrize("model", ["gmm", "glm"])
+    def test_zero_steps_are_refused(self, tmp_path, capsys, model):
+        assert run_cli("cobweb", "--model", model, "--gamma", "1.0", "--alpha", "0.5",
+                       "--p", "0.2", "--u1", "0.5", "--steps", "0", "--out", str(tmp_path)) == 2
+        assert "--steps" in capsys.readouterr().err
+        assert not (tmp_path / "cobweb.tsv").exists()
+
     def test_glm_has_the_opt_map_only(self, tmp_path):
         args = ("cobweb", "--model", "glm", "--gamma", "1.0", "--alpha", "0.5", "--p", "0.2",
                 "--u1", "0.5", "--steps", "2", "--out", str(tmp_path))
@@ -342,6 +349,12 @@ class TestBayesmix:
                        "--seed", "4", "--out", str(out)) == 0
         _m, _c, rows = read_table(out / "demo.tsv")
         assert len(rows) == 3
+
+    def test_demo_without_rounds_is_refused(self, tmp_path, capsys):
+        assert run_cli("bayesmix", "demo", "--p", "0.3", "--n", "100", "--rounds", "0",
+                       "--out", str(tmp_path)) == 2
+        assert "--rounds" in capsys.readouterr().err
+        assert not (tmp_path / "demo.tsv").exists()
 
     @pytest.mark.parametrize("text", ['{"fit": {"mu_plus": 1.0,', '{"schema": "bayesmix-fit v1"}',
                                       '{"fit": {"mu_plus": 1.0}}', '[1, 2]',
@@ -485,7 +498,7 @@ class TestOneList:
         params = GmmParams(gamma=1.5, alpha=2.0, p=0.3, pi_plus=0.3, n=100)
         for variant in VARIANTS:
             beta = 20.0 if variant.startswith("smoothed") else None
-            fmap = SeMapSpec(variant, params, beta=beta).as_function()
+            fmap = SeMapSpec(variant, params, beta=beta)
             assert math.isfinite(fmap(0.5)), variant
         for bad in ("bogus", "OPT", "", "smoothed", "limit"):
             with pytest.raises(ConfigError):

@@ -95,20 +95,25 @@ class TestNoUpcastCopy:
 # glm sign and mixture runs and a bayesmix demo at n 2000, d 1000, and again
 # at an n that is not a multiple of 8: large enough that OpenBLAS splits a
 # float32 X^T g over two threads, and where its sgemv for X w would round the
-# rows differently on two threads
+# rows differently on two threads; and a logistic glm run, whose aggregator
+# contracts its posterior rule with np.matmul (BLAS dgemv)
 ARGS = {
     "glm": ["simulate", "--model", "glm", "--link", "sign", "--gamma", "1.0", "--alpha", "0.5",
             "--p", "0.2", "--iterations", "5", "--replications", "2", "--seed", "3"],
+    "logistic": ["simulate", "--model", "glm", "--link", "logistic", "--gamma", "2",
+                 "--alpha", "0.5", "--p", "0.2", "--iterations", "5", "--replications", "2",
+                 "--seed", "3"],
     "gmm": ["simulate", "--model", "gmm", "--gamma", "1.5", "--alpha", "0.5", "--p", "0.3",
             "--pi-plus", "0.3", "--iterations", "5", "--replications", "2", "--seed", "3"],
     "demo": ["bayesmix", "demo", "--p", "0.45", "--gamma", "2.0", "--alpha", "0.5",
              "--rounds", "5", "--seed", "3"],
 }
 SIZES = [("glm", 2000, 1000), ("gmm", 2000, 1000), ("demo", 2000, 1000),
-         ("glm", 2004, 1002), ("gmm", 2001, 1000), ("demo", 2004, 1002)]
+         ("glm", 2004, 1002), ("gmm", 2001, 1000), ("demo", 2004, 1002),
+         ("logistic", 2001, 1000)]
 RUNS = {f"{kind}-{n}": ARGS[kind] + ["--n", str(n), "--d", str(d)] for kind, n, d in SIZES}
 TABLES = {"glm": ("report.tsv", "trajectories.tsv"), "gmm": ("report.tsv", "trajectories.tsv"),
-          "demo": ("demo.tsv",)}
+          "logistic": ("report.tsv", "trajectories.tsv"), "demo": ("demo.tsv",)}
 SRC = str(Path(amp_retrain.__file__).resolve().parents[1])
 RUN_ALL = ("import json, sys\n"
            "from amp_retrain.cli import main\n"

@@ -323,7 +323,7 @@ def old_generic_step(state, agg, params, order):
         for lab, weight in ((1.0, hp), (-1.0, 1.0 - hp)):
             f = h_nodes if lab > 0 else 1.0 - h_nodes
             mean = (dot(f * nodes, weights) / dot(f, weights)).reshape(u.shape)
-            g = agg.value(u, lab)
+            g = agg.value_and_deriv(u, lab)[0]
             mu += np.sum(w2 * weight * ((prefac * mean - lin_b * u) * g))
             e_gg += np.sum(w2 * weight * g ** 2)
     return float(mu), math.sqrt(params.alpha * float(e_gg))
@@ -353,7 +353,8 @@ def reference_step(state, agg, params, order=82):
     def integrands(u):
         star_plus, star_minus, _ = star.label_values(u)
         return [(s * g, g * g) for s, g in zip((star_plus, star_minus),
-                                                (agg.value(u, 1.0), agg.value(u, -1.0)))]
+                                                (agg.value_and_deriv(u, 1.0)[0],
+                                                 agg.value_and_deriv(u, -1.0)[0]))]
 
     z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
     mu, e_gg = expect_output_channel(z, zw, hat_h_p(z, params.link, params.p), state.mu,

@@ -134,31 +134,34 @@ class TestAggregators:
         # exponent vanishes at y=0 with equal priors: value collapses to 1-2p
         params = params_for(p=0.3, pi_plus=0.5)
         agg = OptimalGmm.from_eta(0.7, params)
-        assert float(agg.value(0.0, 1)) == pytest.approx(0.4, abs=1e-14)
-        assert float(agg.value(0.0, -1)) == pytest.approx(-0.4, abs=1e-14)
+        assert float(agg.value_and_deriv(0.0, 1)[0]) == pytest.approx(0.4, abs=1e-14)
+        assert float(agg.value_and_deriv(0.0, -1)[0]) == pytest.approx(-0.4, abs=1e-14)
 
     def test_optimal_saturates(self):
         agg = OptimalGmm.from_eta(0.5, params_for(p=0.2, pi_plus=0.3))
-        assert float(agg.value(1e6, 1)) == pytest.approx(1.0, abs=1e-12)
-        assert float(agg.value(-1e6, 1)) == pytest.approx(-1.0, abs=1e-12)
+        assert float(agg.value_and_deriv(1e6, 1)[0]) == pytest.approx(1.0, abs=1e-12)
+        assert float(agg.value_and_deriv(-1e6, 1)[0]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_optimal_p_zero_returns_label(self):
         agg = OptimalGmm.from_eta(0.5, params_for(p=0.0))
-        assert float(agg.value(3.7, -1)) == -1.0
-        assert float(agg.value_and_deriv(3.7, -1)[1]) == 0.0
+        g, dg = agg.value_and_deriv(3.7, -1)
+        assert float(g) == -1.0
+        assert float(dg) == 0.0
 
     def test_smoothed_ft_at_zero(self):
         agg = SmoothedFullRT(beta=5.0)
-        assert float(agg.value(0.0, 1)) == 0.0
-        assert float(agg.value_and_deriv(0.0, 1)[1]) == pytest.approx(2.5, abs=1e-15)
+        g, dg = agg.value_and_deriv(0.0, 1)
+        assert float(g) == 0.0
+        assert float(dg) == pytest.approx(2.5, abs=1e-15)
 
     def test_identity_derivative_zero(self):
         agg = IdentityAggregator()
-        assert float(agg.value_and_deriv(1.3, -1)[1]) == 0.0
-        assert float(agg.value(1.3, -1)) == -1.0
+        g, dg = agg.value_and_deriv(1.3, -1)
+        assert float(dg) == 0.0
+        assert float(g) == -1.0
 
     def test_invalid_inputs(self):
-        # all six aggregators check their inputs in value and in value_and_deriv
+        # all six aggregators check their inputs
         glm = dict(gamma=1.0, alpha=1.0, p=0.2, n=100)
         aggs = [
             IdentityAggregator(),
@@ -171,13 +174,12 @@ class TestAggregators:
         bad = [(float("nan"), 1), (0.0, 0), (0.3, 0.5),
                ([0.3, np.inf], [1, -1]), ([0.3, 0.5], [1, 0])]
         for agg in aggs:
-            for method in ("value", "value_and_deriv"):
-                for y, yhat in bad:
-                    try:
-                        getattr(agg, method)(y, yhat)
-                    except DomainError:
-                        continue
-                    pytest.fail(f"{type(agg).__name__}.{method}({y}, {yhat}) did not raise")
+            for y, yhat in bad:
+                try:
+                    agg.value_and_deriv(y, yhat)
+                except DomainError:
+                    continue
+                pytest.fail(f"{type(agg).__name__}.value_and_deriv({y}, {yhat}) did not raise")
 
     @pytest.mark.parametrize("agg", [
         IdentityAggregator(),
@@ -190,9 +192,9 @@ class TestAggregators:
         ys = np.linspace(-3, 3, 50)
         h = 1e-5
         for yhat in (1.0, -1.0):
-            value, analytic = agg.value_and_deriv(ys, yhat)
-            assert np.array_equal(value, agg.value(ys, yhat))
-            fd = (agg.value(ys + h, yhat) - agg.value(ys - h, yhat)) / (2 * h)
+            analytic = agg.value_and_deriv(ys, yhat)[1]
+            fd = (agg.value_and_deriv(ys + h, yhat)[0]
+                  - agg.value_and_deriv(ys - h, yhat)[0]) / (2 * h)
             assert np.max(np.abs(analytic - fd)) <= 1e-8
 
     @pytest.mark.parametrize("agg,bound", [
@@ -209,14 +211,14 @@ class TestAggregators:
     def test_optimal_bounded_open_interval(self, y, yhat):
         # strict bounds hold in floats away from tanh saturation (~|arg| > 19)
         agg = OptimalGmm.from_eta(0.5, GmmParams(gamma=1.5, alpha=2.0, p=0.2, pi_plus=0.3, n=100))
-        v = float(agg.value(y, yhat))
+        v = float(agg.value_and_deriv(y, yhat)[0])
         assert -1.0 < v < 1.0
 
     def test_optimal_strictly_increasing_in_y(self):
         agg = OptimalGmm.from_eta(0.5, params_for(p=0.2, pi_plus=0.3))
         ys = np.linspace(-3, 3, 200)
         for yhat in (1.0, -1.0):
-            assert np.all(np.diff(agg.value(ys, yhat)) > 0)
+            assert np.all(np.diff(agg.value_and_deriv(ys, yhat)[0]) > 0)
 
 
 class TestOnsager:
@@ -264,7 +266,8 @@ class TestAmpStep:
         state = step(AmpState(theta0, y0, 3), data, agg)
         c = np.mean(agg.value_and_deriv(y0, data.y_noisy)[1])
         assert np.allclose(state.w, -c * theta0, atol=1e-15)
-        assert np.allclose(state.y_soft, -agg.value(y0, data.y_noisy) * d / n, atol=1e-15)
+        assert np.allclose(state.y_soft, -agg.value_and_deriv(y0, data.y_noisy)[0] * d / n,
+                           atol=1e-15)
 
     def test_against_straight_line_reimplementation(self):
         # independent plain-numpy transcription of the two update formulas
@@ -384,7 +387,7 @@ class TestRunRetraining:
         nodes = math.sqrt(2.0) * rule.nodes
         e_yg = e_gg = 0.0
         for w, y_lab, yhat in label_atoms(params):
-            vals = agg.value(state.m_bar * y_lab + state.sigma_bar * nodes, yhat)
+            vals = agg.value_and_deriv(state.m_bar * y_lab + state.sigma_bar * nodes, yhat)[0]
             e_yg += w * y_lab * float(rule.weights @ vals) / math.sqrt(math.pi)
             e_gg += w * float(rule.weights @ (vals * vals)) / math.sqrt(math.pi)
         assert abs(e_yg - e_gg) <= 1e-8

@@ -100,7 +100,7 @@ class TestStep:
         s2_acc = 0.0
         for w, y_lab, yhat in label_atoms(params):
             y, weights = gaussian_rule(state.m_bar * y_lab, state.sigma_bar, (), 201)
-            vals = agg.value(y, yhat)
+            vals = agg.value_and_deriv(y, yhat)[0]
             m_acc += w * y_lab * float(vals @ weights)
             s2_acc += w * float((vals * vals) @ weights)
         assert stepped.m == pytest.approx(params.gamma / math.sqrt(params.alpha) * m_acc, abs=1e-9)
@@ -112,7 +112,7 @@ def reference_step(state, agg, params, order=301):
     e_gy = e_gg = 0.0
     for w, y_lab, yhat in label_atoms(params):
         y, weights = gaussian_rule(state.m_bar * y_lab, state.sigma_bar, agg.y_breakpoints, order)
-        vals = agg.value(y, yhat)
+        vals = agg.value_and_deriv(y, yhat)[0]
         e_gy += w * y_lab * float(vals @ weights)
         e_gg += w * float((vals * vals) @ weights)
     return SeStateGmm(m=params.gamma / math.sqrt(params.alpha) * e_gy, sigma=math.sqrt(e_gg),
@@ -226,8 +226,7 @@ class TestFixedPoints:
         assert roots
         u_star = roots[0]
         assert 0.0 < u_star < 10.0
-        f = spec.as_function()
-        assert abs(f(u_star) - u_star) <= 1e-8
+        assert abs(spec(u_star) - u_star) <= 1e-8
 
     def test_cobweb_monotone_from_both_sides(self):
         spec = SeMapSpec(variant="opt", params=FIG_MAP_PARAMS)
@@ -340,14 +339,14 @@ class TestSeMapSpec:
 
     def test_smoothed_spec_converges_to_limit(self):
         params = FIG_MAP_PARAMS
-        f_sharp = SeMapSpec(variant="ft_limit", params=params).as_function()
-        f_smooth = SeMapSpec(variant="smoothed_ft", params=params, beta=300.0).as_function()
+        f_sharp = SeMapSpec(variant="ft_limit", params=params)
+        f_smooth = SeMapSpec(variant="smoothed_ft", params=params, beta=300.0)
         for u in (0.2, 1.0, 3.0):
             assert f_smooth(u) == pytest.approx(f_sharp(u), abs=5e-3)
 
     def test_identity_map_is_the_first_state(self):
         # the identity ignores the prediction, so every step re-enters state 1
-        f = SeMapSpec(variant="identity", params=FIG_MAP_PARAMS).as_function()
+        f = SeMapSpec(variant="identity", params=FIG_MAP_PARAMS)
         for u in (0.0, 0.5, 3.0):
             assert f(u) == pytest.approx(se_init_gmm(FIG_MAP_PARAMS).eta ** 2, abs=1e-12)
 
@@ -357,9 +356,9 @@ class TestSeMapSpec:
         params = FIG_MAP_PARAMS
         expected = params.gamma**2 / params.alpha * (1 - 2 * params.p) ** 2
         for variant in ("identity", "smoothed_ct"):
-            f = SeMapSpec(variant=variant, params=params, beta=20.0).as_function()
+            f = SeMapSpec(variant=variant, params=params, beta=20.0)
             assert abs(f(0.0) - expected) <= 1e-15
-        assert SeMapSpec(variant="smoothed_ft", params=params, beta=20.0).as_function()(0.0) == 0.0
+        assert SeMapSpec(variant="smoothed_ft", params=params, beta=20.0)(0.0) == 0.0
 
     def test_opt_trace_matches_map_iterates(self):
         params = FIG_MAP_PARAMS
