@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -20,35 +20,12 @@ from .gmm import GmmParams, _label_arrays, sample_gmm_dataset, test_error_gmm
 from .numerics import RngStream, _matvec, _rmatvec
 
 
-@dataclass(frozen=True)
-class LogitRecord:
-    z: float
-    yhat: int
-    id: Optional[str] = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.z):
-            raise DomainError("logit must be finite")
-        if self.yhat not in (-1, 1):
-            raise DomainError("yhat must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class BayesMixConfig:
-    p: float
-    em_max_iters: int = 200
-    em_tol: float = 1e-8
-    sigma_floor: Optional[float] = None  # None: 1e-3 * data standard deviation
-
-    def __post_init__(self):
-        if not (0.0 <= self.p < 0.5):
-            raise ConfigError("p must lie in [0, 0.5)")
-        if not 0 < self.em_tol < math.inf:
-            raise ConfigError("em_tol must be positive and finite")
-        if self.em_max_iters < 1:
-            raise ConfigError("em_max_iters must be >= 1")
-        if self.sigma_floor is not None and not 0 < self.sigma_floor < math.inf:
-            raise ConfigError("sigma_floor must be positive and finite")
+# The EM fit: at most _EM_ITERATIONS iterations, stopping once the
+# log-likelihood gains less than _EM_LOGLIK_TOL; sigmas are clamped at
+# _EM_FLOOR_FRACTION times the logits' standard deviation.
+_EM_ITERATIONS = 200
+_EM_LOGLIK_TOL = 1e-8
+_EM_FLOOR_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -86,7 +63,7 @@ def _gauss_pdf(z, mu, sigma):
     return np.exp(-0.5 * ((z - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def fit_bimodal_em(logits: Sequence[float], cfg: BayesMixConfig) -> BimodalFit:
+def fit_bimodal_em(logits: Sequence[float]) -> BimodalFit:
     """EM fit of a two-component mixture to 1-D logits.
 
     Initialization splits the data at zero (conditional means/stds of the
@@ -103,7 +80,7 @@ def fit_bimodal_em(logits: Sequence[float], cfg: BayesMixConfig) -> BimodalFit:
     spread = float(np.std(z))
     if spread == 0.0:
         raise DegenerateFitError("all logits identical")
-    floor = cfg.sigma_floor if cfg.sigma_floor is not None else 1e-3 * spread
+    floor = _EM_FLOOR_FRACTION * spread
 
     pos = z[z > 0]
     neg = z[z <= 0]
@@ -121,7 +98,7 @@ def fit_bimodal_em(logits: Sequence[float], cfg: BayesMixConfig) -> BimodalFit:
     loglik = -np.inf
     clamped = False
     iterations = 0
-    for iterations in range(1, cfg.em_max_iters + 1):
+    for iterations in range(1, _EM_ITERATIONS + 1):
         dens_p = w_p * _gauss_pdf(z, mu_p, s_p)
         dens_m = (1.0 - w_p) * _gauss_pdf(z, mu_m, s_m)
         total = dens_p + dens_m
@@ -133,7 +110,7 @@ def fit_bimodal_em(logits: Sequence[float], cfg: BayesMixConfig) -> BimodalFit:
             )
         improved = new_loglik - loglik
         loglik = new_loglik
-        if improved < cfg.em_tol and iterations > 1:
+        if improved < _EM_LOGLIK_TOL and iterations > 1:
             break
         resp = dens_p / total
         w_p = float(np.clip(np.mean(resp), 1e-12, 1.0 - 1e-12))
@@ -187,27 +164,13 @@ def bayesmix_aggregate(z, yhat, fit: BimodalFit, p: float):
     return float(out) if out.ndim == 0 else out
 
 
-def emit_targets(
-    records: Sequence[LogitRecord], fit: BimodalFit, cfg: BayesMixConfig
-) -> List[Tuple[Optional[str], float]]:
-    """Apply the aggregator to every record, preserving input order."""
-    if not records:
-        return []
-    z = np.array([r.z for r in records])
-    yh = np.array([r.yhat for r in records], dtype=float)
-    targets = bayesmix_aggregate(z, yh, fit, cfg.p)
-    return [(r.id, float(t)) for r, t in zip(records, np.atleast_1d(targets))]
-
-
 @dataclass(frozen=True)
 class RetrainDemoResult:
     accuracies: List[float]   # clean-test accuracy after rounds 0..T-1
     halted_at: Optional[int] = None  # round where the EM fit degenerated
 
 
-def bayesmix_retrain_demo(
-    params: GmmParams, cfg: BayesMixConfig, T: int, rng: RngStream
-) -> RetrainDemoResult:
+def bayesmix_retrain_demo(params: GmmParams, T: int, rng: RngStream) -> RetrainDemoResult:
     """Desk-scale retraining loop on Gaussian-mixture data.
 
     Round 0 trains the simplified linear model w = X^T targets / n on the
@@ -232,9 +195,9 @@ def bayesmix_retrain_demo(
             break
         logits = _matvec(data.X, w)
         try:
-            fit = fit_bimodal_em(logits, cfg)
+            fit = fit_bimodal_em(logits)
         except DegenerateFitError:
             halted_at = rnd
             break
-        targets = bayesmix_aggregate(logits, data.y_noisy, fit, cfg.p)
+        targets = bayesmix_aggregate(logits, data.y_noisy, fit, params.p)
     return RetrainDemoResult(accuracies=accuracies, halted_at=halted_at)

@@ -20,13 +20,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .bayesmix import (
-    BayesMixConfig,
-    BimodalFit,
-    bayesmix_retrain_demo,
-    emit_targets,
-    fit_bimodal_em,
-)
+from .bayesmix import BimodalFit, bayesmix_aggregate, bayesmix_retrain_demo, fit_bimodal_em
 from .datafiles import read_logit_file, write_table, write_targets_file
 from .errors import (
     AmpRetrainError,
@@ -51,6 +45,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
+
+
+# the largest start of a glm cobweb: its grid reaches 1.2*u1, and the glm opt
+# map is tested up to u = 1e16
+_GLM_U1_MAX = 1e16 / 1.2
 
 
 def _default_out() -> str:
@@ -171,6 +170,10 @@ def _cmd_cobweb(args: argparse.Namespace) -> int:
     if config.model == "glm" and not args.u1 > 0.0:
         raise ConfigError(f"--u1 must be positive for the glm map, whose domain is u > 0, "
                           f"not {args.u1!r}")
+    if config.model == "glm" and args.u1 > _GLM_U1_MAX:
+        raise ConfigError(f"--u1 must be at most {_GLM_U1_MAX:.6g} for the glm map, whose "
+                          f"cobweb grid reaches 1.2*u1 and which is tested up to u = 1e16, "
+                          f"not {args.u1!r}")
     rows = cobweb_rows(config, args.u1, args.steps, variant)
     out = _out_dir(args)
     path = out / "cobweb.tsv"
@@ -207,20 +210,19 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def _cmd_bayesmix_fit(args: argparse.Namespace) -> int:
-    cfg = BayesMixConfig(p=args.p, em_max_iters=args.em_max_iters,
-                         em_tol=args.em_tol, sigma_floor=args.sigma_floor)
-    fit = fit_bimodal_em([r.z for r in read_logit_file(args.input)], cfg)
+    _ids, z, _yhat = read_logit_file(args.input)
+    fit = fit_bimodal_em(z)
     path = _out_dir(args) / "fit.json"
-    path.write_text(json.dumps({"schema": "bayesmix-fit v1",
-                                "config": asdict(cfg), "fit": asdict(fit)},
-                               sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps({"schema": "bayesmix-fit v1", "version": __version__,
+                                "fit": asdict(fit)}, sort_keys=True, indent=2) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_bayesmix_apply(args: argparse.Namespace) -> int:
-    cfg = BayesMixConfig(p=args.p)
-    records = read_logit_file(args.input)
+    if not 0.0 <= args.p < 0.5:
+        raise ConfigError(f"--p must lie in [0, 0.5), not {args.p!r}")
+    ids, z, yhat = read_logit_file(args.input)
     stored = _read_json_object(args.fit, "--fit", "a fit run's fit.json").get("fit")
     try:
         fit = BimodalFit(**stored)
@@ -228,10 +230,9 @@ def _cmd_bayesmix_apply(args: argparse.Namespace) -> int:
         raise ConfigError(f'--fit {args.fit} lacks the "fit" object of a fit.json') from None
     except DegenerateFitError as exc:
         raise ConfigError(f"--fit {args.fit}: {exc}") from None
-    targets = emit_targets(records, fit, cfg)
     path = _out_dir(args) / "targets.tsv"
-    write_targets_file(path, targets,
-                       meta={"config": json.dumps({"p": cfg.p}, sort_keys=True),
+    write_targets_file(path, ids, bayesmix_aggregate(z, yhat, fit, args.p),
+                       meta={"config": json.dumps({"p": args.p}),
                              "fit": json.dumps(stored, sort_keys=True)})
     print(f"wrote {path}")
     return EXIT_OK
@@ -240,15 +241,12 @@ def _cmd_bayesmix_apply(args: argparse.Namespace) -> int:
 def _cmd_bayesmix_demo(args: argparse.Namespace) -> int:
     if args.rounds < 1:
         raise ConfigError(f"--rounds must be at least 1, not {args.rounds}")
-    cfg = BayesMixConfig(p=args.p, em_max_iters=args.em_max_iters,
-                         em_tol=args.em_tol, sigma_floor=args.sigma_floor)
     params = GmmParams(gamma=args.gamma, alpha=args.alpha, p=args.p,
                        pi_plus=args.pi_plus, n=args.n, d=args.d)
-    result = bayesmix_retrain_demo(params, cfg, args.rounds,
-                                   RngStream(args.master_seed, 0))
+    result = bayesmix_retrain_demo(params, args.rounds, RngStream(args.master_seed, 0))
     path = _out_dir(args) / "demo.tsv"
-    shown = ("gamma", "alpha", "pi_plus", "n", "rounds", "master_seed")
-    config = {**{key: getattr(args, key) for key in shown}, **asdict(cfg)}
+    shown = ("gamma", "alpha", "p", "pi_plus", "n", "rounds", "master_seed")
+    config = {key: getattr(args, key) for key in shown}
     meta = {"config": json.dumps(config, sort_keys=True),
             "master_seed": str(args.master_seed), "version": __version__}
     if result.halted_at is not None:
@@ -298,24 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
     cross.add_argument("--out", type=str, default=None)
     cross.set_defaults(func=_cmd_crossover)
 
-    # the flags of the bayesmix actions: each action takes only those it reads
-    recipe = argparse.ArgumentParser(add_help=False)
-    recipe.add_argument("--p", type=float, required=True)
-    recipe.add_argument("--out", type=str, default=None)
-    logits = argparse.ArgumentParser(add_help=False)
-    logits.add_argument("--input", type=str, required=True, help="logit file (id, z, yhat)")
-    em = argparse.ArgumentParser(add_help=False)
-    em.add_argument("--em-max-iters", type=int, default=200)
-    em.add_argument("--em-tol", type=float, default=1e-8)
-    em.add_argument("--sigma-floor", type=float, default=None)
-
+    # each bayesmix action takes only the flags it reads
     bm = subs.add_parser("bayesmix", help="soft-label recipe: fit / apply / demo")
     actions = bm.add_subparsers(dest="action", required=True)
-    actions.add_parser("fit", parents=[logits, recipe, em]).set_defaults(func=_cmd_bayesmix_fit)
-    apply = actions.add_parser("apply", parents=[logits, recipe])
+    fit = actions.add_parser("fit")
+    apply = actions.add_parser("apply")
+    demo = actions.add_parser("demo")
+    for action in (fit, apply):
+        action.add_argument("--input", type=str, required=True, help="logit file (id, z, yhat)")
     apply.add_argument("--fit", type=str, required=True, help="fit.json from a fit run")
-    apply.set_defaults(func=_cmd_bayesmix_apply)
-    demo = actions.add_parser("demo", parents=[recipe, em])
+    for action in (apply, demo):
+        action.add_argument("--p", type=float, required=True)
     demo.add_argument("--gamma", type=float, default=2.0)
     demo.add_argument("--alpha", type=float, default=0.1)
     demo.add_argument("--pi-plus", dest="pi_plus", type=float, default=0.5)
@@ -323,7 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--d", type=int, default=None)
     demo.add_argument("--rounds", type=int, default=10)
     demo.add_argument("--seed", dest="master_seed", type=int, default=0)
-    demo.set_defaults(func=_cmd_bayesmix_demo)
+    for action, func in ((fit, _cmd_bayesmix_fit), (apply, _cmd_bayesmix_apply),
+                         (demo, _cmd_bayesmix_demo)):
+        action.add_argument("--out", type=str, default=None)
+        action.set_defaults(func=func)
     return parser
 
 

@@ -8,12 +8,12 @@ command with the same seed reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bayesmix import LogitRecord
 from .errors import ParseError
 
 LOGIT_SCHEMA = "bayesmix-logits v1"
@@ -68,15 +68,19 @@ def read_table(path) -> Tuple[Dict[str, str], List[str], List[List[str]]]:
 # logit / target exchange files
 # --------------------------------------------------------------------------
 
-def write_logit_file(path, records: Sequence[LogitRecord], meta: Optional[Dict] = None) -> None:
+def write_logit_file(path, ids: Sequence[str], z, yhat, meta: Optional[Dict] = None) -> None:
+    """One (id, z, yhat) row per sample; labels are written as the integers +-1."""
     header = {"schema": LOGIT_SCHEMA, **(meta or {})}
     write_table(path, header, ["id", "z", "yhat"],
-                [(r.id if r.id is not None else i, r.z, r.yhat)
-                 for i, r in enumerate(records)])
+                [(name, float(a), int(b)) for name, a, b in zip(ids, z, yhat)])
 
 
-def read_logit_file(path) -> List[LogitRecord]:
-    records: List[LogitRecord] = []
+def read_logit_file(path) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """(ids, z, yhat) of a logit file.  A logit must be finite and a label
+    equal to +1 or -1; anything else raises :class:`ParseError` naming the line."""
+    ids: List[str] = []
+    zs: List[float] = []
+    labels: List[float] = []
     saw_header = False
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -90,20 +94,21 @@ def read_logit_file(path) -> List[LogitRecord]:
         if len(parts) != 3:
             raise ParseError(f"expected 3 columns, got {len(parts)}", line=lineno)
         try:
-            z = float(parts[1])
-            yhat = int(float(parts[2]))
+            z, yhat = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
-        if yhat not in (-1, 1):
+        if not math.isfinite(z):
+            raise ParseError(f"logit must be finite, got {parts[1]}", line=lineno)
+        if yhat not in (-1.0, 1.0):
             raise ParseError(f"yhat must be +1 or -1, got {parts[2]}", line=lineno)
-        records.append(LogitRecord(z=z, yhat=yhat, id=parts[0]))
+        ids.append(parts[0])
+        zs.append(z)
+        labels.append(yhat)
     if not saw_header:
         raise ParseError("empty logit file (missing header)", line=1)
-    return records
+    return ids, np.array(zs), np.array(labels)
 
 
-def write_targets_file(path, targets: Sequence[Tuple[Optional[str], float]],
-                       meta: Optional[Dict] = None) -> None:
+def write_targets_file(path, ids: Sequence[str], targets, meta: Optional[Dict] = None) -> None:
     header = {"schema": TARGET_SCHEMA, **(meta or {})}
-    write_table(path, header, ["id", "target"],
-                [(tid if tid is not None else i, t) for i, (tid, t) in enumerate(targets)])
+    write_table(path, header, ["id", "target"], zip(ids, targets))

@@ -214,9 +214,10 @@ class OptimalGlm:
         Gauss-Hermite, of :data:`ORDER` nodes.  One rule and one link evaluation
         serve every label.
 
-        The variance takes its moments about the rule's centre m, where the first
-        one is small, so the difference of the second and the squared first does
-        not cancel.
+        Both moments are taken about the rule's centre m, where the first one,
+        c1, is small.  Since prefac * m = lin_b * u, g is prefac * c1, which does
+        not cancel at large u, and the variance is the second less c1^2, which
+        does not cancel either.
         """
         prefac = 1.0 / self.prior_var + self.quad_a
         s2 = 1.0 / prefac
@@ -226,6 +227,8 @@ class OptimalGlm:
         # matrix-vector product contracts them several times faster
         dot = np.matmul if w.ndim == 1 else np.vecdot
         hp = hat_h_p(z, self.link, self.p)
+        # the link has read the nodes: their offsets from the centre overwrite them
+        offset = np.subtract(z, m[..., None], out=z)
         out = {}
         # +1 first: the factor of -1, 1 - hhat_p, is written over hhat_p
         for lab in sorted(labels, reverse=True):
@@ -235,13 +238,12 @@ class OptimalGlm:
                 raise DomainError(
                     "posterior normalization vanished (label factor has no mass near the channel)"
                 )
+            c1 = dot(f * offset, w) / den
             dg = None
             if deriv:
-                # each offset is a fresh temporary, which numpy reuses in place
-                c1 = dot(f * (z - m[..., None]), w) / den
-                var = dot(f * (z - m[..., None]) ** 2, w) / den - c1 * c1
+                var = dot(f * offset**2, w) / den - c1 * c1
                 dg = prefac * self.lin_b * var - self.lin_b
-            out[lab] = (prefac * (dot(f * z, w) / den) - self.lin_b * u, dg, den)
+            out[lab] = (prefac * c1, dg, den)
         return out
 
     def value_and_deriv(self, u, yhat):

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
+from amp_retrain import bayesmix
 from amp_retrain.bayesmix import (
-    BayesMixConfig,
     BimodalFit,
     bayesmix_aggregate,
     bayesmix_retrain_demo,
@@ -235,7 +235,7 @@ def test_criterion_10_noise_threshold():
                 "trajectories nondecreasing above it")
 
 
-def test_criterion_11_bayesmix_reduction_and_em():
+def test_criterion_11_bayesmix_reduction_and_em(monkeypatch):
     """Symmetric-fit soft labels equal the mixture-optimal rule; EM monotone."""
     m, s, p = 1.3, 0.9, 0.25
     fit = BimodalFit(mu_plus=m, mu_minus=-m, sigma_plus=s, sigma_minus=s,
@@ -248,14 +248,16 @@ def test_criterion_11_bayesmix_reduction_and_em():
             worst = max(worst, abs(bayesmix_aggregate(float(z), yhat, fit, p)
                                    - float(agg.value_and_deriv(float(z), yhat)[0])))
     assert worst <= 1e-12
+    # the fit raises on any log-likelihood drop while no sigma is clamped
+    monkeypatch.setattr(bayesmix, "_EM_ITERATIONS", 30)
+    monkeypatch.setattr(bayesmix, "_EM_LOGLIK_TOL", 1e-300)
     gen = RngStream(1111).generator()
     for _ in range(10):
         z = np.concatenate([
             gen.normal(gen.uniform(-4, -0.5), gen.uniform(0.3, 1.5), 120),
             gen.normal(gen.uniform(0.5, 4), gen.uniform(0.3, 1.5), 120),
         ])
-        # the fit raises on any log-likelihood drop while no sigma is clamped
-        fit = fit_bimodal_em(z, BayesMixConfig(p=0.3, em_max_iters=30, em_tol=1e-300))
+        fit = fit_bimodal_em(z)
         assert not fit.sigma_clamped
     _passed(11, f"symmetric-fit reduction residual {worst:.1e} <= 1e-12; "
                 "EM log-likelihood monotone on 10 datasets")
@@ -264,10 +266,9 @@ def test_criterion_11_bayesmix_reduction_and_em():
 def test_criterion_12_high_noise_demo_improves():
     """Desk-scale retraining demo wins over its round-0 model in >= 8/10 seeds."""
     params = GmmParams(gamma=2.0, alpha=0.1, p=0.45, pi_plus=0.5, n=2000, d=200)
-    cfg = BayesMixConfig(p=0.45)
     wins = 0
     for seed in range(10):
-        result = bayesmix_retrain_demo(params, cfg, 10, RngStream(seed))
+        result = bayesmix_retrain_demo(params, 10, RngStream(seed))
         assert result.halted_at is None
         wins += result.accuracies[-1] > result.accuracies[0]
     assert wins >= 8

@@ -1,5 +1,6 @@
 """The documented API is the API: README's library table against the package."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 from types import ModuleType
 
 import amp_retrain
+from amp_retrain.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -73,3 +75,20 @@ def test_version_matches_pyproject():
     project = (ROOT / "pyproject.toml").read_text().split("[project]", 1)[1]
     version = re.search(r'(?m)^version\s*=\s*"([^"]+)"', project).group(1)
     assert version == amp_retrain.__version__
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_bayesmix_flag_table_lists_each_actions_flags():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("Each `bayesmix` action takes only the flags it reads", 1)[1]
+    table = {}
+    for line in section.split("\n\n", 2)[1].splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if re.fullmatch(r"`\w+`", cells[0]):
+            table[cells[0].strip("`")] = set(re.findall(r"`(--[\w-]+)`", cells[1]))
+    actions = subparsers(subparsers(build_parser())["bayesmix"])
+    assert table == {name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+                     for name, sub in actions.items()}

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amp_retrain import bayesmix
 from amp_retrain.bayesmix import (
-    BayesMixConfig,
     BimodalFit,
-    LogitRecord,
     bayesmix_aggregate,
     bayesmix_retrain_demo,
-    emit_targets,
     fit_bimodal_em,
 )
 from amp_retrain.errors import ConfigError, DegenerateFitError, DomainError
@@ -41,7 +39,7 @@ class TestFit:
     def test_recovers_separated_clusters(self):
         gen = RngStream(100).generator()
         z = np.concatenate([gen.normal(-5.0, 0.3, 500), gen.normal(5.0, 0.3, 500)])
-        fit = fit_bimodal_em(z, BayesMixConfig(p=0.2))
+        fit = fit_bimodal_em(z)
         assert abs(fit.mu_plus - 5.0) <= 0.1
         assert abs(fit.mu_minus + 5.0) <= 0.1
         assert abs(fit.pi_plus - 0.5) <= 0.05
@@ -50,46 +48,50 @@ class TestFit:
         gen = RngStream(101).generator()
         half = gen.normal(1.5, 0.7, 400)
         z = np.concatenate([half, -half])
-        fit = fit_bimodal_em(z, BayesMixConfig(p=0.2))
+        fit = fit_bimodal_em(z)
         assert abs(fit.mu_plus + fit.mu_minus) <= 1e-6
         assert abs(fit.sigma_plus - fit.sigma_minus) <= 1e-6
         assert abs(fit.pi_plus - 0.5) <= 1e-6
 
-    def test_loglik_monotone(self):
+    def test_loglik_monotone(self, monkeypatch):
+        # the fit raises on any log-likelihood drop while no sigma is
+        # clamped; a tolerance of 1e-300 runs it until the gain vanishes or the cap
+        monkeypatch.setattr(bayesmix, "_EM_ITERATIONS", 40)
+        monkeypatch.setattr(bayesmix, "_EM_LOGLIK_TOL", 1e-300)
         gen = RngStream(102).generator()
         for trial in range(10):
             z = np.concatenate([
                 gen.normal(gen.uniform(-4, -0.5), gen.uniform(0.4, 1.5), 150),
                 gen.normal(gen.uniform(0.5, 4), gen.uniform(0.4, 1.5), 150),
             ])
-            # the fit raises on any log-likelihood drop while no sigma is
-            # clamped; em_tol 1e-300 runs it until the gain vanishes or the cap
-            fit = fit_bimodal_em(z, BayesMixConfig(p=0.3, em_max_iters=40, em_tol=1e-300))
+            fit = fit_bimodal_em(z)
             assert not fit.sigma_clamped
 
     def test_components_sorted(self):
         gen = RngStream(103).generator()
         z = np.concatenate([gen.normal(3.0, 0.5, 200), gen.normal(-1.0, 0.5, 50)])
-        fit = fit_bimodal_em(z, BayesMixConfig(p=0.1))
+        fit = fit_bimodal_em(z)
         assert fit.mu_plus >= fit.mu_minus
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateFitError):
-            fit_bimodal_em([1.0, 1.0, 1.0, 1.0], BayesMixConfig(p=0.1))
+            fit_bimodal_em([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(DegenerateFitError):
-            fit_bimodal_em([1.0, 2.0], BayesMixConfig(p=0.1))
+            fit_bimodal_em([1.0, 2.0])
 
-    def test_sigma_floor_clamps_and_flags(self):
+    def test_floor_clamps_and_flags(self, monkeypatch):
+        monkeypatch.setattr(bayesmix, "_EM_FLOOR_FRACTION", 0.5)
         gen = RngStream(104).generator()
         z = np.concatenate([gen.normal(-3.0, 0.4, 200), gen.normal(3.0, 0.4, 200)])
-        fit = fit_bimodal_em(z, BayesMixConfig(p=0.1, sigma_floor=2.0))
+        floor = 0.5 * float(np.std(z))  # about 1.5, far above the clusters' 0.4
+        fit = fit_bimodal_em(z)
         assert fit.sigma_clamped
-        assert fit.sigma_plus >= 2.0 and fit.sigma_minus >= 2.0
+        assert fit.sigma_plus >= floor and fit.sigma_minus >= floor
 
     def test_one_sided_initialization(self):
         gen = RngStream(105).generator()
         z = gen.normal(4.0, 1.0, 300)  # all positive: sign split degenerates
-        fit = fit_bimodal_em(z, BayesMixConfig(p=0.1))
+        fit = fit_bimodal_em(z)
         assert math.isfinite(fit.loglik)
 
     @pytest.mark.parametrize("field, value", [
@@ -101,14 +103,6 @@ class TestFit:
                       pi_plus=0.5, loglik=0.0, iterations=1)
         with pytest.raises(DegenerateFitError):
             BimodalFit(**dict(fields, **{field: value}))
-
-    @pytest.mark.parametrize("field, value", [
-        ("p", 0.7), ("p", math.nan), ("em_tol", 0.0), ("em_tol", math.nan),
-        ("em_tol", math.inf), ("em_max_iters", 0), ("sigma_floor", 0.0),
-        ("sigma_floor", math.nan), ("sigma_floor", math.inf)])
-    def test_config_validation(self, field, value):
-        with pytest.raises(ConfigError):
-            BayesMixConfig(**dict({"p": 0.1}, **{field: value}))
 
 
 class TestAggregate:
@@ -188,37 +182,25 @@ class TestAggregate:
         assert bayesmix_aggregate([0.4, 1.0], 1, symmetric_fit(), 0.0).shape == (2,)
 
 
-class TestEmitTargets:
-    def test_empty(self):
-        assert emit_targets([], symmetric_fit(), BayesMixConfig(p=0.2)) == []
-
-    def test_identical_records_identical_targets(self):
-        records = [LogitRecord(z=0.8, yhat=1, id=str(i)) for i in range(5)]
-        out = emit_targets(records, symmetric_fit(), BayesMixConfig(p=0.2))
-        assert len({t for _, t in out}) == 1
-        assert [tid for tid, _ in out] == [str(i) for i in range(5)]
+class TestTargets:
+    def test_identical_logits_identical_targets(self):
+        out = bayesmix_aggregate(np.full(5, 0.8), np.ones(5), symmetric_fit(), 0.2)
+        assert out.shape == (5,) and len(set(out)) == 1
 
     def test_golden_file(self):
         # frozen regression capture; three entries re-verified against the
         # independent raw-form rule below
         fit = BimodalFit(mu_plus=1.9, mu_minus=-2.3, sigma_plus=1.1,
                          sigma_minus=0.8, pi_plus=0.55, loglik=0.0, iterations=1)
-        cfg = BayesMixConfig(p=0.45)
         gen = RngStream(4242).generator()
-        records = [
-            LogitRecord(z=float(z), yhat=int(yh), id=f"r{i:02d}")
-            for i, (z, yh) in enumerate(zip(
-                np.round(gen.normal(0, 2.0, 20), 6),
-                np.sign(gen.standard_normal(20)),
-            ))
-        ]
-        targets = emit_targets(records, fit, cfg)
+        z = np.round(gen.normal(0, 2.0, 20), 6)
+        yhat = np.sign(gen.standard_normal(20))
+        targets = bayesmix_aggregate(z, yhat, fit, 0.45)
         for idx in (0, 7, 19):
-            rec = records[idx]
-            assert targets[idx][1] == pytest.approx(
-                raw_rule(rec.z, rec.yhat, fit, 0.45), abs=1e-12
+            assert targets[idx] == pytest.approx(
+                raw_rule(z[idx], yhat[idx], fit, 0.45), abs=1e-12
             )
-        lines = [f"{tid}\t{repr(t)}" for tid, t in targets]
+        lines = [f"r{i:02d}\t{float(t)!r}" for i, t in enumerate(targets)]
         golden = (DATA_DIR / "bayesmix_targets_golden.tsv").read_text().splitlines()
         assert lines == golden
 
@@ -226,14 +208,14 @@ class TestEmitTargets:
 class TestRetrainDemo:
     def test_noiseless_is_flat(self):
         params = GmmParams(gamma=2.0, alpha=0.1, p=0.0, pi_plus=0.5, n=500)
-        result = bayesmix_retrain_demo(params, BayesMixConfig(p=0.0), 4, RngStream(7))
+        result = bayesmix_retrain_demo(params, 4, RngStream(7))
         assert len(result.accuracies) == 4
         assert max(result.accuracies) - min(result.accuracies) <= 1e-12
 
     def test_single_round_is_plain_training(self):
         params = GmmParams(gamma=2.0, alpha=0.1, p=0.3, pi_plus=0.5, n=500)
-        one = bayesmix_retrain_demo(params, BayesMixConfig(p=0.3), 1, RngStream(8))
-        many = bayesmix_retrain_demo(params, BayesMixConfig(p=0.3), 5, RngStream(8))
+        one = bayesmix_retrain_demo(params, 1, RngStream(8))
+        many = bayesmix_retrain_demo(params, 5, RngStream(8))
         assert len(one.accuracies) == 1
         assert one.accuracies[0] == many.accuracies[0]
 
@@ -243,12 +225,11 @@ class TestRetrainDemo:
         params = GmmParams(gamma=2.0, alpha=0.1, p=0.45, pi_plus=0.5, n=1500)
         wins = 0
         for seed in range(3):
-            result = bayesmix_retrain_demo(params, BayesMixConfig(p=0.45), 8,
-                                           RngStream(500 + seed))
+            result = bayesmix_retrain_demo(params, 8, RngStream(500 + seed))
             wins += result.accuracies[-1] > result.accuracies[0]
         assert wins >= 2
 
     def test_rejects_bad_rounds(self):
         params = GmmParams(gamma=2.0, alpha=0.1, p=0.3, pi_plus=0.5, n=100)
         with pytest.raises(ConfigError):
-            bayesmix_retrain_demo(params, BayesMixConfig(p=0.3), 0, RngStream(1))
+            bayesmix_retrain_demo(params, 0, RngStream(1))

@@ -10,7 +10,6 @@ import pytest
 from amp_retrain import harness
 from amp_retrain.cli import build_parser, main
 from amp_retrain.datafiles import read_table, write_logit_file
-from amp_retrain.bayesmix import LogitRecord
 from amp_retrain.glm import sample_glm_dataset
 from amp_retrain.errors import ConfigError
 from amp_retrain.gmm import AGGREGATORS, GmmParams, sample_gmm_dataset, vanilla_estimator
@@ -270,6 +269,17 @@ class TestCobweb:
         assert "--u1" in err and "u > 0" in err
         assert not (tmp_path / "cobweb.tsv").exists()
 
+    @pytest.mark.parametrize("u1", ["1e16", "1e100"])
+    def test_glm_start_beyond_the_tested_range_is_refused(self, tmp_path, capsys, u1):
+        # the grid reaches 1.2*u1; the map is tested up to u = 1e16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("cobweb", "--model", "glm", "--link", "logistic", "--gamma", "2.0",
+                           "--alpha", "0.5", "--p", "0.2", "--u1", u1, "--steps", "2",
+                           "--out", str(tmp_path)) == 2
+        assert "--u1" in capsys.readouterr().err
+        assert not (tmp_path / "cobweb.tsv").exists()
+
     @pytest.mark.parametrize("model", ["gmm", "glm"])
     @pytest.mark.parametrize("u1", ["nan", "inf", "-inf"])
     def test_non_finite_start_is_refused(self, tmp_path, capsys, model, u1):
@@ -320,17 +330,16 @@ class TestBayesmix:
         gen = RngStream(seed).generator()
         z = np.concatenate([gen.normal(-2, 0.8, n // 2), gen.normal(2, 0.8, n // 2)])
         yh = np.where(gen.random(n) < 0.7, np.sign(z), -np.sign(z))
-        records = [LogitRecord(z=float(a), yhat=int(b), id=f"s{i}")
-                   for i, (a, b) in enumerate(zip(z, yh))]
-        write_logit_file(path, records)
+        write_logit_file(path, [f"s{i}" for i in range(n)], z, yh)
 
     def test_fit_then_apply(self, tmp_path):
         logit_path = tmp_path / "logits.tsv"
         self._write_logits(logit_path)
         fit_dir = tmp_path / "fit"
         assert run_cli("bayesmix", "fit", "--input", str(logit_path),
-                       "--p", "0.3", "--out", str(fit_dir)) == 0
+                       "--out", str(fit_dir)) == 0
         payload = json.loads((fit_dir / "fit.json").read_text())
+        assert sorted(payload) == ["fit", "schema", "version"]
         assert payload["fit"]["mu_plus"] > 0 > payload["fit"]["mu_minus"]
         apply_dir = tmp_path / "apply"
         assert run_cli("bayesmix", "apply", "--input", str(logit_path),
@@ -349,6 +358,28 @@ class TestBayesmix:
                        "--seed", "4", "--out", str(out)) == 0
         _m, _c, rows = read_table(out / "demo.tsv")
         assert len(rows) == 3
+
+    def test_header_only_logits_give_header_only_targets(self, tmp_path):
+        logit_path = tmp_path / "logits.tsv"
+        logit_path.write_text("id\tz\tyhat\n")
+        (tmp_path / "fit.json").write_text(json.dumps({"fit": GOOD_FIT}))
+        assert run_cli("bayesmix", "apply", "--input", str(logit_path),
+                       "--fit", str(tmp_path / "fit.json"), "--p", "0.3",
+                       "--out", str(tmp_path / "apply")) == 0
+        meta, cols, rows = read_table(tmp_path / "apply" / "targets.tsv")
+        assert "bayesmix-targets" in meta["schema"]
+        assert cols == ["id", "target"] and rows == []
+
+    @pytest.mark.parametrize("p", ["0.5", "0.7", "nan", "-0.1"])
+    def test_apply_p_outside_its_range_is_refused(self, tmp_path, capsys, p):
+        logit_path = tmp_path / "logits.tsv"
+        self._write_logits(logit_path)
+        (tmp_path / "fit.json").write_text(json.dumps({"fit": GOOD_FIT}))
+        assert run_cli("bayesmix", "apply", "--input", str(logit_path),
+                       "--fit", str(tmp_path / "fit.json"), f"--p={p}",
+                       "--out", str(tmp_path / "apply")) == 2
+        assert "--p" in capsys.readouterr().err
+        assert not (tmp_path / "apply" / "targets.tsv").exists()
 
     def test_demo_without_rounds_is_refused(self, tmp_path, capsys):
         assert run_cli("bayesmix", "demo", "--p", "0.3", "--n", "100", "--rounds", "0",
@@ -373,12 +404,18 @@ class TestBayesmix:
         assert not (tmp_path / "apply" / "targets.tsv").exists()
 
     @pytest.mark.parametrize("argv", [
-        ("fit", "--input", "logits.tsv", "--p", "0.3", "--gamma", "2"),
+        ("fit", "--input", "logits.tsv", "--gamma", "2"),
         ("apply", "--input", "logits.tsv", "--fit", "fit.json", "--p", "0.3", "--em-tol", "1e-6"),
         ("demo", "--p", "0.3", "--n", "200", "--rounds", "1", "--input", "logits.tsv"),
-        ("fit", "--p", "0.3"),
+        ("fit",),
         ("apply", "--input", "logits.tsv", "--p", "0.3"),
-    ], ids=["fit_gamma", "apply_em_tol", "demo_input", "fit_no_input", "apply_no_fit"])
+        ("apply", "--input", "logits.tsv", "--fit", "fit.json"),
+        ("fit", "--input", "logits.tsv", "--p", "0.3"),
+        ("fit", "--input", "logits.tsv", "--em-tol", "1e-6"),
+        ("demo", "--p", "0.3", "--n", "200", "--rounds", "1", "--sigma-floor", "1"),
+        ("demo", "--p", "0.3", "--n", "200", "--rounds", "1", "--em-max-iters", "5"),
+    ], ids=["fit_gamma", "apply_tolerance", "demo_input", "fit_no_input", "apply_no_fit",
+            "apply_no_p", "fit_p", "fit_tolerance", "demo_floor", "demo_iterations"])
     def test_each_action_takes_only_the_flags_it_reads(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         self._write_logits(tmp_path / "logits.tsv")
@@ -391,7 +428,7 @@ class TestBayesmix:
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("id\tz\tyhat\nx\toops\t1\n")
-        assert run_cli("bayesmix", "fit", "--input", str(bad), "--p", "0.3",
+        assert run_cli("bayesmix", "fit", "--input", str(bad),
                        "--out", str(tmp_path / "o")) == 2
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from amp_retrain.bayesmix import LogitRecord
 from amp_retrain.datafiles import (
     read_logit_file,
     read_table,
@@ -32,16 +31,17 @@ class TestTables:
 
 class TestLogitFiles:
     def test_roundtrip(self, tmp_path):
-        records = [LogitRecord(z=0.5, yhat=1, id="a"),
-                   LogitRecord(z=-1.25, yhat=-1, id="b")]
         path = tmp_path / "logits.tsv"
-        write_logit_file(path, records, meta={"source": "unit-test"})
-        back = read_logit_file(path)
-        assert back == records
+        write_logit_file(path, ["a", "b"], np.array([0.5, -1.25]), np.array([1.0, -1.0]),
+                         meta={"source": "unit-test"})
+        assert path.read_text().splitlines()[-2:] == ["a\t0.5\t1", "b\t-1.25\t-1"]
+        ids, z, yhat = read_logit_file(path)
+        assert ids == ["a", "b"]
+        assert z.tolist() == [0.5, -1.25] and yhat.tolist() == [1.0, -1.0]
 
     def test_targets_file(self, tmp_path):
         path = tmp_path / "targets.tsv"
-        write_targets_file(path, [("a", 0.25), (None, -0.5)])
+        write_targets_file(path, ["a", "b"], np.array([0.25, -0.5]))
         meta, columns, rows = read_table(path)
         assert "bayesmix-targets" in meta["schema"]
         assert columns == ["id", "target"]
@@ -54,12 +54,28 @@ class TestLogitFiles:
             read_logit_file(path)
         assert excinfo.value.line == 3
 
-    def test_bad_label_rejected(self, tmp_path):
+    @pytest.mark.parametrize("label", ["2", "1.5", "-1.7", "nan", "inf"])
+    def test_bad_label_rejected(self, tmp_path, label):
         path = tmp_path / "bad2.tsv"
-        path.write_text("id\tz\tyhat\nx\t0.5\t2\n")
+        path.write_text(f"id\tz\tyhat\nx\t0.5\t1\ny\t0.5\t{label}\n")
         with pytest.raises(ParseError) as excinfo:
             read_logit_file(path)
-        assert excinfo.value.line == 2
+        assert excinfo.value.line == 3
+        assert "yhat" in str(excinfo.value)
+
+    def test_labels_equal_to_one(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("id\tz\tyhat\nx\t0.5\t1.0\ny\t0.5\t-1\nw\t0.5\t+1e0\n")
+        assert read_logit_file(path)[2].tolist() == [1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("logit", ["nan", "inf", "-inf"])
+    def test_non_finite_logit_names_line(self, tmp_path, logit):
+        path = tmp_path / "bad3.tsv"
+        path.write_text(f"id\tz\tyhat\nx\t0.5\t1\ny\t{logit}\t1\n")
+        with pytest.raises(ParseError) as excinfo:
+            read_logit_file(path)
+        assert excinfo.value.line == 3
+        assert "finite" in str(excinfo.value)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.tsv"

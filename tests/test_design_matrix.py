@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import amp_retrain
-from amp_retrain.bayesmix import BayesMixConfig, bayesmix_retrain_demo
+from amp_retrain.bayesmix import bayesmix_retrain_demo
 from amp_retrain.glm import GlmParams, OptimalSign, SignLink, sample_glm_dataset
 from amp_retrain.gmm import GmmParams, OptimalGmm, sample_gmm_dataset, vanilla_estimator
 from amp_retrain.numerics import RngStream
@@ -87,7 +87,7 @@ class TestNoUpcastCopy:
     def test_bayesmix_demo_rounds(self, monkeypatch):
         X = predrawn(monkeypatch, GMM.n, GMM.d)
         peak, result = traced_peak(
-            lambda: bayesmix_retrain_demo(GMM, BayesMixConfig(p=GMM.p), 3, RngStream(2)))
+            lambda: bayesmix_retrain_demo(GMM, 3, RngStream(2)))
         assert len(result.accuracies) == 3
         assert peak < self.LIMIT * X.nbytes
 

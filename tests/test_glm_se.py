@@ -114,6 +114,18 @@ class TestOptStep:
         assert np.any(resid > 0) and np.any(resid < 0)
 
 
+    @pytest.mark.parametrize("link, gamma", [(LogisticLink(), 2.0), (LogisticLink(), 10.0),
+                                             (ProbitLink(), 2.0)])
+    def test_map_flat_at_large_u(self, link, gamma):
+        # the posterior mean is taken about the rule's centre, so g does not
+        # cancel where u, and with it E[Z | u, yhat], is large
+        params = GlmParams(gamma=gamma, alpha=0.5, p=0.2, link=link)
+        opt_map = lambda u: se_step_glm_opt(math.sqrt(u), params) ** 2
+        far = opt_map(1e8)
+        for u in (1e12, 1e16):
+            assert opt_map(u) == pytest.approx(far, abs=1e-6)
+
+
 class TestGenericStep:
     def test_identity_variance(self):
         params = sign_params(alpha=0.5, p=0.2)
