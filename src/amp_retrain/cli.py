@@ -219,9 +219,13 @@ def _cmd_bayesmix_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_flip_rate(p: float) -> None:
+    if not 0.0 <= p < 0.5:
+        raise ConfigError(f"--p must lie in [0, 0.5), not {p!r}")
+
+
 def _cmd_bayesmix_apply(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.p < 0.5:
-        raise ConfigError(f"--p must lie in [0, 0.5), not {args.p!r}")
+    _check_flip_rate(args.p)
     ids, z, yhat = read_logit_file(args.input)
     stored = _read_json_object(args.fit, "--fit", "a fit run's fit.json").get("fit")
     try:
@@ -239,6 +243,7 @@ def _cmd_bayesmix_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_bayesmix_demo(args: argparse.Namespace) -> int:
+    _check_flip_rate(args.p)
     if args.rounds < 1:
         raise ConfigError(f"--rounds must be at least 1, not {args.rounds}")
     params = GmmParams(gamma=args.gamma, alpha=args.alpha, p=args.p,

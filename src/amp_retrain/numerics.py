@@ -23,11 +23,11 @@ Random matrices
 ---------------
 :meth:`RngStream.gaussian_matrix` fills fixed row blocks of about
 ``_BLOCK_ELEMENTS`` entries, block k from child k of the stream's
-``SeedSequence``, on a thread pool (numpy's bulk fills release the GIL).  The
-block layout depends only on the shape, so the matrix is the same for any
-thread count.  The matrix is float32: each block is drawn in float64 through
-a small scratch buffer and rounded into it, so its entries are the float64
-draws rounded.
+``SeedSequence``, on up to one thread per usable CPU (numpy's bulk fills
+release the GIL).  The block layout depends only on the shape, so the matrix
+is the same for any thread count.  The matrix is float32: each block is drawn
+in float64 through a small scratch buffer and rounded into it, so its entries
+are the float64 draws rounded.
 
 Design-matrix products
 ----------------------
@@ -37,13 +37,23 @@ BLAS sgemv, whose bits depend on the BLAS thread count: OpenBLAS splits X^T v
 by thread, and it rounds X v differently when it splits the rows (unless n is
 a multiple of 8).  X v is numpy's vecdot, one dot product per row; X^T v is
 numpy's own einsum loop, which sums the rows in order.
+
+An X of at least ``_BLOCK_ELEMENTS`` entries has its products split over
+min(usable CPUs, pieces) threads; a smaller X is one call on the calling
+thread.  X v splits the rows (its pieces) into ranges, each its own vecdot
+into a slice of the result; X^T v splits the columns into ranges of whole
+runs of 16 (its pieces; the last range takes the rest), each its own
+einsum.  Every row's dot product, and every column's in-order sum, is then
+computed as in the whole-matrix call, so the bits do not depend on the
+thread count.  Narrower column pieces are not safe: 1- or 3-column einsums
+round differently from the whole-matrix call.  No part of X is copied.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -66,6 +76,9 @@ _SPLIT_HALF_WIDTH = 14.0
 _BLOCK_ELEMENTS = 2**21
 # Entries of the float64 scratch buffer a block is drawn through (512 KB)
 _SCRATCH_ELEMENTS = 2**16
+# X^T v is split over threads at columns that are multiples of this (see
+# Design-matrix products)
+_COLUMN_GROUP = 16
 
 # Most halvings find_root_bisect makes (a unit bracket is then far below 1 ulp)
 _BISECT_MAX_ITER = 200
@@ -267,8 +280,8 @@ class RngStream:
         are scaled by sd and rounded to float32 in chunks; a chunked draw
         continues one generator, so the entries are those of a whole-block
         float64 draw, rounded.  The blocks are filled on min(blocks, usable
-        CPUs) threads; the result depends only on the key and (n, d, sd),
-        never on the thread count.
+        CPUs) threads, thread j taking blocks j, j + threads, ...; the result
+        depends only on the key and (n, d, sd), never on the thread count.
         """
         if n < 1 or d < 1:
             raise ConfigError(f"matrix shape must be positive, got ({n}, {d})")
@@ -291,23 +304,76 @@ class RngStream:
                     chunk *= sd
                 flat[lo:lo + chunk.size] = chunk
 
-        threads = min(blocks, _usable_cpus())
-        if threads == 1:
-            for k in range(blocks):
+        def fill_share(j, threads):
+            for k in range(j, blocks, threads):
                 fill(k)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, range(blocks)))
+
+        _split(blocks, fill_share)
         return out
+
+
+def _split(pieces: int, work: Callable[[int, int], None]) -> None:
+    """Run ``work(j, threads)`` for j in range(threads), threads = min(pieces,
+    usable CPUs): the calling thread runs j = 0, and plain threads run the
+    others and are joined before return, so no thread outlives the call
+    (``harness.simulate`` may fork a pool afterwards).  work must call numpy
+    only (see :meth:`RngStream.gaussian_matrix`); an exception it raises on
+    any thread is raised here once every thread is joined."""
+    threads = min(pieces, _usable_cpus())
+    errors = []
+
+    def run(j):
+        try:
+            work(j, threads)
+        except BaseException as exc:  # raised on the calling thread after the join
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(j,)) for j in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(0, threads)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     """X v with v cast to X's dtype, as float64; each row is its own dot
-    product, so the bits do not depend on the BLAS thread count."""
-    return np.vecdot(X, v.astype(X.dtype, copy=False)).astype(float, copy=False)
+    product, so the bits depend neither on the BLAS thread count nor on how
+    the rows are split over threads."""
+    v = v.astype(X.dtype, copy=False)
+    if X.size < _BLOCK_ELEMENTS:
+        return np.vecdot(X, v).astype(float, copy=False)
+    n = X.shape[0]
+    out = np.empty(n, dtype=X.dtype)
+
+    def rows(j, threads):
+        a, b = n * j // threads, n * (j + 1) // threads
+        np.vecdot(X[a:b], v, out=out[a:b])
+
+    _split(n, rows)
+    return out.astype(float)
 
 
 def _rmatvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X^T v with v cast to X's dtype, as float64; the rows are summed in
-    order, so the bits do not depend on the BLAS thread count."""
-    return np.einsum("ij,i->j", X, v.astype(X.dtype, copy=False)).astype(float, copy=False)
+    """X^T v with v cast to X's dtype, as float64; each column sums the rows
+    in order, so the bits depend neither on the BLAS thread count nor on how
+    the columns are split over threads (in whole runs of 16, see the module
+    docstring)."""
+    v = v.astype(X.dtype, copy=False)
+    if X.size < _BLOCK_ELEMENTS:
+        return np.einsum("ij,i->j", X, v).astype(float, copy=False)
+    d = X.shape[1]
+    groups = d // _COLUMN_GROUP
+    out = np.empty(d, dtype=X.dtype)
+
+    def columns(j, threads):
+        a = _COLUMN_GROUP * (groups * j // threads)
+        b = d if j == threads - 1 else _COLUMN_GROUP * (groups * (j + 1) // threads)
+        np.einsum("ij,i->j", X[:, a:b], v, out=out[a:b])
+
+    _split(max(1, groups), columns)
+    return out.astype(float)

@@ -381,6 +381,13 @@ class TestBayesmix:
         assert "--p" in capsys.readouterr().err
         assert not (tmp_path / "apply" / "targets.tsv").exists()
 
+    @pytest.mark.parametrize("p", ["0.5", "0.7", "nan", "-0.1"])
+    def test_demo_p_outside_its_range_is_refused(self, tmp_path, capsys, p):
+        assert run_cli("bayesmix", "demo", f"--p={p}", "--n", "100",
+                       "--out", str(tmp_path)) == 2
+        assert f"--p must lie in [0, 0.5), not {float(p)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "demo.tsv").exists()
+
     def test_demo_without_rounds_is_refused(self, tmp_path, capsys):
         assert run_cli("bayesmix", "demo", "--p", "0.3", "--n", "100", "--rounds", "0",
                        "--out", str(tmp_path)) == 2

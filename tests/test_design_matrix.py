@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import amp_retrain
+from amp_retrain import numerics
 from amp_retrain.bayesmix import bayesmix_retrain_demo
+from amp_retrain.cli import main
 from amp_retrain.glm import GlmParams, OptimalSign, SignLink, sample_glm_dataset
 from amp_retrain.gmm import GmmParams, OptimalGmm, sample_gmm_dataset, vanilla_estimator
 from amp_retrain.numerics import RngStream
@@ -53,41 +56,45 @@ class TestDtype:
         assert state.w.dtype == np.float64 and state.y_soft.dtype == np.float64
 
 
+@pytest.mark.parametrize("n, d", [(2000, 1000), (2049, 1025)], ids=["inline", "split"])
 class TestNoUpcastCopy:
     # a mixed-dtype product X32.T @ g64 makes numpy copy X to float64: twice
-    # X.nbytes more; every product with X must stay far below one copy
+    # X.nbytes more; every product with X must stay far below one copy, also
+    # at n 2049, d 1025, where X has 2**21 entries or more and the products
+    # are split over threads
     LIMIT = 0.1
 
-    def test_amp_step(self):
-        data = sample_gmm_dataset(GMM, RngStream(2))
+    def test_amp_step(self, n, d):
+        data = sample_gmm_dataset(replace(GMM, n=n, d=d), RngStream(2))
         state = AmpState(np.ones(data.d), np.linspace(-1, 1, data.n), 1)
         agg = OptimalGmm.from_eta(0.5, GMM)
         peak, _ = traced_peak(lambda: amp_step(state, data.X, data.y_noisy, data.scale, agg))
         assert peak < self.LIMIT * data.X.nbytes
 
     @pytest.mark.parametrize("rule", ["full", "consensus"])
-    def test_hard_baseline(self, rule):
-        data = sample_glm_dataset(GLM, RngStream(2))
+    def test_hard_baseline(self, n, d, rule):
+        data = sample_glm_dataset(replace(GLM, n=n, d=d), RngStream(2))
         evaluate = lambda w: (0.0, 0.0)
         peak, traj = traced_peak(lambda: run_hard_baseline(data, rule, 2, evaluate))
         assert len(traj.points) == 2
         assert peak < self.LIMIT * data.X.nbytes
 
-    def test_vanilla_estimator(self):
-        data = sample_gmm_dataset(GMM, RngStream(2))
+    def test_vanilla_estimator(self, n, d):
+        data = sample_gmm_dataset(replace(GMM, n=n, d=d), RngStream(2))
         peak, _ = traced_peak(lambda: vanilla_estimator(data))
         assert peak < self.LIMIT * data.X.nbytes
 
-    def test_glm_margins(self, monkeypatch):
-        X = predrawn(monkeypatch, GLM.n, GLM.d, sd=1.0 / np.sqrt(GLM.n))
-        peak, data = traced_peak(lambda: sample_glm_dataset(GLM, RngStream(2)))
+    def test_glm_margins(self, monkeypatch, n, d):
+        X = predrawn(monkeypatch, n, d, sd=1.0 / np.sqrt(n))
+        peak, data = traced_peak(
+            lambda: sample_glm_dataset(replace(GLM, n=n, d=d), RngStream(2)))
         assert data.X is X
         assert peak < self.LIMIT * X.nbytes
 
-    def test_bayesmix_demo_rounds(self, monkeypatch):
-        X = predrawn(monkeypatch, GMM.n, GMM.d)
+    def test_bayesmix_demo_rounds(self, monkeypatch, n, d):
+        X = predrawn(monkeypatch, n, d)
         peak, result = traced_peak(
-            lambda: bayesmix_retrain_demo(GMM, 3, RngStream(2)))
+            lambda: bayesmix_retrain_demo(replace(GMM, n=n, d=d), 3, RngStream(2)))
         assert len(result.accuracies) == 3
         assert peak < self.LIMIT * X.nbytes
 
@@ -135,3 +142,18 @@ def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
         for table in TABLES[name.split("-")[0]]:
             one = (tmp_path / "one" / name / table).read_bytes()
             assert one == (tmp_path / "two" / name / table).read_bytes(), f"{name}/{table}"
+
+
+@pytest.mark.parametrize("kind", ["glm", "logistic", "gmm"])
+def test_tables_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, split_threads, kind):
+    # n 2049, d 1025: X has 2**21 entries or more, so the draw and the
+    # products split their work over threads
+    for cpus in (1, 2):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        split_threads.clear()
+        assert main(ARGS[kind] + ["--n", "2049", "--d", "1025", "--jobs", "1",
+                                  "--out", str(tmp_path / str(cpus))]) == 0
+        assert max(split_threads) == cpus
+    for table in TABLES[kind]:
+        one = (tmp_path / "1" / table).read_bytes()
+        assert one == (tmp_path / "2" / table).read_bytes(), table

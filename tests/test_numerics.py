@@ -1,7 +1,8 @@
+import functools
 import math
 import os
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -284,48 +285,50 @@ class TestRngStream:
             RngStream(0, -2)
 
 
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
 class TestGaussianMatrix:
     # 2**21 // 1000 = 2097 rows per block: two blocks, the second of 3 rows
     N, D, ROWS = 2100, 1000, 2097
 
-    def draw(self, monkeypatch, cpus, sd=1.0, shape=(N, D)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        pools = []
+    @pytest.fixture
+    def draw(self, monkeypatch, split_threads):
+        """Draw at ``cpus`` usable CPUs; returns the matrix and the threads
+        its pieces ran on."""
+        def draw_at(cpus, sd=1.0, shape=(self.N, self.D)):
+            usable_cpus(monkeypatch, cpus)
+            split_threads.clear()
+            return RngStream(42, 3).gaussian_matrix(*shape, sd=sd), list(split_threads)
+        return draw_at
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(numerics, "ThreadPoolExecutor", RecordingPool)
-        return RngStream(42, 3).gaussian_matrix(*shape, sd=sd), pools
-
-    def test_same_for_any_thread_count(self, monkeypatch):
-        one, pools_one = self.draw(monkeypatch, 1)
-        two, pools_two = self.draw(monkeypatch, 2)
-        many, pools_many = self.draw(monkeypatch, 8)
-        assert pools_one == [] and pools_two == [2] and pools_many == [2]
+    def test_same_for_any_thread_count(self, draw):
+        one, threads_one = draw(1)
+        two, threads_two = draw(2)
+        many, threads_many = draw(8)
+        assert threads_one == [1] and threads_two == [2] and threads_many == [2]
         assert np.array_equal(one, two) and np.array_equal(one, many)
 
-    def test_more_threads_than_cores(self, monkeypatch):
+    def test_more_threads_than_cores(self, draw):
         # rows of 2**20 + 1 entries: one row per block, four blocks on four threads
         shape = (4, 2**20 + 1)
-        one, _pools = self.draw(monkeypatch, 1, shape=shape)
-        four, pools = self.draw(monkeypatch, 4, shape=shape)
-        assert pools == [4] and np.array_equal(one, four)
+        one, _threads = draw(1, shape=shape)
+        four, threads = draw(4, shape=shape)
+        assert threads == [4] and np.array_equal(one, four)
 
-    def test_block_k_is_child_k(self, monkeypatch):
-        X, _pools = self.draw(monkeypatch, 2, sd=0.5)
+    def test_block_k_is_child_k(self, draw):
+        X, _threads = draw(2, sd=0.5)
         children = np.random.SeedSequence((42, 3)).spawn(2)
         for k, rows in enumerate((slice(0, self.ROWS), slice(self.ROWS, self.N))):
             block = np.random.Generator(np.random.PCG64(children[k])).standard_normal(
                 (rows.stop - rows.start, self.D))
             assert np.array_equal(X[rows], (block * 0.5).astype(np.float32))
 
-    def test_one_block_is_drawn_inline(self, monkeypatch):
-        small, pools = self.draw(monkeypatch, 2, shape=(30, 20))
-        assert pools == []
+    def test_one_block_is_drawn_inline(self, draw):
+        small, threads = draw(2, shape=(30, 20))
+        assert threads == [1]
         child = np.random.SeedSequence((42, 3)).spawn(1)[0]
         assert small.dtype == np.float32
         assert np.array_equal(small, np.random.Generator(np.random.PCG64(child))
@@ -348,3 +351,51 @@ class TestGaussianMatrix:
             assert "standard_normal((" not in text, path.name
             if path.name != "numerics.py":
                 assert "ThreadPoolExecutor" not in text, path.name
+                assert "threading" not in text, path.name
+
+
+@functools.lru_cache(maxsize=1)   # the tests run one shape after another
+def design_matrix(n, d):
+    return np.random.default_rng(d).standard_normal((n, d), dtype=np.float32)
+
+
+class TestDesignMatrixProducts:
+    # each shape has at least 2**21 entries, the least a product is split at;
+    # no n is a multiple of 8
+    SHAPES = [(123363, 17), (67651, 31), (2101, 999), (2097, 1001), (421, 5000)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def test_same_bits_as_the_whole_matrix_product(self, monkeypatch, split_threads,
+                                                   shape, cpus):
+        X = design_matrix(*shape)
+        gen = np.random.default_rng(cpus)
+        g, w = gen.standard_normal(shape[0]), gen.standard_normal(shape[1])
+        usable_cpus(monkeypatch, cpus)
+        rmatvec, matvec = numerics._rmatvec(X, g), numerics._matvec(X, w)
+        # X^T g splits the columns in runs of 16, so d < 32 is one piece
+        assert split_threads == [cpus if shape[1] >= 32 else 1, cpus]
+        assert rmatvec.dtype == matvec.dtype == np.float64
+        assert np.array_equal(rmatvec, np.einsum("ij,i->j", X, g.astype(np.float32)))
+        assert np.array_equal(matvec, np.vecdot(X, w.astype(np.float32)))
+
+    def test_a_failing_piece_raises_after_every_thread_is_joined(self, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        done = []
+
+        def work(j, threads):
+            if j == 2:
+                raise DomainError("piece 2")
+            done.append(j)
+
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="piece 2"):
+            numerics._split(5, work)
+        assert sorted(done) == [0, 1] and threading.active_count() == before
+
+    def test_below_the_split_size_runs_inline(self, monkeypatch, split_threads):
+        X = design_matrix(2000, 1000)
+        usable_cpus(monkeypatch, 2)
+        numerics._rmatvec(X, np.ones(2000))
+        numerics._matvec(X, np.ones(1000))
+        assert split_threads == []
