@@ -18,11 +18,15 @@ from .errors import ConfigError, DegenerateModelError, DomainError
 from scipy.special import erfcx, ndtr
 
 from .gmm import _label_arrays, _validate_shared_params
-from .numerics import RngStream, _matvec, gaussian_rule, stable_logistic, std_normal_cdf
+from .numerics import (RngStream, _logistic, _matvec, _rule_at, _split, _square, gaussian_rule,
+                       std_normal_cdf)
 
 
 # Quadrature order of the posterior rule of OptimalGlm and of the error curve.
 ORDER = 61
+# Rows per block of OptimalGlm's posterior kernel: a block's arrays hold
+# _POSTERIOR_ROWS x ORDER doubles (about 0.5 MB).
+_POSTERIOR_ROWS = 1024
 
 
 # --------------------------------------------------------------------------
@@ -30,7 +34,9 @@ ORDER = 61
 # --------------------------------------------------------------------------
 # Each link has h(u) > h(-u) for u > 0, which makes the error curve decreasing
 # in the overlap.  A link has no scale of its own: a steeper link is a larger
-# gamma, the norm of beta.
+# gamma, the norm of beta.  h returns a fresh array, which hat_h_p and the
+# posterior kernel overwrite, and calls numpy and private helpers only, since
+# the kernel runs it on helper threads.
 
 @dataclass(frozen=True)
 class SignLink:
@@ -51,7 +57,8 @@ class LogisticLink:
     discontinuities: ClassVar[Tuple[float, ...]] = ()
 
     def h(self, z):
-        return stable_logistic(np.asarray(z, dtype=float))
+        # [()] gives a scalar for scalar z, as the other links do
+        return _logistic(np.asarray(z, dtype=float))[()]
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,14 @@ def hat_h_p(z, link, p: float):
     """
     if not (0.0 <= p <= 0.5):
         raise DomainError("p must lie in [0, 0.5]")
-    return p + (1.0 - 2.0 * p) * link.h(z)
+    return _label_factor(link.h(z), p)
+
+
+def _label_factor(h, p: float):
+    """p + (1-2p)*h over the link values h, written over h where it is an array."""
+    h *= 1.0 - 2.0 * p
+    h += p
+    return h
 
 
 # --------------------------------------------------------------------------
@@ -171,6 +185,13 @@ class OptimalGlm:
     channel coefficients (quad_a, lin_b) matched to the law of the soft
     predictions: (eta^2, 1/alpha) on the self-consistent trajectory, or
     ((mu/sigma)^2, mu/sigma^2) for an arbitrary state.
+
+    Every evaluation runs one kernel (:meth:`_evaluate`): one posterior rule
+    and one link evaluation per point serve whichever labels are asked for,
+    the points go in fixed blocks of :data:`_POSTERIOR_ROWS` rows over the
+    usable CPUs, and each row is contracted on its own.  A point's value and
+    derivative therefore have the same bits whether it is evaluated alone,
+    in any batch or order, or on any number of threads.
     """
 
     quad_a: float
@@ -189,17 +210,20 @@ class OptimalGlm:
             raise DomainError(
                 "eta = 0 with the sign link: use the closed-form sign aggregator limit"
             )
-        return cls(quad_a=eta**2, lin_b=1.0 / params.alpha, link=params.link, p=params.p,
-                   prior_var=params.prior_var)
+        return cls(quad_a=_square(eta, "eta"), lin_b=1.0 / params.alpha, link=params.link,
+                   p=params.p, prior_var=params.prior_var)
 
     @classmethod
     def from_se_state(cls, state, params: GlmParams) -> "OptimalGlm":
-        return cls(quad_a=(state.mu / state.sigma) ** 2, lin_b=state.mu / state.sigma**2,
-                   link=params.link, p=params.p, prior_var=params.prior_var)
+        return cls(quad_a=_square(state.mu / state.sigma, "mu/sigma"),
+                   lin_b=state.mu / _square(state.sigma, "sigma"), link=params.link, p=params.p,
+                   prior_var=params.prior_var)
 
-    def _evaluate(self, u, labels, deriv):
-        """{yhat: (g, dg/du or None, P(yhat | u))} at the points u, a 1-D array,
-        for each label of ``labels``.
+    def _evaluate(self, u, yhat):
+        """(g, dg/du, P(yhat | u)) at the points u, a 1-D array, each of shape
+        (labels, n): with ``yhat``, one label per point, a single row for those
+        labels; with ``yhat`` None two rows, labels +1 and -1 at every point,
+        and dg/du None.
 
         g = prefac * E[Z | u, yhat] - lin_b * u with prefac = 1/prior_var + quad_a,
         and dg/du = prefac * lin_b * Var[Z | u, yhat] - lin_b, since
@@ -212,56 +236,79 @@ class OptimalGlm:
         integrand bounded, so no log-domain rescue is needed.  The rule is
         :func:`gaussian_rule` split at the link's jumps, so smooth links get
         Gauss-Hermite, of :data:`ORDER` nodes.  One rule and one link evaluation
-        serve every label.
+        serve both labels.
 
         Both moments are taken about the rule's centre m, where the first one,
         c1, is small.  Since prefac * m = lin_b * u, g is prefac * c1, which does
         not cancel at large u, and the variance is the second less c1^2, which
         does not cancel either.
+
+        The rows go in blocks of :data:`_POSTERIOR_ROWS` over the usable CPUs
+        (``numerics._split``, thread j taking blocks j, j + threads, ...), and
+        each row is contracted with the weights on its own (``np.vecdot``), so a
+        point's bits depend neither on the other points nor on the thread count.
         """
         prefac = 1.0 / self.prior_var + self.quad_a
         s2 = 1.0 / prefac
         m = self.lin_b * s2 * u
-        z, w = gaussian_rule(m, math.sqrt(s2), self.link.discontinuities, ORDER)
-        # split weights move with each centre; Hermite weights are shared, and a
-        # matrix-vector product contracts them several times faster
-        dot = np.matmul if w.ndim == 1 else np.vecdot
-        hp = hat_h_p(z, self.link, self.p)
-        # the link has read the nodes: their offsets from the centre overwrite them
-        offset = np.subtract(z, m[..., None], out=z)
-        out = {}
-        # +1 first: the factor of -1, 1 - hhat_p, is written over hhat_p
-        for lab in sorted(labels, reverse=True):
-            f = hp if lab > 0 else np.subtract(1.0, hp, out=hp)
-            den = dot(f, w)
-            if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
-                raise DomainError(
-                    "posterior normalization vanished (label factor has no mass near the channel)"
-                )
-            c1 = dot(f * offset, w) / den
-            dg = None
-            if deriv:
-                var = dot(f * offset**2, w) / den - c1 * c1
-                dg = prefac * self.lin_b * var - self.lin_b
-            out[lab] = (prefac * c1, dg, den)
-        return out
+        place = _rule_at(math.sqrt(s2), self.link.discontinuities, ORDER)
+        # moments 0, 1 and, for the derivative, 2; one row per label asked for
+        sums = np.empty((2, 2, u.size) if yhat is None else (3, 1, u.size))
+        blocks = max(1, -(-u.size // _POSTERIOR_ROWS))
+
+        # runs on the helper threads too, so it calls numpy and private helpers
+        # only (see numerics._split)
+        def block(k):
+            rows = slice(k * _POSTERIOR_ROWS, (k + 1) * _POSTERIOR_ROWS)
+            z, w = place(m[rows])
+            f = _label_factor(self.link.h(z), self.p)
+            # the link has read the nodes: their offsets from the centre overwrite them
+            offset = np.subtract(z, m[rows, None], out=z)
+            if yhat is None:
+                _centred_sums(f.copy(), offset, w, sums[:, 0, rows])
+                np.subtract(1.0, f, out=f)
+            else:
+                np.subtract(1.0, f, out=f, where=yhat[rows, None] < 0.0)
+            # the last row: the given labels', or label -1's
+            _centred_sums(f, offset, w, sums[:, -1, rows])
+
+        def share(j, threads):
+            for k in range(j, blocks, threads):
+                block(k)
+
+        _split(blocks, share)
+        den = sums[0]
+        if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
+            raise DomainError(
+                "posterior normalization vanished (label factor has no mass near the channel)"
+            )
+        c1 = sums[1] / den
+        dg = None
+        if yhat is not None:
+            var = sums[2] / den - c1 * c1
+            dg = prefac * self.lin_b * var - self.lin_b
+        return prefac * c1, dg, den
 
     def value_and_deriv(self, u, yhat):
-        # each point has one label: one posterior rule per label's subset
         u, yhat = _label_arrays(u, yhat)
-        g, dg = np.empty_like(u), np.empty_like(u)
-        for lab in (1.0, -1.0):
-            mask = yhat == lab
-            if np.any(mask):
-                g[mask], dg[mask], _ = self._evaluate(u[mask], (lab,), True)[lab]
-        return g, dg
+        g, dg, _ = self._evaluate(u.ravel(), yhat.ravel())
+        return g[0].reshape(u.shape), dg[0].reshape(u.shape)
 
     def label_values(self, u):
         """(g(u, +1), g(u, -1), P(Yhat = +1 | u)): both labels at the same points
         share the rule and the link evaluation."""
         u, _ = _label_arrays(u, 1.0)
-        g = self._evaluate(u.ravel(), (1.0, -1.0), False)
-        return tuple(a.reshape(u.shape) for a in (g[1.0][0], g[-1.0][0], g[1.0][2]))
+        g, _, den = self._evaluate(u.ravel(), None)
+        return tuple(a.reshape(u.shape) for a in (g[0], g[1], den[0]))
+
+
+def _centred_sums(f, offset, w, out):
+    """Row by row, the weighted sums of f, f*offset, f*offset^2, ... into
+    out[0], out[1], ... (as many as out has); f is overwritten."""
+    np.vecdot(f, w, out=out[0])
+    for moment in out[1:]:
+        f *= offset
+        np.vecdot(f, w, out=moment)
 
 
 @dataclass(frozen=True)
@@ -285,12 +332,13 @@ class OptimalSign:
     def from_eta(cls, eta: float, params: GlmParams) -> "OptimalSign":
         if not (eta > 0 and math.isfinite(eta)):
             raise DomainError("eta must be positive and finite")
-        return cls(quad_a=eta**2, lin_b=1.0 / params.alpha, p=params.p, alpha=params.alpha)
+        return cls(quad_a=_square(eta, "eta"), lin_b=1.0 / params.alpha, p=params.p,
+                   alpha=params.alpha)
 
     @classmethod
     def from_se_state(cls, state, params: GlmParams) -> "OptimalSign":
-        return cls(quad_a=(state.mu / state.sigma) ** 2, lin_b=state.mu / state.sigma**2,
-                   p=params.p, alpha=params.alpha)
+        return cls(quad_a=_square(state.mu / state.sigma, "mu/sigma"),
+                   lin_b=state.mu / _square(state.sigma, "sigma"), p=params.p, alpha=params.alpha)
 
     @property
     def _s(self) -> float:

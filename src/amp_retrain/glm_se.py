@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .glm import GlmParams, OptimalGlm, OptimalSign, SignLink, _error_from_overlap, hat_h_p
-from .numerics import expect_output_channel, gaussian_rule
+from .numerics import _square, expect_output_channel, gaussian_rule
 
 # Quadrature order of the first state's rule over the latent margin and of
 # each step's rule over the prediction; the posterior rule's is glm.ORDER.
@@ -65,7 +65,7 @@ def se_step_glm_opt(eta: float, params: GlmParams) -> float:
     """
     if not (eta > 0 and math.isfinite(eta)):
         raise DomainError("eta must be positive (use se_init_glm for the first state)")
-    state = SeStateGlm(mu=params.alpha * eta**2, sigma=params.alpha * eta)
+    state = SeStateGlm(mu=params.alpha * _square(eta, "eta"), sigma=params.alpha * eta)
     star = optimal_aggregator_for_state(state, params)
     return se_step_glm_generic(state, star, params).eta
 
@@ -82,7 +82,7 @@ def se_step_glm_generic(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm
     g* its values are reused.  The identity aggregator gives sigma'^2 = alpha.
     """
     star = optimal_aggregator_for_state(state, params)
-    sd = math.sqrt(state.mu**2 * params.prior_var + state.sigma**2)
+    sd = math.sqrt(_square(state.mu, "mu") * params.prior_var + _square(state.sigma, "sigma"))
     u, uw = gaussian_rule(0.0, sd, agg.y_breakpoints, DEFAULT_ORDER)
     *star_values, prob_plus = star.label_values(u)
     values = (star_values if agg == star

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, DomainError
-from .numerics import RngStream, _rmatvec, stable_logistic, std_normal_cdf
+from .numerics import RngStream, _rmatvec, _square, stable_logistic, std_normal_cdf
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +182,7 @@ class OptimalGmm:
         retraining trajectory at signal-to-noise ratio eta."""
         if not (eta >= 0 and math.isfinite(eta)):
             raise DomainError("eta must be finite and non-negative")
-        slope = 2.0 * params.gamma**2 / (params.alpha * (eta**2 + 1.0))
+        slope = 2.0 * params.gamma**2 / (params.alpha * (_square(eta, "eta") + 1.0))
         return cls._build(slope, params)
 
     @classmethod

@@ -19,6 +19,27 @@ summing to 2), are cached per order.
 All functions are pure and re-entrant; quadrature rules are cached immutable
 values and :class:`RngStream` instances are frozen.
 
+The logistic
+------------
+:func:`stable_logistic` is exp(min(x, 0)) / (1 + exp(-|x|)) in numpy: no
+exponent is positive, so nothing overflows, and no branch is taken per
+element.  It is within 4 ulp of the exact value where that is normal, gives
+the subnormal tail below x = -708 (scipy's ``expit`` returns 0 there), maps
++-inf to exactly 1 and 0, and raises :class:`DomainError` on NaN.
+
+Threads
+-------
+:func:`_split` runs the pieces of one call on up to one thread per usable
+CPU and joins them before it returns.  Its users are
+:meth:`RngStream.gaussian_matrix` (row blocks of the draw), :func:`_matvec`
+and :func:`_rmatvec` (row and column ranges of the products) and
+``glm.OptimalGlm``'s posterior kernel (row blocks of its quadrature).  Each
+cuts its work so that the bits do not depend on the thread count, and its
+pieces call numpy and private helpers only (:func:`_logistic` and the
+function :func:`_rule_at` returns): perfbench traces the public functions
+on one span stack per process, which a call from a second thread would
+corrupt.
+
 Random matrices
 ---------------
 :meth:`RngStream.gaussian_matrix` fills fixed row blocks of about
@@ -59,7 +80,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, ndtr, roots_legendre
+from scipy.special import ndtr, roots_legendre
 
 from .errors import BracketError, ConfigError, DomainError
 
@@ -97,12 +118,26 @@ def std_normal_cdf(x):
 
 
 def stable_logistic(x):
-    """1 / (1 + exp(-x)) without overflow; +-inf map to 1 / 0 exactly."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)):
+    """1 / (1 + exp(-x)) without overflow (see The logistic in the module
+    docstring); NaN raises :class:`DomainError`, and 0-d input gives a float."""
+    out = _logistic(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """:func:`stable_logistic` of a float array, as a fresh array: 1/(1 + e)
+    for x >= 0 and e/(1 + e) below, e = exp(-|x|).  It calls numpy only, so
+    it may run on a :func:`_split` thread."""
+    if np.isnan(x).any():
         raise DomainError("stable_logistic argument must not be NaN")
-    out = expit(arr)
-    return float(out) if arr.ndim == 0 else out
+    den = np.abs(x, out=np.empty(x.shape))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.minimum(x, 0.0, out=np.empty(x.shape))
+    np.exp(out, out=out)
+    out /= den
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,22 +194,38 @@ def gaussian_rule(mean, sd: float, breakpoints: Sequence[float], order: int):
     Hermite weights have shape ``(order,)``; split weights move with the
     window and have the shape of the nodes.
     """
+    return _rule_at(sd, breakpoints, order)(mean)
+
+
+def _rule_at(sd: float, breakpoints: Sequence[float], order: int):
+    """:func:`gaussian_rule` as a function of the mean alone.
+
+    sd is checked and the raw rule fetched here, on the calling thread; the
+    returned function calls numpy only, so it may run on a :func:`_split`
+    thread.
+    """
     if not (0.0 < sd < math.inf):
         raise DomainError(f"sd must be positive and finite, got {sd}")
-    mean = np.asarray(mean, dtype=float)[..., None]
     if len(breakpoints) == 0:
         rule = gauss_hermite(order)
-        return mean + (_SQRT_2 * sd) * rule.nodes, rule.weights / _SQRT_PI
+        offsets, weights = (_SQRT_2 * sd) * rule.nodes, rule.weights / _SQRT_PI
+        return lambda mean: (np.asarray(mean, dtype=float)[..., None] + offsets, weights)
     rule = gauss_legendre(order)
-    lo = mean - _SPLIT_HALF_WIDTH * sd
-    hi = mean + _SPLIT_HALF_WIDTH * sd
-    cuts = np.stack([lo, *(np.clip(b, lo, hi) for b in sorted(breakpoints)), hi], axis=-2)
-    half = 0.5 * (cuts[..., 1:, :] - cuts[..., :-1, :])
-    nodes = half * rule.nodes + 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
-    density = np.exp((nodes - mean[..., None]) ** 2 * (-0.5 / (sd * sd)))
-    weights = density * (half / (sd * _SQRT_2PI)) * rule.weights
-    shape = mean.shape[:-1] + (-1,)
-    return nodes.reshape(shape), weights.reshape(shape)
+    breakpoints = sorted(breakpoints)
+
+    def split(mean):
+        mean = np.asarray(mean, dtype=float)[..., None]
+        lo = mean - _SPLIT_HALF_WIDTH * sd
+        hi = mean + _SPLIT_HALF_WIDTH * sd
+        cuts = np.stack([lo, *(np.clip(b, lo, hi) for b in breakpoints), hi], axis=-2)
+        half = 0.5 * (cuts[..., 1:, :] - cuts[..., :-1, :])
+        nodes = half * rule.nodes + 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
+        density = np.exp((nodes - mean[..., None]) ** 2 * (-0.5 / (sd * sd)))
+        weights = density * (half / (sd * _SQRT_2PI)) * rule.weights
+        shape = mean.shape[:-1] + (-1,)
+        return nodes.reshape(shape), weights.reshape(shape)
+
+    return split
 
 
 def expect_output_channel(latent, latent_weights, label_prob, gain: float, sd: float,
@@ -238,6 +289,15 @@ def find_root_bisect(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _square(x: float, name: str) -> float:
+    """x**2 of a Python float, with :class:`DomainError` naming x where it
+    overflows (a float's ``**`` raises the built-in OverflowError)."""
+    try:
+        return x**2
+    except OverflowError:
+        raise DomainError(f"{name} is too large: its square overflows") from None
 
 
 def _usable_cpus() -> int:
@@ -317,8 +377,9 @@ def _split(pieces: int, work: Callable[[int, int], None]) -> None:
     usable CPUs): the calling thread runs j = 0, and plain threads run the
     others and are joined before return, so no thread outlives the call
     (``harness.simulate`` may fork a pool afterwards).  work must call numpy
-    only (see :meth:`RngStream.gaussian_matrix`); an exception it raises on
-    any thread is raised here once every thread is joined."""
+    and private helpers only (see Threads in the module docstring); an
+    exception it raises on any thread is raised here once every thread is
+    joined."""
     threads = min(pieces, _usable_cpus())
     errors = []
 

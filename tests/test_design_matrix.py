@@ -103,7 +103,8 @@ class TestNoUpcastCopy:
 # at an n that is not a multiple of 8: large enough that OpenBLAS splits a
 # float32 X^T g over two threads, and where its sgemv for X w would round the
 # rows differently on two threads; and a logistic glm run, whose aggregator
-# contracts its posterior rule with np.matmul (BLAS dgemv)
+# contracts each row of its posterior rule with np.vecdot (a BLAS ddot of 61
+# terms, never split over BLAS threads)
 ARGS = {
     "glm": ["simulate", "--model", "glm", "--link", "sign", "--gamma", "1.0", "--alpha", "0.5",
             "--p", "0.2", "--iterations", "5", "--replications", "2", "--seed", "3"],
@@ -147,13 +148,16 @@ def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
 @pytest.mark.parametrize("kind", ["glm", "logistic", "gmm"])
 def test_tables_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, split_threads, kind):
     # n 2049, d 1025: X has 2**21 entries or more, so the draw and the
-    # products split their work over threads
+    # products split their work over threads, and the logistic posterior has
+    # three row blocks, so it splits too
     for cpus in (1, 2):
         monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
         split_threads.clear()
         assert main(ARGS[kind] + ["--n", "2049", "--d", "1025", "--jobs", "1",
                                   "--out", str(tmp_path / str(cpus))]) == 0
         assert max(split_threads) == cpus
+        if kind == "logistic":
+            assert max(split_threads.by_caller["OptimalGlm._evaluate"]) == cpus
     for table in TABLES[kind]:
         one = (tmp_path / "1" / table).read_bytes()
         assert one == (tmp_path / "2" / table).read_bytes(), table

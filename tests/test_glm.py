@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from amp_retrain.errors import ConfigError, DomainError, ShapeError
+from amp_retrain import numerics
 from amp_retrain.glm import (
+    _POSTERIOR_ROWS,
     GlmDataset,
     GlmParams,
     LogisticLink,
@@ -205,6 +207,14 @@ class TestOptimalAggregator:
         with pytest.raises(DomainError):
             OptimalGlm.from_eta(0.0, params)  # sign link: use the closed form
 
+    def test_eta_whose_square_overflows(self):
+        # finite eta, but a Python float's eta**2 raises the built-in OverflowError
+        smooth = GlmParams(gamma=1.0, alpha=1.0, p=0.2, link=LogisticLink(), n=100)
+        with pytest.raises(DomainError, match="eta is too large"):
+            OptimalGlm.from_eta(1e160, smooth)
+        with pytest.raises(DomainError, match="eta is too large"):
+            OptimalSign.from_eta(1e160, sign_params())
+
     def test_labels_other_than_plus_minus_one_rejected(self):
         smooth = GlmParams(gamma=1.0, alpha=1.0, p=0.2, link=LogisticLink(), n=100)
         aggs = [OptimalGlm.from_eta(0.5, smooth), OptimalGlm.from_eta(0.5, sign_params()),
@@ -218,6 +228,52 @@ class TestOptimalAggregator:
         params = GlmParams(gamma=1.0, alpha=1.0, p=0.2, link=LogisticLink(), n=100)
         v = float(OptimalGlm.from_eta(0.0, params).value_and_deriv(0.3, 1)[0])
         assert math.isfinite(v)
+
+
+class TestPosteriorKernel:
+    """A point's value and derivative have the same bits however the points
+    are batched, ordered or split over threads."""
+
+    N = 2 * _POSTERIOR_ROWS + 517   # three row blocks, the last one partial
+
+    @pytest.fixture(scope="class", params=["logistic", "probit"])
+    def case(self, request):
+        params = GlmParams(gamma=2.0, alpha=0.5, p=0.2, link=link_from_name(request.param))
+        agg = OptimalGlm.from_eta(0.8, params)
+        gen = np.random.default_rng(5)
+        u = gen.normal(0.0, 3.0, self.N)
+        yhat = np.where(gen.random(self.N) < 0.6, 1.0, -1.0)
+        return agg, u, yhat, agg.value_and_deriv(u, yhat)
+
+    def test_one_point_per_call(self, case):
+        agg, u, yhat, (g, dg) = case
+        single = np.array([agg.value_and_deriv(a, b) for a, b in zip(u, yhat)])
+        assert np.array_equal(single[:, 0], g)
+        assert np.array_equal(single[:, 1], dg)
+
+    def test_permuted_batch(self, case):
+        agg, u, yhat, (g, dg) = case
+        perm = np.random.default_rng(6).permutation(self.N)
+        g_perm, dg_perm = agg.value_and_deriv(u[perm], yhat[perm])
+        assert np.array_equal(g_perm, g[perm])
+        assert np.array_equal(dg_perm, dg[perm])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_usable_cpus(self, case, monkeypatch, split_threads, cpus):
+        agg, u, yhat, (g, dg) = case
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        g_cpus, dg_cpus = agg.value_and_deriv(u, yhat)
+        assert split_threads == [cpus]
+        assert np.array_equal(g_cpus, g)
+        assert np.array_equal(dg_cpus, dg)
+
+    def test_both_labels_share_one_evaluation(self, case):
+        # label_values evaluates the link once for both labels, with the
+        # same bits as one label at a time
+        agg, u, _, _ = case
+        g_plus, g_minus, _ = agg.label_values(u)
+        assert np.array_equal(g_plus, agg.value_and_deriv(u, 1.0)[0])
+        assert np.array_equal(g_minus, agg.value_and_deriv(u, -1.0)[0])
 
 
 class TestOnsagerGlm:

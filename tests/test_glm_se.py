@@ -8,7 +8,9 @@ from scipy import integrate
 from scipy.special import expit
 
 from amp_retrain.errors import DomainError
+from amp_retrain import numerics
 from amp_retrain.glm import (
+    _POSTERIOR_ROWS,
     GlmParams,
     LogisticLink,
     OptimalGlm,
@@ -96,6 +98,18 @@ class TestOptStep:
     def test_requires_positive_eta(self):
         with pytest.raises(DomainError):
             se_step_glm_opt(0.0, sign_params())
+
+    @pytest.mark.parametrize("link", [LogisticLink(), SignLink()])
+    def test_eta_whose_state_overflows(self, link):
+        # finite eta, but the prediction's variance mu^2*prior_var + sigma^2
+        # overflows (a Python float's ** raises the built-in OverflowError)
+        params = GlmParams(gamma=1.0, alpha=0.5, p=0.2, link=link, n=100)
+        with pytest.raises(DomainError, match="too large"):
+            se_step_glm_opt(1e78, params)
+        # and states whose channel coefficients overflow
+        for state in (SeStateGlm(mu=1e160, sigma=1.0), SeStateGlm(mu=1.0, sigma=1e160)):
+            with pytest.raises(DomainError, match="too large"):
+                optimal_aggregator_for_state(state, params)
 
     def test_sign_iteration_reaches_fixed_point(self):
         params = sign_params(alpha=0.5, p=0.2)
@@ -302,15 +316,26 @@ class TestLinkEvaluations:
             pieces = len(agg.y_breakpoints) + 1
             assert CountingLink.sizes == [pieces * self.K * self.INNER]
 
-    def test_amp_step_once_per_label_subset(self):
+    def amp_step_sizes(self, n):
         params = counting_params()
-        y_soft = np.linspace(-3.0, 3.0, 40)
-        y_noisy = np.where(np.arange(40) % 3 == 0, -1.0, 1.0)
-        X = np.random.default_rng(0).standard_normal((40, 20)) / math.sqrt(40)
+        y_soft = np.linspace(-3.0, 3.0, n)
+        y_noisy = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+        X = np.random.default_rng(0).standard_normal((n, 20)) / math.sqrt(n)
         agg = OptimalGlm.from_eta(0.8, params)
         CountingLink.sizes.clear()
         amp_step(AmpState(w=np.ones(20), y_soft=y_soft, t=1), X, y_noisy, 1.0, agg)
-        assert CountingLink.sizes == [26 * self.INNER, 14 * self.INNER]
+        return CountingLink.sizes
+
+    def test_amp_step_once_per_row_block(self):
+        # both labels in one evaluation
+        assert self.amp_step_sizes(40) == [40 * self.INNER]
+
+    def test_amp_step_once_per_row_block_on_threads(self, monkeypatch):
+        # the helper threads append in any order
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+        n = 2 * _POSTERIOR_ROWS + 300
+        blocks = [300, _POSTERIOR_ROWS, _POSTERIOR_ROWS]
+        assert sorted(self.amp_step_sizes(n)) == [rows * self.INNER for rows in blocks]
 
 
 def old_generic_step(state, agg, params, order):

@@ -142,6 +142,11 @@ class TestAggregators:
         assert float(agg.value_and_deriv(1e6, 1)[0]) == pytest.approx(1.0, abs=1e-12)
         assert float(agg.value_and_deriv(-1e6, 1)[0]) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_eta_whose_square_overflows(self):
+        # finite eta, but a Python float's eta**2 raises the built-in OverflowError
+        with pytest.raises(DomainError, match="eta is too large"):
+            OptimalGmm.from_eta(1e160, params_for(p=0.2, pi_plus=0.3))
+
     def test_optimal_p_zero_returns_label(self):
         agg = OptimalGmm.from_eta(0.5, params_for(p=0.0))
         g, dg = agg.value_and_deriv(3.7, -1)

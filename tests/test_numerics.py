@@ -257,6 +257,29 @@ class TestStableLogistic:
         assert stable_logistic(float("inf")) == 1.0
         assert stable_logistic(float("-inf")) == 0.0
 
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.concatenate([np.linspace(-745.0, 745.0, 10001), [0.0, -0.0]])
+        got = stable_logistic(x)
+        with mpmath.workdps(40):
+            exact = [1 / (1 + mpmath.exp(-mpmath.mpf(float(v)))) for v in x]
+            ulps = np.array([float(abs(mpmath.mpf(float(g)) - e)) for g, e in zip(got, exact)])
+        normal = np.array([e >= np.finfo(float).tiny for e in exact])
+        ulps /= np.spacing(np.array([float(e) for e in exact]))
+        assert normal.sum() > 9000
+        assert ulps[normal].max() <= 4.0
+        # below x = -708.4 the value is subnormal, not flushed to 0
+        assert np.all(got[~normal] > 0.0)
+        assert np.all(got[~normal] < np.finfo(float).tiny)
+
+    def test_nan_and_zero_dimensional_input(self):
+        with pytest.raises(DomainError):
+            stable_logistic(float("nan"))
+        with pytest.raises(DomainError):
+            stable_logistic(np.array([0.0, np.nan]))
+        assert type(stable_logistic(np.array(2.0))) is float
+        assert stable_logistic(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_bounds_and_symmetry(self, x):
