@@ -15,11 +15,9 @@ from typing import ClassVar, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, DomainError
-from scipy.special import erfcx, ndtr
-
 from .gmm import _label_arrays, _validate_shared_params
-from .numerics import (RngStream, _logistic, _matvec, _rule_at, _split, _square, gaussian_rule,
-                       std_normal_cdf)
+from .numerics import (RngStream, _erfcx, _logistic, _matvec, _ndtr, _rule_at, _split, _square,
+                       gaussian_rule)
 
 
 # Quadrature order of the posterior rule of OptimalGlm and of the error curve.
@@ -27,6 +25,11 @@ ORDER = 61
 # Rows per block of OptimalGlm's posterior kernel: a block's arrays hold
 # _POSTERIOR_ROWS x ORDER doubles (about 0.5 MB).
 _POSTERIOR_ROWS = 1024
+# Largest posterior precision 1/s^2 OptimalGlm evaluates: its centred sums
+# carry a rounding error of about eps*s, which g = c1/s^2 turns into about
+# eps/s, and beyond 1e19 the SE map's relative error passes 1e-7 (measured
+# for the logistic and probit links).
+_PRECISION_MAX = 1e19
 
 
 # --------------------------------------------------------------------------
@@ -69,7 +72,7 @@ class ProbitLink:
     discontinuities: ClassVar[Tuple[float, ...]] = ()
 
     def h(self, z):
-        return ndtr(np.asarray(z, dtype=float))
+        return _ndtr(np.asarray(z, dtype=float))
 
 
 _LINKS = {link.name: link for link in (SignLink, LogisticLink, ProbitLink)}
@@ -236,7 +239,8 @@ class OptimalGlm:
         integrand bounded, so no log-domain rescue is needed.  The rule is
         :func:`gaussian_rule` split at the link's jumps, so smooth links get
         Gauss-Hermite, of :data:`ORDER` nodes.  One rule and one link evaluation
-        serve both labels.
+        serve both labels.  A precision prefac above :data:`_PRECISION_MAX`
+        raises :class:`DomainError`.
 
         Both moments are taken about the rule's centre m, where the first one,
         c1, is small.  Since prefac * m = lin_b * u, g is prefac * c1, which does
@@ -249,6 +253,9 @@ class OptimalGlm:
         point's bits depend neither on the other points nor on the thread count.
         """
         prefac = 1.0 / self.prior_var + self.quad_a
+        if prefac > _PRECISION_MAX:
+            raise DomainError(f"posterior precision {prefac:.3g} is above {_PRECISION_MAX:.0e}, "
+                              f"where its quadrature no longer resolves g")
         s2 = 1.0 / prefac
         m = self.lin_b * s2 * u
         place = _rule_at(math.sqrt(s2), self.link.discontinuities, ORDER)
@@ -352,11 +359,11 @@ class OptimalSign:
         if self.p == 0.0:
             # 1 + yhat*(2*Phi(r) - 1) = 2*Phi(yhat*r), which underflows where
             # yhat*r << 0; exp(-r^2/2) / (2*Phi(yhat*r)) = 1/erfcx(-yhat*r/sqrt(2))
-            g = yhat * math.sqrt(2.0 / math.pi) / erfcx(-yhat * r / math.sqrt(2.0))
+            g = yhat * math.sqrt(2.0 / math.pi) / _erfcx(-yhat * r / math.sqrt(2.0))
             return g / s, r, s
         amp = (1.0 - 2.0 * self.p) * yhat
         num = amp * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r * r)
-        den = 1.0 + amp * (2.0 * std_normal_cdf(r) - 1.0)
+        den = 1.0 + amp * (2.0 * _ndtr(r) - 1.0)
         return num / (den * s), r, s
 
     def value_and_deriv(self, u, yhat):
@@ -378,7 +385,7 @@ class OptimalSign:
     def label_values(self, u):
         """(g(u, +1), g(u, -1), P(Yhat = +1 | u) = p + (1-2p)*Phi(r)), in closed form."""
         g_plus, r, _ = self._value(u, 1.0)
-        return g_plus, self._value(u, -1.0)[0], self.p + (1.0 - 2.0 * self.p) * std_normal_cdf(r)
+        return g_plus, self._value(u, -1.0)[0], self.p + (1.0 - 2.0 * self.p) * _ndtr(r)
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +415,8 @@ def error_curve_glm(rho: float, params: GlmParams) -> float:
 
         def integrand(z):
             hv = params.link.h(scale * z)
-            return ndtr(coef * z) * (1.0 - hv) + ndtr(-coef * z) * hv
+            phi_pos, phi_neg = _ndtr(np.stack([coef * z, -coef * z]))   # one kernel call
+            return phi_pos * (1.0 - hv) + phi_neg * hv
 
     z, w = gaussian_rule(0.0, 1.0, [b / scale for b in params.link.discontinuities], ORDER)
     return float(integrand(z) @ w)

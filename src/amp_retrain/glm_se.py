@@ -104,7 +104,8 @@ def se_error_glm(eta: float, params: GlmParams) -> float:
     arccos(rho)/pi exactly, other links through the quadrature error curve.
     """
     g = params.gamma_eff
-    return _error_from_overlap(eta * g / math.sqrt(eta**2 * g**2 + 1.0 / params.alpha), params)
+    return _error_from_overlap(eta * g / math.sqrt(_square(eta, "eta") * g**2 + 1.0 / params.alpha),
+                               params)
 
 
 def optimal_aggregator_for_state(state: SeStateGlm, params: GlmParams):

@@ -196,7 +196,7 @@ class OptimalGmm:
         what makes the empirical run track the state evolution (and the Bayes
         identity hold) from t = 1 on.
         """
-        slope = 2.0 * state.m_bar / state.sigma_bar**2
+        slope = 2.0 * state.m_bar / _square(state.sigma_bar, "sigma_bar")
         return cls._build(slope, params)
 
     @classmethod

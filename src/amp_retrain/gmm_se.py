@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import BracketError, ConfigError, DomainError
 from .gmm import AGGREGATORS, GmmParams, OptimalGmm, aggregator_from_name
-from .numerics import expect_output_channel, find_root_bisect, gaussian_rule, std_normal_cdf
+from .numerics import (_square, expect_output_channel, find_root_bisect, gaussian_rule,
+                       std_normal_cdf)
 
 # Quadrature order of every expectation here (SE steps and maps).  The optimal
 # aggregator can be a steep tanh, and the self-consistency identities are
@@ -64,7 +65,7 @@ class SeStateGmm:
 
     @property
     def sigma_bar(self) -> float:
-        return math.sqrt(self.alpha * (self.m**2 + self.sigma**2))
+        return math.sqrt(self.alpha * (_square(self.m, "m") + _square(self.sigma, "sigma")))
 
 
 def se_init_gmm(params: GmmParams) -> SeStateGmm:
@@ -122,7 +123,7 @@ def se_error_gmm(state: SeStateGmm, params: GmmParams) -> float:
 
 def se_error_from_eta(eta: float, gamma: float) -> float:
     """Same prediction parameterized by the signal-to-noise ratio."""
-    return std_normal_cdf(-gamma * eta / math.sqrt(eta**2 + 1.0))
+    return std_normal_cdf(-gamma * eta / math.sqrt(_square(eta, "eta") + 1.0))
 
 
 # --------------------------------------------------------------------------

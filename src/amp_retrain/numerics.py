@@ -1,10 +1,10 @@
 """Shared numerical kernels.
 
-Gaussian CDF, one builder of quadrature rules for Gaussian expectations, the
-output-channel expectation of a state-evolution step, bisection root
-finding, an overflow-safe logistic, deterministic splittable RNG streams
-with a block-parallel Gaussian matrix sampler, and the two products with a
-design matrix.
+The standard normal CDF and erfcx, one builder of quadrature rules for
+Gaussian expectations, the output-channel expectation of a state-evolution
+step, bisection root finding, an overflow-safe logistic, deterministic
+splittable RNG streams with a block-parallel Gaussian matrix sampler, and
+the two products with a design matrix.
 
 Quadrature conventions
 ----------------------
@@ -14,10 +14,28 @@ integrands use Gauss-Hermite; integrands with jumps or kinks at known points
 use Gauss-Legendre pieces split at those points on the window mean +- 14 sd.
 The raw rules under it, :func:`gauss_hermite` (physicists' normalization,
 weights summing to sqrt(pi)) and :func:`gauss_legendre` (on [-1, 1], weights
-summing to 2), are cached per order.
+summing to 2), are cached per order.  The Legendre rule is Newton's method on
+the three-term recurrence of P_n, started at cos(pi*(i - 1/4)/(n + 1/2)) and
+mirrored, so it is exactly symmetric.
 
 All functions are pure and re-entrant; quadrature rules are cached immutable
 values and :class:`RngStream` instances are frozen.
+
+Phi and erfcx
+-------------
+:func:`std_normal_cdf` and the private :func:`_ndtr` and :func:`_erfcx` are
+one numpy kernel on the rational approximations of Cephes ``ndtr.c``
+(S. L. Moshier): erf(x) = x T(x^2)/U(x^2) for |x| < 1, and the scaled
+complementary error function erfcx(x) = exp(x^2) erfc(x) = P(x)/Q(x) on
+[1, 8) and R(x)/S(x) beyond (R/S in 1/x, so no power overflows; above
+x = 100 five terms of the asymptotic series).  Phi(a) is
+1/2 + erf(a/sqrt 2)/2 for |a| < sqrt 2, exp(-a^2/2) erfcx(-a/sqrt 2)/2
+below, with a^2 split exactly so that the tail keeps its relative accuracy,
+and 1 less that of -a above.  Against 40-digit mpmath, Phi is within 8 ulp
+on [-37.5, 8.3] (scipy's ``ndtr``: 1,918 ulp at -36.6) and erfcx within
+13 ulp on [-26, 1e6] (12.2 near x = 1, where 1 - erf(x) cancels).  A float
+runs the same operations as an array element, so it gets the same bits; an
+array passes each piece only the elements that fall in it.
 
 The logistic
 ------------
@@ -35,8 +53,8 @@ CPU and joins them before it returns.  Its users are
 and :func:`_rmatvec` (row and column ranges of the products) and
 ``glm.OptimalGlm``'s posterior kernel (row blocks of its quadrature).  Each
 cuts its work so that the bits do not depend on the thread count, and its
-pieces call numpy and private helpers only (:func:`_logistic` and the
-function :func:`_rule_at` returns): perfbench traces the public functions
+pieces call numpy and private helpers only (:func:`_logistic`, :func:`_ndtr`
+and the function :func:`_rule_at` returns): perfbench traces the public functions
 on one span stack per process, which a call from a second thread would
 corrupt.
 
@@ -80,7 +98,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, roots_legendre
 
 from .errors import BracketError, ConfigError, DomainError
 
@@ -103,18 +120,241 @@ _COLUMN_GROUP = 16
 
 # Most halvings find_root_bisect makes (a unit bracket is then far below 1 ulp)
 _BISECT_MAX_ITER = 200
+# Newton steps of gauss_legendre: it stops once no node moves more than
+# _NEWTON_TOL, a few ulp of 1
+_NEWTON_MAX_ITER = 100
+_NEWTON_TOL = 4 * np.finfo(float).eps
 
 
 def std_normal_cdf(x):
-    """Standard normal CDF, accurate to <=1e-12 absolute (erf-based).
+    """Standard normal CDF, within a few ulp (see Phi and erfcx in the module
+    docstring).
 
     Accepts scalars or arrays; non-finite input raises :class:`DomainError`.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("std_normal_cdf argument must be finite")
-    out = ndtr(arr)
-    return float(out) if arr.ndim == 0 else out
+    return _ndtr(arr)
+
+
+# Cephes ndtr.c, highest power first; U, Q and S are monic, their leading 1
+# not listed.  erf(x) = x T(x^2)/U(x^2) for |x| < 1; erfcx(x) = P(x)/Q(x) on
+# [1, 8) and R(x)/S(x) beyond.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+# R(x)/S(x) = w R~(w)/S~(w) in w = 1/x, R~ and S~ the reversed polynomials
+_ERFC_R_INV = _ERFC_R[::-1]
+_ERFC_S_INV = _ERFC_S[::-1] + (1.0,)
+# erfcx(x) = (w/sqrt(pi)) (1 - w^2/2 + 3w^4/4 - 15w^6/8 + 105w^8/16 - ...),
+# in v = w^2; the next term is below 3e-19 for x >= 100
+_ERFCX_ASYMPTOTIC = (105.0 / 16.0, -15.0 / 8.0, 3.0 / 4.0, -0.5, 1.0)
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _ndtr(a):
+    """Phi(a) for a float or a 0-d array (a float) or a float array (a fresh
+    array); +-inf give 1 and 0, NaN gives NaN.  It calls numpy only, so it
+    may run on a :func:`_split` thread."""
+    return _piecewise(a, _PHI_CUTS, _PHI_PIECES)
+
+
+def _erfcx(x):
+    """exp(x^2) erfc(x) as :func:`_ndtr` takes and gives Phi; inf below -26.6."""
+    return _piecewise(x, _ERFCX_CUTS, _ERFCX_PIECES)
+
+
+def _piecewise(x, cuts, pieces):
+    """pieces[k] at each element of x with k of the ascending ``cuts`` at or
+    below it (NaN has none).  A piece is a function of a float or an array,
+    or a constant (at most one per table).  A float or 0-d array takes its
+    piece as a float; an array is filled with the constant and passes each
+    function the elements that fall in its piece, all of them at once where
+    they share one."""
+    if np.ndim(x) == 0:
+        x = float(x)
+        piece = pieces[sum(x >= c for c in cuts)]
+        return piece if isinstance(piece, float) else piece(x)
+    index = np.zeros(x.shape, dtype=np.int8)
+    for c in cuts:
+        index += x >= c
+    used = range(int(index.min()), int(index.max()) + 1) if x.size else range(0)
+    if len(used) == 1 and callable(pieces[used[0]]):
+        return pieces[used[0]](x)
+    constant = [pieces[k] for k in used if not callable(pieces[k])]
+    out = np.full(x.shape, constant[0]) if constant else np.empty(x.shape)
+    for k in used:
+        if callable(pieces[k]):
+            where = index == k
+            if where.any():
+                out[where] = pieces[k](x[where])
+    return out
+
+
+def _polevl(x, coefs):
+    """c0 x^n + c1 x^(n-1) + ... + cn by Horner's rule (Cephes polevl), built
+    in one fresh array for an array x."""
+    y = x * coefs[0]
+    y += coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _p1evl(x, coefs):
+    """x^(n+1) + c0 x^n + ... + cn, the monic :func:`_polevl` (Cephes p1evl)."""
+    y = x + coefs[0]
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _exp(x):
+    """exp(x), written over x where it is an array: numpy's exp either way, so
+    a float gets an array element's bits."""
+    return float(np.exp(x)) if isinstance(x, float) else np.exp(x, out=x)
+
+
+def _exp_square(v, k: float):
+    """exp(k v^2) for k = -1/2 or 1 and |v| <= 40, to the accuracy of exp.
+
+    v rounded to float32 is h, so h^2 is exact and k v^2 = k h^2 + r with
+    r = k (v - h)(v + h), |r| < 1e-4, whose exp a cubic gives to rounding;
+    exp(k v^2) taken directly would carry the rounding of v^2, up to 2e-13
+    relative at |v| = 40.
+    """
+    h = float(np.float32(v)) if isinstance(v, float) else v.astype(np.float32).astype(float)
+    r = v - h
+    r *= v + h
+    r *= k
+    h *= h
+    h *= k
+    e = _exp(h)
+    e *= _polevl(r, (1.0 / 6.0, 0.5, 1.0, 1.0))
+    return e
+
+
+def _erf_centre(x):
+    """erf(x) for |x| <= 1."""
+    z = x * x
+    y = _polevl(z, _ERF_T)
+    y *= x
+    y /= _p1evl(z, _ERF_U)
+    return y
+
+
+def _erfcx_mid(x):
+    """erfcx(x) for 1 <= x < 8."""
+    y = _polevl(x, _ERFC_P)
+    y /= _p1evl(x, _ERFC_Q)
+    return y
+
+
+def _erfcx_far(x):
+    """erfcx(x) for x >= 8."""
+    w = 1.0 / x
+    y = _polevl(w, _ERFC_R_INV)
+    y *= w
+    y /= _polevl(w, _ERFC_S_INV)
+    return y
+
+
+def _erfcx_asymptotic(x):
+    """erfcx(x) for x >= 100."""
+    w = 1.0 / x
+    y = _polevl(w * w, _ERFCX_ASYMPTOTIC)
+    y *= w
+    y *= _INV_SQRT_PI
+    return y
+
+
+def _clip_below(x, lo: float):
+    return max(x, lo) if isinstance(x, float) else np.maximum(x, lo)
+
+
+def _phi_below(a, erfcx):
+    """Phi(a) = exp(-a^2/2) erfcx(-a/sqrt 2)/2 for a <= -sqrt 2 (a >= -40)."""
+    y = erfcx(a * -_SQRT_HALF)
+    y *= _exp_square(a, -0.5)
+    y *= 0.5
+    return y
+
+
+def _phi_centre(a):
+    """Phi(a) = 1/2 + erf(a/sqrt 2)/2 for |a| < sqrt 2."""
+    y = _erf_centre(a * _SQRT_HALF)
+    y *= 0.5
+    y += 0.5
+    return y
+
+
+def _phi_above(a):
+    """Phi(a) = 1 - exp(-a^2/2) erfcx(a/sqrt 2)/2 for sqrt 2 <= a < 8.5.
+
+    The subtracted term c is below 0.08 and its exponent's rounding costs it
+    at most c a^2 2^-54, under a tenth of an ulp of Phi, so a plain exp serves.
+    """
+    y = _erfcx_mid(a * _SQRT_HALF)
+    e = a * a
+    e *= -0.5
+    y *= _exp(e)
+    y *= -0.5
+    y += 1.0
+    return y
+
+
+# Phi(a) for a below -8 sqrt 2 (0 below -38.5, so a is clipped at -40), to
+# -sqrt 2, to sqrt 2, to 8.5, and beyond, where Phi(-a) is below half an ulp
+# of 1 and Phi rounds to exactly 1
+_PHI_CUTS = (-8.0 / _SQRT_HALF, -1.0 / _SQRT_HALF, 1.0 / _SQRT_HALF, 8.5)
+_PHI_PIECES = (lambda a: _phi_below(_clip_below(a, -40.0), _erfcx_far),
+               lambda a: _phi_below(a, _erfcx_mid), _phi_centre, _phi_above, 1.0)
+
+
+def _erfcx_minus_eight(x):
+    """erfcx(x) = 2 exp(x^2) - erfcx(-x) for x < -8, where the second term is
+    below half an ulp of the first; inf below -26.6 (x is clipped at -27)."""
+    with np.errstate(over="ignore"):
+        y = _exp_square(_clip_below(x, -27.0), 1.0)
+        y *= 2.0
+    return y
+
+
+def _erfcx_minus_one(x):
+    """erfcx(x) = 2 exp(x^2) - erfcx(-x) for -8 <= x < -1."""
+    y = _exp_square(x, 1.0)
+    y *= 2.0
+    y -= _erfcx_mid(-x)
+    return y
+
+
+def _erfcx_centre(x):
+    """erfcx(x) = exp(x^2) (1 - erf(x)) for |x| < 1."""
+    y = _erf_centre(x)
+    y *= -1.0
+    y += 1.0
+    y *= _exp_square(x, 1.0)
+    return y
+
+
+_ERFCX_CUTS = (-8.0, -1.0, 1.0, 8.0, 100.0)
+_ERFCX_PIECES = (_erfcx_minus_eight, _erfcx_minus_one, _erfcx_centre, _erfcx_mid, _erfcx_far,
+                 _erfcx_asymptotic)
 
 
 def stable_logistic(x):
@@ -168,13 +408,49 @@ def gauss_hermite(order: int) -> QuadratureRule:
 
 @lru_cache(maxsize=64)
 def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1] (weights sum to 2)."""
+    """Gauss-Legendre rule on [-1, 1] (weights sum to 2).
+
+    The positive nodes are roots of P_n found by Newton's method on the
+    three-term recurrence, from cos(pi*(i - 1/4)/(n + 1/2)), i = 1, 2, ...;
+    the weights are 2/((1 - x^2) P_n'(x)^2) there, and both are mirrored, so
+    the rule is exactly symmetric (the middle node of an odd order is 0).
+    Against a 40-digit reference the nodes are within 1 ulp and the weights
+    within 89 ulp at order 61 and 1,403 at 201 (scipy's ``roots_legendre``:
+    15,534 and 761,093).
+    """
     if order < 2:
         raise ConfigError(f"quadrature order must be >= 2, got {order}")
-    nodes, weights = roots_legendre(order)
+    half = np.arange(order // 2, 0, -1)
+    x = np.cos(np.pi * (half - 0.25) / (order + 0.5))   # ascending, positive
+    for _ in range(_NEWTON_MAX_ITER):
+        p, dp = _legendre(order, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            break
+    else:
+        raise ConfigError(f"no Gauss-Legendre rule of order {order} (Newton did not converge)")
+    if order % 2:
+        x = np.concatenate(([0.0], x))   # a root of every odd P_n
+    p, dp = _legendre(order, x)
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    # to first order in the node's own rounding error p/dp: the formula's
+    # log-derivative at a root is -2x/(1 - x^2), steep near the ends
+    w = 2.0 / (one_minus_x2 * dp * dp) * (1.0 + 2.0 * x * (p / dp) / one_minus_x2)
+    mirrored = slice(order % 2, None)
+    nodes = np.concatenate([-x[mirrored][::-1], x])
+    weights = np.concatenate([w[mirrored][::-1], w])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights)
+
+
+def _legendre(n: int, x: np.ndarray):
+    """(P_n(x), P_n'(x)) by the recurrence k P_k = (2k-1) x P_(k-1) - (k-1) P_(k-2)."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
 
 
 def gaussian_rule(mean, sd: float, breakpoints: Sequence[float], order: int):

@@ -2,6 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -554,3 +558,47 @@ class TestOneList:
                 config = ExperimentConfig(model=model, gamma=1.0, alpha=0.5, p=0.2, n=100,
                                           iterations=2, aggregator=aggregator, beta=5.0)
                 assert len(se_trace(config)[1]) == 2
+
+
+# every command in a fresh interpreter, then the modules it loaded
+NO_SCIPY_RUN = """
+import json, sys
+from amp_retrain.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    gmm = ["--model", "gmm", "--gamma", "1.5", "--alpha", "0.5", "--p", "0.3"]
+    glm = ["--model", "glm", "--link", "logistic", "--gamma", "2.0", "--alpha", "0.5",
+           "--p", "0.2"]
+    small = ["--n", "200", "--d", "100", "--iterations", "2", "--replications", "1",
+             "--jobs", "1", "--seed", "1"]
+    logits = tmp_path / "logits.tsv"
+    gen = RngStream(3).generator()
+    z = np.concatenate([gen.normal(-2, 0.8, 100), gen.normal(2, 0.8, 100)])
+    write_logit_file(logits, [f"s{i}" for i in range(200)], z, np.sign(z))
+    runs = [
+        ["se", *gmm, "--iterations", "3"], ["se", *glm, "--iterations", "3"],
+        ["cobweb", *gmm, "--u1", "0.5", "--steps", "2"],
+        ["cobweb", *glm, "--u1", "0.5", "--steps", "2"],
+        ["crossover", "--gamma", "1.5", "--alpha", "2.0", "--p-list", "0.2"],
+        ["simulate", *gmm, *small],
+        *(["simulate", "--model", "glm", "--link", link, "--gamma", "2.0", "--alpha", "0.5",
+           "--p", "0.2", *small] for link in ("sign", "logistic", "probit")),
+        ["bayesmix", "demo", "--p", "0.3", "--gamma", "2.0", "--alpha", "0.5", "--n", "200",
+         "--d", "100", "--rounds", "2", "--seed", "1"],
+        ["bayesmix", "fit", "--input", str(logits)],
+        ["bayesmix", "apply", "--input", str(logits), "--fit",
+         str(tmp_path / "fit" / "fit.json"), "--p", "0.3"],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / ("fit" if argv[:2] == ["bayesmix", "fit"] else
+                                             f"run{i}"))]
+             for i, argv in enumerate(runs)]
+    src = str(pathlib.Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, json.dumps(argvs)], env=env,
+                          check=True, capture_output=True, text=True)
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []

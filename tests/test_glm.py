@@ -74,6 +74,11 @@ class TestLinks:
         for link in (SignLink(), LogisticLink(), ProbitLink()):
             assert np.all(link.h(u) > link.h(-u)), link
 
+    def test_probit_ends(self):
+        h = ProbitLink().h
+        assert h(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]
+        assert (h(np.inf), h(-np.inf)) == (1.0, 0.0)
+
     def test_hat_h_p_sign(self):
         link = SignLink()
         assert hat_h_p(3.0, link, 0.2) == pytest.approx(0.8)

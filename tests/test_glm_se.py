@@ -110,6 +110,21 @@ class TestOptStep:
         for state in (SeStateGlm(mu=1e160, sigma=1.0), SeStateGlm(mu=1.0, sigma=1e160)):
             with pytest.raises(DomainError, match="too large"):
                 optimal_aggregator_for_state(state, params)
+        with pytest.raises(DomainError, match="eta is too large"):
+            se_error_glm(1e160, params)
+
+    @pytest.mark.parametrize("u", [1e20, 1e30, 1e100])
+    def test_far_start_is_flat_or_refused(self, u):
+        # the map is flat at large u; beyond the posterior precision its
+        # quadrature resolves, the step raises rather than read 0.1197 (u 1e30)
+        # or 2.3e65 (u 1e100)
+        params = GlmParams(gamma=2.0, alpha=0.5, p=0.2, link=LogisticLink(), n=100)
+        flat = se_step_glm_opt(math.sqrt(1e12), params) ** 2
+        try:
+            value = se_step_glm_opt(math.sqrt(u), params) ** 2
+        except DomainError:
+            return
+        assert value == pytest.approx(flat, abs=1e-6)
 
     def test_sign_iteration_reaches_fixed_point(self):
         params = sign_params(alpha=0.5, p=0.2)

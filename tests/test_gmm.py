@@ -25,7 +25,7 @@ from amp_retrain.gmm import (
 )
 from amp_retrain.gmm import test_error_gmm as gmm_error
 from amp_retrain.glm import GlmParams, LogisticLink, OptimalGlm, OptimalSign, SignLink
-from amp_retrain.gmm_se import label_atoms, se_init_gmm
+from amp_retrain.gmm_se import SeStateGmm, label_atoms, se_init_gmm
 from amp_retrain.numerics import RngStream, gauss_hermite, std_normal_cdf
 from amp_retrain.retrain import (
     AmpState,
@@ -146,6 +146,10 @@ class TestAggregators:
         # finite eta, but a Python float's eta**2 raises the built-in OverflowError
         with pytest.raises(DomainError, match="eta is too large"):
             OptimalGmm.from_eta(1e160, params_for(p=0.2, pi_plus=0.3))
+        # and a state whose sigma_bar^2 = alpha*(m^2 + sigma^2) overflows
+        state = SeStateGmm(m=1e160, sigma=1.0, gamma=1.5, alpha=2.0)
+        with pytest.raises(DomainError, match="m is too large"):
+            OptimalGmm.from_se_state(state, params_for(p=0.2, pi_plus=0.3))
 
     def test_optimal_p_zero_returns_label(self):
         agg = OptimalGmm.from_eta(0.5, params_for(p=0.0))

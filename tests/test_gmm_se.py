@@ -156,6 +156,14 @@ class TestErrorPrediction:
         errs = [se_error_from_eta(e, 1.5) for e in etas]
         assert np.all(np.diff(errs) < 0)
 
+    def test_finite_inputs_whose_squares_overflow(self):
+        # a Python float's ** raises the built-in OverflowError
+        with pytest.raises(DomainError, match="eta is too large"):
+            se_error_from_eta(1e160, 1.5)
+        state = SeStateGmm(m=1e160, sigma=1.0, gamma=1.5, alpha=2.0)
+        with pytest.raises(DomainError, match="m is too large"):
+            state.sigma_bar
+
 
 class TestMaps:
     def test_opt_at_zero_matches_label_only_value(self):
