@@ -247,10 +247,10 @@ class OptimalGlm:
         not cancel at large u, and the variance is the second less c1^2, which
         does not cancel either.
 
-        The rows go in blocks of :data:`_POSTERIOR_ROWS` over the usable CPUs
-        (``numerics._split``, thread j taking blocks j, j + threads, ...), and
-        each row is contracted with the weights on its own (``np.vecdot``), so a
-        point's bits depend neither on the other points nor on the thread count.
+        The rows go in blocks of :data:`_POSTERIOR_ROWS`, spread over the usable
+        CPUs by ``numerics._split``, and each row is contracted with the weights
+        on its own (``np.vecdot``), so a point's bits depend neither on the
+        other points nor on the thread count.
         """
         prefac = 1.0 / self.prior_var + self.quad_a
         if prefac > _PRECISION_MAX:
@@ -265,25 +265,22 @@ class OptimalGlm:
 
         # runs on the helper threads too, so it calls numpy and private helpers
         # only (see numerics._split)
-        def block(k):
-            rows = slice(k * _POSTERIOR_ROWS, (k + 1) * _POSTERIOR_ROWS)
-            z, w = place(m[rows])
-            f = _label_factor(self.link.h(z), self.p)
-            # the link has read the nodes: their offsets from the centre overwrite them
-            offset = np.subtract(z, m[rows, None], out=z)
-            if yhat is None:
-                _centred_sums(f.copy(), offset, w, sums[:, 0, rows])
-                np.subtract(1.0, f, out=f)
-            else:
-                np.subtract(1.0, f, out=f, where=yhat[rows, None] < 0.0)
-            # the last row: the given labels', or label -1's
-            _centred_sums(f, offset, w, sums[:, -1, rows])
+        def block_range(a, b):
+            for k in range(a, b):
+                rows = slice(k * _POSTERIOR_ROWS, (k + 1) * _POSTERIOR_ROWS)
+                z, w = place(m[rows])
+                f = _label_factor(self.link.h(z), self.p)
+                # the link has read the nodes: their offsets from the centre overwrite them
+                offset = np.subtract(z, m[rows, None], out=z)
+                if yhat is None:
+                    _centred_sums(f.copy(), offset, w, sums[:, 0, rows])
+                    np.subtract(1.0, f, out=f)
+                else:
+                    np.subtract(1.0, f, out=f, where=yhat[rows, None] < 0.0)
+                # the last row: the given labels', or label -1's
+                _centred_sums(f, offset, w, sums[:, -1, rows])
 
-        def share(j, threads):
-            for k in range(j, blocks, threads):
-                block(k)
-
-        _split(blocks, share)
+        _split(blocks, block_range)
         den = sums[0]
         if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
             raise DomainError(

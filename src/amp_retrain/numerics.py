@@ -47,16 +47,16 @@ the subnormal tail below x = -708 (scipy's ``expit`` returns 0 there), maps
 
 Threads
 -------
-:func:`_split` runs the pieces of one call on up to one thread per usable
-CPU and joins them before it returns.  Its users are
-:meth:`RngStream.gaussian_matrix` (row blocks of the draw), :func:`_matvec`
-and :func:`_rmatvec` (row and column ranges of the products) and
-``glm.OptimalGlm``'s posterior kernel (row blocks of its quadrature).  Each
-cuts its work so that the bits do not depend on the thread count, and its
-pieces call numpy and private helpers only (:func:`_logistic`, :func:`_ndtr`
-and the function :func:`_rule_at` returns): perfbench traces the public functions
-on one span stack per process, which a call from a second thread would
-corrupt.
+:func:`_split` gives each of up to one thread per usable CPU a contiguous
+range of a call's blocks, under the caller's numpy error state.  Its users are
+:meth:`RngStream.gaussian_matrix`, :func:`_matvec` and :func:`_rmatvec` (the
+row blocks of X) and ``glm.OptimalGlm``'s posterior kernel (row blocks of
+its quadrature).  Each fixes its blocks by the shape alone, so the bits do
+not depend on the thread count, and its work calls numpy and private helpers
+only (:func:`_logistic`, :func:`_ndtr` and the function :func:`_rule_at`
+returns): perfbench traces the public functions on one span stack per
+process, which a call from a second thread would corrupt.  A contiguous range
+lets a product make one call per thread (see Design-matrix products).
 
 Random matrices
 ---------------
@@ -74,18 +74,17 @@ Design-matrix products
 numpy would copy the whole matrix for a mixed-dtype product.  Neither is a
 BLAS sgemv, whose bits depend on the BLAS thread count: OpenBLAS splits X^T v
 by thread, and it rounds X v differently when it splits the rows (unless n is
-a multiple of 8).  X v is numpy's vecdot, one dot product per row; X^T v is
-numpy's own einsum loop, which sums the rows in order.
+a multiple of 8).
 
-An X of at least ``_BLOCK_ELEMENTS`` entries has its products split over
-min(usable CPUs, pieces) threads; a smaller X is one call on the calling
-thread.  X v splits the rows (its pieces) into ranges, each its own vecdot
-into a slice of the result; X^T v splits the columns into ranges of whole
-runs of 16 (its pieces; the last range takes the rest), each its own
-einsum.  Every row's dot product, and every column's in-order sum, is then
-computed as in the whole-matrix call, so the bits do not depend on the
-thread count.  Narrower column pieces are not safe: 1- or 3-column einsums
-round differently from the whole-matrix call.  No part of X is copied.
+Both take the draw's row blocks of max(1, 2**21 // d) rows, spread by
+:func:`_split`; a one-block X (any X of fewer than 2**21 entries) runs on the
+calling thread, and no part of X is copied.  X v is one vecdot per thread
+over its range, one dot product per row: one vecdot per 419-row block took
+about twice as long on 2 threads at 10000x5000 (20 against 10 ms).  X^T v is
+one in-order float32 einsum per block, each into its own row of a (blocks, d)
+buffer (480 KB at 10000x5000), and the block sums are added in float64 in
+block order.  Its largest error against float64 is 2.5 to 9 times below
+that of one float32 sum over all the rows (4000x2000 to 10000x5000).
 """
 
 from __future__ import annotations
@@ -109,14 +108,11 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Gaussian mass outside it is below 1e-40.
 _SPLIT_HALF_WIDTH = 14.0
 
-# Entries per row block of a Gaussian matrix (8 MB of float32); a block
-# holds max(1, _BLOCK_ELEMENTS // d) rows.
+# Entries per row block of a design matrix (8 MB of float32); a block holds
+# max(1, _BLOCK_ELEMENTS // d) rows (see _row_blocks)
 _BLOCK_ELEMENTS = 2**21
 # Entries of the float64 scratch buffer a block is drawn through (512 KB)
 _SCRATCH_ELEMENTS = 2**16
-# X^T v is split over threads at columns that are multiples of this (see
-# Design-matrix products)
-_COLUMN_GROUP = 16
 
 # Most halvings find_root_bisect makes (a unit bracket is then far below 1 ulp)
 _BISECT_MAX_ITER = 200
@@ -615,53 +611,60 @@ class RngStream:
         independent of :meth:`generator`'s stream.  Each block's float64 draws
         are scaled by sd and rounded to float32 in chunks; a chunked draw
         continues one generator, so the entries are those of a whole-block
-        float64 draw, rounded.  The blocks are filled on min(blocks, usable
-        CPUs) threads, thread j taking blocks j, j + threads, ...; the result
-        depends only on the key and (n, d, sd), never on the thread count.
+        float64 draw, rounded.  :func:`_split` spreads the blocks over threads;
+        the result depends only on the key and (n, d, sd).
         """
         if n < 1 or d < 1:
             raise ConfigError(f"matrix shape must be positive, got ({n}, {d})")
-        rows = max(1, _BLOCK_ELEMENTS // d)
-        blocks = -(-n // rows)
+        rows, blocks = _row_blocks(n, d)
         children = self._seed_sequence().spawn(blocks)
         out = np.empty((n, d), dtype=np.float32)
         flat = out.reshape(-1)
 
         # runs on the fill threads, so it calls numpy only: a traced package
         # call from a second thread would corrupt perfbench's per-process span stack
-        def fill(k):
-            gen = np.random.Generator(np.random.PCG64(children[k]))
+        def fill(a, b):
             scratch = np.empty(min(_SCRATCH_ELEMENTS, rows * d))
-            stop = min(n, (k + 1) * rows) * d
-            for lo in range(k * rows * d, stop, scratch.size):
-                chunk = scratch[:min(scratch.size, stop - lo)]
-                gen.standard_normal(out=chunk)
-                if sd != 1.0:
-                    chunk *= sd
-                flat[lo:lo + chunk.size] = chunk
+            for k in range(a, b):
+                gen = np.random.Generator(np.random.PCG64(children[k]))
+                stop = min(n, (k + 1) * rows) * d
+                for lo in range(k * rows * d, stop, scratch.size):
+                    chunk = scratch[:min(scratch.size, stop - lo)]
+                    gen.standard_normal(out=chunk)
+                    if sd != 1.0:
+                        chunk *= sd
+                    flat[lo:lo + chunk.size] = chunk
 
-        def fill_share(j, threads):
-            for k in range(j, blocks, threads):
-                fill(k)
-
-        _split(blocks, fill_share)
+        _split(blocks, fill)
         return out
 
 
-def _split(pieces: int, work: Callable[[int, int], None]) -> None:
-    """Run ``work(j, threads)`` for j in range(threads), threads = min(pieces,
-    usable CPUs): the calling thread runs j = 0, and plain threads run the
-    others and are joined before return, so no thread outlives the call
-    (``harness.simulate`` may fork a pool afterwards).  work must call numpy
-    and private helpers only (see Threads in the module docstring); an
-    exception it raises on any thread is raised here once every thread is
-    joined."""
-    threads = min(pieces, _usable_cpus())
+def _row_blocks(n: int, d: int):
+    """(rows, blocks) of an (n, d) matrix's row blocks, the last one partial."""
+    rows = max(1, _BLOCK_ELEMENTS // d)
+    return rows, -(-n // rows)
+
+
+def _split(blocks: int, work: Callable[[int, int], None]) -> None:
+    """Run ``work(a, b)`` on each thread's range [a, b) of the blocks, thread
+    j of min(blocks, usable CPUs) from blocks*j // threads: the calling thread
+    runs j = 0, and plain threads the rest, under the caller's numpy error
+    state (a new thread starts from numpy's default).  They are joined before
+    return, so no thread outlives the call (``harness.simulate`` may fork a
+    pool afterwards).  work must call numpy and private helpers only (see
+    Threads in the module docstring); an exception it raises on any thread is
+    raised here once every thread is joined."""
+    if blocks == 1:  # no helper to start: skip the CPU count and the error state
+        work(0, 1)
+        return
+    threads = min(blocks, _usable_cpus())
+    errstate = np.geterr()
     errors = []
 
     def run(j):
         try:
-            work(j, threads)
+            with np.errstate(**errstate):
+                work(blocks * j // threads, blocks * (j + 1) // threads)
         except BaseException as exc:  # raised on the calling thread after the join
             errors.append(exc)
 
@@ -669,7 +672,7 @@ def _split(pieces: int, work: Callable[[int, int], None]) -> None:
     for helper in helpers:
         helper.start()
     try:
-        work(0, threads)
+        work(0, blocks // threads)
     finally:
         for helper in helpers:
             helper.join()
@@ -678,39 +681,35 @@ def _split(pieces: int, work: Callable[[int, int], None]) -> None:
 
 
 def _matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X v with v cast to X's dtype, as float64; each row is its own dot
-    product, so the bits depend neither on the BLAS thread count nor on how
-    the rows are split over threads."""
+    """X v with v cast to X's dtype, as float64: one vecdot per thread over
+    its range of row blocks.  Each row is its own dot product, so the bits
+    depend neither on the BLAS thread count nor on the thread count."""
     v = v.astype(X.dtype, copy=False)
-    if X.size < _BLOCK_ELEMENTS:
-        return np.vecdot(X, v).astype(float, copy=False)
-    n = X.shape[0]
-    out = np.empty(n, dtype=X.dtype)
+    rows, blocks = _row_blocks(*X.shape)
+    out = np.empty(X.shape[0], dtype=X.dtype)
 
-    def rows(j, threads):
-        a, b = n * j // threads, n * (j + 1) // threads
-        np.vecdot(X[a:b], v, out=out[a:b])
+    def dots(a, b):
+        np.vecdot(X[a * rows:b * rows], v, out=out[a * rows:b * rows])
 
-    _split(n, rows)
+    _split(blocks, dots)
     return out.astype(float)
 
 
 def _rmatvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X^T v with v cast to X's dtype, as float64; each column sums the rows
-    in order, so the bits depend neither on the BLAS thread count nor on how
-    the columns are split over threads (in whole runs of 16, see the module
-    docstring)."""
+    """X^T v with v cast to X's dtype, as float64: the float64 sum, in block
+    order, of each row block's in-order float32 sum, so the bits depend
+    neither on the BLAS thread count nor on the thread count."""
     v = v.astype(X.dtype, copy=False)
-    if X.size < _BLOCK_ELEMENTS:
-        return np.einsum("ij,i->j", X, v).astype(float, copy=False)
-    d = X.shape[1]
-    groups = d // _COLUMN_GROUP
-    out = np.empty(d, dtype=X.dtype)
+    rows, blocks = _row_blocks(*X.shape)
+    parts = np.empty((blocks, X.shape[1]), dtype=X.dtype)
 
-    def columns(j, threads):
-        a = _COLUMN_GROUP * (groups * j // threads)
-        b = d if j == threads - 1 else _COLUMN_GROUP * (groups * (j + 1) // threads)
-        np.einsum("ij,i->j", X[:, a:b], v, out=out[a:b])
+    def block_sums(a, b):
+        for k in range(a, b):
+            block = slice(k * rows, (k + 1) * rows)
+            np.einsum("ij,i->j", X[block], v[block], out=parts[k])
 
-    _split(max(1, groups), columns)
-    return out.astype(float)
+    _split(blocks, block_sums)
+    out = parts[0].astype(float)
+    for k in range(1, blocks):
+        out += parts[k]
+    return out

@@ -1,8 +1,20 @@
+import importlib
+import pkgutil
 import threading
 
 import pytest
 
-from amp_retrain import glm, numerics
+import amp_retrain
+from amp_retrain import numerics
+
+
+def bindings(name):
+    """The package's modules that bind ``numerics.<name>`` under that name
+    (numerics itself included), so a test patches every one of them."""
+    modules = [importlib.import_module(f"amp_retrain.{info.name}")
+               for info in pkgutil.iter_modules(amp_retrain.__path__)]
+    return [module for module in modules
+            if getattr(module, name, None) is getattr(numerics, name)]
 
 
 class SplitCounts(list):
@@ -22,25 +34,44 @@ class SplitCounts(list):
 @pytest.fixture
 def split_threads(monkeypatch):
     """A :class:`SplitCounts` that gets, for each ``numerics._split`` call, the
-    number of threads that ran its pieces; the calling thread must be one of
-    them."""
+    number of threads that ran its block ranges; the calling thread must be
+    one of them, and the ranges must tile [0, blocks) exactly once."""
     counts = SplitCounts()
     split = numerics._split
 
-    def recording_split(pieces, work):
+    def recording_split(blocks, work):
         ran = set()
+        ranges = []
 
-        def spy(j, threads):
+        def spy(a, b):
             ran.add(threading.current_thread())
-            work(j, threads)
+            ranges.append((a, b))
+            work(a, b)
 
-        split(pieces, spy)
+        split(blocks, spy)
         assert threading.current_thread() in ran
+        assert sorted(k for a, b in ranges for k in range(a, b)) == list(range(blocks))
+        assert all(a < b for a, b in ranges)
         counts.append(len(ran))
         caller = work.__qualname__.split(".<locals>")[0]
         counts.by_caller.setdefault(caller, []).append(len(ran))
 
-    # glm binds the name too
-    for module in (numerics, glm):
+    for module in bindings("_split"):
         monkeypatch.setattr(module, "_split", recording_split)
     return counts
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """``usable_cpus(cpus)`` makes every module that binds
+    ``numerics._usable_cpus`` (the kernels' threads and ``simulate``'s
+    default ``--jobs``) see ``cpus`` usable CPUs."""
+    modules = bindings("_usable_cpus")
+    assert {module.__name__ for module in modules} >= {"amp_retrain.numerics",
+                                                        "amp_retrain.harness"}
+
+    def set_cpus(cpus):
+        for module in modules:
+            monkeypatch.setattr(module, "_usable_cpus", lambda: cpus)
+
+    return set_cpus

@@ -119,11 +119,12 @@ class TestSimulate:
         (4, 8, 1, 1),      # too little memory for two X still runs one
         (1, 8, 100, 1),    # one CPU
     ])
-    def test_default_jobs(self, asked, monkeypatch, cpus, replications, free_xs, workers):
+    def test_default_jobs(self, asked, monkeypatch, usable_cpus, cpus, replications, free_xs,
+                          workers):
         # X is float32: 4 * n * d = 4 * 40 * 20 bytes
         config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.5, p=0.2, n=40,
                                   iterations=2, replications=replications, master_seed=6)
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        usable_cpus(cpus)
         monkeypatch.setattr(harness, "_free_bytes", lambda: free_xs * 4 * 40 * 20)
         result = harness.simulate(config)
         assert asked == ([workers] if workers > 1 else [])

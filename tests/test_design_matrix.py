@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import amp_retrain
-from amp_retrain import numerics
 from amp_retrain.bayesmix import bayesmix_retrain_demo
 from amp_retrain.cli import main
+from amp_retrain.errors import DivergenceError
 from amp_retrain.glm import GlmParams, OptimalSign, SignLink, sample_glm_dataset
 from amp_retrain.gmm import GmmParams, OptimalGmm, sample_gmm_dataset, vanilla_estimator
 from amp_retrain.numerics import RngStream
@@ -54,6 +54,27 @@ class TestDtype:
         state = AmpState(np.zeros(data.d), np.zeros(data.n), 0)
         state = amp_step(state, data.X, data.y_noisy, data.scale, OptimalSign.from_eta(0.5, GLM))
         assert state.w.dtype == np.float64 and state.y_soft.dtype == np.float64
+
+
+class Overflowing:
+    """An aggregator whose g, 1e36 at every row, makes the float32 X w overflow."""
+
+    def value_and_deriv(self, y, yhat):
+        return np.full(y.shape, 1e36), np.zeros(y.shape)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_overflow_on_a_helper_thread_is_divergence(usable_cpus, split_threads, cpus):
+    # n 2049, d 1025: two row blocks, so at 2 CPUs X w runs on two threads;
+    # the step ignores overflow in its products and reports divergence, and
+    # the suite turns a RuntimeWarning into an error
+    X = RngStream(0).gaussian_matrix(2049, 1025)
+    usable_cpus(cpus)
+    split_threads.clear()
+    state = AmpState(np.zeros(1025), np.zeros(2049), 0)
+    with pytest.raises(DivergenceError):
+        amp_step(state, X, np.ones(2049), 1.0, Overflowing())
+    assert split_threads == [cpus, cpus]
 
 
 @pytest.mark.parametrize("n, d", [(2000, 1000), (2049, 1025)], ids=["inline", "split"])
@@ -146,12 +167,12 @@ def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["glm", "logistic", "gmm"])
-def test_tables_do_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, split_threads, kind):
+def test_tables_do_not_depend_on_the_usable_cpus(tmp_path, usable_cpus, split_threads, kind):
     # n 2049, d 1025: X has 2**21 entries or more, so the draw and the
     # products split their work over threads, and the logistic posterior has
     # three row blocks, so it splits too
     for cpus in (1, 2):
-        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        usable_cpus(cpus)
         split_threads.clear()
         assert main(ARGS[kind] + ["--n", "2049", "--d", "1025", "--jobs", "1",
                                   "--out", str(tmp_path / str(cpus))]) == 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from amp_retrain.errors import ConfigError, DomainError, ShapeError
-from amp_retrain import numerics
 from amp_retrain.glm import (
     _POSTERIOR_ROWS,
     GlmDataset,
@@ -264,9 +263,9 @@ class TestPosteriorKernel:
         assert np.array_equal(dg_perm, dg[perm])
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_usable_cpus(self, case, monkeypatch, split_threads, cpus):
+    def test_usable_cpus(self, case, usable_cpus, split_threads, cpus):
         agg, u, yhat, (g, dg) = case
-        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        usable_cpus(cpus)
         g_cpus, dg_cpus = agg.value_and_deriv(u, yhat)
         assert split_threads == [cpus]
         assert np.array_equal(g_cpus, g)

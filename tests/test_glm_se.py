@@ -8,7 +8,6 @@ from scipy import integrate
 from scipy.special import expit
 
 from amp_retrain.errors import DomainError
-from amp_retrain import numerics
 from amp_retrain.glm import (
     _POSTERIOR_ROWS,
     GlmParams,
@@ -345,9 +344,9 @@ class TestLinkEvaluations:
         # both labels in one evaluation
         assert self.amp_step_sizes(40) == [40 * self.INNER]
 
-    def test_amp_step_once_per_row_block_on_threads(self, monkeypatch):
+    def test_amp_step_once_per_row_block_on_threads(self, usable_cpus):
         # the helper threads append in any order
-        monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+        usable_cpus(2)
         n = 2 * _POSTERIOR_ROWS + 300
         blocks = [300, _POSTERIOR_ROWS, _POSTERIOR_ROWS]
         assert sorted(self.amp_step_sizes(n)) == [rows * self.INNER for rows in blocks]

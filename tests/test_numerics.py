@@ -1,7 +1,6 @@
 import ast
 import functools
 import math
-import os
 import pathlib
 import threading
 import warnings
@@ -107,6 +106,21 @@ class TestStdNormalCdf:
         assert np.array_equal(std_normal_cdf(a[::-1]), whole[::-1])
         assert np.array_equal(std_normal_cdf(a.reshape(5, -1)).ravel(), whole)
 
+    # Phi at two points of each piece (a < -8 sqrt 2, to -sqrt 2, to sqrt 2,
+    # to 8.5, beyond), as float.hex, taken from version 0.12.0
+    PINNED = {-39.0: "0x0.0p+0", -20.5: "0x1.1f6a3f82871ebp-309",
+              -12.0: "0x1.272b313666238p-109", -5.25: "0x1.46a16cd7b7554p-24",
+              -1.5: "0x1.11a46d89647efp-4", -0.75: "0x1.d0220056b3a4ep-3",
+              0.3: "0x1.3c5ee2cc40b78p-1", 1.25: "0x1.c9e845da8ac7ap-1",
+              2.0: "0x1.f45a183e9b13dp-1", 6.5: "0x1.ffffffffa7affp-1",
+              9.0: "0x1.0000000000000p+0"}
+
+    def test_pinned_bits(self):
+        points = list(self.PINNED)
+        assert [numerics._ndtr(a).hex() for a in points] == list(self.PINNED.values())
+        assert [v.hex() for v in numerics._ndtr(np.array(points)).tolist()] == \
+            list(self.PINNED.values())
+
 
 class TestErfcx:
     def test_against_mpmath(self):
@@ -131,6 +145,22 @@ class TestErfcx:
     def test_float_and_array_elements_have_the_same_bits(self):
         x = np.concatenate([np.linspace(-27.0, 12.0, 781), [-8.0, -1.0, 1.0, 8.0, 100.0, 1e5]])
         assert np.array_equal([numerics._erfcx(float(v)) for v in x], numerics._erfcx(x))
+
+    # erfcx at two points of each piece (x < -8, to -1, to 1, to 8, to 100,
+    # beyond), as float.hex, taken from version 0.12.0
+    PINNED = {-26.0: "0x1.32f288d4422dap+976", -9.5: "0x1.26b9b1cfc88bap+131",
+              -3.25: "0x1.2e0322eb5b476p+16", -1.125: "0x1.ac7987d9692f4p+2",
+              -0.5: "0x1.f3cde5a30aa93p+0", 0.625: "0x1.1d16b5809eaf6p-1",
+              1.0: "0x1.b5d8780f956b4p-2", 4.75: "0x1.dc603a3e77e9dp-4",
+              7.5: "0x1.31742f4d8d4d3p-4", 12.0: "0x1.7fd46c5e0864dp-5",
+              55.5: "0x1.4d0d36d130849p-7", 150.0: "0x1.ecfc44def529cp-9",
+              1e6: "0x1.2ee5a03c7620fp-21"}
+
+    def test_pinned_bits(self):
+        points = list(self.PINNED)
+        assert [numerics._erfcx(x).hex() for x in points] == list(self.PINNED.values())
+        assert [v.hex() for v in numerics._erfcx(np.array(points)).tolist()] == \
+            list(self.PINNED.values())
 
 
 class TestGaussHermite:
@@ -408,21 +438,16 @@ class TestRngStream:
             RngStream(0, -2)
 
 
-def usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-
-
 class TestGaussianMatrix:
     # 2**21 // 1000 = 2097 rows per block: two blocks, the second of 3 rows
     N, D, ROWS = 2100, 1000, 2097
 
     @pytest.fixture
-    def draw(self, monkeypatch, split_threads):
+    def draw(self, usable_cpus, split_threads):
         """Draw at ``cpus`` usable CPUs; returns the matrix and the threads
         its pieces ran on."""
         def draw_at(cpus, sd=1.0, shape=(self.N, self.D)):
-            usable_cpus(monkeypatch, cpus)
+            usable_cpus(cpus)
             split_threads.clear()
             return RngStream(42, 3).gaussian_matrix(*shape, sd=sd), list(split_threads)
         return draw_at
@@ -493,43 +518,90 @@ def design_matrix(n, d):
     return np.random.default_rng(d).standard_normal((n, d), dtype=np.float32)
 
 
+def serial_products(X, g, w):
+    """X^T g and X w on the calling thread, one row block at a time: each
+    block's float32 einsum, those sums added in float64 in block order, and
+    each block's vecdot."""
+    rows, blocks = numerics._row_blocks(*X.shape)
+    g, w = g.astype(np.float32), w.astype(np.float32)
+    pieces = [slice(k * rows, (k + 1) * rows) for k in range(blocks)]
+    sums = [np.einsum("ij,i->j", X[piece], g[piece]) for piece in pieces]
+    rmatvec = sums[0].astype(float)
+    for block_sum in sums[1:]:
+        rmatvec += block_sum
+    matvec = np.concatenate([np.vecdot(X[piece], w) for piece in pieces]).astype(float)
+    return rmatvec, matvec
+
+
 class TestDesignMatrixProducts:
-    # each shape has at least 2**21 entries, the least a product is split at;
-    # no n is a multiple of 8
-    SHAPES = [(123363, 17), (67651, 31), (2101, 999), (2097, 1001), (421, 5000)]
+    # 2 row blocks each, then 5 (7 for d 5000), the last one partial, so that
+    # 3, 4 and 7 CPUs split the work; no n is a multiple of 8
+    SHAPES = [(123363, 17), (67651, 31), (2101, 999), (2097, 1001), (421, 5000),
+              (493447, 17), (270603, 31), (8397, 999), (8381, 1001), (2515, 5000)]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
-    def test_same_bits_as_the_whole_matrix_product(self, monkeypatch, split_threads,
+    def test_same_bits_as_the_whole_matrix_product(self, usable_cpus, split_threads,
                                                    shape, cpus):
+        # the whole matrix's products on the calling thread, block by block
         X = design_matrix(*shape)
         gen = np.random.default_rng(cpus)
         g, w = gen.standard_normal(shape[0]), gen.standard_normal(shape[1])
-        usable_cpus(monkeypatch, cpus)
+        usable_cpus(cpus)
         rmatvec, matvec = numerics._rmatvec(X, g), numerics._matvec(X, w)
-        # X^T g splits the columns in runs of 16, so d < 32 is one piece
-        assert split_threads == [cpus if shape[1] >= 32 else 1, cpus]
+        blocks = numerics._row_blocks(*shape)[1]
+        assert blocks in (2, 5, 7)
+        assert split_threads == [min(cpus, blocks)] * 2
         assert rmatvec.dtype == matvec.dtype == np.float64
-        assert np.array_equal(rmatvec, np.einsum("ij,i->j", X, g.astype(np.float32)))
-        assert np.array_equal(matvec, np.vecdot(X, w.astype(np.float32)))
+        serial_rmatvec, serial_matvec = serial_products(X, g, w)
+        assert np.array_equal(rmatvec, serial_rmatvec)
+        assert np.array_equal(matvec, serial_matvec)
 
-    def test_a_failing_piece_raises_after_every_thread_is_joined(self, monkeypatch):
-        usable_cpus(monkeypatch, 3)
+    @pytest.mark.parametrize("shape", SHAPES[7:], ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def test_rmatvec_error_against_float64(self, shape):
+        # blocks of at most 2099 rows: measured 1.8e-6 to 3.5e-6 sqrt(n); one
+        # float32 sum over all the rows read 6.4e-6 to 9.8e-6 sqrt(n)
+        X = design_matrix(*shape)
+        g = np.random.default_rng(1).standard_normal(shape[0]).astype(np.float32)
+        exact = sum(np.einsum("ij,i->j", X[a:a + 1000].astype(float), g[a:a + 1000].astype(float))
+                    for a in range(0, shape[0], 1000))
+        assert np.abs(numerics._rmatvec(X, g) - exact).max() <= 4.5e-6 * math.sqrt(shape[0])
+
+    def test_below_the_split_size_runs_inline(self, usable_cpus, split_threads):
+        # one row block, on the calling thread: fewer than 2**21 entries, or
+        # exactly 2**21 in 2**21 // d rows
+        usable_cpus(2)
+        for n, d in [(2000, 1000), (2048, 1024)]:
+            X = design_matrix(n, d)
+            g = np.random.default_rng(2).standard_normal(n).astype(np.float32)
+            w = np.random.default_rng(3).standard_normal(d).astype(np.float32)
+            split_threads.clear()
+            rmatvec, matvec = numerics._rmatvec(X, g), numerics._matvec(X, w)
+            assert split_threads == [1, 1]
+            assert np.array_equal(rmatvec, np.einsum("ij,i->j", X, g).astype(float))
+            assert np.array_equal(matvec, np.vecdot(X, w).astype(float))
+
+    def test_a_failing_piece_raises_after_every_thread_is_joined(self, usable_cpus):
+        usable_cpus(3)
         done = []
 
-        def work(j, threads):
-            if j == 2:
-                raise DomainError("piece 2")
-            done.append(j)
+        def work(a, b):
+            if a <= 3 < b:
+                raise DomainError("block 3")
+            done.append((a, b))
 
         before = threading.active_count()
-        with pytest.raises(DomainError, match="piece 2"):
+        with pytest.raises(DomainError, match="block 3"):
             numerics._split(5, work)
-        assert sorted(done) == [0, 1] and threading.active_count() == before
+        assert sorted(done) == [(0, 1), (1, 3)] and threading.active_count() == before
 
-    def test_below_the_split_size_runs_inline(self, monkeypatch, split_threads):
-        X = design_matrix(2000, 1000)
-        usable_cpus(monkeypatch, 2)
-        numerics._rmatvec(X, np.ones(2000))
-        numerics._matvec(X, np.ones(1000))
-        assert split_threads == []
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_threads_keep_the_callers_error_state(self, usable_cpus, cpus):
+        # the suite turns RuntimeWarning into an error
+        usable_cpus(cpus)
+        big = np.full(4, 1e38, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            numerics._split(2, lambda a, b: big * np.float32(10.0))
+        with pytest.raises(FloatingPointError):
+            with np.errstate(over="raise"):
+                numerics._split(2, lambda a, b: big * np.float32(10.0))
