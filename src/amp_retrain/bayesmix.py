@@ -113,11 +113,14 @@ def fit_bimodal_em(logits: Sequence[float]) -> BimodalFit:
         if improved < _EM_LOGLIK_TOL and iterations > 1:
             break
         resp = dens_p / total
-        w_p = float(np.clip(np.mean(resp), 1e-12, 1.0 - 1e-12))
-        mu_p = float(np.sum(resp * z) / np.sum(resp))
-        mu_m = float(np.sum((1.0 - resp) * z) / np.sum(1.0 - resp))
-        var_p = float(np.sum(resp * (z - mu_p) ** 2) / np.sum(resp))
-        var_m = float(np.sum((1.0 - resp) * (z - mu_m) ** 2) / np.sum(1.0 - resp))
+        resp_m = 1.0 - resp
+        # each component's responsibility mass, once (np.mean is the same sum over z.size)
+        mass_p, mass_m = np.sum(resp), np.sum(resp_m)
+        w_p = float(np.clip(mass_p / z.size, 1e-12, 1.0 - 1e-12))
+        mu_p = float(np.sum(resp * z) / mass_p)
+        mu_m = float(np.sum(resp_m * z) / mass_m)
+        var_p = float(np.sum(resp * (z - mu_p) ** 2) / mass_p)
+        var_m = float(np.sum(resp_m * (z - mu_m) ** 2) / mass_m)
         s_p = math.sqrt(max(var_p, 0.0))
         s_m = math.sqrt(max(var_m, 0.0))
         if s_p < floor:

@@ -223,10 +223,12 @@ class OptimalGlm:
                    prior_var=params.prior_var)
 
     def _evaluate(self, u, yhat):
-        """(g, dg/du, P(yhat | u)) at the points u, a 1-D array, each of shape
-        (labels, n): with ``yhat``, one label per point, a single row for those
+        """(g, dg/du, P(yhat | u)) at the points u, each of shape (labels,) +
+        u.shape: with ``yhat``, one label per point, a single row for those
         labels; with ``yhat`` None two rows, labels +1 and -1 at every point,
-        and dg/du None.
+        and dg/du None.  Coefficients that are arrays (a batch of matched
+        aggregators, one per row of u: see ``glm_se.se_step_glm_opt``)
+        broadcast with u, so each point has its own posterior.
 
         g = prefac * E[Z | u, yhat] - lin_b * u with prefac = 1/prior_var + quad_a,
         and dg/du = prefac * lin_b * Var[Z | u, yhat] - lin_b, since
@@ -247,28 +249,34 @@ class OptimalGlm:
         not cancel at large u, and the variance is the second less c1^2, which
         does not cancel either.
 
-        The rows go in blocks of :data:`_POSTERIOR_ROWS`, spread over the usable
-        CPUs by ``numerics._split``, and each row is contracted with the weights
-        on its own (``np.vecdot``), so a point's bits depend neither on the
-        other points nor on the thread count.
+        The points go in blocks of :data:`_POSTERIOR_ROWS`, each with its own
+        (m, s), spread over the usable CPUs by ``numerics._split``, and each
+        point is contracted with the weights on its own (``np.vecdot``), so its
+        bits depend neither on the other points nor on the thread count.
         """
         prefac = 1.0 / self.prior_var + self.quad_a
-        if prefac > _PRECISION_MAX:
-            raise DomainError(f"posterior precision {prefac:.3g} is above {_PRECISION_MAX:.0e}, "
-                              f"where its quadrature no longer resolves g")
+        if not np.all(prefac <= _PRECISION_MAX):
+            raise DomainError(f"posterior precision {np.max(prefac):.3g} is above "
+                              f"{_PRECISION_MAX:.0e}, where its quadrature no longer resolves g")
         s2 = 1.0 / prefac
         m = self.lin_b * s2 * u
-        place = _rule_at(math.sqrt(s2), self.link.discontinuities, ORDER)
+        s = np.sqrt(s2)
+        # one (m, s) per point; a scalar s serves them all
+        place = _rule_at(s if s.ndim == 0 else np.broadcast_to(s, m.shape).ravel(),
+                         self.link.discontinuities, ORDER)
+        shape, m = m.shape, m.ravel()
+        if yhat is not None:
+            yhat = np.broadcast_to(yhat, shape).ravel()
         # moments 0, 1 and, for the derivative, 2; one row per label asked for
-        sums = np.empty((2, 2, u.size) if yhat is None else (3, 1, u.size))
-        blocks = max(1, -(-u.size // _POSTERIOR_ROWS))
+        sums = np.empty((2, 2, m.size) if yhat is None else (3, 1, m.size))
+        blocks = max(1, -(-m.size // _POSTERIOR_ROWS))
 
         # runs on the helper threads too, so it calls numpy and private helpers
         # only (see numerics._split)
         def block_range(a, b):
             for k in range(a, b):
                 rows = slice(k * _POSTERIOR_ROWS, (k + 1) * _POSTERIOR_ROWS)
-                z, w = place(m[rows])
+                z, w = place(m, rows)
                 f = _label_factor(self.link.h(z), self.p)
                 # the link has read the nodes: their offsets from the centre overwrite them
                 offset = np.subtract(z, m[rows, None], out=z)
@@ -281,6 +289,7 @@ class OptimalGlm:
                 _centred_sums(f, offset, w, sums[:, -1, rows])
 
         _split(blocks, block_range)
+        sums = sums.reshape(sums.shape[:2] + shape)
         den = sums[0]
         if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
             raise DomainError(
@@ -295,15 +304,15 @@ class OptimalGlm:
 
     def value_and_deriv(self, u, yhat):
         u, yhat = _label_arrays(u, yhat)
-        g, dg, _ = self._evaluate(u.ravel(), yhat.ravel())
-        return g[0].reshape(u.shape), dg[0].reshape(u.shape)
+        g, dg, _ = self._evaluate(u, yhat)
+        return g[0], dg[0]
 
     def label_values(self, u):
         """(g(u, +1), g(u, -1), P(Yhat = +1 | u)): both labels at the same points
         share the rule and the link evaluation."""
         u, _ = _label_arrays(u, 1.0)
-        g, _, den = self._evaluate(u.ravel(), None)
-        return tuple(a.reshape(u.shape) for a in (g[0], g[1], den[0]))
+        g, _, den = self._evaluate(u, None)
+        return g[0], g[1], den[0]
 
 
 def _centred_sums(f, offset, w, out):
@@ -345,8 +354,8 @@ class OptimalSign:
                    lin_b=state.mu / _square(state.sigma, "sigma"), p=params.p, alpha=params.alpha)
 
     @property
-    def _s(self) -> float:
-        return math.sqrt(1.0 / (1.0 / self.alpha + self.quad_a))
+    def _s(self):
+        return np.sqrt(1.0 / (1.0 / self.alpha + self.quad_a))
 
     def _value(self, u, yhat):
         """(g, r, s) at the points u."""

@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .glm import GlmParams, OptimalGlm, OptimalSign, SignLink, _error_from_overlap, hat_h_p
-from .numerics import _square, expect_output_channel, gaussian_rule
+from .numerics import _map_blocks, _square, expect_output_channel, gaussian_rule
 
 # Quadrature order of the first state's rule over the latent margin and of
 # each step's rule over the prediction; the posterior rule's is glm.ORDER.
@@ -23,15 +25,19 @@ DEFAULT_ORDER = 201
 
 @dataclass(frozen=True)
 class SeStateGlm:
-    """State-evolution pair (mu, sigma); eta = mu/sigma."""
+    """State-evolution pair (mu, sigma); eta = mu/sigma.
+
+    mu and sigma are floats, or arrays of one shape for a batch of states
+    (the array-valued map :func:`se_step_glm_opt` steps one per point).
+    """
 
     mu: float
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+        if not np.all((np.asarray(self.sigma) > 0) & np.isfinite(self.sigma)):
             raise DomainError("sigma must be positive and finite")
-        if not math.isfinite(self.mu):
+        if not np.all(np.isfinite(self.mu)):
             raise DomainError("mu must be finite")
 
     @property
@@ -56,18 +62,30 @@ def se_init_glm(params: GlmParams) -> SeStateGlm:
     return SeStateGlm(mu=mu1, sigma=sigma1)
 
 
-def se_step_glm_opt(eta: float, params: GlmParams) -> float:
-    """eta' = sqrt((1/alpha) * E[g*(alpha*eta^2*Z + alpha*eta*G, Yhat)^2]).
+def se_step_glm_opt(eta, params: GlmParams):
+    """eta' = sqrt((1/alpha) * E[g*(alpha*eta^2*Z + alpha*eta*G, Yhat)^2]),
+    elementwise over an array of eta; a float gives a float.
 
     The generic step from the self-consistent state (mu, sigma) =
     (alpha*eta^2, alpha*eta) with the aggregator matched to it (coefficients
-    (eta^2, 1/alpha)), where mu' = E[g*^2] and sigma'^2 = alpha*E[g*^2].
+    (eta^2, 1/alpha)), where mu' = E[g*^2] and sigma'^2 = alpha*E[g*^2].  An
+    array's states are stepped together, one row of the prediction's rule
+    and of the matched aggregators per eta, in blocks of eta
+    (``numerics._map_blocks``, 40 eta at 2^15 doubles per array); each
+    element has the bits of its own scalar step.  Any eta that is not positive and finite raises
+    :class:`DomainError`.
     """
-    if not (eta > 0 and math.isfinite(eta)):
-        raise DomainError("eta must be positive (use se_init_glm for the first state)")
-    state = SeStateGlm(mu=params.alpha * _square(eta, "eta"), sigma=params.alpha * eta)
-    star = optimal_aggregator_for_state(state, params)
-    return se_step_glm_generic(state, star, params).eta
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((eta > 0.0) & (eta < math.inf)):
+        raise DomainError("eta must be positive and finite (use se_init_glm for the first state)")
+
+    def step(eta):
+        with np.errstate(over="ignore"):   # an infinite mu is refused by the state
+            mu = params.alpha * _square(eta, "eta")
+        return _step(SeStateGlm(mu=mu, sigma=params.alpha * eta), None, params).eta
+
+    # per eta: the posterior's two moments at two labels on DEFAULT_ORDER nodes
+    return _map_blocks(step, eta, 4 * DEFAULT_ORDER)
 
 
 def se_step_glm_generic(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm:
@@ -81,20 +99,32 @@ def se_step_glm_generic(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm
     breakpoints, with P(Yhat = +1 | Z_t) from g*'s ``label_values``.  When g is
     g* its values are reused.  The identity aggregator gives sigma'^2 = alpha.
     """
-    star = optimal_aggregator_for_state(state, params)
-    sd = math.sqrt(_square(state.mu, "mu") * params.prior_var + _square(state.sigma, "sigma"))
-    u, uw = gaussian_rule(0.0, sd, agg.y_breakpoints, DEFAULT_ORDER)
+    return _step(state, None if agg == optimal_aggregator_for_state(state, params) else agg,
+                 params)
+
+
+def _step(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm:
+    """:func:`se_step_glm_generic` of a state or of a batch of states (1-D
+    arrays), with agg None for the aggregator matched to each.  The
+    prediction's rule has one row per state, and a batch's matched
+    aggregators have columns of coefficients, one per row."""
+    star = optimal_aggregator_for_state(
+        SeStateGlm(mu=state.mu[:, None], sigma=state.sigma[:, None]) if np.ndim(state.mu)
+        else state, params)
+    with np.errstate(over="ignore"):   # an infinite sd is refused by the rule
+        sd = np.sqrt(_square(state.mu, "mu") * params.prior_var + _square(state.sigma, "sigma"))
+    u, uw = gaussian_rule(0.0, sd, () if agg is None else agg.y_breakpoints, DEFAULT_ORDER)
     *star_values, prob_plus = star.label_values(u)
-    values = (star_values if agg == star
+    values = (star_values if agg is None
               else [agg.value_and_deriv(u, lab)[0] for lab in (1.0, -1.0)])
     # the kernel's latent is Z_t itself, as a point mass (sd 0): one column per node
-    integrands = [[(s * g)[:, None], (g * g)[:, None]] for s, g in zip(star_values, values)]
+    integrands = [[(s * g)[..., None], (g * g)[..., None]] for s, g in zip(star_values, values)]
     mu_next, e_gg = expect_output_channel(u, uw, prob_plus, 1.0, 0.0, (),
                                           lambda _: integrands, DEFAULT_ORDER)
     s2 = params.alpha * e_gg
-    if not (s2 > 0 and math.isfinite(s2) and math.isfinite(mu_next)):
+    if not np.all((s2 > 0) & np.isfinite(s2) & np.isfinite(mu_next)):
         raise DomainError("state-evolution expectation degenerate or non-finite")
-    return SeStateGlm(mu=mu_next, sigma=math.sqrt(s2))
+    return SeStateGlm(mu=mu_next, sigma=np.sqrt(s2))
 
 
 def se_error_glm(eta: float, params: GlmParams) -> float:

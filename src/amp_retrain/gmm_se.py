@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import BracketError, ConfigError, DomainError
 from .gmm import AGGREGATORS, GmmParams, OptimalGmm, aggregator_from_name
-from .numerics import (_square, expect_output_channel, find_root_bisect, gaussian_rule,
-                       std_normal_cdf)
+from .numerics import (_map_blocks, _square, expect_output_channel, find_root_bisect,
+                       gaussian_rule, std_normal_cdf)
 
 # Quadrature order of every expectation here (SE steps and maps).  The optimal
 # aggregator can be a steep tanh, and the self-consistency identities are
@@ -130,6 +130,15 @@ def se_error_from_eta(eta: float, gamma: float) -> float:
 # one-dimensional update maps in u = eta^2, elementwise over arrays of u
 # --------------------------------------------------------------------------
 
+def _checked_u(u) -> np.ndarray:
+    """u as a float array; an element that is negative, infinite or NaN
+    raises :class:`DomainError`."""
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & (u < math.inf)):
+        raise DomainError("u must be non-negative and finite")
+    return u
+
+
 def eta_map_opt(u, params: GmmParams):
     """Optimal-aggregation map F(u) = (gamma^2/alpha) E[g~(...)^2].
 
@@ -137,34 +146,30 @@ def eta_map_opt(u, params: GmmParams):
     gamma^2*u/(1+u)*Y + gamma*sqrt(u/(1+u))*G and the tanh exponent carries a
     plain 2y term.
     """
-    if np.any(u < 0):
-        raise DomainError("u must be non-negative")
+    u = _checked_u(u)
     if params.p == 0.0:   # g~ = yhat, so E[g~^2] = 1
-        return np.full(np.shape(u), params.gamma**2 / params.alpha)[()]
-    flat = np.ravel(u)
-    loc = params.gamma**2 * flat / (1.0 + flat)
-    sc = params.gamma * np.sqrt(flat / (1.0 + flat))
+        return np.full(u.shape, params.gamma**2 / params.alpha)[()]
     # OptimalGmm's constants carry the prior-term limits +-inf at pi_plus in
     # {0, 1}, where g~ = +-1 and the map is the constant gamma^2/alpha
     agg = OptimalGmm._build(2.0, params)
     w, y_lab, yhat = np.array(label_atoms(params)).T
     g, pw = gaussian_rule(0.0, 1.0, (), DEFAULT_ORDER)
-    e_gg = np.empty(flat.size)
-    # blocks of 256 points: (points, 4 atoms, order) arrays of 1.6 MB, not 13 MB
-    # for a 2001-point scan
-    for lo in range(0, flat.size, 256):
-        block = slice(lo, lo + 256)
-        shift = 0.5 * (yhat * agg.log_odds + agg.slope * loc[block, None] * y_lab + agg.log_prior)
-        vals = np.tanh(shift[..., None] + (0.5 * agg.slope * sc[block, None, None]) * g)
-        e_gg[block] = ((vals * vals) @ pw) @ w
-    return (params.gamma**2 / params.alpha * e_gg).reshape(np.shape(u))[()]
+
+    def e_gg(u):
+        loc = params.gamma**2 * u / (1.0 + u)
+        sc = params.gamma * np.sqrt(u / (1.0 + u))
+        shift = 0.5 * (yhat * agg.log_odds + agg.slope * loc[:, None] * y_lab + agg.log_prior)
+        vals = np.tanh(shift[..., None] + (0.5 * agg.slope * sc[:, None, None]) * g)
+        return ((vals * vals) @ pw) @ w
+
+    # (points, 4 atoms, order) arrays
+    return params.gamma**2 / params.alpha * _map_blocks(e_gg, u, 4 * DEFAULT_ORDER)
 
 
 def eta_map_ft(u, params: GmmParams):
     """Sharp-limit map of full retraining:
     (gamma^2/alpha) * (2*Phi(gamma*sqrt(u/(1+u))) - 1)^2."""
-    if np.any(u < 0):
-        raise DomainError("u must be non-negative")
+    u = _checked_u(u)
     return (
         params.gamma**2
         / params.alpha
@@ -176,8 +181,7 @@ def eta_map_ct(u, params: GmmParams):
     """Sharp-limit map of consensus retraining:
     (gamma^2/alpha) * (Phi(sqrt(eb)) - p)^2 / (p + (1-2p)*Phi(sqrt(eb)))
     with eb = gamma^2 * u/(1+u)."""
-    if np.any(u < 0):
-        raise DomainError("u must be non-negative")
+    u = _checked_u(u)
     eb = params.gamma**2 * u / (1.0 + u)
     phi = std_normal_cdf(np.sqrt(eb))
     return params.gamma**2 / params.alpha * (phi - params.p) ** 2 / (params.p + (1 - 2 * params.p) * phi)
@@ -222,16 +226,20 @@ class SeMapSpec:
         agg = aggregator_from_name(self.variant, self.beta)
         if agg is None:
             return eta_map_opt(u, self.params)
+        alpha, gamma = self.params.alpha, self.params.gamma
 
-        def step(u: float) -> float:
-            if u < 0:
-                raise DomainError("u must be non-negative")
-            alpha, gamma = self.params.alpha, self.params.gamma
-            e_gy, e_gg = _class_moments(agg, alpha * u, alpha / gamma * math.sqrt(u * (1.0 + u)),
-                                        self.params)
-            return gamma**2 / alpha * e_gy**2 / e_gg if e_gg > 0 else 0.0
+        def step(u):
+            # u*(1+u) may overflow: the infinite sigma_bar is refused by the rule
+            with np.errstate(over="ignore"):
+                sigma_bar = alpha / gamma * np.sqrt(u * (1.0 + u))
+            e_gy, e_gg = _class_moments(agg, alpha * u, sigma_bar, self.params)
+            # squared by C pow, as a float is, so each point keeps its scalar bits
+            out = np.zeros(u.shape)
+            np.divide(gamma**2 / alpha * _square(e_gy, "E[gY]"), e_gg, out=out, where=e_gg > 0)
+            return out
 
-        return np.vectorize(step, otypes=[float])(u)[()]
+        # per point: the 2 classes on the rule's nodes, one piece per breakpoint and one more
+        return _map_blocks(step, _checked_u(u), 2 * DEFAULT_ORDER * (len(agg.y_breakpoints) + 1))
 
 
 def _grid_roots(fn: Callable, us: np.ndarray, tol: float) -> List[float]:

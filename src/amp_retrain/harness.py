@@ -52,7 +52,7 @@ from .glm_se import (
     se_step_glm_generic,
     se_step_glm_opt,
 )
-from .numerics import RngStream, _usable_cpus
+from .numerics import RngStream, _square, _usable_cpus
 from .retrain import run_retraining
 
 
@@ -300,16 +300,15 @@ def cobweb_rows(config: ExperimentConfig, u1: float, steps: int,
     """(kind, x, y) rows: the sampled map, the diagonal, and the iterate trace.
 
     The mixture has the map of every variant (:class:`SeMapSpec`); the GLM
-    has the optimal map only.  The map is evaluated once on the whole grid.
+    has the optimal map only.  Both maps take arrays, so the whole grid is one
+    map call, and the trace one call per step.
     """
     params = build_params(config)
     if config.model == "gmm":
         fmap = SeMapSpec(variant=variant, params=params, beta=config.beta)
     elif variant == "opt":
-        # se_step_glm_opt takes one eta at a time
-        opt_map = np.vectorize(lambda u: se_step_glm_opt(np.sqrt(u), params) ** 2,
-                               otypes=[float])
-        fmap = lambda u: opt_map(u)[()]
+        def fmap(u):   # the eta map in u = eta^2, squared as a float is (C pow)
+            return _square(se_step_glm_opt(np.sqrt(u), params), "eta")
     else:
         raise ConfigError(f"the glm cobweb has the opt map only, not {variant}")
     trace = cobweb_trace(fmap, u1, steps)

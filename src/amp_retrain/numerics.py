@@ -113,6 +113,9 @@ _SPLIT_HALF_WIDTH = 14.0
 _BLOCK_ELEMENTS = 2**21
 # Entries of the float64 scratch buffer a block is drawn through (512 KB)
 _SCRATCH_ELEMENTS = 2**16
+# Entries of the largest array a state-evolution map builds per block of
+# points (256 KB; see _map_blocks)
+_MAP_BLOCK_ELEMENTS = 2**15
 
 # Most halvings find_root_bisect makes (a unit bracket is then far below 1 ulp)
 _BISECT_MAX_ITER = 200
@@ -449,7 +452,7 @@ def _legendre(n: int, x: np.ndarray):
     return p1, n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
 
 
-def gaussian_rule(mean, sd: float, breakpoints: Sequence[float], order: int):
+def gaussian_rule(mean, sd, breakpoints: Sequence[float], order: int):
     """Nodes and probability weights for expectations over X ~ N(mean, sd^2).
 
     E[f(X)] is the dot product of f(nodes) and the weights over the last axis
@@ -462,69 +465,105 @@ def gaussian_rule(mean, sd: float, breakpoints: Sequence[float], order: int):
     with jumps, kinks or steep transitions there converge quickly; a global
     Hermite rule converges only polynomially for them.
 
-    ``mean`` may be an array; the nodes then have shape ``mean.shape + (K,)``.
+    ``mean`` and ``sd`` may be arrays that broadcast together, one rule per
+    element: the nodes then have their broadcast shape plus ``(K,)``, and
+    each element's nodes and weights have the bits of its scalar rule.
     Hermite weights have shape ``(order,)``; split weights move with the
-    window and have the shape of the nodes.
+    window and have the shape of the nodes.  An sd that is not positive and
+    finite raises :class:`DomainError`.
     """
     return _rule_at(sd, breakpoints, order)(mean)
 
 
-def _rule_at(sd: float, breakpoints: Sequence[float], order: int):
-    """:func:`gaussian_rule` as a function of the mean alone.
+def _rule_at(sd, breakpoints: Sequence[float], order: int):
+    """:func:`gaussian_rule` as a function ``place(mean, rows=...)``: the rule
+    at ``mean[rows]``, with ``sd[rows]`` where sd is an array (one sd per
+    row of the mean, as ``OptimalGlm``'s posterior blocks take them).
 
     sd is checked and the raw rule fetched here, on the calling thread; the
     returned function calls numpy only, so it may run on a :func:`_split`
     thread.
     """
-    if not (0.0 < sd < math.inf):
-        raise DomainError(f"sd must be positive and finite, got {sd}")
-    if len(breakpoints) == 0:
-        rule = gauss_hermite(order)
-        offsets, weights = (_SQRT_2 * sd) * rule.nodes, rule.weights / _SQRT_PI
-        return lambda mean: (np.asarray(mean, dtype=float)[..., None] + offsets, weights)
-    rule = gauss_legendre(order)
+    sd = np.asarray(sd, dtype=float)
+    if sd.size and not (0.0 < sd.min() and sd.max() < math.inf):   # a NaN is both
+        bad = ~((sd > 0.0) & (sd < math.inf))
+        raise DomainError(f"sd must be positive and finite, got {sd[bad].flat[0]}")
+    rule = gauss_legendre(order) if len(breakpoints) else gauss_hermite(order)
     breakpoints = sorted(breakpoints)
 
-    def split(mean):
-        mean = np.asarray(mean, dtype=float)[..., None]
-        lo = mean - _SPLIT_HALF_WIDTH * sd
-        hi = mean + _SPLIT_HALF_WIDTH * sd
+    def place(mean, rows=...):
+        mean = np.asarray(mean, dtype=float)[rows][..., None]
+        s = (sd if sd.ndim == 0 else sd[rows])[..., None]
+        if not breakpoints:
+            return mean + (_SQRT_2 * s) * rule.nodes, rule.weights / _SQRT_PI
+        lo = mean - _SPLIT_HALF_WIDTH * s
+        hi = mean + _SPLIT_HALF_WIDTH * s
         cuts = np.stack([lo, *(np.clip(b, lo, hi) for b in breakpoints), hi], axis=-2)
         half = 0.5 * (cuts[..., 1:, :] - cuts[..., :-1, :])
         nodes = half * rule.nodes + 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
-        density = np.exp((nodes - mean[..., None]) ** 2 * (-0.5 / (sd * sd)))
-        weights = density * (half / (sd * _SQRT_2PI)) * rule.weights
-        shape = mean.shape[:-1] + (-1,)
+        s = s[..., None]
+        density = np.exp((nodes - mean[..., None]) ** 2 * (-0.5 / (s * s)))
+        weights = density * (half / (s * _SQRT_2PI)) * rule.weights
+        shape = nodes.shape[:-2] + (-1,)
         return nodes.reshape(shape), weights.reshape(shape)
 
-    return split
+    return place
 
 
-def expect_output_channel(latent, latent_weights, label_prob, gain: float, sd: float,
+def expect_output_channel(latent, latent_weights, label_prob, gain, sd,
                           breakpoints: Sequence[float], values_fn, order: int):
     """E[f(U, Yhat)] for each integrand f of ``values_fn``: the output-channel
-    expectation of a state-evolution step.
+    expectation of a state-evolution step, for one channel or an array of
+    them.
 
-    The latent L takes the values ``latent`` with probabilities
+    The latent L takes the values ``latent`` (last axis) with probabilities
     ``latent_weights``; given L the label Yhat is +1 with probability
     ``label_prob`` (q(L), one per latent value) and -1 otherwise, and the
     prediction is U ~ N(gain*L, sd^2) on :func:`gaussian_rule` split at
     ``breakpoints``.  sd = 0 is the point mass U = gain*L.
 
-    ``values_fn(u)``, with u of shape (latent values, nodes), returns
-    (integrands at label +1, integrands at label -1), each a sequence of
-    arrays shaped like u; row i of u belongs to latent value i.
+    ``gain`` and ``sd`` may be arrays, one channel per index; the leading
+    axes of ``latent``, ``latent_weights`` and ``label_prob`` may index the
+    channels too.  Each expectation is then an array of the channels' shape,
+    each element with the bits of its channel alone; for one channel it is a
+    float.  Channels with sd = 0 are point masses, the others use rules.
+
+    ``values_fn(u)``, with u of shape channels + (latent values, nodes),
+    returns (integrands at label +1, integrands at label -1), each a sequence
+    of arrays that broadcast with u; u[..., i, :] belongs to latent value i.
+    It is called once, or, where some channels are point masses and some are
+    not, once for each kind, with those channels in order along one axis.
     """
-    latent = np.asarray(latent, dtype=float)
-    if sd == 0.0:
-        u, uw = (gain * latent)[:, None], np.ones(1)
-    else:
-        u, uw = gaussian_rule(gain * latent, sd, breakpoints, order)
-    hp = np.asarray(label_prob, dtype=float)[:, None]
-    w2 = np.asarray(latent_weights, dtype=float)[:, None] * uw
-    plus, minus = values_fn(u)
-    return [float(np.sum(w2 * hp * a) + np.sum(w2 * (1.0 - hp) * b))
-            for a, b in zip(plus, minus)]
+    mean = np.asarray(gain, dtype=float)[..., None] * np.asarray(latent, dtype=float)
+    sd = np.asarray(sd, dtype=float)
+    hp = np.asarray(label_prob, dtype=float)
+    lw = np.asarray(latent_weights, dtype=float)
+    shape = np.broadcast_shapes(mean.shape[:-1], sd.shape, hp.shape[:-1], lw.shape[:-1])
+    point = sd == 0.0
+    if point.all() or not point.any():   # one kind of channel: all at once
+        groups = [(..., bool(point.all()))]
+    else:   # each kind's channels, in order
+        per_latent = shape + mean.shape[-1:]
+        point, sd = np.broadcast_to(point, shape), np.broadcast_to(sd, shape)
+        mean, hp, lw = (np.broadcast_to(a, per_latent) for a in (mean, hp, lw))
+        groups = [(point, True), (~point, False)]
+    out = None
+    for rows, point_mass in groups:
+        if point_mass:
+            u, uw = mean[rows][..., None], np.ones(1)
+        else:
+            u, uw = gaussian_rule(mean[rows], sd[rows][..., None], breakpoints, order)
+        q, w2 = hp[rows][..., None], lw[rows][..., None] * uw
+        plus, minus = values_fn(u)
+        if out is None:
+            out = np.empty((len(plus),) + shape)
+        # a channel's sum runs over its own contiguous row, in the order of the
+        # channel alone, so it has that channel's bits
+        for k, (a, b) in enumerate(zip(plus, minus)):
+            first, second = w2 * q * a, w2 * (1.0 - q) * b
+            out[k, ...][rows] = (first.reshape(first.shape[:-2] + (-1,)).sum(axis=-1)
+                                 + second.reshape(second.shape[:-2] + (-1,)).sum(axis=-1))
+    return [float(e) for e in out] if not shape else list(out)
 
 
 def find_root_bisect(
@@ -563,13 +602,36 @@ def find_root_bisect(
     return 0.5 * (lo + hi)
 
 
-def _square(x: float, name: str) -> float:
-    """x**2 of a Python float, with :class:`DomainError` naming x where it
-    overflows (a float's ``**`` raises the built-in OverflowError)."""
-    try:
-        return x**2
-    except OverflowError:
-        raise DomainError(f"{name} is too large: its square overflows") from None
+def _square(x, name: str):
+    """x**2 of a Python float, or of each element of an array by C ``pow``,
+    the operation of a float's ``**`` (numpy's ``x**2`` is ``x*x``, 1 ulp
+    off it for about one value in 1,200), so an element has its float's
+    bits; :class:`DomainError` names x where a finite x's square overflows
+    (a float's ``**`` raises the built-in OverflowError)."""
+    if isinstance(x, float):   # numpy's float64 is one too
+        try:
+            return float(x)**2
+        except OverflowError:
+            raise DomainError(f"{name} is too large: its square overflows") from None
+    with np.errstate(over="ignore"):
+        square = np.float_power(x, 2.0)
+    if np.any(np.isinf(square) & np.isfinite(x)):
+        raise DomainError(f"{name} is too large: its square overflows")
+    return square
+
+
+def _map_blocks(fn, x, per_point: int):
+    """``fn`` over the elements of x in consecutive blocks of at most
+    _MAP_BLOCK_ELEMENTS // per_point points, joined in x's shape (a 0-d x
+    gives a numpy float): a map whose arrays hold ``per_point`` elements per
+    point keeps each of them within 256 KB however many points it gets.
+    ``fn`` takes and returns 1-D arrays."""
+    flat = np.ravel(x)
+    rows = max(1, _MAP_BLOCK_ELEMENTS // per_point)
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, rows):
+        out[lo:lo + rows] = fn(flat[lo:lo + rows])
+    return out.reshape(np.shape(x))[()]
 
 
 def _usable_cpus() -> int:

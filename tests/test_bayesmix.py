@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -87,6 +88,23 @@ class TestFit:
         fit = fit_bimodal_em(z)
         assert fit.sigma_clamped
         assert fit.sigma_plus >= floor and fit.sigma_minus >= floor
+
+    def test_pinned_bits(self):
+        # the fits of version 0.13.0 bit for bit: each EM iteration takes the
+        # responsibilities' sums once, with the bits of the sums it took before
+        fields = ("mu_plus", "mu_minus", "sigma_plus", "sigma_minus", "pi_plus", "loglik")
+        fits = []
+        for seed in range(8):
+            gen = np.random.default_rng(seed)
+            n = (40, 300, 1000, 2500)[seed % 4]
+            fits.append(fit_bimodal_em(np.concatenate([gen.normal(2.0, 0.9, n),
+                                                       gen.normal(-1.2, 0.6, n // 2)])))
+        assert [getattr(fits[3], name).hex() for name in fields] == [
+            "0x1.04ae085d89717p+1", "-0x1.33b546e791cdbp+0", "0x1.c580bbdfb0d48p-1",
+            "0x1.4110d799dbcccp-1", "0x1.5358641f10501p-1", "-0x1.a0a6c00b7de96p+12"]
+        text = " ".join(getattr(fit, name).hex() for fit in fits for name in fields)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "df592453cb93736f93d12c82330909546a0104014ae985e8704219d4f4939585")
 
     def test_one_sided_initialization(self):
         gen = RngStream(105).generator()

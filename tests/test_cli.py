@@ -300,6 +300,40 @@ class TestCobweb:
         assert "--steps" in capsys.readouterr().err
         assert not (tmp_path / "cobweb.tsv").exists()
 
+    @pytest.mark.parametrize("model, variant", [("gmm", "opt"), ("gmm", "smoothed_ft"),
+                                                ("glm", "opt")])
+    def test_one_map_call_for_the_grid_and_one_per_step(self, tmp_path, monkeypatch, model,
+                                                        variant):
+        calls = []
+        if model == "gmm":
+            spec_call = SeMapSpec.__call__
+            monkeypatch.setattr(SeMapSpec, "__call__",
+                                lambda spec, u: calls.append(np.size(u)) or spec_call(spec, u))
+        else:
+            glm_map = harness.se_step_glm_opt
+            monkeypatch.setattr(harness, "se_step_glm_opt", lambda eta, params: calls.append(
+                np.size(eta)) or glm_map(eta, params))
+        assert run_cli("cobweb", "--model", model, "--gamma", "1.5", "--alpha", "2.0",
+                       "--p", "0.3", "--variant", variant, "--beta", "20", "--u1", "0.04",
+                       "--steps", "6", "--out", str(tmp_path)) == 0
+        # the 6 trace steps, then the 200-point grid
+        assert calls == [1] * 6 + [200]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_glm_table_at_any_cpu_count(self, tmp_path, usable_cpus, split_threads, cpus):
+        # the grid's posterior points span several blocks, which go to min(cpus,
+        # blocks) threads; the table is the same byte for byte
+        args = ("cobweb", "--model", "glm", "--link", "logistic", "--gamma", "2.0",
+                "--alpha", "0.5", "--p", "0.2", "--u1", "0.04", "--steps", "4")
+        usable_cpus(1)
+        assert run_cli(*args, "--out", str(tmp_path / "one")) == 0
+        usable_cpus(cpus)
+        split_threads.clear()
+        assert run_cli(*args, "--out", str(tmp_path / "many")) == 0
+        assert max(split_threads.by_caller["OptimalGlm._evaluate"]) == cpus
+        assert ((tmp_path / "many" / "cobweb.tsv").read_bytes()
+                == (tmp_path / "one" / "cobweb.tsv").read_bytes())
+
     def test_glm_has_the_opt_map_only(self, tmp_path):
         args = ("cobweb", "--model", "glm", "--gamma", "1.0", "--alpha", "0.5", "--p", "0.2",
                 "--u1", "0.5", "--steps", "2", "--out", str(tmp_path))

@@ -98,6 +98,27 @@ class TestOptStep:
         with pytest.raises(DomainError):
             se_step_glm_opt(0.0, sign_params())
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_any_eta_not_positive_and_finite(self, bad):
+        params = GlmParams(gamma=2.0, alpha=0.5, p=0.2, link=LogisticLink(), n=100)
+        for eta in (bad, np.array([0.5, bad, 2.0])):
+            with pytest.raises(DomainError, match="eta must be positive and finite"):
+                se_step_glm_opt(eta, params)
+
+    @pytest.mark.parametrize("link, gamma", [(LogisticLink(), 2.0), (ProbitLink(), 2.0),
+                                             (SignLink(), 1.0)])
+    def test_array_equals_scalar_calls(self, link, gamma):
+        # each eta's rows of the batched rules and aggregators give it the bits
+        # of its own step, from u = 1e-12 to u = 1e16; a float gives a float
+        params = GlmParams(gamma=gamma, alpha=0.5, p=0.2, link=link, n=100)
+        etas = np.sqrt(np.concatenate([[1e-12], np.geomspace(1e-6, 1e16, 45),
+                                       np.linspace(0.05, 9.0, 20)]))
+        values = se_step_glm_opt(etas, params)
+        scalar = [se_step_glm_opt(float(eta), params) for eta in etas]
+        assert all(isinstance(v, float) for v in scalar)
+        assert np.array_equal(values, scalar)
+        assert np.array_equal(se_step_glm_opt(etas.reshape(6, -1), params), values.reshape(6, -1))
+
     @pytest.mark.parametrize("link", [LogisticLink(), SignLink()])
     def test_eta_whose_state_overflows(self, link):
         # finite eta, but the prediction's variance mu^2*prior_var + sigma^2
@@ -313,6 +334,12 @@ class TestLinkEvaluations:
         params = counting_params()
         se_step_glm_opt(0.8, params)
         assert CountingLink.sizes == [self.K * self.INNER]
+
+    def test_opt_map_of_an_array(self):
+        # the matched aggregators of 3 eta share one posterior block
+        params = counting_params()
+        se_step_glm_opt(np.array([0.4, 0.8, 1.6]), params)
+        assert CountingLink.sizes == [3 * self.K * self.INNER]
 
     def test_generic_opt_step(self):
         params = counting_params()

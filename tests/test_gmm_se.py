@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from amp_retrain import gmm_se, numerics
 from amp_retrain.errors import ConfigError, DomainError
 from amp_retrain.gmm import (
     GmmParams,
@@ -205,6 +206,17 @@ class TestMaps:
         with pytest.raises(DomainError):
             eta_map_opt(-0.1, FIG_MAP_PARAMS)
 
+    @pytest.mark.parametrize("variant, beta", [("opt", None), ("identity", None),
+                                               ("smoothed_ft", 5.0), ("smoothed_ct", 20.0),
+                                               ("ft_limit", None), ("ct_limit", None)])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_non_finite_or_negative_u_refused(self, variant, beta, bad):
+        # a DomainError, not NaN or a RuntimeWarning, alone or among good points
+        spec = SeMapSpec(variant, FIG_MAP_PARAMS, beta)
+        for u in (bad, np.array([0.5, bad, 2.0])):
+            with pytest.raises(DomainError, match="u must be non-negative and finite"):
+                spec(u)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_opt_single_class_is_constant(self):
         # pi_plus in {0, 1}: the prior term is infinite, g~ = +-1 everywhere
@@ -222,6 +234,43 @@ class TestMaps:
                 fo = eta_map_opt(u, params)
                 assert fo >= eta_map_ft(u, params) - 1e-9
                 assert fo >= eta_map_ct(u, params) - 1e-9
+
+
+class TestArrayMaps:
+    """Every map takes an array of u in one call, each element with the bits
+    of its own scalar call, from u = 0 (the point-mass channel) to 1e16."""
+
+    GRID = np.concatenate([[0.0, 1e-12], np.geomspace(1e-6, 1e16, 97),
+                           np.linspace(0.0, 9.0, 301)[1:]])
+
+    @pytest.mark.parametrize("variant, beta", [
+        ("identity", None), ("smoothed_ft", 5.0), ("smoothed_ft", 20.0), ("smoothed_ct", 5.0),
+        ("smoothed_ct", 20.0), ("opt", None), ("ft_limit", None), ("ct_limit", None)])
+    @pytest.mark.parametrize("p, pi_plus", [(0.3, 0.3), (0.0, 0.5), (0.2, 1.0)])
+    def test_array_equals_scalar_calls(self, variant, beta, p, pi_plus):
+        spec = SeMapSpec(variant, params_for(p=p, pi_plus=pi_plus), beta)
+        values = spec(self.GRID)
+        assert values.shape == self.GRID.shape
+        assert np.array_equal(values, [spec(float(u)) for u in self.GRID])
+        assert np.array_equal(spec(self.GRID.reshape(3, -1)), values.reshape(3, -1))
+        assert isinstance(spec(0.5), float)
+
+    def test_constant_map_runs_in_blocks(self, monkeypatch):
+        # one call of the kernel per block of points, each block's arrays
+        # within numerics._MAP_BLOCK_ELEMENTS
+        calls = []
+        kernel = gmm_se.expect_output_channel
+
+        def counting(latent, weights, probs, gain, sd, *rest):
+            calls.append(np.size(gain))
+            return kernel(latent, weights, probs, gain, sd, *rest)
+
+        monkeypatch.setattr(gmm_se, "expect_output_channel", counting)
+        spec = SeMapSpec("smoothed_ft", FIG_MAP_PARAMS, 20.0)
+        spec(self.GRID)
+        per_block = numerics._MAP_BLOCK_ELEMENTS // (2 * 2 * gmm_se.DEFAULT_ORDER)
+        assert calls == [per_block] * (self.GRID.size // per_block) + [
+            self.GRID.size % per_block]
 
 
 class TestFixedPoints:

@@ -256,6 +256,26 @@ class TestExpectations:
             with pytest.raises(DomainError):
                 gaussian_rule(0.0, sd, (), 61)
 
+    @pytest.mark.parametrize("breakpoints", [(), (0.0,), (-1.0, 3.0)])
+    def test_array_sd_rows_equal_scalar_rules(self, breakpoints):
+        # one sd per row, and one per element, against each element's own rule
+        means = np.array([[-30.0, -1.2, 0.0], [0.4, 2.9, 45.0]])
+        for sds in (np.array([[0.3], [2.5]]), np.array([[1e-3, 0.8, 7.0], [0.05, 1.0, 30.0]])):
+            nodes, weights = gaussian_rule(means, sds, breakpoints, 21)
+            assert nodes.shape == means.shape + (21 * (len(breakpoints) + 1),)
+            for idx in np.ndindex(means.shape):
+                sd = np.broadcast_to(sds, means.shape)[idx]
+                row_nodes, row_weights = gaussian_rule(means[idx], float(sd), breakpoints, 21)
+                assert np.array_equal(nodes[idx], row_nodes)
+                assert np.array_equal(np.broadcast_to(weights, nodes.shape)[idx], row_weights)
+
+    @pytest.mark.parametrize("breakpoints", [(), (0.0,)])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_array_sd_validation(self, breakpoints, bad):
+        # one bad sd among good ones refuses the whole call
+        with pytest.raises(DomainError, match="sd must be positive and finite"):
+            gaussian_rule(np.zeros(3), np.array([0.5, bad, 1.0]), breakpoints, 21)
+
     @pytest.mark.parametrize("order", [2, 3, 61, 201])
     def test_legendre_against_a_40_digit_reference(self, order):
         # worst weights: 89 ulp at order 61 and 1,403 at 201 (scipy's
@@ -339,6 +359,83 @@ class TestOutputChannel:
             first += w * (q * mean + (1 - q) * (mean * mean + sd * sd))
             second += w * q * std_normal_cdf(mean / sd)
         assert got == pytest.approx([first, second], abs=1e-12)
+
+
+    @pytest.mark.parametrize("breakpoints", [(), (0.0,)])
+    def test_array_of_channels_equals_each_channel(self, breakpoints):
+        # channels with sd 0 (point masses) among rule channels, and per-channel
+        # label probabilities: each element has the bits of its channel alone
+        gains = np.array([0.9, 0.0, -1.3, 2.0, 0.4])
+        sds = np.array([0.6, 0.0, 1.1, 0.0, 3.0])
+        probs = np.array([[0.8, 0.25], [0.5, 0.5], [0.1, 0.7], [0.9, 0.2], [0.6, 0.3]])
+        seen = []
+
+        def values(u):
+            seen.append(u.shape)
+            return (u, np.tanh(u)), (u * u, np.cos(u))
+
+        got = expect_output_channel([1.0, -1.0], (0.3, 0.7), probs, gains, sds, breakpoints,
+                                    values, 61)
+        nodes = 61 * (len(breakpoints) + 1)
+        assert seen == [(2, 2, 1), (3, 2, nodes)]   # the point masses, then the rules
+        for k in range(gains.size):
+            alone = expect_output_channel([1.0, -1.0], (0.3, 0.7), probs[k], gains[k], sds[k],
+                                          breakpoints, values, 61)
+            assert [e[k] for e in got] == alone
+        assert all(isinstance(e, float) for e in alone)
+
+    def test_channels_on_the_leading_axes_of_the_latent(self):
+        # a latent of its own per channel (one row each), with one rule for all
+        latent = np.array([[0.5, -2.0, 3.0], [1.0, 0.0, -1.0]])
+        gains = np.array([1.5, 0.7])
+
+        def values(u):
+            return (np.cos(u), u), (u * u, np.ones_like(u))
+
+        got = expect_output_channel(latent, (0.2, 0.5, 0.3), latent * 0.1 + 0.4, gains, 0.8, (),
+                                    values, 61)
+        for k in range(2):
+            alone = expect_output_channel(latent[k], (0.2, 0.5, 0.3), latent[k] * 0.1 + 0.4,
+                                          gains[k], 0.8, (), values, 61)
+            assert [e[k] for e in got] == alone
+
+
+class TestSquare:
+    def test_the_bits_of_a_floats_power(self):
+        # an array's squares are C pow's, as a float's ** (x*x differs from it
+        # in the last bit for about one value in 1,200)
+        x = np.random.default_rng(3).normal(0.0, 1e3, 20000)
+        squares = numerics._square(x, "x")
+        assert [float(v) for v in squares] == [v**2 for v in x.tolist()]
+        assert np.count_nonzero(x * x != squares) > 0
+        assert numerics._square(float(x[0]), "x") == x.tolist()[0] ** 2
+
+    @pytest.mark.parametrize("x", [1e200, np.float64(1e200), np.array([1.0, 1e200])])
+    def test_overflow_is_a_domain_error(self, x):
+        with pytest.raises(DomainError, match="x is too large"):
+            numerics._square(x, "x")
+
+    def test_non_finite_elements_pass_through(self):
+        squares = numerics._square(np.array([math.inf, math.nan, 2.0]), "x")
+        assert squares[0] == math.inf and math.isnan(squares[1]) and squares[2] == 4.0
+
+
+class TestMapBlocks:
+    def test_blocks_in_order_in_the_shape_of_x(self):
+        x = np.arange(1000.0).reshape(10, 100)
+        sizes = []
+
+        def twice(block):
+            sizes.append(block.size)
+            return 2.0 * block
+
+        per_point = numerics._MAP_BLOCK_ELEMENTS // 300
+        assert np.array_equal(numerics._map_blocks(twice, x, per_point), 2.0 * x)
+        assert sizes == [300, 300, 300, 100]
+
+    def test_a_0d_x_gives_a_float(self):
+        out = numerics._map_blocks(lambda block: block + 1.0, np.asarray(2.0), 10)
+        assert isinstance(out, float) and out == 3.0
 
 
 class TestBisection:
