@@ -11,6 +11,7 @@ divergence (all replications failed), 4 I/O failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -326,9 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)   # one per process: a build costs about 2 ms
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ParseError) as exc:

@@ -1,9 +1,9 @@
 """Generalized-linear ground truth under label flipping.
 
-Link functions, data generation, the Bayes-optimal aggregator (generic link
-via quadrature, sign link in closed form) with its analytic derivative, and
-test error through the overlap rho = beta.theta/(|beta||theta|).  The
-retraining iteration is :mod:`amp_retrain.retrain`.
+Link functions, data generation, the Bayes-optimal aggregator (quadrature for
+the logistic link, closed form for the Gaussian-threshold links sign and probit)
+with its analytic derivative, and test error through the overlap
+rho = beta.theta/(|beta||theta|).  The retraining iteration is :mod:`amp_retrain.retrain`.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ _PRECISION_MAX = 1e19
 # --------------------------------------------------------------------------
 # link functions
 # --------------------------------------------------------------------------
-# Each link has h(u) > h(-u) for u > 0, which makes the error curve decreasing
-# in the overlap.  A link has no scale of its own: a steeper link is a larger
-# gamma, the norm of beta.  h returns a fresh array, which hat_h_p and the
-# posterior kernel overwrite, and calls numpy and private helpers only, since
-# the kernel runs it on helper threads.
+# Each link has h(u) > h(-u) for u > 0, which makes the error curve decreasing in the
+# overlap.  A link has no scale of its own: a steeper link is a larger gamma, the norm
+# of beta.  h returns a fresh array, which hat_h_p and the posterior kernel overwrite,
+# and calls numpy and private helpers only, since the kernel runs it on helper threads.
+# noise_var is tau^2 of a Gaussian-threshold link, h(z) = Phi(z/tau), or else None.
 
 @dataclass(frozen=True)
 class SignLink:
@@ -47,6 +47,7 @@ class SignLink:
 
     name: ClassVar[str] = "sign"
     discontinuities: ClassVar[Tuple[float, ...]] = (0.0,)
+    noise_var: ClassVar[Optional[float]] = 0.0
 
     def h(self, z):
         return 0.5 * (1.0 + np.sign(z))
@@ -58,6 +59,7 @@ class LogisticLink:
 
     name: ClassVar[str] = "logistic"
     discontinuities: ClassVar[Tuple[float, ...]] = ()
+    noise_var: ClassVar[Optional[float]] = None
 
     def h(self, z):
         # [()] gives a scalar for scalar z, as the other links do
@@ -70,6 +72,7 @@ class ProbitLink:
 
     name: ClassVar[str] = "probit"
     discontinuities: ClassVar[Tuple[float, ...]] = ()
+    noise_var: ClassVar[Optional[float]] = 1.0
 
     def h(self, z):
         return _ndtr(np.asarray(z, dtype=float))
@@ -125,7 +128,7 @@ class GlmParams:
 
     @property
     def gamma_eff(self) -> float:
-        return 1.0 if isinstance(self.link, SignLink) else self.gamma
+        return 1.0 if self.link.noise_var == 0.0 else self.gamma
 
     @property
     def prior_var(self) -> float:
@@ -182,7 +185,7 @@ def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
 
 @dataclass(frozen=True)
 class OptimalGlm:
-    """Optimal aggregator for a generic link, evaluated by quadrature.
+    """Optimal aggregator for a generic link (the logistic), evaluated by quadrature.
 
     g(u, yhat) = (1/prior_var + quad_a) * E[Z | u, yhat] - lin_b * u, with the
     channel coefficients (quad_a, lin_b) matched to the law of the soft
@@ -209,10 +212,8 @@ class OptimalGlm:
     def from_eta(cls, eta: float, params: GlmParams) -> "OptimalGlm":
         if not (eta >= 0 and math.isfinite(eta)):
             raise DomainError("eta must be finite and non-negative")
-        if eta == 0.0 and isinstance(params.link, SignLink):
-            raise DomainError(
-                "eta = 0 with the sign link: use the closed-form sign aggregator limit"
-            )
+        if eta == 0.0 and params.link.noise_var == 0.0:
+            raise DomainError("eta = 0 with the sign link: use the closed-form aggregator limit")
         return cls(quad_a=_square(eta, "eta"), lin_b=1.0 / params.alpha, link=params.link,
                    p=params.p, prior_var=params.prior_var)
 
@@ -326,18 +327,20 @@ def _centred_sums(f, offset, w, out):
 
 @dataclass(frozen=True)
 class OptimalSign:
-    """Closed-form optimal aggregator for the sign link.
+    """Closed-form optimal aggregator of the Gaussian-threshold links (sign and probit).
 
-    With s^2 = (1/alpha + quad_a)^(-1) and r = lin_b*u*s:
-    g(u, yhat) = (1/s) * (1-2p)*yhat*sqrt(2/pi)*exp(-r^2/2)
+    With s^2 = (1/prior_var + quad_a)^(-1), s_eff = sqrt(s^2 + noise_var),
+    k = s/s_eff (exactly 1.0 for the sign link) and r = lin_b*u*s*k:
+    g(u, yhat) = (1/s_eff) * (1-2p)*yhat*sqrt(2/pi)*exp(-r^2/2)
                  / (1 + (1-2p)*yhat*(2*Phi(r) - 1)),
-    evaluated at p = 0 as (1/s) * yhat*sqrt(2/pi) / erfcx(-yhat*r/sqrt(2)).
+    evaluated at p = 0 as (1/s_eff) * yhat*sqrt(2/pi) / erfcx(-yhat*r/sqrt(2)).
     """
 
     quad_a: float
     lin_b: float
     p: float
-    alpha: float
+    prior_var: float
+    noise_var: float
 
     y_breakpoints = ()
 
@@ -346,51 +349,50 @@ class OptimalSign:
         if not (eta > 0 and math.isfinite(eta)):
             raise DomainError("eta must be positive and finite")
         return cls(quad_a=_square(eta, "eta"), lin_b=1.0 / params.alpha, p=params.p,
-                   alpha=params.alpha)
+                   prior_var=params.prior_var, noise_var=params.link.noise_var)
 
     @classmethod
     def from_se_state(cls, state, params: GlmParams) -> "OptimalSign":
         return cls(quad_a=_square(state.mu / state.sigma, "mu/sigma"),
-                   lin_b=state.mu / _square(state.sigma, "sigma"), p=params.p, alpha=params.alpha)
-
-    @property
-    def _s(self):
-        return np.sqrt(1.0 / (1.0 / self.alpha + self.quad_a))
+                   lin_b=state.mu / _square(state.sigma, "sigma"), p=params.p,
+                   prior_var=params.prior_var, noise_var=params.link.noise_var)
 
     def _value(self, u, yhat):
-        """(g, r, s) at the points u."""
+        """(g, r, s, k) at the points u."""
         u, yhat = _label_arrays(u, yhat)
-        s = self._s
-        r = self.lin_b * s * u
+        s2 = 1.0 / (1.0 / self.prior_var + self.quad_a)
+        s, s_eff = np.sqrt(s2), np.sqrt(s2 + self.noise_var)
+        k = s / s_eff
+        r = self.lin_b * s * u * k
         if self.p == 0.0:
             # 1 + yhat*(2*Phi(r) - 1) = 2*Phi(yhat*r), which underflows where
             # yhat*r << 0; exp(-r^2/2) / (2*Phi(yhat*r)) = 1/erfcx(-yhat*r/sqrt(2))
             g = yhat * math.sqrt(2.0 / math.pi) / _erfcx(-yhat * r / math.sqrt(2.0))
-            return g / s, r, s
+            return g / s_eff, r, s, k
         amp = (1.0 - 2.0 * self.p) * yhat
         num = amp * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * r * r)
         den = 1.0 + amp * (2.0 * _ndtr(r) - 1.0)
-        return num / (den * s), r, s
+        return num / (den * s_eff), r, s, k
 
     def value_and_deriv(self, u, yhat):
-        """dg/du = -lin_b * (r*s*g + s^2*g^2): the numerator's r-derivative is
-        -r times itself and the denominator's is the numerator.  At p = 0 the
-        sum is lam*(t + lam) with t = yhat*r and lam = yhat*s*g = phi(t)/Phi(t)
-        the inverse Mills ratio, and t + lam cancels below t = -8; there it is
-        1/(x + 2/(x + 3/(x + ...))) at x = -t, exact to rounding at 20 terms."""
+        """dg/du = -lin_b * (r*s*k*g + s^2*g^2): the numerator's r-derivative is
+        -r times itself and the denominator's is the numerator.  At p = 0 the sum
+        is k^2*lam*(t + lam) with t = yhat*r and lam = yhat*s_eff*g = phi(t)/Phi(t),
+        and t + lam cancels below t = -8; there it is 1/(x + 2/(x + 3/(x + ...)))
+        at x = -t, exact to rounding at 20 terms."""
         u, yhat = _label_arrays(u, yhat)
-        g, r, s = self._value(u, yhat)
-        dg = -self.lin_b * (r * s * g + s * s * g * g)
+        g, r, s, k = self._value(u, yhat)
+        dg = -self.lin_b * (r * s * k * g + s * s * g * g)
         if self.p == 0.0:
             x = cf = np.maximum(-yhat * r, 8.0)
-            for k in range(20, 1, -1):
-                cf = x + k / cf
-            dg = np.where(yhat * r <= -8.0, -self.lin_b * yhat * s * g / cf, dg)
+            for j in range(20, 1, -1):
+                cf = x + j / cf
+            dg = np.where(yhat * r <= -8.0, -self.lin_b * yhat * s * k * g / cf, dg)
         return g, dg
 
     def label_values(self, u):
         """(g(u, +1), g(u, -1), P(Yhat = +1 | u) = p + (1-2p)*Phi(r)), in closed form."""
-        g_plus, r, _ = self._value(u, 1.0)
+        g_plus, r, _, _ = self._value(u, 1.0)
         return g_plus, self._value(u, -1.0)[0], self.p + (1.0 - 2.0 * self.p) * _ndtr(r)
 
 
@@ -429,11 +431,12 @@ def error_curve_glm(rho: float, params: GlmParams) -> float:
 
 
 def _error_from_overlap(rho: float, params: GlmParams) -> float:
-    """Misclassification rate at overlap rho: arccos(rho)/pi exactly for the
-    sign link, the quadrature error curve for other links."""
-    if isinstance(params.link, SignLink):
-        return float(np.arccos(np.clip(rho, -1.0, 1.0)) / math.pi)
-    return error_curve_glm(rho, params)
+    """Misclassification rate at overlap rho: arccos(rho*sqrt(S^2/(S^2 + noise_var)))/pi
+    exactly, S^2 = prior_var, for the sign and probit links, else the quadrature error curve."""
+    if params.link.noise_var is None:
+        return error_curve_glm(rho, params)
+    factor = math.sqrt(params.prior_var / (params.prior_var + params.link.noise_var))
+    return float(np.arccos(np.clip(rho * factor, -1.0, 1.0)) / math.pi)
 
 
 def overlap_glm(theta: np.ndarray, beta_true: np.ndarray) -> float:
@@ -449,8 +452,8 @@ def overlap_glm(theta: np.ndarray, beta_true: np.ndarray) -> float:
 def test_error_glm(theta: np.ndarray, data: GlmDataset, params: GlmParams) -> float:
     """Population misclassification rate of sign(x.theta).
 
-    Sign link uses the exact identity arccos(rho)/pi; other links evaluate the
-    quadrature error curve.
+    Gaussian-threshold links (sign, probit) use the exact arccos form; other
+    links evaluate the quadrature error curve (:func:`_error_from_overlap`).
     """
     return _error_from_overlap(overlap_glm(theta, data.beta_true), params)
 

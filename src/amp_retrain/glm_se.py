@@ -2,9 +2,9 @@
 
 Tracks (mu_t, sigma_t), the law of the soft predictions Z_t = mu_t*Z +
 sigma_t*G with Z the latent margin, and predicts the test error through the
-signal-to-noise ratio eta_t = mu_t/sigma_t.  The sign link admits closed
-forms; for generic links the mean update integrates the quadrature optimal
-aggregator matched to the state against the scheduled one.
+signal-to-noise ratio eta_t = mu_t/sigma_t.  The Gaussian-threshold links (sign,
+probit) admit closed forms; for the logistic link the mean update integrates
+the quadrature optimal aggregator matched to the state against the scheduled one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .glm import GlmParams, OptimalGlm, OptimalSign, SignLink, _error_from_overlap, hat_h_p
+from .glm import GlmParams, OptimalGlm, OptimalSign, _error_from_overlap, hat_h_p
 from .numerics import _map_blocks, _square, expect_output_channel, gaussian_rule
 
 # Quadrature order of the first state's rule over the latent margin and of
@@ -48,13 +48,14 @@ class SeStateGlm:
 def se_init_glm(params: GlmParams) -> SeStateGlm:
     """State after the identity first step: sigma_1 = sqrt(alpha).
 
-    The sign link has the closed form eta_1 = (1-2p)*sqrt(2/pi)/alpha, used
-    directly; other links evaluate mu_1 = (2/prior_var) * E[Z * hhat_p(Z)],
-    Z ~ N(0, prior_var), by quadrature.
+    A Gaussian-threshold link has the closed form eta_1 = (1-2p)*sqrt(2/pi)/alpha
+    * sqrt(alpha/(prior_var + noise_var)), the last factor 1.0 for sign; other links
+    evaluate mu_1 = (2/prior_var) * E[Z * hhat_p(Z)], Z ~ N(0, prior_var), by quadrature.
     """
     sigma1 = math.sqrt(params.alpha)
-    if isinstance(params.link, SignLink):
-        eta1 = (1.0 - 2.0 * params.p) * math.sqrt(2.0 / math.pi) / params.alpha
+    if params.link.noise_var is not None:
+        eta1 = ((1.0 - 2.0 * params.p) * math.sqrt(2.0 / math.pi) / params.alpha
+                * math.sqrt(params.alpha / (params.prior_var + params.link.noise_var)))
         return SeStateGlm(mu=eta1 * sigma1, sigma=sigma1)
     z, w = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities,
                          DEFAULT_ORDER)
@@ -97,7 +98,7 @@ def se_step_glm_generic(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm
     Yhat depends on Z_t only through the margin's posterior, so the expectation
     is over Z_t ~ N(0, mu^2*prior_var + sigma^2), on a rule split at g's
     breakpoints, with P(Yhat = +1 | Z_t) from g*'s ``label_values``.  When g is
-    g* its values are reused.  The identity aggregator gives sigma'^2 = alpha.
+    g*, mu' is E[g*^2] itself.  The identity aggregator gives sigma'^2 = alpha.
     """
     return _step(state, None if agg == optimal_aggregator_for_state(state, params) else agg,
                  params)
@@ -117,10 +118,13 @@ def _step(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm:
     *star_values, prob_plus = star.label_values(u)
     values = (star_values if agg is None
               else [agg.value_and_deriv(u, lab)[0] for lab in (1.0, -1.0)])
-    # the kernel's latent is Z_t itself, as a point mass (sd 0): one column per node
-    integrands = [[(s * g)[..., None], (g * g)[..., None]] for s, g in zip(star_values, values)]
-    mu_next, e_gg = expect_output_channel(u, uw, prob_plus, 1.0, 0.0, (),
-                                          lambda _: integrands, DEFAULT_ORDER)
+    # the kernel's latent is Z_t itself, as a point mass (sd 0): one column per
+    # node; for g = g*, the one integrand g*.g* gives mu' and E[g^2]
+    integrands = [[(f * g)[..., None] for f in ((g,) if agg is None else (s, g))]
+                  for s, g in zip(star_values, values)]
+    moments = expect_output_channel(u, uw, prob_plus, 1.0, 0.0, (), lambda _: integrands,
+                                    DEFAULT_ORDER)
+    mu_next, e_gg = moments[0], moments[-1]
     s2 = params.alpha * e_gg
     if not np.all((s2 > 0) & np.isfinite(s2) & np.isfinite(mu_next)):
         raise DomainError("state-evolution expectation degenerate or non-finite")
@@ -130,8 +134,8 @@ def _step(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm:
 def se_error_glm(eta: float, params: GlmParams) -> float:
     """Predicted test error at signal-to-noise eta.
 
-    rho = eta*gamma / sqrt(eta^2*gamma^2 + 1/alpha); sign link maps rho through
-    arccos(rho)/pi exactly, other links through the quadrature error curve.
+    rho = eta*gamma / sqrt(eta^2*gamma^2 + 1/alpha); the sign and probit links map
+    rho through the exact arccos form, the logistic through the quadrature error curve.
     """
     g = params.gamma_eff
     return _error_from_overlap(eta * g / math.sqrt(_square(eta, "eta") * g**2 + 1.0 / params.alpha),
@@ -139,7 +143,6 @@ def se_error_glm(eta: float, params: GlmParams) -> float:
 
 
 def optimal_aggregator_for_state(state: SeStateGlm, params: GlmParams):
-    """Aggregator matched to the channel of a given state (closed form for sign)."""
-    if isinstance(params.link, SignLink):
-        return OptimalSign.from_se_state(state, params)
-    return OptimalGlm.from_se_state(state, params)
+    """Aggregator matched to the channel of a given state (closed form for sign and probit)."""
+    cls = OptimalGlm if params.link.noise_var is None else OptimalSign
+    return cls.from_se_state(state, params)

@@ -27,6 +27,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def assert_finite_rows(path):
+    """The table has rows, and every cell but a status is a finite number."""
+    _meta, cols, rows = read_table(path)
+    assert rows
+    for row in rows:
+        cells = [float(c) for col, c in zip(cols, row) if col != "status"]
+        assert all(math.isfinite(c) for c in cells), (path.name, row)
+
+
 # the "fit" object of a bayesmix fit.json
 GOOD_FIT = {"mu_plus": 2.0, "mu_minus": -2.0, "sigma_plus": 0.8, "sigma_minus": 0.8,
             "pi_plus": 0.5, "loglik": -300.0, "iterations": 5, "sigma_clamped": False}
@@ -177,11 +186,20 @@ class TestSimulate:
                            "--alpha", "0.5", "--p", "0", "--n", "400", "--iterations", "12",
                            "--replications", "2", "--seed", "1", "--out", str(out)) == 0
         for table in ("report.tsv", "trajectories.tsv", "se.tsv"):
-            _meta, cols, rows = read_table(out / table)
-            assert rows
-            for row in rows:
-                cells = [float(c) for col, c in zip(cols, row) if col != "status"]
-                assert all(math.isfinite(c) for c in cells), (table, row)
+            assert_finite_rows(out / table)
+
+    def test_probit_link_without_flips(self, tmp_path):
+        # p = 0: the probit label factor Phi(yhat*z) underflows on every node of
+        # a posterior quadrature for confident wrong-side predictions; the
+        # closed-form threshold aggregator takes it through erfcx
+        out = tmp_path / "p0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("simulate", "--model", "glm", "--link", "probit", "--gamma", "2.0",
+                           "--alpha", "0.5", "--p", "0", "--n", "400", "--iterations", "10",
+                           "--replications", "2", "--seed", "1", "--out", str(out)) == 0
+        for table in ("report.tsv", "trajectories.tsv", "se.tsv"):
+            assert_finite_rows(out / table)
 
     def test_t0_row_present(self, tmp_path):
         out = tmp_path / "r"
@@ -243,6 +261,13 @@ class TestSe:
         etas = [float(r[1]) for r in rows]
         # increasing toward the fixed point from the standard start
         assert all(b >= a - 1e-12 for a, b in zip(etas[:-1], etas[1:]))
+
+    @pytest.mark.parametrize("gamma, alpha", [("2", "0.5"), ("2", "0.1"), ("3", "0.1")])
+    def test_glm_probit_trace_without_flips(self, tmp_path, gamma, alpha):
+        out = tmp_path / "se"
+        assert run_cli("se", "--model", "glm", "--link", "probit", "--gamma", gamma,
+                       "--alpha", alpha, "--p", "0", "--out", str(out)) == 0
+        assert_finite_rows(out / "se.tsv")
 
 
 class TestCobweb:

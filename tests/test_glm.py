@@ -50,6 +50,7 @@ class HalfLink:
 
     name = "half"
     discontinuities = ()
+    noise_var = None
 
     def h(self, z):
         return np.full_like(np.asarray(z, dtype=float), 0.5)
@@ -143,6 +144,18 @@ class TestOptimalAggregator:
                 closed = float(closed_agg.value_and_deriv(float(u), yhat)[0])
                 assert abs(quad - closed) <= 1e-6
 
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    def test_probit_quadrature_matches_closed_form(self, p):
+        # criterion 09's check for the other Gaussian-threshold link: the
+        # posterior quadrature against the closed form, value and derivative
+        params = GlmParams(gamma=2.0, alpha=0.5, p=p, link=ProbitLink(), n=100)
+        quad_agg, closed_agg = OptimalGlm.from_eta(0.5, params), OptimalSign.from_eta(0.5, params)
+        u = np.linspace(-3, 3, 13)
+        for yhat in (1.0, -1.0):
+            for quad, closed in zip(quad_agg.value_and_deriv(u, yhat),
+                                    closed_agg.value_and_deriv(u, yhat)):
+                assert np.max(np.abs(quad - closed)) <= 1e-6
+
     def test_sign_antisymmetry(self):
         agg = OptimalGlm.from_eta(0.5, sign_params(alpha=2.0, p=0.2))
         for u in np.linspace(-3, 3, 7):
@@ -186,7 +199,7 @@ class TestOptimalAggregator:
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
         agg = OptimalSign.from_eta(3.0, sign_params(alpha=0.5, p=0.0))
-        s = 1 / mpmath.sqrt(1 / mpmath.mpf(agg.alpha) + agg.quad_a)
+        s = 1 / mpmath.sqrt(1 / mpmath.mpf(agg.prior_var) + agg.quad_a)
 
         def g(u, yhat):
             r = agg.lin_b * s * u

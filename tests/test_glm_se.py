@@ -40,6 +40,7 @@ from amp_retrain.retrain import AmpState, amp_step
 class HalfLink:
     name = "half"
     discontinuities = ()
+    noise_var = None
 
     def h(self, z):
         return np.full_like(np.asarray(z, dtype=float), 0.5)
@@ -48,6 +49,7 @@ class HalfLink:
 class StepLink:
     name = "step"
     discontinuities = (0.0,)
+    noise_var = None
 
     def h(self, z):
         return SignLink().h(z)

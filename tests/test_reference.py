@@ -1,0 +1,136 @@
+"""The Gaussian-threshold closed forms against high-precision mpmath references.
+
+The sign link (noise_var 0) and the probit link (noise_var 1) share one
+closed-form aggregator, error curve and first state-evolution state.  Each
+tolerance is pinned from the largest gap measured on these points (quoted
+beside it).  The quadrature references run at 20 digits, the closed form
+and its numerical derivative at 40.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from amp_retrain.glm import (GlmParams, OptimalSign, ProbitLink, SignLink, _error_from_overlap)
+from amp_retrain.glm_se import se_init_glm
+
+mp = pytest.importorskip("mpmath")
+
+# (noise_var, link, gamma, alpha): gamma is 1 for the sign link, which ignores it
+CHANNELS = [(0.0, SignLink(), 1.0, 0.5), (1.0, ProbitLink(), 2.0, 0.5)]
+
+
+@pytest.fixture(autouse=True)
+def precision():
+    with mp.workdps(20):
+        yield
+
+
+def closed_form_g(agg, u, yhat):
+    """g(u, yhat) = (1-2p)*yhat*phi(r) / (s_eff*(p + (1-2p)*Phi(yhat*r))) in mpmath."""
+    s2 = 1 / (1 / mp.mpf(agg.prior_var) + mp.mpf(agg.quad_a))
+    s_eff = mp.sqrt(s2 + agg.noise_var)
+    r = mp.mpf(agg.lin_b) * s2 * mp.mpf(u) / s_eff
+    p = mp.mpf(agg.p)
+    return (1 - 2 * p) * yhat * mp.npdf(r) / (s_eff * (p + (1 - 2 * p) * mp.ncdf(yhat * r)))
+
+
+def posterior_g(agg, u, yhat):
+    """g = (E[Z | u, yhat] - m)/s^2 from the posterior N(m, s^2) * P(yhat | z) by
+    quadrature, with P(+1 | z) = p + (1-2p)*Phi(z/tau)."""
+    s = mp.sqrt(1 / (1 / mp.mpf(agg.prior_var) + mp.mpf(agg.quad_a)))
+    m = mp.mpf(agg.lin_b) * s * s * mp.mpf(u)
+    p, tau = mp.mpf(agg.p), mp.sqrt(agg.noise_var)
+
+    def weight(x):   # x = (z - m)/s
+        return mp.npdf(x) * (p + (1 - 2 * p) * mp.ncdf(yhat * (m + s * x) / tau))
+
+    den = mp.quad(weight, [-mp.inf, 0, mp.inf])
+    return mp.quad(lambda x: x * weight(x), [-mp.inf, 0, mp.inf]) / (den * s)
+
+
+@pytest.mark.parametrize("noise_var, link, gamma, alpha", CHANNELS, ids=["sign", "probit"])
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.45])
+def test_aggregator_value_and_derivative(noise_var, link, gamma, alpha, p):
+    # t = yhat*r from deep in the tail where the label contradicts the
+    # prediction (t <= -8: the erfcx form and the continued fraction at p = 0)
+    # to confident agreement.  Where g ~ exp(-t^2/2) its relative condition
+    # number in u is about t^2, so each gap is measured in units of 1 + t^2;
+    # at p > 0, t = -40 is left out, as g underflows there.
+    params = GlmParams(gamma=gamma, alpha=alpha, p=p, link=link, n=100)
+    points = (-40.0,) * (p == 0.0) + (-20.0, -10.0, -8.5, -8.0, -7.5, -3.0, -1.0, 0.0, 0.5,
+                                      2.0, 5.0, 8.0, 20.0)
+    worst_g = worst_dg = 0.0
+    for eta in (0.5, 3.0):
+        agg = OptimalSign.from_eta(eta, params)
+        s2 = 1.0 / (1.0 / agg.prior_var + agg.quad_a)
+        r_per_u = agg.lin_b * s2 / math.sqrt(s2 + noise_var)
+        for yhat in (1.0, -1.0):
+            for t in points:
+                u = yhat * t / r_per_u
+                g, dg = agg.value_and_deriv(u, yhat)
+                with mp.workdps(40):
+                    g_ref = closed_form_g(agg, u, yhat)
+                    dg_ref = mp.diff(lambda x: closed_form_g(agg, x, yhat), mp.mpf(u))
+                worst_g = max(worst_g, float(abs((g - g_ref) / g_ref)) / (1.0 + t * t))
+                worst_dg = max(worst_dg, float(abs((dg - dg_ref) / dg_ref)) / (1.0 + t * t))
+    # measured: at most 3.6e-16 (g) and 6.2e-16 (dg/du, at t = -1) relative per
+    # unit of 1 + t^2; the largest raw gap is 9.7e-14 (t = +-20, probit)
+    assert worst_g <= 1e-15
+    assert worst_dg <= 1e-15
+
+
+def test_probit_closed_form_is_the_posterior_aggregator():
+    worst = 0.0
+    for p in (0.0, 0.2):
+        params = GlmParams(gamma=2.0, alpha=0.5, p=p, link=ProbitLink(), n=100)
+        agg = OptimalSign.from_eta(0.8, params)
+        for u, yhat in ((-2.0, 1.0), (0.5, -1.0), (4.0, -1.0)):
+            g_ref = posterior_g(agg, u, yhat)
+            worst = max(worst, float(abs((agg.value_and_deriv(u, yhat)[0] - g_ref) / g_ref)))
+    # measured: 1.2e-15 relative (u = 4, yhat = -1, p = 0.2: yhat*r = -5.1)
+    assert worst <= 2e-15
+
+
+def threshold_error(rho, prior_var, noise_var):
+    """P(sign(U) != sign(Z + xi)) at overlap rho of U with the margin Z, by
+    quadrature: 2*E[Phi(-c*Z')*P(Z + xi > 0 | Z')] over the standardized
+    margin Z', c = rho/sqrt(1-rho^2), in the variable x = c*Z'."""
+    rho = mp.mpf(rho)
+    c = rho / mp.sqrt(1 - rho * rho)
+    if c == 0:
+        return mp.mpf(0.5)
+    if noise_var == 0.0:
+        return 2 / c * mp.quad(lambda x: mp.npdf(x / c) * mp.ncdf(-x), [0, mp.inf])
+    a = mp.sqrt(prior_var / noise_var) / c
+    return 2 / c * mp.quad(lambda x: mp.npdf(x / c) * mp.ncdf(-x) * mp.ncdf(a * x),
+                           [-mp.inf, 0, mp.inf])
+
+
+@pytest.mark.parametrize("link, gamma, alpha", [(SignLink(), 1.0, 0.5), (ProbitLink(), 2.0, 0.5),
+                                                (ProbitLink(), 8.0, 0.05)],
+                         ids=["sign", "probit", "probit-steep"])
+def test_error_curve(link, gamma, alpha):
+    params = GlmParams(gamma=gamma, alpha=alpha, p=0.2, link=link, n=100)
+    worst = 0.0
+    for rho in (0.0, 0.3, 0.9, 0.999, 1.0 - 1e-8):
+        ref = threshold_error(rho, params.prior_var, link.noise_var)
+        worst = max(worst, float(abs(_error_from_overlap(rho, params) - ref)))
+    # measured: 6.6e-17 absolute
+    assert worst <= 1.5e-16
+
+
+@pytest.mark.parametrize("gamma, alpha, p", [(2.0, 0.5, 0.2), (3.0, 0.1, 0.0), (8.0, 0.05, 0.1),
+                                             (0.5, 2.0, 0.45)])
+def test_probit_first_state(gamma, alpha, p):
+    params = GlmParams(gamma=gamma, alpha=alpha, p=p, link=ProbitLink(), n=100)
+    S = mp.sqrt(params.prior_var)
+    # mu_1 = (2/prior_var) * E[Z * hhat_p(Z)], Z = S*x ~ N(0, prior_var)
+    mu1 = 2 / S * mp.quad(lambda x: x * mp.npdf(x) * (p + (1 - 2 * mp.mpf(p)) * mp.ncdf(S * x)),
+                          [-mp.inf, 0, mp.inf])
+    state = se_init_glm(params)
+    # measured: 1.8e-16 relative
+    assert float(abs((state.mu - mu1) / mu1)) <= 4e-16
+    assert state.sigma == math.sqrt(alpha)
+    assert np.isfinite(state.eta)
