@@ -41,10 +41,8 @@ def main():
     for p in (float(tok) for tok in args.p_list.split(",")):
         params = GmmParams(gamma=args.gamma, alpha=args.alpha, p=p,
                            pi_plus=args.pi_plus, n=100)
-        rows = [(float(u),
-                 eta_map_opt(float(u), params),
-                 eta_map_ft(float(u), params),
-                 eta_map_ct(float(u), params)) for u in us]
+        rows = zip(us.tolist(), eta_map_opt(us, params).tolist(),
+                   eta_map_ft(us, params).tolist(), eta_map_ct(us, params).tolist())
         crossings = find_crossover(params)
         tag = f"p{p:.2f}".replace(".", "_")
         write_table(out / f"maps_{tag}.tsv",

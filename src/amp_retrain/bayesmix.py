@@ -4,7 +4,8 @@ Fit a two-component univariate Gaussian mixture to the unnormalized logits of
 a trained classifier, then combine each logit with its (noisy) given label
 into a soft retraining target via the posterior-mean rule with general
 component means/variances.  A desk-scale retraining demo iterates the recipe
-with a plain least-squares trainer.
+with a plain least-squares trainer, as a rule of the uncorrected retraining
+loop.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFitError, DomainError
-from .gmm import GmmParams, _label_arrays, sample_gmm_dataset, test_error_gmm
-from .numerics import RngStream, _matvec, _rmatvec
+from .errors import DegenerateFitError, DomainError
+from .gmm import GmmParams, _label_arrays, gmm_evaluator, sample_gmm_dataset
+from .numerics import RngStream
+from .retrain import run_hard_baseline
 
 
 # The EM fit: at most _EM_ITERATIONS iterations, stopping once the
@@ -170,37 +172,29 @@ def bayesmix_aggregate(z, yhat, fit: BimodalFit, p: float):
 @dataclass(frozen=True)
 class RetrainDemoResult:
     accuracies: List[float]   # clean-test accuracy after rounds 0..T-1
-    halted_at: Optional[int] = None  # round where the EM fit degenerated
+    halted_at: Optional[int] = None  # last round before the run halted (EM fit degenerated)
 
 
 def bayesmix_retrain_demo(params: GmmParams, T: int, rng: RngStream) -> RetrainDemoResult:
-    """Desk-scale retraining loop on Gaussian-mixture data.
+    """Desk-scale retraining on Gaussian-mixture data: T steps of
+    :func:`run_hard_baseline` with the BayesMix rule.
 
-    Round 0 trains the simplified linear model w = X^T targets / n on the
-    noisy labels (the standard tractable stand-in for the least-squares fit
-    in this data model; the fully sphered solution shrinks the class-mean
-    direction by 1 + gamma^2 and starves the mixture fit).  Each later round
-    fits the bimodal mixture to the current train logits, aggregates them
-    with the given labels into soft targets, and refits.  Accuracy is the
-    population clean-test accuracy of the current model.  The trainer is
-    deliberately simple; the aggregation rule is the point.
+    Round 0 trains the simplified linear model w = X^T y_noisy / sqrt(n) on
+    the noisy labels (the standard tractable stand-in for the least-squares
+    fit in this data model; the fully sphered solution shrinks the
+    class-mean direction by 1 + gamma^2 and starves the mixture fit).  Each
+    later round fits the bimodal mixture to the current train logits,
+    aggregates them with the given labels into soft targets, and refits.
+    Accuracy is the population clean-test accuracy of the current model.
+    The trainer is deliberately simple; the aggregation rule is the point.
     """
-    if T < 1:
-        raise ConfigError("T must be >= 1")
     data = sample_gmm_dataset(params, rng)
-    targets = data.y_noisy.astype(float)
-    accuracies: List[float] = []
-    halted_at = None
-    for rnd in range(T):
-        w = _rmatvec(data.X, targets) / data.n
-        accuracies.append(1.0 - test_error_gmm(w, data.mu))
-        if rnd == T - 1:
-            break
-        logits = _matvec(data.X, w)
-        try:
-            fit = fit_bimodal_em(logits)
-        except DegenerateFitError:
-            halted_at = rnd
-            break
-        targets = bayesmix_aggregate(logits, data.y_noisy, fit, params.p)
-    return RetrainDemoResult(accuracies=accuracies, halted_at=halted_at)
+
+    def rule(logits, y_noisy):
+        return bayesmix_aggregate(logits, y_noisy, fit_bimodal_em(logits), params.p)
+
+    traj = run_hard_baseline(data, rule, T, gmm_evaluator(data))
+    # the fit of round k fails in step t = k + 2, which diverged_at flags
+    halted_at = None if traj.diverged_at is None else traj.diverged_at - 2
+    return RetrainDemoResult(accuracies=[1.0 - e for e in traj.errors.tolist()],
+                             halted_at=halted_at)

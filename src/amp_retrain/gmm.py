@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, DomainError
-from .numerics import RngStream, _rmatvec, _square, stable_logistic, std_normal_cdf
+from .numerics import RngStream, _square, stable_logistic, std_normal_cdf
 
 
 # --------------------------------------------------------------------------
@@ -298,11 +298,6 @@ def test_error_gmm(theta: np.ndarray, mu: np.ndarray) -> float:
     if nrm == 0.0 or not np.isfinite(nrm):
         raise DegenerateModelError("model vector has zero or non-finite norm")
     return std_normal_cdf(-float(mu @ theta) / nrm)
-
-
-def vanilla_estimator(data: GmmDataset) -> np.ndarray:
-    """One-shot linear baseline X^T y_noisy / n (no retraining)."""
-    return _rmatvec(data.X, data.y_noisy) / data.n
 
 
 def gmm_evaluator(data: GmmDataset):

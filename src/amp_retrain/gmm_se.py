@@ -170,11 +170,8 @@ def eta_map_ft(u, params: GmmParams):
     """Sharp-limit map of full retraining:
     (gamma^2/alpha) * (2*Phi(gamma*sqrt(u/(1+u))) - 1)^2."""
     u = _checked_u(u)
-    return (
-        params.gamma**2
-        / params.alpha
-        * (2.0 * std_normal_cdf(params.gamma * np.sqrt(u / (1.0 + u))) - 1.0) ** 2
-    )
+    lift = 2.0 * std_normal_cdf(params.gamma * np.sqrt(u / (1.0 + u))) - 1.0
+    return params.gamma**2 / params.alpha * _square(lift, "2*Phi - 1")
 
 
 def eta_map_ct(u, params: GmmParams):
@@ -184,7 +181,8 @@ def eta_map_ct(u, params: GmmParams):
     u = _checked_u(u)
     eb = params.gamma**2 * u / (1.0 + u)
     phi = std_normal_cdf(np.sqrt(eb))
-    return params.gamma**2 / params.alpha * (phi - params.p) ** 2 / (params.p + (1 - 2 * params.p) * phi)
+    return (params.gamma**2 / params.alpha * _square(phi - params.p, "Phi - p")
+            / (params.p + (1 - 2 * params.p) * phi))
 
 
 _LIMIT_MAPS = {"ft_limit": eta_map_ft, "ct_limit": eta_map_ct}

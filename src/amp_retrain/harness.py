@@ -178,8 +178,20 @@ class ReplicationResult:
     diverged_at: Optional[int]
 
 
+def replication_data(config: ExperimentConfig, rep: int):
+    """(dataset, evaluate) of replication rep: the configured model's dataset
+    drawn from stream (master_seed, rep) and its model-vector scorer."""
+    params = build_params(config)
+    rng = RngStream(config.master_seed, rep)
+    if config.model == "gmm":
+        data = sample_gmm_dataset(params, rng)
+        return data, gmm_evaluator(data)
+    data = sample_glm_dataset(params, rng)
+    return data, glm_evaluator(data, params)
+
+
 def run_replication(config: ExperimentConfig, rep: int, schedule: Tuple) -> ReplicationResult:
-    """One full retraining run of the schedule on stream (master_seed, rep).
+    """One full retraining run of the schedule on :func:`replication_data`.
 
     Row t=0 is the one-shot baseline X^T y_noisy / scale^2.  The identity
     first step computes w_1 = X^T y_noisy / scale, so the baseline is
@@ -187,14 +199,7 @@ def run_replication(config: ExperimentConfig, rep: int, schedule: Tuple) -> Repl
     and its norm is step 1's over the scale.  A run that diverges at step 1
     has no t=0 row.
     """
-    params = build_params(config)
-    rng = RngStream(config.master_seed, rep)
-    if config.model == "gmm":
-        data = sample_gmm_dataset(params, rng)
-        evaluate = gmm_evaluator(data)
-    else:
-        data = sample_glm_dataset(params, rng)
-        evaluate = glm_evaluator(data, params)
+    data, evaluate = replication_data(config, rep)
     traj = run_retraining(data, schedule, evaluate)
     rows = [(pt.t, pt.error, pt.overlap, pt.model_norm) for pt in traj.points]
     if rows:

@@ -26,7 +26,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateModelError, DivergenceError, ShapeError
+from .errors import (ConfigError, DegenerateFitError, DegenerateModelError, DivergenceError,
+                     ShapeError)
 from .numerics import _matvec, _rmatvec
 
 Evaluate = Callable[[np.ndarray], Tuple[float, float]]
@@ -88,17 +89,16 @@ def amp_step(state: AmpState, X: np.ndarray, y_noisy: np.ndarray, scale: float,
 
 def _run(data, steps: Sequence, step: Callable, evaluate: Evaluate) -> Trajectory:
     """Apply step(state, entry) once per entry from the zero state, scoring
-    each iterate; divergence truncates and flags the trajectory."""
+    each iterate; divergence or a degenerate model or fit truncates the
+    trajectory and flags the step that failed."""
     state = AmpState(w=np.zeros(data.d), y_soft=np.zeros(data.n), t=0)
     points = []
     for entry in steps:
         try:
             state = step(state, entry)
             error, overlap = evaluate(state.w)
-        except DivergenceError as exc:
-            return Trajectory(points=points, diverged_at=exc.iteration)
-        except DegenerateModelError:
-            return Trajectory(points=points, diverged_at=state.t)
+        except (DivergenceError, DegenerateModelError, DegenerateFitError):
+            return Trajectory(points=points, diverged_at=len(points) + 1)
         points.append(TrajectoryPoint(t=state.t, error=error, overlap=overlap,
                                       model_norm=float(np.linalg.norm(state.w))))
     return Trajectory(points=points)
@@ -131,19 +131,20 @@ def _hard_consensus(y_soft, y_noisy):
     return y_noisy * (y_soft * y_noisy > 0)
 
 
-_HARD_RULES = {"full": _hard_full, "consensus": _hard_consensus}
+# the hard rules g(y_soft, y_noisy): the sign of the prediction ("full"), or the
+# given label where the prediction agrees with it and 0 elsewhere ("consensus")
+HARD_RULES = {"full": _hard_full, "consensus": _hard_consensus}
 
 
-def run_hard_baseline(data, rule: str, T: int, evaluate: Evaluate) -> Trajectory:
-    """Hard full/consensus retraining without memory-correction terms.
+def run_hard_baseline(data, rule: Callable, T: int, evaluate: Evaluate) -> Trajectory:
+    """T steps of retraining without memory correction.
 
-    The hard sign and indicator rules are not Lipschitz, so the corrected
+    The hard rules of :data:`HARD_RULES` are not Lipschitz, so the corrected
     iteration is undefined for them; this baseline simply iterates
     w' = X^T g / s, y' = X w' / s with g = y_noisy at the first step, then
-    g = sign(y) (rule "full") or g = yhat * 1{y*yhat > 0} (rule "consensus").
+    g = rule(y, yhat).  Any rule of that signature works; one that raises
+    :class:`DegenerateFitError` ends the trajectory there.
     """
-    if rule not in _HARD_RULES:
-        raise ConfigError(f"unknown hard baseline rule: {rule!r}")
     if T < 1:
         raise ConfigError("T must be >= 1")
 
@@ -154,4 +155,4 @@ def run_hard_baseline(data, rule: str, T: int, evaluate: Evaluate) -> Trajectory
             y_soft = _matvec(data.X, w) / data.scale
         return _checked(w, y_soft, state.t + 1)
 
-    return _run(data, (_given_labels,) + (_HARD_RULES[rule],) * (T - 1), step, evaluate)
+    return _run(data, (_given_labels,) + (rule,) * (T - 1), step, evaluate)

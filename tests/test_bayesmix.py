@@ -14,6 +14,8 @@ from amp_retrain.bayesmix import (
     bayesmix_retrain_demo,
     fit_bimodal_em,
 )
+from amp_retrain.cli import main as cli_main
+from amp_retrain.datafiles import read_table
 from amp_retrain.errors import ConfigError, DegenerateFitError, DomainError
 from amp_retrain.gmm import GmmParams, OptimalGmm
 from amp_retrain.numerics import RngStream
@@ -246,6 +248,30 @@ class TestRetrainDemo:
             result = bayesmix_retrain_demo(params, 8, RngStream(500 + seed))
             wins += result.accuracies[-1] > result.accuracies[0]
         assert wins >= 2
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_degenerate_fit_halts_the_demo(self, monkeypatch, tmp_path, k):
+        # the fit of round k's logits fails: rounds 0..k keep their accuracy
+        fit, calls = bayesmix.fit_bimodal_em, []
+
+        def failing(logits):
+            calls.append(len(calls))
+            if len(calls) == k + 1:
+                raise DegenerateFitError("forced")
+            return fit(logits)
+
+        monkeypatch.setattr(bayesmix, "fit_bimodal_em", failing)
+        params = GmmParams(gamma=2.0, alpha=0.1, p=0.3, pi_plus=0.5, n=500)
+        result = bayesmix_retrain_demo(params, 6, RngStream(8))
+        assert result.halted_at == k
+        assert len(result.accuracies) == k + 1
+        calls.clear()
+        assert cli_main(["bayesmix", "demo", "--p", "0.3", "--gamma", "2.0", "--alpha", "0.1",
+                         "--n", "500", "--rounds", "6", "--out", str(tmp_path)]) == 0
+        meta, _columns, rows = read_table(tmp_path / "demo.tsv")
+        assert meta["halted_at_round"] == str(k)
+        assert len(rows) == k + 1
+        assert (tmp_path / "demo.tsv").read_text().count(f"# halted_at_round: {k}\n") == 1
 
     def test_rejects_bad_rounds(self):
         params = GmmParams(gamma=2.0, alpha=0.1, p=0.3, pi_plus=0.5, n=100)

@@ -14,11 +14,11 @@ import pytest
 from amp_retrain import harness
 from amp_retrain.cli import build_parser, main
 from amp_retrain.datafiles import read_table, write_logit_file
-from amp_retrain.glm import sample_glm_dataset
 from amp_retrain.errors import ConfigError
-from amp_retrain.gmm import AGGREGATORS, GmmParams, sample_gmm_dataset, vanilla_estimator
+from amp_retrain.gmm import AGGREGATORS, GmmParams
 from amp_retrain.gmm_se import VARIANTS, SeMapSpec
-from amp_retrain.harness import ExperimentConfig, build_params, run_replication, se_trace
+from amp_retrain.harness import (ExperimentConfig, build_params, replication_data,
+                                 run_replication, se_trace)
 from amp_retrain.numerics import RngStream
 from amp_retrain.retrain import Trajectory
 
@@ -158,14 +158,11 @@ class TestSimulate:
         rows = run_replication(config, 1, se_trace(config)[1]).rows
         assert [r[0] for r in rows] == [0, 1, 2, 3]
         assert rows[0][1:3] == rows[1][1:3]
-        # the one-shot vector the baseline row used to be computed from
-        params, rng = build_params(config), RngStream(4, 1)
-        if model == "gmm":
-            one_shot = vanilla_estimator(sample_gmm_dataset(params, rng))
-        else:
-            data = sample_glm_dataset(params, rng)
-            # float32 products with the rows added in order, as the engine's
-            one_shot = (data.X * data.y_noisy.astype(np.float32)[:, None]).sum(axis=0)
+        # the one-shot vector X^T y_noisy / scale^2 the baseline row stands for,
+        # from float32 products with the rows added in order, as the engine's
+        data, _ = replication_data(config, 1)
+        row_sum = (data.X * data.y_noisy.astype(np.float32)[:, None]).sum(axis=0)
+        one_shot = row_sum / data.scale**2
         assert rows[0][3] == pytest.approx(np.linalg.norm(one_shot), rel=1e-12)
 
     def test_no_t0_row_when_step_1_diverges(self, monkeypatch):

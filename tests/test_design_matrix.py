@@ -17,9 +17,9 @@ from amp_retrain.bayesmix import bayesmix_retrain_demo
 from amp_retrain.cli import main
 from amp_retrain.errors import DivergenceError
 from amp_retrain.glm import GlmParams, OptimalSign, SignLink, sample_glm_dataset
-from amp_retrain.gmm import GmmParams, OptimalGmm, sample_gmm_dataset, vanilla_estimator
+from amp_retrain.gmm import GmmParams, OptimalGmm, sample_gmm_dataset
 from amp_retrain.numerics import RngStream
-from amp_retrain.retrain import AmpState, amp_step, run_hard_baseline
+from amp_retrain.retrain import HARD_RULES, AmpState, amp_step, run_hard_baseline
 
 GMM = GmmParams(gamma=1.5, alpha=0.5, p=0.3, pi_plus=0.3, n=2000, d=1000)
 GLM = GlmParams(gamma=1.0, alpha=0.5, p=0.2, link=SignLink(), n=2000, d=1000)
@@ -96,13 +96,9 @@ class TestNoUpcastCopy:
     def test_hard_baseline(self, n, d, rule):
         data = sample_glm_dataset(replace(GLM, n=n, d=d), RngStream(2))
         evaluate = lambda w: (0.0, 0.0)
-        peak, traj = traced_peak(lambda: run_hard_baseline(data, rule, 2, evaluate))
+        peak, traj = traced_peak(
+            lambda: run_hard_baseline(data, HARD_RULES[rule], 2, evaluate))
         assert len(traj.points) == 2
-        assert peak < self.LIMIT * data.X.nbytes
-
-    def test_vanilla_estimator(self, n, d):
-        data = sample_gmm_dataset(replace(GMM, n=n, d=d), RngStream(2))
-        peak, _ = traced_peak(lambda: vanilla_estimator(data))
         assert peak < self.LIMIT * data.X.nbytes
 
     def test_glm_margins(self, monkeypatch, n, d):

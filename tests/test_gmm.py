@@ -21,13 +21,13 @@ from amp_retrain.gmm import (
     SmoothedFullRT,
     gmm_evaluator,
     sample_gmm_dataset,
-    vanilla_estimator,
 )
 from amp_retrain.gmm import test_error_gmm as gmm_error
 from amp_retrain.glm import GlmParams, LogisticLink, OptimalGlm, OptimalSign, SignLink
 from amp_retrain.gmm_se import SeStateGmm, label_atoms, se_init_gmm
 from amp_retrain.numerics import RngStream, gauss_hermite, std_normal_cdf
 from amp_retrain.retrain import (
+    HARD_RULES,
     AmpState,
     amp_step,
     run_hard_baseline,
@@ -344,7 +344,23 @@ class TestTestError:
         )
 
 
+def first_iterate(data):
+    """w_1 = X^T y_noisy / sqrt(n) of the identity first step, as the engine
+    hands it to evaluate."""
+    iterates = []
+
+    def evaluate(w):
+        iterates.append(w)
+        return 0.0, 0.0
+
+    run_retraining(data, (IdentityAggregator(),), evaluate)
+    return iterates[0]
+
+
 class TestVanilla:
+    """The one-shot (vanilla) estimator X^T y_noisy / n is the identity first
+    step over sqrt(n)."""
+
     def test_aligned_mean_recovery(self):
         d = 40
         n = 20000
@@ -356,19 +372,19 @@ class TestVanilla:
         mu[0] = gamma
         X = y[:, None] * mu[None, :] + gen.standard_normal((n, d))
         data = GmmDataset(X=X, y_true=y, y_noisy=y, mu=mu)
-        est = vanilla_estimator(data)
+        est = first_iterate(data) / math.sqrt(n)
         assert abs(est[0] - gamma) <= 5 / math.sqrt(n)
 
     def test_zero_matrix(self):
         data = GmmDataset(X=np.zeros((4, 3)), y_true=np.ones(4),
                           y_noisy=np.ones(4), mu=np.ones(3))
-        assert np.array_equal(vanilla_estimator(data), np.zeros(3))
+        assert np.array_equal(first_iterate(data), np.zeros(3))
 
     def test_linearity_in_labels(self):
         data = sample_gmm_dataset(params_for(n=50), RngStream(4))
         flipped = GmmDataset(X=data.X, y_true=data.y_true,
                              y_noisy=-data.y_noisy, mu=data.mu)
-        assert np.array_equal(vanilla_estimator(flipped), -vanilla_estimator(data))
+        assert np.array_equal(first_iterate(flipped), -first_iterate(data))
 
 
 class TestRunRetraining:
@@ -418,9 +434,9 @@ class TestRunRetraining:
     def test_hard_baselines_run(self):
         params = params_for(gamma=1.0, alpha=0.8, p=0.2, pi_plus=0.3, n=300)
         data = sample_gmm_dataset(params, RngStream(17))
-        for rule in ("full", "consensus"):
+        for rule in HARD_RULES.values():
             traj = run_hard_baseline(data, rule, 5, gmm_evaluator(data))
             assert len(traj.points) == 5
             assert all(0.0 <= pt.error <= 1.0 for pt in traj.points)
         with pytest.raises(ConfigError):
-            run_hard_baseline(data, "soft", 3, gmm_evaluator(data))
+            run_hard_baseline(data, HARD_RULES["full"], 0, gmm_evaluator(data))

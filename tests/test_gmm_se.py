@@ -255,6 +255,14 @@ class TestArrayMaps:
         assert np.array_equal(spec(self.GRID.reshape(3, -1)), values.reshape(3, -1))
         assert isinstance(spec(0.5), float)
 
+    @pytest.mark.parametrize("fmap", [eta_map_ft, eta_map_ct])
+    def test_limit_maps_square_as_a_float_does(self, fmap):
+        # at u 5.235 and 7.69 (ft) and 4.35 (ct) numpy's x*x of the squared
+        # term is 1 ulp off the C pow of a float's **
+        params = params_for(p=0.25)
+        us = np.linspace(0.0, 8.0, 1601)
+        assert np.array_equal(fmap(us, params), [fmap(float(u), params) for u in us])
+
     def test_constant_map_runs_in_blocks(self, monkeypatch):
         # one call of the kernel per block of points, each block's arrays
         # within numerics._MAP_BLOCK_ELEMENTS
