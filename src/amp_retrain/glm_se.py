@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .glm import GlmParams, OptimalGlm, OptimalSign, _error_from_overlap, hat_h_p
-from .numerics import _map_blocks, _square, expect_output_channel, gaussian_rule
+from .numerics import _map_blocks, _square, gaussian_rule
 
 # Quadrature order of the first state's rule over the latent margin and of
 # each step's rule over the prediction; the posterior rule's is glm.ORDER.
@@ -115,16 +115,18 @@ def _step(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm:
     with np.errstate(over="ignore"):   # an infinite sd is refused by the rule
         sd = np.sqrt(_square(state.mu, "mu") * params.prior_var + _square(state.sigma, "sigma"))
     u, uw = gaussian_rule(0.0, sd, () if agg is None else agg.y_breakpoints, DEFAULT_ORDER)
-    *star_values, prob_plus = star.label_values(u)
+    *star_values, q = star.label_values(u)
     values = (star_values if agg is None
               else [agg.value_and_deriv(u, lab)[0] for lab in (1.0, -1.0)])
-    # the kernel's latent is Z_t itself, as a point mass (sd 0): one column per
-    # node; for g = g*, the one integrand g*.g* gives mu' and E[g^2]
-    integrands = [[(f * g)[..., None] for f in ((g,) if agg is None else (s, g))]
-                  for s, g in zip(star_values, values)]
-    moments = expect_output_channel(u, uw, prob_plus, 1.0, 0.0, (), lambda _: integrands,
-                                    DEFAULT_ORDER)
-    mu_next, e_gg = moments[0], moments[-1]
+    g_plus, g_minus = values
+
+    def expect(f_plus, f_minus):
+        """E[f(U, Yhat)] from f's values at the labels +1 and -1 on U's nodes."""
+        return ((uw * q) * f_plus).sum(axis=-1) + ((uw * (1.0 - q)) * f_minus).sum(axis=-1)
+
+    # for g = g*, the one integrand g*.g* gives mu' and E[g^2]
+    e_gg = expect(g_plus * g_plus, g_minus * g_minus)
+    mu_next = e_gg if agg is None else expect(star_values[0] * g_plus, star_values[1] * g_minus)
     s2 = params.alpha * e_gg
     if not np.all((s2 > 0) & np.isfinite(s2) & np.isfinite(mu_next)):
         raise DomainError("state-evolution expectation degenerate or non-finite")

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import BracketError, ConfigError, DomainError
 from .gmm import AGGREGATORS, GmmParams, OptimalGmm, aggregator_from_name
-from .numerics import (_map_blocks, _square, expect_output_channel, find_root_bisect,
-                       gaussian_rule, std_normal_cdf)
+from .numerics import _map_blocks, _square, find_root_bisect, gaussian_rule, std_normal_cdf
 
 # Quadrature order of every expectation here (SE steps and maps).  The optimal
 # aggregator can be a steep tanh, and the self-consistency identities are
@@ -86,23 +85,46 @@ def label_atoms(params: GmmParams) -> List[Tuple[float, float, float]]:
     ]
 
 
-def _class_moments(agg, m_bar: float, sigma_bar: float, params: GmmParams) -> Tuple[float, float]:
-    """(E[g*Y], E[g^2]) over the classes Y, the flipped label and the Gaussian
-    channel N(m_bar*Y, sigma_bar^2); sigma_bar = 0 is the point mass m_bar*Y.
+def _class_moments(agg, m_bar, sigma_bar, params: GmmParams):
+    """[E[g*Y], E[g^2]] over the classes Y = +-1 (weights pi_plus, pi_minus),
+    the given label (Y with probability 1 - p) and U ~ N(m_bar*Y, sigma_bar^2)
+    on a rule split at the aggregator's transition points (the logistic
+    surrogates are steep at large beta); sigma_bar = 0 is the point mass.
 
-    The rule is split at the transition points an aggregator declares (the
-    logistic surrogates, steep at large beta); a global Hermite rule
-    under-resolves their transition layer.
+    m_bar and sigma_bar may be arrays, one channel per index, each element
+    with the bits of its channel alone; one channel gives floats.
     """
     classes = np.array([1.0, -1.0])
-
-    def integrands(u):
-        return [(g * classes[:, None], g * g)
-                for g in (agg.value_and_deriv(u, 1.0)[0], agg.value_and_deriv(u, -1.0)[0])]
-
-    return expect_output_channel(classes, (params.pi_plus, params.pi_minus),
-                                 (1.0 - params.p, params.p), m_bar, sigma_bar,
-                                 agg.y_breakpoints, integrands, DEFAULT_ORDER)
+    mean = np.asarray(m_bar, dtype=float)[..., None] * classes
+    sd = np.asarray(sigma_bar, dtype=float)
+    shape = np.broadcast_shapes(mean.shape[:-1], sd.shape)
+    point = sd == 0.0
+    if point.all() or not point.any():
+        groups = [(..., bool(point.all()))]
+    else:
+        point, sd = np.broadcast_to(point, shape), np.broadcast_to(sd, shape)
+        mean = np.broadcast_to(mean, shape + (2,))
+        groups = [(point, True), (~point, False)]
+    # per class (rows): its weight and P(Yhat = +1 | Y)
+    weight = np.array([[params.pi_plus], [params.pi_minus]])
+    q = np.array([[1.0 - params.p], [params.p]])
+    out = np.empty((2,) + shape)
+    for rows, point_mass in groups:
+        if point_mass:
+            u, uw = mean[rows][..., None], np.ones(1)
+        else:
+            u, uw = gaussian_rule(mean[rows], sd[rows][..., None], agg.y_breakpoints,
+                                  DEFAULT_ORDER)
+        w, y = weight * uw, classes[:, None]
+        g_plus, g_minus = (agg.value_and_deriv(u, lab)[0] for lab in (1.0, -1.0))
+        for k, (f_plus, f_minus) in enumerate([(g_plus * y, g_minus * y),
+                                               (g_plus * g_plus, g_minus * g_minus)]):
+            # each channel's sum runs over its own (classes x nodes) row, in the
+            # order of the channel alone, so it has that channel's bits
+            plus, minus = w * q * f_plus, w * (1.0 - q) * f_minus
+            out[k, ...][rows] = (plus.reshape(plus.shape[:-2] + (-1,)).sum(axis=-1)
+                                 + minus.reshape(minus.shape[:-2] + (-1,)).sum(axis=-1))
+    return [float(e) for e in out] if not shape else list(out)
 
 
 def se_step_gmm(state: SeStateGmm, agg, params: GmmParams) -> SeStateGmm:

@@ -1,10 +1,9 @@
 """Shared numerical kernels.
 
 The standard normal CDF and erfcx, one builder of quadrature rules for
-Gaussian expectations, the output-channel expectation of a state-evolution
-step, bisection root finding, an overflow-safe logistic, deterministic
-splittable RNG streams with a block-parallel Gaussian matrix sampler, and
-the two products with a design matrix.
+Gaussian expectations, bisection root finding, an overflow-safe logistic,
+deterministic splittable RNG streams with a block-parallel Gaussian matrix
+sampler, and the two products with a design matrix.
 
 Quadrature conventions
 ----------------------
@@ -508,62 +507,6 @@ def _rule_at(sd, breakpoints: Sequence[float], order: int):
         return nodes.reshape(shape), weights.reshape(shape)
 
     return place
-
-
-def expect_output_channel(latent, latent_weights, label_prob, gain, sd,
-                          breakpoints: Sequence[float], values_fn, order: int):
-    """E[f(U, Yhat)] for each integrand f of ``values_fn``: the output-channel
-    expectation of a state-evolution step, for one channel or an array of
-    them.
-
-    The latent L takes the values ``latent`` (last axis) with probabilities
-    ``latent_weights``; given L the label Yhat is +1 with probability
-    ``label_prob`` (q(L), one per latent value) and -1 otherwise, and the
-    prediction is U ~ N(gain*L, sd^2) on :func:`gaussian_rule` split at
-    ``breakpoints``.  sd = 0 is the point mass U = gain*L.
-
-    ``gain`` and ``sd`` may be arrays, one channel per index; the leading
-    axes of ``latent``, ``latent_weights`` and ``label_prob`` may index the
-    channels too.  Each expectation is then an array of the channels' shape,
-    each element with the bits of its channel alone; for one channel it is a
-    float.  Channels with sd = 0 are point masses, the others use rules.
-
-    ``values_fn(u)``, with u of shape channels + (latent values, nodes),
-    returns (integrands at label +1, integrands at label -1), each a sequence
-    of arrays that broadcast with u; u[..., i, :] belongs to latent value i.
-    It is called once, or, where some channels are point masses and some are
-    not, once for each kind, with those channels in order along one axis.
-    """
-    mean = np.asarray(gain, dtype=float)[..., None] * np.asarray(latent, dtype=float)
-    sd = np.asarray(sd, dtype=float)
-    hp = np.asarray(label_prob, dtype=float)
-    lw = np.asarray(latent_weights, dtype=float)
-    shape = np.broadcast_shapes(mean.shape[:-1], sd.shape, hp.shape[:-1], lw.shape[:-1])
-    point = sd == 0.0
-    if point.all() or not point.any():   # one kind of channel: all at once
-        groups = [(..., bool(point.all()))]
-    else:   # each kind's channels, in order
-        per_latent = shape + mean.shape[-1:]
-        point, sd = np.broadcast_to(point, shape), np.broadcast_to(sd, shape)
-        mean, hp, lw = (np.broadcast_to(a, per_latent) for a in (mean, hp, lw))
-        groups = [(point, True), (~point, False)]
-    out = None
-    for rows, point_mass in groups:
-        if point_mass:
-            u, uw = mean[rows][..., None], np.ones(1)
-        else:
-            u, uw = gaussian_rule(mean[rows], sd[rows][..., None], breakpoints, order)
-        q, w2 = hp[rows][..., None], lw[rows][..., None] * uw
-        plus, minus = values_fn(u)
-        if out is None:
-            out = np.empty((len(plus),) + shape)
-        # a channel's sum runs over its own contiguous row, in the order of the
-        # channel alone, so it has that channel's bits
-        for k, (a, b) in enumerate(zip(plus, minus)):
-            first, second = w2 * q * a, w2 * (1.0 - q) * b
-            out[k, ...][rows] = (first.reshape(first.shape[:-2] + (-1,)).sum(axis=-1)
-                                 + second.reshape(second.shape[:-2] + (-1,)).sum(axis=-1))
-    return [float(e) for e in out] if not shape else list(out)
 
 
 def find_root_bisect(

@@ -33,7 +33,7 @@ from amp_retrain.glm_se import (
     se_step_glm_opt,
 )
 from amp_retrain.harness import ExperimentConfig, build_params, se_states
-from amp_retrain.numerics import expect_output_channel, gaussian_rule
+from amp_retrain.numerics import gaussian_rule
 from amp_retrain.retrain import AmpState, amp_step
 
 
@@ -429,17 +429,14 @@ class TestMeanUpdateIsTheMatchedAggregator:
 def reference_step(state, agg, params, order=82):
     """se_step_glm_generic on a finer (latent margin, prediction) grid."""
     star = optimal_aggregator_for_state(state, params)
-
-    def integrands(u):
-        star_plus, star_minus, _ = star.label_values(u)
-        return [(s * g, g * g) for s, g in zip((star_plus, star_minus),
-                                                (agg.value_and_deriv(u, 1.0)[0],
-                                                 agg.value_and_deriv(u, -1.0)[0]))]
-
     z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, order)
-    mu, e_gg = expect_output_channel(z, zw, hat_h_p(z, params.link, params.p), state.mu,
-                                     state.sigma, agg.y_breakpoints, integrands, order)
-    return SeStateGlm(mu=mu, sigma=math.sqrt(params.alpha * e_gg))
+    u, uw = gaussian_rule(state.mu * z, state.sigma, agg.y_breakpoints, order)   # a row per z
+    q, w = hat_h_p(z, params.link, params.p)[:, None], zw[:, None] * uw
+    star_plus, star_minus, _ = star.label_values(u)
+    g_plus, g_minus = (agg.value_and_deriv(u, lab)[0] for lab in (1.0, -1.0))
+    mu = np.sum(w * (q * star_plus * g_plus + (1 - q) * star_minus * g_minus))
+    e_gg = np.sum(w * (q * g_plus**2 + (1 - q) * g_minus**2))
+    return SeStateGlm(mu=float(mu), sigma=math.sqrt(params.alpha * e_gg))
 
 
 class TestFixedOrdersResolveTheTrace:

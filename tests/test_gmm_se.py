@@ -264,21 +264,43 @@ class TestArrayMaps:
         assert np.array_equal(fmap(us, params), [fmap(float(u), params) for u in us])
 
     def test_constant_map_runs_in_blocks(self, monkeypatch):
-        # one call of the kernel per block of points, each block's arrays
+        # one call of _class_moments per block of points, each block's arrays
         # within numerics._MAP_BLOCK_ELEMENTS
         calls = []
-        kernel = gmm_se.expect_output_channel
+        moments = gmm_se._class_moments
 
-        def counting(latent, weights, probs, gain, sd, *rest):
-            calls.append(np.size(gain))
-            return kernel(latent, weights, probs, gain, sd, *rest)
+        def counting(agg, m_bar, sigma_bar, params):
+            calls.append(np.size(m_bar))
+            return moments(agg, m_bar, sigma_bar, params)
 
-        monkeypatch.setattr(gmm_se, "expect_output_channel", counting)
+        monkeypatch.setattr(gmm_se, "_class_moments", counting)
         spec = SeMapSpec("smoothed_ft", FIG_MAP_PARAMS, 20.0)
         spec(self.GRID)
         per_block = numerics._MAP_BLOCK_ELEMENTS // (2 * 2 * gmm_se.DEFAULT_ORDER)
         assert calls == [per_block] * (self.GRID.size // per_block) + [
             self.GRID.size % per_block]
+
+
+class TestClassMoments:
+    class Step:
+        """g(u, yhat) = yhat * [u > 0], which jumps at its breakpoint 0."""
+
+        y_breakpoints = (0.0,)
+
+        def value_and_deriv(self, u, yhat):
+            return yhat * (u > 0.0), np.zeros(np.shape(u))
+
+    def test_two_classes_against_enumeration(self):
+        # U | Y ~ N(m_bar*Y, sigma_bar^2), so P(U > 0 | Y) = Phi(m_bar*Y/sigma_bar)
+        # (the jump needs the breakpoint); E[g^2] = P(U > 0) and, as the given
+        # label is Y with probability 1 - p, E[g*Y] = (1 - 2p) P(U > 0)
+        params = params_for(p=0.2, pi_plus=0.3)
+        m_bar, sigma_bar = 0.9, 0.6
+        e_gy, e_gg = gmm_se._class_moments(self.Step(), m_bar, sigma_bar, params)
+        positive = (0.3 * std_normal_cdf(m_bar / sigma_bar)
+                    + 0.7 * std_normal_cdf(-m_bar / sigma_bar))
+        assert e_gg == pytest.approx(positive, abs=1e-12)
+        assert e_gy == pytest.approx((1 - 2 * 0.2) * positive, abs=1e-12)
 
 
 class TestFixedPoints:

@@ -14,7 +14,6 @@ from amp_retrain import numerics
 from amp_retrain.errors import BracketError, ConfigError, DomainError
 from amp_retrain.numerics import (
     RngStream,
-    expect_output_channel,
     find_root_bisect,
     gauss_hermite,
     gauss_legendre,
@@ -323,81 +322,6 @@ def legendre_reference(mpmath, n):
     mirrored = n // 2
     return ([-x for x in nodes[:mirrored]] + nodes[::-1],
             weights[:mirrored] + weights[::-1])
-
-
-class TestOutputChannel:
-    def test_point_mass(self):
-        seen = []
-
-        def values(u):
-            seen.append(u)
-            return (np.cos(u), u), (u * u, np.ones_like(u))
-
-        got = expect_output_channel([0.5, -2.0, 3.0], (0.2, 0.5, 0.3), (0.9, 0.4, 0.1), 1.5, 0.0,
-                                    (0.0,), values, 61)
-        assert np.array_equal(seen[0], [[0.75], [-3.0], [4.5]])
-        # enumeration of the (latent, label) atoms at U = 1.5 * L
-        atoms = [(0.2 * 0.9, 0.75, 1), (0.2 * 0.1, 0.75, -1), (0.5 * 0.4, -3.0, 1),
-                 (0.5 * 0.6, -3.0, -1), (0.3 * 0.1, 4.5, 1), (0.3 * 0.9, 4.5, -1)]
-        first = sum(w * (math.cos(u) if lab > 0 else u * u) for w, u, lab in atoms)
-        second = sum(w * (u if lab > 0 else 1.0) for w, u, lab in atoms)
-        assert got == pytest.approx([first, second], rel=1e-15)
-
-    def test_two_atoms_against_enumeration(self):
-        # U | L ~ N(gain*L, sd^2): E[U] = gain*L, E[U^2] = (gain*L)^2 + sd^2,
-        # P(U > 0) = Phi(gain*L/sd) (the jump needs the breakpoint)
-        gain, sd = 0.9, 0.6
-
-        def values(u):
-            return (u, (u > 0).astype(float)), (u * u, np.zeros_like(u))
-
-        got = expect_output_channel([1.0, -1.0], (0.3, 0.7), (0.8, 0.25), gain, sd, (0.0,),
-                                    values, 61)
-        first = second = 0.0
-        for lat, w, q in zip((1.0, -1.0), (0.3, 0.7), (0.8, 0.25)):
-            mean = gain * lat
-            first += w * (q * mean + (1 - q) * (mean * mean + sd * sd))
-            second += w * q * std_normal_cdf(mean / sd)
-        assert got == pytest.approx([first, second], abs=1e-12)
-
-
-    @pytest.mark.parametrize("breakpoints", [(), (0.0,)])
-    def test_array_of_channels_equals_each_channel(self, breakpoints):
-        # channels with sd 0 (point masses) among rule channels, and per-channel
-        # label probabilities: each element has the bits of its channel alone
-        gains = np.array([0.9, 0.0, -1.3, 2.0, 0.4])
-        sds = np.array([0.6, 0.0, 1.1, 0.0, 3.0])
-        probs = np.array([[0.8, 0.25], [0.5, 0.5], [0.1, 0.7], [0.9, 0.2], [0.6, 0.3]])
-        seen = []
-
-        def values(u):
-            seen.append(u.shape)
-            return (u, np.tanh(u)), (u * u, np.cos(u))
-
-        got = expect_output_channel([1.0, -1.0], (0.3, 0.7), probs, gains, sds, breakpoints,
-                                    values, 61)
-        nodes = 61 * (len(breakpoints) + 1)
-        assert seen == [(2, 2, 1), (3, 2, nodes)]   # the point masses, then the rules
-        for k in range(gains.size):
-            alone = expect_output_channel([1.0, -1.0], (0.3, 0.7), probs[k], gains[k], sds[k],
-                                          breakpoints, values, 61)
-            assert [e[k] for e in got] == alone
-        assert all(isinstance(e, float) for e in alone)
-
-    def test_channels_on_the_leading_axes_of_the_latent(self):
-        # a latent of its own per channel (one row each), with one rule for all
-        latent = np.array([[0.5, -2.0, 3.0], [1.0, 0.0, -1.0]])
-        gains = np.array([1.5, 0.7])
-
-        def values(u):
-            return (np.cos(u), u), (u * u, np.ones_like(u))
-
-        got = expect_output_channel(latent, (0.2, 0.5, 0.3), latent * 0.1 + 0.4, gains, 0.8, (),
-                                    values, 61)
-        for k in range(2):
-            alone = expect_output_channel(latent[k], (0.2, 0.5, 0.3), latent[k] * 0.1 + 0.4,
-                                          gains[k], 0.8, (), values, 61)
-            assert [e[k] for e in got] == alone
 
 
 class TestSquare:
