@@ -124,9 +124,11 @@ def _step(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm:
         """E[f(U, Yhat)] from f's values at the labels +1 and -1 on U's nodes."""
         return ((uw * q) * f_plus).sum(axis=-1) + ((uw * (1.0 - q)) * f_minus).sum(axis=-1)
 
-    # for g = g*, the one integrand g*.g* gives mu' and E[g^2]
+    # for g = g*, the one integrand g*.g* gives mu' and E[g^2]; E[g* | U] = 0,
+    # so a g equal at both labels on every node has mu' = 0 exactly
     e_gg = expect(g_plus * g_plus, g_minus * g_minus)
-    mu_next = e_gg if agg is None else expect(star_values[0] * g_plus, star_values[1] * g_minus)
+    mu_next = (e_gg if agg is None else 0.0 * e_gg if np.array_equal(g_plus, g_minus)
+               else expect(star_values[0] * g_plus, star_values[1] * g_minus))
     s2 = params.alpha * e_gg
     if not np.all((s2 > 0) & np.isfinite(s2) & np.isfinite(mu_next)):
         raise DomainError("state-evolution expectation degenerate or non-finite")

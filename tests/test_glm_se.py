@@ -32,7 +32,7 @@ from amp_retrain.glm_se import (
     se_step_glm_generic,
     se_step_glm_opt,
 )
-from amp_retrain.harness import ExperimentConfig, build_params, se_states
+from amp_retrain.harness import ExperimentConfig, build_params, se_rows, se_states
 from amp_retrain.numerics import gaussian_rule
 from amp_retrain.retrain import AmpState, amp_step
 
@@ -235,7 +235,16 @@ class TestSmoothedAggregators:
             params = GlmParams(gamma=1.0, alpha=0.5, p=0.2, link=link, n=100)
             for beta in (5.0, 20.0):
                 nxt = se_step_glm_generic(se_init_glm(params), SmoothedFullRT(beta), params)
-                assert abs(nxt.mu) <= 1e-13, (link, beta, nxt.mu)
+                assert nxt.mu == 0.0, (link, beta, nxt.mu)
+
+    @pytest.mark.parametrize("link, gamma, alpha, p, beta", [("probit", 8.0, 0.05, 0.1, 5.0),
+                                                              ("logistic", 2.0, 0.5, 0.2, 20.0)])
+    def test_label_blind_trace_is_exactly_chance(self, link, gamma, alpha, p, beta):
+        # from step 2 on, eta is 0 and the predicted error 1/2 exactly, not
+        # rounding noise about them (eta -4.2e-17, error 0.5000000000000001)
+        config = ExperimentConfig(model="glm", link=link, gamma=gamma, alpha=alpha, p=p, n=100,
+                                  iterations=6, aggregator="smoothed_ft", beta=beta)
+        assert [row[1:] for row in se_rows(config, "smoothed_ft")[1:]] == [(0.0, 0.5)] * 5
 
     def test_consensus_resolved_at_default_order(self):
         # reference E[g^2] for g = yhat * sigmoid(beta * u * yhat): the latent
