@@ -406,13 +406,17 @@ def error_curve_glm(rho: float, params: GlmParams) -> float:
 
     E_Z[Phi(rho*Z/sqrt(1-rho^2))*(1-h(sqrt(alpha)*gamma*Z))
         + Phi(-rho*Z/sqrt(1-rho^2))*h(sqrt(alpha)*gamma*Z)],  Z ~ N(0,1).
-    Links with jumps are integrated piecewise.  Decreasing in rho whenever
+    Where c = rho/sqrt(1-rho^2) is not 0, the rule is split at 0 and at
+    +-8/c, where Phi(c*z) turns from 0 to 1 (a step at 0 as rho nears 1);
+    it is split at the link's jumps too.  Decreasing in rho whenever
     h(u) > h(-u) for u > 0.
     """
     if not (-1.0 <= rho <= 1.0):
         raise DomainError("rho must lie in [-1, 1]")
     scale = math.sqrt(params.alpha) * params.gamma_eff
+    breakpoints = {b / scale for b in params.link.discontinuities}
     if abs(rho) >= 1.0 - 1e-14:
+        breakpoints.add(0.0)
         sgn = 1.0 if rho > 0 else -1.0
 
         def integrand(z):
@@ -420,13 +424,15 @@ def error_curve_glm(rho: float, params: GlmParams) -> float:
             return np.where(sgn * z >= 0, 1.0 - hv, hv)
     else:
         coef = rho / math.sqrt(1.0 - rho * rho)
+        if coef != 0.0:   # Phi(c*z) turns from 0 to 1 on |z| < 8/|c|
+            breakpoints |= {0.0, 8.0 / coef, -8.0 / coef}
 
         def integrand(z):
             hv = params.link.h(scale * z)
             phi_pos, phi_neg = _ndtr(np.stack([coef * z, -coef * z]))   # one kernel call
             return phi_pos * (1.0 - hv) + phi_neg * hv
 
-    z, w = gaussian_rule(0.0, 1.0, [b / scale for b in params.link.discontinuities], ORDER)
+    z, w = gaussian_rule(0.0, 1.0, sorted(breakpoints), ORDER)
     return float(integrand(z) @ w)
 
 

@@ -1,10 +1,11 @@
-"""The Gaussian-threshold closed forms against high-precision mpmath references.
+"""Theory values against high-precision mpmath references.
 
 The sign link (noise_var 0) and the probit link (noise_var 1) share one
-closed-form aggregator, error curve and first state-evolution state.  Each
-tolerance is pinned from the largest gap measured on these points (quoted
-beside it).  The quadrature references run at 20 digits, the closed form
-and its numerical derivative at 40.
+closed-form aggregator, error curve and first state-evolution state; the
+logistic link has the quadrature error curve.  Each tolerance is pinned
+from the largest gap measured on these points (quoted beside it).  The
+quadrature references run at 20 or 25 digits, the closed form and its
+numerical derivative at 40.
 """
 
 import math
@@ -12,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from amp_retrain.glm import (GlmParams, OptimalSign, ProbitLink, SignLink, _error_from_overlap)
+from amp_retrain.glm import (GlmParams, LogisticLink, OptimalSign, ProbitLink, SignLink,
+                              _error_from_overlap)
 from amp_retrain.glm_se import se_init_glm
 
 mp = pytest.importorskip("mpmath")
@@ -119,6 +121,28 @@ def test_error_curve(link, gamma, alpha):
         worst = max(worst, float(abs(_error_from_overlap(rho, params) - ref)))
     # measured: 6.6e-17 absolute
     assert worst <= 1.5e-16
+
+
+def test_logistic_error_curve_near_overlap_one():
+    # E_Z[Phi(c*Z)*(1 - h(s*Z)) + Phi(-c*Z)*h(s*Z)], c = rho/sqrt(1-rho^2), whose
+    # Phi(c*Z) nears a step at 0 as rho nears 1
+    params = GlmParams(gamma=2.0, alpha=0.5, p=0.2, link=LogisticLink(), n=100)
+    s = math.sqrt(params.alpha) * params.gamma
+    worst = 0.0
+    with mp.workdps(25):
+        for rho in (0.0, 0.83, 0.9, 0.99, 0.99999, 1.0 - 1e-8):
+            c = mp.mpf(rho) / mp.sqrt(1 - mp.mpf(rho) ** 2)
+
+            def f(z):
+                h = 1 / (1 + mp.exp(-s * z))
+                return mp.npdf(z) * (mp.ncdf(c * z) * (1 - h) + mp.ncdf(-c * z) * h)
+
+            ref = mp.quad(f, [-mp.inf, 0, mp.inf] if c == 0 else
+                          [-mp.inf, -8 / c, 0, 8 / c, mp.inf])
+            worst = max(worst, float(abs(_error_from_overlap(rho, params) - ref)))
+    # measured: 7.7e-16 absolute (rho 0.99999); 0.16.0's unsplit Hermite rule
+    # was off by 1.8e-10 at rho 0.9 and 3.8e-3 at 1 - 1e-8
+    assert worst <= 1e-15
 
 
 @pytest.mark.parametrize("gamma, alpha, p", [(2.0, 0.5, 0.2), (3.0, 0.1, 0.0), (8.0, 0.05, 0.1),
