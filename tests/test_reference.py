@@ -2,7 +2,8 @@
 
 The sign link (noise_var 0) and the probit link (noise_var 1) share one
 closed-form aggregator, error curve and first state-evolution state; the
-logistic link has the quadrature error curve.  Each tolerance is pinned
+logistic link has the quadrature error curve, and the mixture the optimal
+map and state-evolution step, both by quadrature.  Each tolerance is pinned
 from the largest gap measured on these points (quoted beside it).  The
 quadrature references run at 20 or 25 digits, the closed form and its
 numerical derivative at 40.
@@ -16,6 +17,8 @@ import pytest
 from amp_retrain.glm import (GlmParams, LogisticLink, OptimalSign, ProbitLink, SignLink,
                               _error_from_overlap)
 from amp_retrain.glm_se import se_init_glm
+from amp_retrain.gmm import GmmParams, OptimalGmm
+from amp_retrain.gmm_se import eta_map_opt, se_init_gmm, se_step_gmm
 
 mp = pytest.importorskip("mpmath")
 
@@ -158,3 +161,45 @@ def test_probit_first_state(gamma, alpha, p):
     assert float(abs((state.mu - mu1) / mu1)) <= 4e-16
     assert state.sigma == math.sqrt(alpha)
     assert np.isfinite(state.eta)
+
+
+def mixture_e_gg(m_bar, sigma_bar, p, pi_plus):
+    """E[g^2] for the posterior mean g = E[Y | U, Yhat], U = m_bar*Y + sigma_bar*X,
+    over the classes Y = +-1 (weights pi_plus, 1 - pi_plus) and the given
+    label (Y with probability 1 - p); E[g*Y] is the same number."""
+    m_bar, sigma_bar, p, pp = (mp.mpf(v) for v in (m_bar, sigma_bar, p, pi_plus))
+    total = mp.mpf(0)
+    for y, weight in ((1, pp), (-1, 1 - pp)):
+        for yhat in (1, -1):
+            flip = {c: 1 - p if c == yhat else p for c in (1, -1)}   # P(yhat | class c)
+
+            def integrand(x):
+                u = m_bar * y + sigma_bar * x
+                a, b = ((pp if c == 1 else 1 - pp) * flip[c]
+                        * mp.exp(-(u - c * m_bar) ** 2 / (2 * sigma_bar**2)) for c in (1, -1))
+                return mp.npdf(x) * ((a - b) / (a + b)) ** 2
+
+            total += weight * flip[y] * mp.quad(integrand, [-mp.inf, 0, mp.inf])
+    return total
+
+
+@pytest.mark.parametrize("gamma, alpha, p, pi_plus, map_gaps, step_gap", [
+    # measured: 2.0e-14 relative at u 3, 4.1e-13 at u 1000; the step 7.7e-18
+    (1.5, 2.0, 0.2, 0.3, {0.3: 5e-14, 3.0: 5e-14, 20.0: 5e-14, 1000.0: 1e-12}, 2e-16),
+    # measured: 2.7e-13 at u 1, 1.4e-10 at u 20; the step 3.3e-16
+    (2.0, 0.5, 0.45, 0.5, {1.0: 6e-13, 20.0: 3e-10}, 1e-15)])
+def test_mixture_opt_map_and_step(gamma, alpha, p, pi_plus, map_gaps, step_gap):
+    # the opt map's reduced channel has m_bar = sigma_bar^2 = gamma^2*u/(1+u),
+    # and F(u) = (gamma^2/alpha)*E[g^2]; the step from the first state has
+    # m' = (gamma/sqrt(alpha))*E[g*Y] and sigma'^2 = E[g^2]
+    params = GmmParams(gamma=gamma, alpha=alpha, p=p, pi_plus=pi_plus, n=100)
+    for u, tol in map_gaps.items():
+        s2 = mp.mpf(gamma) ** 2 * u / (1 + mp.mpf(u))
+        ref = mp.mpf(gamma) ** 2 / alpha * mixture_e_gg(s2, mp.sqrt(s2), p, pi_plus)
+        assert float(abs((eta_map_opt(u, params) - ref) / ref)) <= tol, u
+    state = se_init_gmm(params)
+    nxt = se_step_gmm(state, OptimalGmm.from_se_state(state, params), params)
+    e_gg = mixture_e_gg(state.m_bar, state.sigma_bar, p, pi_plus)
+    m_ref = mp.mpf(gamma) / mp.sqrt(alpha) * e_gg
+    assert float(abs((nxt.m - m_ref) / m_ref)) <= step_gap
+    assert float(abs((nxt.sigma - mp.sqrt(e_gg)) / mp.sqrt(e_gg))) <= step_gap
