@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, DomainError
 from .gmm import _label_arrays, _validate_shared_params
-from .numerics import (RngStream, _erfcx, _logistic, _matvec, _ndtr, _rule_at, _split, _square,
-                       gaussian_rule)
+from .numerics import (_SPLIT_HALF_WIDTH, RngStream, _erfcx, _logistic, _matvec, _ndtr, _rule_at,
+                       _split, _square, gaussian_rule)
 
 
 # Quadrature order of the posterior rule of OptimalGlm and of the error curve.
@@ -424,8 +424,8 @@ def error_curve_glm(rho: float, params: GlmParams) -> float:
             return np.where(sgn * z >= 0, 1.0 - hv, hv)
     else:
         coef = rho / math.sqrt(1.0 - rho * rho)
-        if coef != 0.0:   # Phi(c*z) turns from 0 to 1 on |z| < 8/|c|
-            breakpoints |= {0.0, 8.0 / coef, -8.0 / coef}
+        if coef != 0.0:   # Phi(c*z) turns from 0 to 1 on |z| < 8/|c|, if in the window
+            breakpoints |= {0.0, *(b for b in (8 / coef, -8 / coef) if abs(b) < _SPLIT_HALF_WIDTH)}
 
         def integrand(z):
             hv = params.link.h(scale * z)
