@@ -117,11 +117,10 @@ def _class_moments(agg, m_bar, sigma_bar, params: GmmParams):
                                   DEFAULT_ORDER)
         w, y = weight * uw, classes[:, None]
         g_plus, g_minus = (agg.value_and_deriv(u, lab)[0] for lab in (1.0, -1.0))
-        for k, (f_plus, f_minus) in enumerate([(g_plus * y, g_minus * y),
-                                               (g_plus * g_plus, g_minus * g_minus)]):
+        for k, f in enumerate((lambda g: g * y, lambda g: g * g)):
             # each channel's sum runs over its own (classes x nodes) row, in the
             # order of the channel alone, so it has that channel's bits
-            plus, minus = w * q * f_plus, w * (1.0 - q) * f_minus
+            plus, minus = w * q * f(g_plus), w * (1.0 - q) * f(g_minus)
             out[k, ...][rows] = (plus.reshape(plus.shape[:-2] + (-1,)).sum(axis=-1)
                                  + minus.reshape(minus.shape[:-2] + (-1,)).sum(axis=-1))
     return [float(e) for e in out] if not shape else list(out)
