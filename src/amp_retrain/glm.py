@@ -184,20 +184,13 @@ def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OptimalGlm:
-    """Optimal aggregator for a generic link (the logistic), evaluated by quadrature.
-
-    g(u, yhat) = (1/prior_var + quad_a) * E[Z | u, yhat] - lin_b * u, with the
-    channel coefficients (quad_a, lin_b) matched to the law of the soft
-    predictions: (eta^2, 1/alpha) on the self-consistent trajectory, or
-    ((mu/sigma)^2, mu/sigma^2) for an arbitrary state.
-
-    Every evaluation runs one kernel (:meth:`_evaluate`): one posterior rule
-    and one link evaluation per point serve whichever labels are asked for,
-    the points go in fixed blocks of :data:`_POSTERIOR_ROWS` rows over the
-    usable CPUs, and each row is contracted on its own.  A point's value and
-    derivative therefore have the same bits whether it is evaluated alone,
-    in any batch or order, or on any number of threads.
+class _OptimalAggregator:
+    """The Bayes-optimal aggregator g(u, yhat) = (1/prior_var + quad_a) *
+    E[Z | u, yhat] - lin_b * u, with the channel coefficients (quad_a, lin_b)
+    matched to the law of the soft predictions: (eta^2, 1/alpha) on the
+    self-consistent trajectory, or ((mu/sigma)^2, mu/sigma^2) for an
+    arbitrary state.  :class:`OptimalGlm` evaluates it by quadrature and
+    :class:`OptimalSign` in closed form; neither adds a field.
     """
 
     quad_a: float
@@ -209,19 +202,29 @@ class OptimalGlm:
     y_breakpoints = ()
 
     @classmethod
-    def from_eta(cls, eta: float, params: GlmParams) -> "OptimalGlm":
+    def from_eta(cls, eta: float, params: GlmParams):
         if not (eta >= 0 and math.isfinite(eta)):
             raise DomainError("eta must be finite and non-negative")
-        if eta == 0.0 and params.link.noise_var == 0.0:
-            raise DomainError("eta = 0 with the sign link: use the closed-form aggregator limit")
         return cls(quad_a=_square(eta, "eta"), lin_b=1.0 / params.alpha, link=params.link,
                    p=params.p, prior_var=params.prior_var)
 
     @classmethod
-    def from_se_state(cls, state, params: GlmParams) -> "OptimalGlm":
+    def from_se_state(cls, state, params: GlmParams):
         return cls(quad_a=_square(state.mu / state.sigma, "mu/sigma"),
                    lin_b=state.mu / _square(state.sigma, "sigma"), link=params.link, p=params.p,
                    prior_var=params.prior_var)
+
+
+class OptimalGlm(_OptimalAggregator):
+    """The optimal aggregator for a generic link (the logistic), evaluated by quadrature.
+
+    Every evaluation runs one kernel (:meth:`_evaluate`): one posterior rule
+    and one link evaluation per point serve whichever labels are asked for,
+    the points go in fixed blocks of :data:`_POSTERIOR_ROWS` rows over the
+    usable CPUs, and each row is contracted on its own.  A point's value and
+    derivative therefore have the same bits whether it is evaluated alone,
+    in any batch or order, or on any number of threads.
+    """
 
     def _evaluate(self, u, yhat):
         """(g, dg/du, P(yhat | u)) at the points u, each of shape (labels,) +
@@ -325,43 +328,21 @@ def _centred_sums(f, offset, w, out):
         np.vecdot(f, w, out=moment)
 
 
-@dataclass(frozen=True)
-class OptimalSign:
+class OptimalSign(_OptimalAggregator):
     """Closed-form optimal aggregator of the Gaussian-threshold links (sign and probit).
 
-    With s^2 = (1/prior_var + quad_a)^(-1), s_eff = sqrt(s^2 + noise_var),
-    k = s/s_eff (exactly 1.0 for the sign link) and r = lin_b*u*s*k:
+    With tau^2 = link.noise_var, s^2 = (1/prior_var + quad_a)^(-1),
+    s_eff = sqrt(s^2 + tau^2), k = s/s_eff (exactly 1.0 for the sign link)
+    and r = lin_b*u*s*k:
     g(u, yhat) = (1/s_eff) * (1-2p)*yhat*sqrt(2/pi)*exp(-r^2/2)
                  / (1 + (1-2p)*yhat*(2*Phi(r) - 1)),
     evaluated at p = 0 as (1/s_eff) * yhat*sqrt(2/pi) / erfcx(-yhat*r/sqrt(2)).
     """
 
-    quad_a: float
-    lin_b: float
-    p: float
-    prior_var: float
-    noise_var: float
-
-    y_breakpoints = ()
-
-    @classmethod
-    def from_eta(cls, eta: float, params: GlmParams) -> "OptimalSign":
-        if not (eta > 0 and math.isfinite(eta)):
-            raise DomainError("eta must be positive and finite")
-        return cls(quad_a=_square(eta, "eta"), lin_b=1.0 / params.alpha, p=params.p,
-                   prior_var=params.prior_var, noise_var=params.link.noise_var)
-
-    @classmethod
-    def from_se_state(cls, state, params: GlmParams) -> "OptimalSign":
-        return cls(quad_a=_square(state.mu / state.sigma, "mu/sigma"),
-                   lin_b=state.mu / _square(state.sigma, "sigma"), p=params.p,
-                   prior_var=params.prior_var, noise_var=params.link.noise_var)
-
     def _value(self, u, yhat):
-        """(g, r, s, k) at the points u."""
-        u, yhat = _label_arrays(u, yhat)
+        """(g, r, s, k) at the points u, arrays checked by ``_label_arrays``."""
         s2 = 1.0 / (1.0 / self.prior_var + self.quad_a)
-        s, s_eff = np.sqrt(s2), np.sqrt(s2 + self.noise_var)
+        s, s_eff = np.sqrt(s2), np.sqrt(s2 + self.link.noise_var)
         k = s / s_eff
         r = self.lin_b * s * u * k
         if self.p == 0.0:
@@ -392,8 +373,9 @@ class OptimalSign:
 
     def label_values(self, u):
         """(g(u, +1), g(u, -1), P(Yhat = +1 | u) = p + (1-2p)*Phi(r)), in closed form."""
-        g_plus, r, _, _ = self._value(u, 1.0)
-        return g_plus, self._value(u, -1.0)[0], self.p + (1.0 - 2.0 * self.p) * _ndtr(r)
+        u, yhat = _label_arrays(u, 1.0)
+        g_plus, r, _, _ = self._value(u, yhat)
+        return g_plus, self._value(u, -yhat)[0], self.p + (1.0 - 2.0 * self.p) * _ndtr(r)
 
 
 # --------------------------------------------------------------------------
@@ -415,22 +397,15 @@ def error_curve_glm(rho: float, params: GlmParams) -> float:
         raise DomainError("rho must lie in [-1, 1]")
     scale = math.sqrt(params.alpha) * params.gamma_eff
     breakpoints = {b / scale for b in params.link.discontinuities}
-    if abs(rho) >= 1.0 - 1e-14:
-        breakpoints.add(0.0)
-        sgn = 1.0 if rho > 0 else -1.0
+    # at |rho| = 1, c is +-inf: Phi(c*z) is the step at 0, and +-8/c are 0
+    coef = math.copysign(math.inf, rho) if abs(rho) == 1.0 else rho / math.sqrt(1.0 - rho * rho)
+    if coef != 0.0:   # Phi(c*z) turns from 0 to 1 on |z| < 8/|c|, if in the window
+        breakpoints |= {0.0, *(b for b in (8 / coef, -8 / coef) if abs(b) < _SPLIT_HALF_WIDTH)}
 
-        def integrand(z):
-            hv = params.link.h(scale * z)
-            return np.where(sgn * z >= 0, 1.0 - hv, hv)
-    else:
-        coef = rho / math.sqrt(1.0 - rho * rho)
-        if coef != 0.0:   # Phi(c*z) turns from 0 to 1 on |z| < 8/|c|, if in the window
-            breakpoints |= {0.0, *(b for b in (8 / coef, -8 / coef) if abs(b) < _SPLIT_HALF_WIDTH)}
-
-        def integrand(z):
-            hv = params.link.h(scale * z)
-            phi_pos, phi_neg = _ndtr(np.stack([coef * z, -coef * z]))   # one kernel call
-            return phi_pos * (1.0 - hv) + phi_neg * hv
+    def integrand(z):
+        hv = params.link.h(scale * z)
+        phi_pos, phi_neg = _ndtr(np.stack([coef * z, -coef * z]))   # one kernel call
+        return phi_pos * (1.0 - hv) + phi_neg * hv
 
     z, w = gaussian_rule(0.0, 1.0, sorted(breakpoints), ORDER)
     return float(integrand(z) @ w)

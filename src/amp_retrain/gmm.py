@@ -218,12 +218,8 @@ class OptimalGmm:
 
 
 @dataclass(frozen=True)
-class SmoothedFullRT:
-    """Logistic surrogate 2*sigmoid(beta*y) - 1 for retraining on sign(y).
-
-    Lipschitz with constant beta/2; sharpens to the hard sign rule as beta
-    grows, which is what makes the memory-correction term well defined.
-    """
+class _LogisticSurrogate:
+    """The steepness beta and its check, shared by the two logistic surrogates."""
 
     beta: float
 
@@ -232,6 +228,14 @@ class SmoothedFullRT:
     def __post_init__(self):
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ConfigError("beta must be positive and finite")
+
+
+class SmoothedFullRT(_LogisticSurrogate):
+    """Logistic surrogate 2*sigmoid(beta*y) - 1 for retraining on sign(y).
+
+    Lipschitz with constant beta/2; sharpens to the hard sign rule as beta
+    grows, which is what makes the memory-correction term well defined.
+    """
 
     def value_and_deriv(self, y, yhat):
         y, _ = _label_arrays(y, yhat)
@@ -239,18 +243,9 @@ class SmoothedFullRT:
         return v, 0.5 * self.beta * (1.0 - v * v)
 
 
-@dataclass(frozen=True)
-class SmoothedConsensusRT:
+class SmoothedConsensusRT(_LogisticSurrogate):
     """Logistic surrogate yhat*sigmoid(beta*y*yhat) for keeping only samples
     whose prediction agrees with the given label."""
-
-    beta: float
-
-    y_breakpoints = (0.0,)
-
-    def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ConfigError("beta must be positive and finite")
 
     def value_and_deriv(self, y, yhat):
         y, yhat = _label_arrays(y, yhat)

@@ -8,7 +8,9 @@ byte for byte.  A change that moves a table rewrites the files with
 
     python tests/golden.py --update
 
-and says in CHANGES.md, per column, how far the rows moved.
+and says in CHANGES.md, per column, how far the rows moved: without
+``--update`` the script prints, for every file that differs, the largest
+absolute and relative move in each numeric column, then the first difference.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
+import math
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,6 +142,44 @@ def first_difference(name: str, want: str, got: str) -> Optional[str]:
     return None
 
 
+def _numeric_cells(text: str) -> Dict[Tuple[int, str], float]:
+    """A file's numeric cells keyed by (data row, column): a table's columns
+    are its header's names, a JSON file's are the key paths of its leaves."""
+    if text.startswith("{"):
+        def leaves(obj, path):
+            if isinstance(obj, dict):
+                return [leaf for k, v in obj.items() for leaf in leaves(v, f"{path}{k}.")]
+            is_number = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+            return [((0, path[:-1]), float(obj))] if is_number else []
+        return dict(leaves(json.loads(text), ""))
+    rows = [line.split("\t") for line in text.splitlines() if not line.startswith("#")]
+    cells = {}
+    for r, row in enumerate(rows[1:]):
+        for name, cell in zip(rows[0], row):
+            try:
+                cells[r, name] = float(cell)
+            except ValueError:
+                pass
+    return cells
+
+
+def column_moves(want: str, got: str) -> Dict[str, Tuple[float, float]]:
+    """The largest absolute and relative move (against ``want``) of each
+    numeric column over the rows both files have, in column order."""
+    got_cells = _numeric_cells(got)
+    moves: Dict[str, Tuple[float, float]] = {}
+    for key, a in _numeric_cells(want).items():
+        if key not in got_cells:
+            continue
+        b = got_cells[key]
+        move = 0.0 if a == b or (math.isnan(a) and math.isnan(b)) else abs(b - a)
+        move = math.inf if math.isnan(move) else move
+        rel = move / abs(a) if 0.0 < abs(a) < math.inf else (math.inf if move else 0.0)
+        old = moves.get(key[1], (0.0, 0.0))
+        moves[key[1]] = (max(old[0], move), max(old[1], rel))
+    return moves
+
+
 def compare(tables: Dict[str, str]) -> Optional[str]:
     """The first difference between ``tables`` and the golden files, or None."""
     stored = {path.name for path in GOLDEN_DIR.iterdir()}
@@ -159,6 +201,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory() as work:
         tables = run_all(Path(work))
     if not args.update:
+        for name in sorted(tables):
+            path = GOLDEN_DIR / name
+            want = path.read_text() if path.exists() else tables[name]
+            if want != tables[name]:
+                for column, (move, rel) in column_moves(want, tables[name]).items():
+                    print(f"{name}: {column}: largest move {move:.3g} absolute, "
+                          f"{rel:.3g} relative")
         found = compare(tables)
         print(found or f"{len(tables)} golden files match")
         return 1 if found else 0

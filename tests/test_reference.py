@@ -2,11 +2,12 @@
 
 The sign link (noise_var 0) and the probit link (noise_var 1) share one
 closed-form aggregator, error curve and first state-evolution state; the
-logistic link has the quadrature error curve, and the mixture the optimal
-map and state-evolution step, both by quadrature.  Each tolerance is pinned
-from the largest gap measured on these points (quoted beside it).  The
-quadrature references run at 20 or 25 digits, the closed form and its
-numerical derivative at 40.
+logistic link has the quadrature error curve, first state and
+state-evolution step, and the mixture the optimal map and state-evolution
+step, both by quadrature, and the crossover roots and threshold p* of its
+sharp-limit maps.  Each tolerance is pinned from the largest gap measured on
+these points (quoted beside it).  The quadrature references run at 20 or 25
+digits, the closed form and its numerical derivative at 40.
 """
 
 import math
@@ -14,11 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from amp_retrain.glm import (GlmParams, LogisticLink, OptimalSign, ProbitLink, SignLink,
-                              _error_from_overlap)
-from amp_retrain.glm_se import se_init_glm
+from amp_retrain.glm import (GlmParams, LogisticLink, OptimalGlm, OptimalSign, ProbitLink,
+                              SignLink, _error_from_overlap)
+from amp_retrain.glm_se import SeStateGlm, se_init_glm, se_step_glm_generic
 from amp_retrain.gmm import GmmParams, OptimalGmm
-from amp_retrain.gmm_se import eta_map_opt, se_init_gmm, se_step_gmm
+from amp_retrain.gmm_se import eta_map_opt, find_crossover, p_star, se_init_gmm, se_step_gmm
 
 mp = pytest.importorskip("mpmath")
 
@@ -35,7 +36,7 @@ def precision():
 def closed_form_g(agg, u, yhat):
     """g(u, yhat) = (1-2p)*yhat*phi(r) / (s_eff*(p + (1-2p)*Phi(yhat*r))) in mpmath."""
     s2 = 1 / (1 / mp.mpf(agg.prior_var) + mp.mpf(agg.quad_a))
-    s_eff = mp.sqrt(s2 + agg.noise_var)
+    s_eff = mp.sqrt(s2 + agg.link.noise_var)
     r = mp.mpf(agg.lin_b) * s2 * mp.mpf(u) / s_eff
     p = mp.mpf(agg.p)
     return (1 - 2 * p) * yhat * mp.npdf(r) / (s_eff * (p + (1 - 2 * p) * mp.ncdf(yhat * r)))
@@ -46,7 +47,7 @@ def posterior_g(agg, u, yhat):
     quadrature, with P(+1 | z) = p + (1-2p)*Phi(z/tau)."""
     s = mp.sqrt(1 / (1 / mp.mpf(agg.prior_var) + mp.mpf(agg.quad_a)))
     m = mp.mpf(agg.lin_b) * s * s * mp.mpf(u)
-    p, tau = mp.mpf(agg.p), mp.sqrt(agg.noise_var)
+    p, tau = mp.mpf(agg.p), mp.sqrt(agg.link.noise_var)
 
     def weight(x):   # x = (z - m)/s
         return mp.npdf(x) * (p + (1 - 2 * p) * mp.ncdf(yhat * (m + s * x) / tau))
@@ -133,7 +134,8 @@ def test_logistic_error_curve_near_overlap_one():
     s = math.sqrt(params.alpha) * params.gamma
     worst = 0.0
     with mp.workdps(25):
-        for rho in (0.0, 0.83, 0.9, 0.99, 0.99999, 1.0 - 1e-8):
+        for rho in (0.0, 0.83, 0.9, 0.99, 0.99999, 1.0 - 1e-8, 1.0 - 1e-14, 1.0 - 4e-15,
+                    1.0 - 2.2e-16):
             c = mp.mpf(rho) / mp.sqrt(1 - mp.mpf(rho) ** 2)
 
             def f(z):
@@ -161,6 +163,67 @@ def test_probit_first_state(gamma, alpha, p):
     assert float(abs((state.mu - mu1) / mu1)) <= 4e-16
     assert state.sigma == math.sqrt(alpha)
     assert np.isfinite(state.eta)
+
+
+@pytest.mark.parametrize("gamma, alpha, p, tol", [
+    # measured: at most 4.2e-16 relative
+    (2.0, 0.5, 0.2, 1e-15), (10.0, 0.02, 0.1, 1e-15), (0.5, 2.0, 0.45, 1e-15), (3.0, 0.1, 0.0, 1e-15),
+    # measured: 3.7e-4, where the margin's sd is 14 link widths and the unsplit
+    # Hermite rule does not resolve the link's turn at 0 (a FOUND line in CHANGES.md)
+    (20.0, 0.5, 0.2, 5e-4)])
+def test_logistic_first_state(gamma, alpha, p, tol):
+    params = GlmParams(gamma=gamma, alpha=alpha, p=p, link=LogisticLink(), n=100)
+    S, p = mp.sqrt(params.prior_var), mp.mpf(p)
+    # mu_1 = (2/prior_var) * E[Z * hhat_p(Z)], Z = S*x ~ N(0, prior_var)
+    mu1 = 2 / S * mp.quad(lambda x: x * mp.npdf(x) * (p + (1 - 2 * p) / (1 + mp.exp(-S * x))),
+                          [-mp.inf, -8 / S, 0, 8 / S, mp.inf])
+    assert float(abs((se_init_glm(params).mu - mu1) / mu1)) <= tol
+
+
+def legendre_pieces(a, b, pieces, order=32):
+    """(node, weight) pairs of the order-point Gauss-Legendre rule on each of
+    ``pieces`` equal pieces of [a, b]."""
+    x, w = mp.gauss_quadrature(order, "legendre")
+    h = mp.mpf(b - a) / pieces
+    return [(a + h * (j + (xk + 1) / 2), wk * h / 2) for j in range(pieces) for xk, wk in zip(x, w)]
+
+
+def logistic_e_gstar2(mu, sigma, params):
+    """E[g*^2] for the aggregator matched to the state (mu, sigma), the logistic link.
+
+    U = mu*Z + sigma*G ~ N(0, mu^2*prior_var + sigma^2), and Z | U = u is
+    N(m, s^2) with m = (mu/sigma^2)*s^2*u.  With f(z) = p + (1-2p)*h(z),
+    q = E[f(m + s*X)] = P(+1 | u) and a = E[X*f(m + s*X)], g* is a/(s*q) at
+    label +1 and -a/(s*(1-q)) at -1, so E[g*^2 | u] = (a/s)^2*(1/q + 1/(1-q)),
+    which is even in u.  Fixed Legendre rules on [-10, 10] (X) and [0, 10] (U/sd);
+    at these states they agree with nested adaptive mp.quad to 2e-19."""
+    mu, sigma, prior, p = (mp.mpf(v) for v in (mu, sigma, params.prior_var, params.p))
+    s = 1 / mp.sqrt(1 / prior + (mu / sigma) ** 2)
+    m_per_v = mu / sigma**2 * s * s * mp.sqrt(mu * mu * prior + sigma * sigma)
+    inner = [(x, w * mp.npdf(x)) for x, w in legendre_pieces(-10, 10, 4)]
+    total = mp.mpf(0)
+    for v, wv in legendre_pieces(0, 10, 2):
+        q = a = mp.mpf(0)
+        for x, wx in inner:
+            f = p + (1 - 2 * p) / (1 + mp.exp(-(m_per_v * v + s * x)))
+            q += wx * f
+            a += wx * x * f
+        total += 2 * wv * mp.npdf(v) * (a / s) ** 2 * (1 / q + 1 / (1 - q))
+    return total
+
+
+@pytest.mark.parametrize("mu, sigma, tol", [
+    (0.05, 0.7, 4e-13),   # eta 0.07; measured: 1.7e-13 relative
+    (4.0, 1.0, 3e-15)],   # eta 4, overlap 0.985; measured: 1.2e-15
+    ids=["low-snr", "high-snr"])
+def test_logistic_step(mu, sigma, tol):
+    # mu' = E[g*^2] and sigma'^2 = alpha*E[g*^2] with the matched aggregator
+    params = GlmParams(gamma=2.0, alpha=0.5, p=0.2, link=LogisticLink(), n=100)
+    state = SeStateGlm(mu=mu, sigma=sigma)
+    nxt = se_step_glm_generic(state, OptimalGlm.from_se_state(state, params), params)
+    e_gg = logistic_e_gstar2(mu, sigma, params)
+    assert float(abs((nxt.mu - e_gg) / e_gg)) <= tol
+    assert float(abs(nxt.sigma / mp.sqrt(params.alpha * e_gg) - 1)) <= tol
 
 
 def mixture_e_gg(m_bar, sigma_bar, p, pi_plus):
@@ -203,3 +266,28 @@ def test_mixture_opt_map_and_step(gamma, alpha, p, pi_plus, map_gaps, step_gap):
     m_ref = mp.mpf(gamma) / mp.sqrt(alpha) * e_gg
     assert float(abs((nxt.m - m_ref) / m_ref)) <= step_gap
     assert float(abs((nxt.sigma - mp.sqrt(e_gg)) / mp.sqrt(e_gg))) <= step_gap
+
+
+def test_acceptance_crossovers_and_p_star():
+    # acceptance 03's roots of F_ct(u) - F_ft(u) and criterion 10's p*, both on
+    # gamma 1.5, alpha 2, pi_plus 0.3; the maps' closed forms in mpmath
+    g2, alpha = mp.mpf(1.5) ** 2, mp.mpf(2)
+
+    def ct_minus_ft(u, p):
+        phi = mp.ncdf(mp.sqrt(g2 * u / (1 + u)))
+        return g2 / alpha * ((phi - p) ** 2 / (p + (1 - 2 * p) * phi) - (2 * phi - 1) ** 2)
+
+    # measured: 9.6e-9, 9.5e-10 and 1.9e-10 absolute: the bisection stops at
+    # |F_ct - F_ft| <= 1e-10, where the difference is flat
+    for p, tol in ((0.2, 2e-8), (0.25, 2e-9), (0.3, 4e-10)):
+        roots = find_crossover(GmmParams(gamma=1.5, alpha=2.0, p=p, pi_plus=0.3, n=100))
+        ref = mp.findroot(lambda u: ct_minus_ft(u, mp.mpf(p)), roots[0])
+        assert len(roots) == 1 and float(abs(roots[0] - ref)) <= tol, p
+
+    def threshold(p):
+        one_m = 1 - 2 * p
+        return mp.ncdf(-g2 * one_m / mp.sqrt(g2 * one_m**2 + alpha)) - p
+
+    got = p_star(GmmParams(gamma=1.5, alpha=2.0, p=0.3, pi_plus=0.3, n=100)).value
+    # measured: 9.6e-13 absolute (the bisection's tolerance is 1e-12)
+    assert float(abs(got - mp.findroot(threshold, got))) <= 2e-12
