@@ -107,7 +107,9 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
     block children (:meth:`RngStream.gaussian_matrix`), and X is that float32
     matrix plus +-mu rounded to float32.  Identical streams reproduce
     identical datasets.  (Before version 0.2.0 the generator also drew the
-    noise, between the labels and the flips.)
+    noise, between the labels and the flips; before 0.19.0 each block's
+    noise was numpy's ziggurat ``standard_normal``, where it is now a
+    Box-Muller transform of the block's uniforms.)
     """
     if params.n * (params.d or 0) == 0:
         raise ConfigError("empty dataset requested")
