@@ -26,11 +26,12 @@ from .numerics import _map_blocks, _square, find_root_bisect, gaussian_rule, std
 DEFAULT_ORDER = 201
 
 # The fixed-point and crossover scans: _SCAN_GRID intervals, each sign change
-# refined by bisection to the scan's tolerance; p* is bisected to _P_STAR_TOL.
+# refined by bisection, a fixed point to _FIXED_POINT_TOL and a crossover to
+# adjacent floats (F_ct - F_ft is flat there: a 1e-10 tolerance on it left
+# the root 1e-8 off); p* is bisected to _P_STAR_TOL.
 _SCAN_GRID = 2000
 _FIXED_POINT_TOL = 1e-8
 _CROSSOVER_U_MAX = 50.0
-_CROSSOVER_TOL = 1e-10
 _P_STAR_TOL = 1e-12
 
 
@@ -322,7 +323,7 @@ def find_crossover(params: GmmParams) -> List[float]:
     """
     diff = lambda u: eta_map_ct(u, params) - eta_map_ft(u, params)
     us = np.linspace(0.0, _CROSSOVER_U_MAX, _SCAN_GRID + 1)[1:]  # skip u=0, where FT is 0
-    return _grid_roots(diff, us, _CROSSOVER_TOL)
+    return _grid_roots(diff, us, 0.0)
 
 
 @dataclass(frozen=True)

@@ -530,12 +530,14 @@ def find_root_bisect(
 ) -> float:
     """Bisection root of f on [lo, hi].
 
-    Returns x with |f(x)| <= tol or bracket width <= tol, or the midpoint
-    after _BISECT_MAX_ITER halvings.  Requires a sign change over the
-    bracket; deterministic given (f, lo, hi, tol).
+    Returns x with |f(x)| <= tol or bracket width <= tol, the midpoint once
+    the bracket's ends are adjacent floats (with tol = 0, the only stop but
+    an exact zero), or the midpoint after _BISECT_MAX_ITER halvings.
+    Requires a sign change over the bracket; deterministic given
+    (f, lo, hi, tol).
     """
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    if not tol >= 0:
+        raise ConfigError("tol must be non-negative")
     if not lo < hi:
         raise ConfigError("need lo < hi")
     flo = f(lo)
@@ -548,6 +550,8 @@ def find_root_bisect(
         raise BracketError(f"no sign change on [{lo}, {hi}] (f(lo)={flo}, f(hi)={fhi})")
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         fm = f(mid)
         if abs(fm) <= tol or (hi - lo) <= tol:
             return mid

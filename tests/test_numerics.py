@@ -383,6 +383,19 @@ class TestBisection:
         assert 0.0 < root < 0.5
         assert abs(h(root)) <= 1e-10
 
+    def test_zero_tol_bisects_to_adjacent_floats(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0 / 3.0
+
+        root = find_root_bisect(f, 0.0, 1.0, tol=0.0)
+        assert abs(root - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
+        assert len(calls) <= 2 + 60   # stops once no float lies between the ends
+        with pytest.raises(ConfigError):
+            find_root_bisect(f, 0.0, 1.0, tol=-1e-12)
+
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root_bisect(lambda x: x * x + 1.0, -1.0, 1.0)

@@ -277,9 +277,9 @@ def test_acceptance_crossovers_and_p_star():
         phi = mp.ncdf(mp.sqrt(g2 * u / (1 + u)))
         return g2 / alpha * ((phi - p) ** 2 / (p + (1 - 2 * p) * phi) - (2 * phi - 1) ** 2)
 
-    # measured: 9.6e-9, 9.5e-10 and 1.9e-10 absolute: the bisection stops at
-    # |F_ct - F_ft| <= 1e-10, where the difference is flat
-    for p, tol in ((0.2, 2e-8), (0.25, 2e-9), (0.3, 4e-10)):
+    # measured: 2.9e-14, 9.2e-16 and 9.0e-16 absolute, the roots bisected to
+    # adjacent floats of the maps' rounded difference
+    for p, tol in ((0.2, 6e-14), (0.25, 2e-15), (0.3, 2e-15)):
         roots = find_crossover(GmmParams(gamma=1.5, alpha=2.0, p=p, pi_plus=0.3, n=100))
         ref = mp.findroot(lambda u: ct_minus_ft(u, mp.mpf(p)), roots[0])
         assert len(roots) == 1 and float(abs(roots[0] - ref)) <= tol, p
