@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .glm import GlmParams, OptimalGlm, OptimalSign, _error_from_overlap, hat_h_p
-from .numerics import _map_blocks, _square, gaussian_rule
+from .numerics import _SPLIT_HALF_WIDTH, _map_blocks, _square, gaussian_rule
 
 # Quadrature order of the first state's rule over the latent margin and of
 # each step's rule over the prediction; the posterior rule's is glm.ORDER.
@@ -50,15 +50,20 @@ def se_init_glm(params: GlmParams) -> SeStateGlm:
 
     A Gaussian-threshold link has the closed form eta_1 = (1-2p)*sqrt(2/pi)/alpha
     * sqrt(alpha/(prior_var + noise_var)), the last factor 1.0 for sign; other links
-    evaluate mu_1 = (2/prior_var) * E[Z * hhat_p(Z)], Z ~ N(0, prior_var), by quadrature.
+    evaluate mu_1 = (2/prior_var) * E[Z * hhat_p(Z)], Z ~ N(0, prior_var), by quadrature
+    of :data:`DEFAULT_ORDER` nodes per piece of a rule split at 0 and at +-8.
     """
     sigma1 = math.sqrt(params.alpha)
     if params.link.noise_var is not None:
         eta1 = ((1.0 - 2.0 * params.p) * math.sqrt(2.0 / math.pi) / params.alpha
                 * math.sqrt(params.alpha / (params.prior_var + params.link.noise_var)))
         return SeStateGlm(mu=eta1 * sigma1, sigma=sigma1)
-    z, w = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities,
-                         DEFAULT_ORDER)
+    sd = math.sqrt(params.prior_var)
+    # h turns from 0 to 1 on |z| < 8: split there, within the rule's window, so
+    # the pieces resolve the turn however many link widths sd spans
+    breakpoints = {*params.link.discontinuities, 0.0,
+                   *(b for b in (-8.0, 8.0) if abs(b) < _SPLIT_HALF_WIDTH * sd)}
+    z, w = gaussian_rule(0.0, sd, sorted(breakpoints), DEFAULT_ORDER)
     mu1 = 2.0 / params.prior_var * float((z * hat_h_p(z, params.link, params.p)) @ w)
     return SeStateGlm(mu=mu1, sigma=sigma1)
 

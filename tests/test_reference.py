@@ -166,11 +166,11 @@ def test_probit_first_state(gamma, alpha, p):
 
 
 @pytest.mark.parametrize("gamma, alpha, p, tol", [
-    # measured: at most 4.2e-16 relative
+    # measured: at most 1.3e-16 relative
     (2.0, 0.5, 0.2, 1e-15), (10.0, 0.02, 0.1, 1e-15), (0.5, 2.0, 0.45, 1e-15), (3.0, 0.1, 0.0, 1e-15),
-    # measured: 3.7e-4, where the margin's sd is 14 link widths and the unsplit
-    # Hermite rule does not resolve the link's turn at 0 (a FOUND line in CHANGES.md)
-    (20.0, 0.5, 0.2, 5e-4)])
+    # the margin's sd is 14 and 100 link widths; measured 1.06e-15 and 4.9e-16
+    # (an unsplit Hermite rule, which missed the link's turn, read 3.7e-4 and 3.9e-3)
+    (20.0, 0.5, 0.2, 2e-15), (100.0, 1.0, 0.2, 1e-15)])
 def test_logistic_first_state(gamma, alpha, p, tol):
     params = GlmParams(gamma=gamma, alpha=alpha, p=p, link=LogisticLink(), n=100)
     S, p = mp.sqrt(params.prior_var), mp.mpf(p)
