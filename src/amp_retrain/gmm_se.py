@@ -27,8 +27,8 @@ DEFAULT_ORDER = 201
 
 # The fixed-point and crossover scans: _SCAN_GRID intervals, each sign change
 # refined by bisection, a fixed point to _FIXED_POINT_TOL and a crossover to
-# adjacent floats (F_ct - F_ft is flat there: a 1e-10 tolerance on it left
-# the root 1e-8 off); p* is bisected to _P_STAR_TOL.
+# adjacent floats (F_ct - F_ft is flat near its roots, so a tolerance on it
+# would leave u loose); p* is bisected to _P_STAR_TOL.
 _SCAN_GRID = 2000
 _FIXED_POINT_TOL = 1e-8
 _CROSSOVER_U_MAX = 50.0

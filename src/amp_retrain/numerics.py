@@ -655,7 +655,7 @@ class RngStream:
             uniforms = np.empty(2 * pairs)
             log_terms = np.empty(pairs)
             # float32 radii, cosines and sines over the uniforms once read
-            radius, cos, sin = uniforms.view(np.float32).reshape(4, pairs)[:3]
+            radius, cosine, sine = uniforms.view(np.float32).reshape(4, pairs)[:3]
             for k in range(a, b):
                 gen = np.random.Generator(np.random.PCG64(children[k]))
                 stop = min(n, (k + 1) * rows) * d
@@ -670,10 +670,10 @@ class RngStream:
                     np.log(log_terms[:m], out=log_terms[:m])
                     np.multiply(log_terms[:m], radius_scale, out=radius[:m])
                     np.sqrt(radius[:m], out=radius[:m])
-                    np.cos(theta, out=cos[:m])
-                    np.sin(theta[:m_sin], out=sin[:m_sin])
-                    np.multiply(radius[:m], cos[:m], out=chunk[0::2])
-                    np.multiply(radius[:m_sin], sin[:m_sin], out=chunk[1::2])
+                    np.cos(theta, out=cosine[:m])
+                    np.sin(theta[:m_sin], out=sine[:m_sin])
+                    np.multiply(radius[:m], cosine[:m], out=chunk[0::2])
+                    np.multiply(radius[:m_sin], sine[:m_sin], out=chunk[1::2])
 
         _split(blocks, fill)
         return out

@@ -474,7 +474,7 @@ class TestRngStream:
 
 class TestGaussianMatrix:
     # 2**21 // 1000 = 2097 rows per block: two blocks, the second of 3 rows
-    N, D, ROWS = 2100, 1000, 2097
+    N, D = 2100, 1000
 
     @pytest.fixture
     def draw(self, usable_cpus, split_threads):
@@ -524,9 +524,9 @@ class TestGaussianMatrix:
 
     def test_entries_are_standard_normal(self):
         # 2**22 entries; measured mean -9.3e-5, variance 1 - 4.5e-4, kurtosis
-        # 3.00098, sqrt(n) D = 0.591 and paired-square correlation 2.3e-4,
-        # against standard errors of 4.9e-4, 6.9e-4, 2.4e-3, (5% point 1.36)
-        # and 6.9e-4
+        # 3.00098, sqrt(n) D = 0.591 and paired-square correlation 2.3e-4
+        # (standard errors 4.9e-4, 6.9e-4, 2.4e-3 and 6.9e-4; the 5% point of
+        # sqrt(n) D is 1.36)
         x = RngStream(42, 3).gaussian_matrix(2048, 2048).reshape(-1).astype(float)
         n = x.size
         assert abs(x.mean()) <= 2e-4
