@@ -48,9 +48,9 @@ EXIT_DIVERGED = 3
 EXIT_IO = 4
 
 
-# the largest start of a glm cobweb: its grid reaches 1.2*u1, and the glm opt
-# map is tested up to u = 1e16
-_GLM_U1_MAX = 1e16 / 1.2
+# the largest start of a cobweb: its grid reaches 1.2*u1, and the maps are
+# tested up to u = 1e16
+_U1_MAX = 1e16 / 1.2
 
 
 def _default_out() -> str:
@@ -91,7 +91,7 @@ def _read_json_object(path: str, flag: str, what: str) -> dict:
     """The JSON object in the file a flag names; anything else is a ConfigError."""
     try:
         stored = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:   # JSON text is UTF-8
         raise ConfigError(f"{flag} {path} is not valid JSON: {exc}") from None
     if not isinstance(stored, dict):
         raise ConfigError(f"{flag} {path} must hold a JSON object of {what}")
@@ -135,16 +135,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = simulate(config, jobs=args.jobs)
     out = _out_dir(args)
     paths = write_simulation_outputs(result, out)
-    failed = [r.rep for r in result.replications if r.diverged_at is not None]
+    failed = [rep for rep, traj in enumerate(result.replications) if traj.diverged_at is not None]
     for t, pred, mean, std, gap, n_ok in result.report_rows:
         print(f"t={t:3d}  predicted={pred:.6f}  empirical={mean:.6f} "
               f"(+-{std:.6f}, n={n_ok})  gap={gap:.6f}")
     if failed:
         print(f"diverged replications: {failed}", file=sys.stderr)
     print(f"wrote {paths['report']}")
-    if len(failed) == config.replications:
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return EXIT_DIVERGED if len(failed) == config.replications else EXIT_OK
 
 
 def _cmd_se(args: argparse.Namespace) -> int:
@@ -171,10 +169,9 @@ def _cmd_cobweb(args: argparse.Namespace) -> int:
     if config.model == "glm" and not args.u1 > 0.0:
         raise ConfigError(f"--u1 must be positive for the glm map, whose domain is u > 0, "
                           f"not {args.u1!r}")
-    if config.model == "glm" and args.u1 > _GLM_U1_MAX:
-        raise ConfigError(f"--u1 must be at most {_GLM_U1_MAX:.6g} for the glm map, whose "
-                          f"cobweb grid reaches 1.2*u1 and which is tested up to u = 1e16, "
-                          f"not {args.u1!r}")
+    if args.u1 > _U1_MAX:
+        raise ConfigError(f"--u1 must be at most {_U1_MAX:.6g}: the cobweb grid reaches "
+                          f"1.2*u1, and the maps are tested up to u = 1e16; not {args.u1!r}")
     rows = cobweb_rows(config, args.u1, args.steps, variant)
     out = _out_dir(args)
     path = out / "cobweb.tsv"
@@ -210,8 +207,16 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_logits(path: str):
+    """read_logit_file of the --input file; a ParseError names the flag."""
+    try:
+        return read_logit_file(path)
+    except ParseError as exc:
+        raise ConfigError(f"--input {path}: {exc}") from None
+
+
 def _cmd_bayesmix_fit(args: argparse.Namespace) -> int:
-    _ids, z, _yhat = read_logit_file(args.input)
+    _ids, z, _yhat = _read_logits(args.input)
     fit = fit_bimodal_em(z)
     path = _out_dir(args) / "fit.json"
     path.write_text(json.dumps({"schema": "bayesmix-fit v1", "version": __version__,
@@ -227,7 +232,7 @@ def _check_flip_rate(p: float) -> None:
 
 def _cmd_bayesmix_apply(args: argparse.Namespace) -> int:
     _check_flip_rate(args.p)
-    ids, z, yhat = read_logit_file(args.input)
+    ids, z, yhat = _read_logits(args.input)
     stored = _read_json_object(args.fit, "--fit", "a fit run's fit.json").get("fit")
     try:
         fit = BimodalFit(**stored)

@@ -82,7 +82,12 @@ def read_logit_file(path) -> Tuple[List[str], np.ndarray, np.ndarray]:
     zs: List[float] = []
     labels: List[float] = []
     saw_header = False
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}",
+                         line=exc.object[:exc.start].count(b"\n") + 1) from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

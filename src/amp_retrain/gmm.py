@@ -38,6 +38,10 @@ def _validate_shared_params(params) -> None:
         object.__setattr__(params, "d", int(round(params.alpha * params.n)))
     if params.d < 1:
         raise ConfigError("d must be a positive integer")
+    # keeps gamma^2, the mean or coefficient vector and its float32 image finite
+    if not params.gamma * math.sqrt(params.d) < float(np.finfo(np.float32).max):
+        raise ConfigError(f"gamma*sqrt(d) must be below float32's largest value, about 3.4e38, "
+                          f"not {params.gamma!r}*sqrt({params.d})")
     if abs(params.d / params.n - params.alpha) > 1.0 / params.n + 1e-9:
         raise ConfigError(
             f"d/n = {params.d / params.n} inconsistent with alpha = {params.alpha}"

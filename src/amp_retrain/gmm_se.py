@@ -138,26 +138,26 @@ def se_step_gmm(state: SeStateGmm, agg, params: GmmParams) -> SeStateGmm:
     return SeStateGmm(m=m_next, sigma=math.sqrt(s2), gamma=params.gamma, alpha=params.alpha)
 
 
-def se_error_gmm(state: SeStateGmm, params: GmmParams) -> float:
-    """Predicted test error Phi(-gamma*eta / sqrt(eta^2 + 1)) at eta = m/sigma."""
-    return se_error_from_eta(state.eta, params.gamma)
-
-
-def se_error_from_eta(eta: float, gamma: float) -> float:
-    """Same prediction parameterized by the signal-to-noise ratio."""
-    return std_normal_cdf(-gamma * eta / math.sqrt(_square(eta, "eta") + 1.0))
+def se_error_gmm(eta: float, params: GmmParams) -> float:
+    """Predicted test error Phi(-gamma*eta / sqrt(eta^2 + 1)) at signal-to-noise
+    eta = m/sigma."""
+    return std_normal_cdf(-params.gamma * eta / math.sqrt(_square(eta, "eta") + 1.0))
 
 
 # --------------------------------------------------------------------------
 # one-dimensional update maps in u = eta^2, elementwise over arrays of u
 # --------------------------------------------------------------------------
 
-def _checked_u(u) -> np.ndarray:
-    """u as a float array; an element that is negative, infinite or NaN
-    raises :class:`DomainError`."""
+def _checked_u(u, gamma: Optional[float] = None) -> np.ndarray:
+    """u as a float array; an element that is negative, infinite or NaN, or
+    (given gamma) one where gamma^2 * u overflows, raises :class:`DomainError`."""
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & (u < math.inf)):
         raise DomainError("u must be non-negative and finite")
+    if gamma is not None:
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(gamma**2 * u)):
+                raise DomainError("u is too large: gamma^2 * u overflows")
     return u
 
 
@@ -168,7 +168,7 @@ def eta_map_opt(u, params: GmmParams):
     gamma^2*u/(1+u)*Y + gamma*sqrt(u/(1+u))*G and the tanh exponent carries a
     plain 2y term.
     """
-    u = _checked_u(u)
+    u = _checked_u(u, params.gamma)
     if params.p == 0.0:   # g~ = yhat, so E[g~^2] = 1
         return np.full(u.shape, params.gamma**2 / params.alpha)[()]
     # OptimalGmm's constants carry the prior-term limits +-inf at pi_plus in
@@ -200,7 +200,7 @@ def eta_map_ct(u, params: GmmParams):
     """Sharp-limit map of consensus retraining:
     (gamma^2/alpha) * (Phi(sqrt(eb)) - p)^2 / (p + (1-2p)*Phi(sqrt(eb)))
     with eb = gamma^2 * u/(1+u)."""
-    u = _checked_u(u)
+    u = _checked_u(u, params.gamma)
     eb = params.gamma**2 * u / (1.0 + u)
     phi = std_normal_cdf(np.sqrt(eb))
     return (params.gamma**2 / params.alpha * _square(phi - params.p, "Phi - p")

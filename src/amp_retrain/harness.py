@@ -39,7 +39,6 @@ from .gmm_se import (
     eta_map_ct,
     eta_map_ft,
     find_crossover,
-    se_error_from_eta,
     se_error_gmm,
     se_init_gmm,
     se_step_gmm,
@@ -53,7 +52,7 @@ from .glm_se import (
     se_step_glm_opt,
 )
 from .numerics import RngStream, _square, _usable_cpus
-from .retrain import run_retraining
+from .retrain import Trajectory, run_retraining
 
 
 # the Python types a value of each annotated config type may have
@@ -143,11 +142,8 @@ def se_trace(config: ExperimentConfig) -> Tuple[List[Tuple[int, float, float]], 
     """((t, eta_t, predicted error) rows, schedule) of :func:`se_states`."""
     states, schedule = se_states(config)
     params = build_params(config)
-    if config.model == "gmm":
-        rows = [(t, s.eta, se_error_gmm(s, params)) for t, s in enumerate(states, 1)]
-    else:
-        rows = [(t, s.eta, se_error_glm(s.eta, params)) for t, s in enumerate(states, 1)]
-    return rows, schedule
+    error = se_error_gmm if config.model == "gmm" else se_error_glm
+    return [(t, s.eta, error(s.eta, params)) for t, s in enumerate(states, 1)], schedule
 
 
 def se_rows(config: ExperimentConfig, variant: str) -> List[Tuple[int, float, float]]:
@@ -163,20 +159,13 @@ def se_rows(config: ExperimentConfig, variant: str) -> List[Tuple[int, float, fl
     params = build_params(config)
     trace = cobweb_trace(SeMapSpec(variant, params), se_init_gmm(params).eta ** 2,
                          config.iterations)
-    return [(t, math.sqrt(u), se_error_from_eta(math.sqrt(u), params.gamma))
+    return [(t, math.sqrt(u), se_error_gmm(math.sqrt(u), params))
             for t, (u, _fu) in enumerate(trace.points, 1)]
 
 
 # --------------------------------------------------------------------------
 # replications
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReplicationResult:
-    rep: int
-    rows: List[Tuple[int, float, float, float]]  # (t, error, overlap, norm)
-    diverged_at: Optional[int]
-
 
 def replication_data(config: ExperimentConfig, rep: int):
     """(dataset, evaluate) of replication rep: the configured model's dataset
@@ -190,21 +179,20 @@ def replication_data(config: ExperimentConfig, rep: int):
     return data, glm_evaluator(data, params)
 
 
-def run_replication(config: ExperimentConfig, rep: int, schedule: Tuple) -> ReplicationResult:
+def run_replication(config: ExperimentConfig, rep: int, schedule: Tuple) -> Trajectory:
     """One full retraining run of the schedule on :func:`replication_data`.
 
-    Row t=0 is the one-shot baseline X^T y_noisy / scale^2.  The identity
+    Point t=0 is the one-shot baseline X^T y_noisy / scale^2.  The identity
     first step computes w_1 = X^T y_noisy / scale, so the baseline is
     w_1 / scale: it shares step 1's error and overlap (both scale-invariant)
     and its norm is step 1's over the scale.  A run that diverges at step 1
-    has no t=0 row.
+    has no t=0 point.
     """
     data, evaluate = replication_data(config, rep)
     traj = run_retraining(data, schedule, evaluate)
-    rows = [(pt.t, pt.error, pt.overlap, pt.model_norm) for pt in traj.points]
-    if rows:
-        rows.insert(0, (0, rows[0][1], rows[0][2], rows[0][3] / data.scale))
-    return ReplicationResult(rep=rep, rows=rows, diverged_at=traj.diverged_at)
+    baseline = [dataclasses.replace(pt, t=0, model_norm=pt.model_norm / data.scale)
+                for pt in traj.points[:1]]
+    return dataclasses.replace(traj, points=baseline + traj.points)
 
 
 @dataclass(frozen=True)
@@ -212,7 +200,7 @@ class SimulationResult:
     config: ExperimentConfig
     se_rows: List[Tuple[int, float, float]]
     report_rows: List[Tuple[int, float, float, float, float, int]]
-    replications: List[ReplicationResult]
+    replications: List[Trajectory]   # indexed by replication
 
 
 def _free_bytes() -> int:
@@ -253,12 +241,11 @@ def simulate(config: ExperimentConfig, jobs: Optional[int] = None) -> Simulation
     predicted[0] = predicted[1]  # the t=0 baseline shares the first iterate's law
     report = []
     for t in range(0, config.iterations + 1):
-        errs = [row[1] for r in reps for row in r.rows if row[0] == t]
-        if not errs:
-            continue
-        mean = float(np.mean(errs))
-        std = float(np.std(errs))
-        report.append((t, predicted[t], mean, std, abs(predicted[t] - mean), len(errs)))
+        errs = [pt.error for traj in reps for pt in traj.points if pt.t == t]
+        if errs:
+            mean = float(np.mean(errs))
+            report.append((t, predicted[t], mean, float(np.std(errs)), abs(predicted[t] - mean),
+                           len(errs)))
     return SimulationResult(config=config, se_rows=se_rows,
                             report_rows=report, replications=reps)
 
@@ -288,11 +275,9 @@ def write_simulation_outputs(result: SimulationResult, out_dir) -> Dict[str, Pat
     write_table(paths["report"], meta,
                 ["t", "predicted_error", "empirical_mean", "empirical_std", "abs_gap", "n_reps"],
                 result.report_rows)
-    traj_rows = []
-    for rep in result.replications:
-        status = "ok" if rep.diverged_at is None else f"diverged@{rep.diverged_at}"
-        for (t, err, ov, nrm) in rep.rows:
-            traj_rows.append((rep.rep, status, t, err, ov, nrm))
+    traj_rows = [(rep, "ok" if traj.diverged_at is None else f"diverged@{traj.diverged_at}",
+                  pt.t, pt.error, pt.overlap, pt.model_norm)
+                 for rep, traj in enumerate(result.replications) for pt in traj.points]
     write_table(paths["trajectories"], meta,
                 ["rep", "status", "t", "error", "overlap", "model_norm"], traj_rows)
     write_table(paths["se"], meta, ["t", "eta", "predicted_error"], result.se_rows)

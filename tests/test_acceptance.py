@@ -29,7 +29,6 @@ from amp_retrain.gmm_se import (
     find_crossover,
     label_atoms,
     p_star,
-    se_error_from_eta,
     se_error_gmm,
     se_init_gmm,
     se_step_gmm,
@@ -56,7 +55,7 @@ def _mean_abs_gap_by_iteration(result):
     gaps = {row[0]: row[4] for row in result.report_rows}
     n_reps = len(result.replications)
     for t in gaps:
-        count = sum(1 for rep in result.replications for row in rep.rows if row[0] == t)
+        count = sum(1 for traj in result.replications for pt in traj.points if pt.t == t)
         assert count == n_reps, f"t={t}: missing replications"
     return gaps
 
@@ -190,8 +189,8 @@ def test_criterion_08_smoothed_limit_convergence():
     for _ in range(10):
         state = se_step_gmm(state, agg, params)
         u = eta_map_ft(u, params)
-        worst = max(worst, abs(se_error_gmm(state, params)
-                               - se_error_from_eta(math.sqrt(u), params.gamma)))
+        worst = max(worst, abs(se_error_gmm(state.eta, params)
+                               - se_error_gmm(math.sqrt(u), params)))
     assert worst <= 0.01
     _passed(8, f"beta=100 surrogate within {worst:.4f} <= 0.01 of the sharp limit")
 

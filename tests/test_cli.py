@@ -23,6 +23,10 @@ from amp_retrain.numerics import RngStream
 from amp_retrain.retrain import Trajectory
 
 
+# a byte-order mark of UTF-16 and "bad": not UTF-8 text
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -155,15 +159,15 @@ class TestSimulate:
     def test_t0_row_is_the_scaled_first_iterate(self, model):
         config = ExperimentConfig(model=model, gamma=1.5, alpha=0.5, p=0.2, n=400,
                                   iterations=3, master_seed=4)
-        rows = run_replication(config, 1, se_trace(config)[1]).rows
-        assert [r[0] for r in rows] == [0, 1, 2, 3]
-        assert rows[0][1:3] == rows[1][1:3]
+        points = run_replication(config, 1, se_trace(config)[1]).points
+        assert [pt.t for pt in points] == [0, 1, 2, 3]
+        assert (points[0].error, points[0].overlap) == (points[1].error, points[1].overlap)
         # the one-shot vector X^T y_noisy / scale^2 the baseline row stands for,
         # from float32 products with the rows added in order, as the engine's
         data, _ = replication_data(config, 1)
         row_sum = (data.X * data.y_noisy.astype(np.float32)[:, None]).sum(axis=0)
         one_shot = row_sum / data.scale**2
-        assert rows[0][3] == pytest.approx(np.linalg.norm(one_shot), rel=1e-12)
+        assert points[0].model_norm == pytest.approx(np.linalg.norm(one_shot), rel=1e-12)
 
     def test_no_t0_row_when_step_1_diverges(self, monkeypatch):
         monkeypatch.setattr(harness, "run_retraining",
@@ -171,7 +175,7 @@ class TestSimulate:
         config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.5, p=0.2, n=100,
                                   iterations=2)
         result = run_replication(config, 0, se_trace(config)[1])
-        assert result.rows == [] and result.diverged_at == 1
+        assert result.points == [] and result.diverged_at == 1
 
     def test_sign_link_without_flips(self, tmp_path):
         # p = 0: the sign aggregator's denominator 2*Phi(yhat*r) underflows to
@@ -298,14 +302,15 @@ class TestCobweb:
 
     @pytest.mark.parametrize("u1", ["1e16", "1e100"])
     def test_glm_start_beyond_the_tested_range_is_refused(self, tmp_path, capsys, u1):
-        # the grid reaches 1.2*u1; the map is tested up to u = 1e16
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run_cli("cobweb", "--model", "glm", "--link", "logistic", "--gamma", "2.0",
-                           "--alpha", "0.5", "--p", "0.2", "--u1", u1, "--steps", "2",
-                           "--out", str(tmp_path)) == 2
-        assert "--u1" in capsys.readouterr().err
-        assert not (tmp_path / "cobweb.tsv").exists()
+        # the grid reaches 1.2*u1; the maps of both models are tested up to u = 1e16
+        for model in (["--model", "glm", "--link", "logistic", "--gamma", "2.0"],
+                      ["--model", "gmm", "--gamma", "1.5", "--pi-plus", "0.3"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli("cobweb", *model, "--alpha", "0.5", "--p", "0.2", "--u1", u1,
+                               "--steps", "2", "--out", str(tmp_path)) == 2
+            assert "--u1" in capsys.readouterr().err
+            assert not (tmp_path / "cobweb.tsv").exists()
 
     @pytest.mark.parametrize("model", ["gmm", "glm"])
     @pytest.mark.parametrize("u1", ["nan", "inf", "-inf"])
@@ -558,6 +563,61 @@ class TestInputErrors:
         config = ExperimentConfig.from_dict({"model": "gmm", "gamma": 1, "alpha": 0.5, "p": 0.2,
                                              "n": 100, "iterations": 2, "d": None})
         assert build_params(config).d == 50
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(NOT_UTF8)
+        assert run_cli("se", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_logit_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "logits.tsv"
+        path.write_bytes(NOT_UTF8)
+        assert run_cli("bayesmix", "fit", "--input", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "--input" in capsys.readouterr().err
+
+    def test_fit_file_not_utf8(self, tmp_path, capsys):
+        logits, fit = tmp_path / "logits.tsv", tmp_path / "fit.json"
+        write_logit_file(logits, ["a", "b"], np.array([-1.0, 1.0]), np.array([-1.0, 1.0]))
+        fit.write_bytes(NOT_UTF8)
+        assert run_cli("bayesmix", "apply", "--input", str(logits), "--fit", str(fit),
+                       "--p", "0.2", "--out", str(tmp_path / "o")) == 2
+        assert "--fit" in capsys.readouterr().err
+
+    # every command that takes --gamma, by its pytest id, with all but --gamma and --alpha
+    SIM = ["--n", "200", "--iterations", "2", "--replications", "1", "--jobs", "1", "--p", "0.2"]
+    GAMMA_COMMANDS = {
+        "se_gmm": ["se", "--model", "gmm", "--p", "0.2"],
+        "se_gmm_ct_limit": ["se", "--model", "gmm", "--variant", "ct_limit", "--p", "0.2"],
+        "se_glm_logistic": ["se", "--model", "glm", "--link", "logistic", "--p", "0.2"],
+        "se_glm_probit": ["se", "--model", "glm", "--link", "probit", "--p", "0.2"],
+        "cobweb_gmm": ["cobweb", "--model", "gmm", "--u1", "0.5", "--p", "0.2"],
+        "cobweb_gmm_ft_limit": ["cobweb", "--model", "gmm", "--variant", "ft_limit", "--u1", "0.5",
+                                "--p", "0.2"],
+        "cobweb_glm_logistic": ["cobweb", "--model", "glm", "--link", "logistic", "--u1", "0.5",
+                                "--p", "0.2"],
+        "crossover": ["crossover", "--p-list", "0.2"],
+        "simulate_gmm": ["simulate", "--model", "gmm", *SIM],
+        "simulate_glm": ["simulate", "--model", "glm", *SIM],
+        "bayesmix_demo": ["bayesmix", "demo", "--n", "200", "--rounds", "1", "--p", "0.2"],
+    }
+
+    def run_gamma(self, tmp_path, command, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run_cli(*self.GAMMA_COMMANDS[command], "--gamma", gamma, "--alpha", "0.5",
+                           "--out", str(tmp_path / "o"))
+
+    @pytest.mark.parametrize("gamma", ["1e100", "1e200"])
+    @pytest.mark.parametrize("command", list(GAMMA_COMMANDS))
+    def test_gamma_whose_float32_image_overflows(self, tmp_path, capsys, command, gamma):
+        # gamma*sqrt(d) must stay below float32's largest value
+        assert self.run_gamma(tmp_path, command, gamma) == 2
+        assert "gamma" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*.tsv"))
+
+    def test_gamma_inside_the_float32_bound_runs(self, tmp_path):
+        assert self.run_gamma(tmp_path, "simulate_glm", "1e15") == 0
 
     def test_config_of_version_0_2_0_is_refused(self, tmp_path, capsys):
         # the quadrature order and the link scale left the config in 0.3.0

@@ -23,7 +23,6 @@ from amp_retrain.gmm_se import (
     find_fixed_points,
     label_atoms,
     p_star,
-    se_error_from_eta,
     se_error_gmm,
     se_init_gmm,
     se_step_gmm,
@@ -142,25 +141,25 @@ class TestErrorPrediction:
     def test_chance_level(self):
         params = params_for()
         state = SeStateGmm(m=0.0, sigma=1.0, gamma=params.gamma, alpha=params.alpha)
-        assert se_error_gmm(state, params) == 0.5
+        assert se_error_gmm(state.eta, params) == 0.5
 
     def test_infinite_snr_limit(self):
-        assert se_error_from_eta(1e9, 1.5) == pytest.approx(std_normal_cdf(-1.5), abs=1e-9)
+        assert se_error_gmm(1e9, params_for()) == pytest.approx(std_normal_cdf(-1.5), abs=1e-9)
 
     def test_unit_snr(self):
-        assert se_error_from_eta(1.0, 1.5) == pytest.approx(
+        assert se_error_gmm(1.0, params_for()) == pytest.approx(
             std_normal_cdf(-1.5 / math.sqrt(2.0)), abs=1e-15
         )
 
     def test_strictly_decreasing_in_eta(self):
         etas = np.linspace(0.0, 5.0, 100)
-        errs = [se_error_from_eta(e, 1.5) for e in etas]
+        errs = [se_error_gmm(e, params_for()) for e in etas]
         assert np.all(np.diff(errs) < 0)
 
     def test_finite_inputs_whose_squares_overflow(self):
         # a Python float's ** raises the built-in OverflowError
         with pytest.raises(DomainError, match="eta is too large"):
-            se_error_from_eta(1e160, 1.5)
+            se_error_gmm(1e160, params_for())
         state = SeStateGmm(m=1e160, sigma=1.0, gamma=1.5, alpha=2.0)
         with pytest.raises(DomainError, match="m is too large"):
             state.sigma_bar
@@ -216,6 +215,17 @@ class TestMaps:
         for u in (bad, np.array([0.5, bad, 2.0])):
             with pytest.raises(DomainError, match="u must be non-negative and finite"):
                 spec(u)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fmap", [eta_map_opt, eta_map_ct])
+    def test_u_whose_gamma_squared_product_overflows_refused(self, fmap):
+        # gamma^2 * u is taken before the division by 1 + u: a DomainError where it
+        # overflows, not a saturated value or a warning; the maps are flat long before
+        huge = np.finfo(float).max / FIG_MAP_PARAMS.gamma**2 * 1.001
+        for u in (huge, np.array([0.5, huge])):
+            with pytest.raises(DomainError, match="gamma\\^2 \\* u overflows"):
+                fmap(u, FIG_MAP_PARAMS)
+        assert fmap(huge / 1.002, FIG_MAP_PARAMS) == fmap(1e16, FIG_MAP_PARAMS)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_opt_single_class_is_constant(self):
@@ -400,8 +410,8 @@ class TestSmoothedTrajectory:
         for _ in range(10):
             state = se_step_gmm(state, agg, params)
             u = eta_map_ft(u, params)
-            err_smooth = se_error_gmm(state, params)
-            err_limit = se_error_from_eta(math.sqrt(u), params.gamma)
+            err_smooth = se_error_gmm(state.eta, params)
+            err_limit = se_error_gmm(math.sqrt(u), params)
             assert abs(err_smooth - err_limit) <= 0.01
 
 
