@@ -76,8 +76,8 @@ def _add_model_args(sub: argparse.ArgumentParser, include_reps: bool = False) ->
     if include_reps:
         sub.add_argument("--replications", type=int, default=None)
         sub.add_argument("--jobs", type=int, default=None,
-                         help="worker processes; default: min(usable CPUs, replications, "
-                              "free memory / (8*n*d bytes))")
+                         help="most worker processes; never more than min(usable CPUs, "
+                              "replications, free memory / (8*n*d bytes)), the default")
     sub.add_argument("--out", type=str, default=None)
 
 

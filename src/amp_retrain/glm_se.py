@@ -1,51 +1,30 @@
 """Deterministic state evolution for the generalized-linear retraining loop.
 
-Tracks (mu_t, sigma_t), the law of the soft predictions Z_t = mu_t*Z +
-sigma_t*G with Z the latent margin, and predicts the test error through the
-signal-to-noise ratio eta_t = mu_t/sigma_t.  The Gaussian-threshold links (sign,
-probit) admit closed forms; for the logistic link the mean update integrates
-the quadrature optimal aggregator matched to the state against the scheduled one.
+Tracks the state (mu_t, sigma_t) (:class:`amp_retrain.retrain.SeState`), the
+law of the soft predictions Z_t = mu_t*Z + sigma_t*G with Z the latent margin,
+and predicts the test error through the signal-to-noise ratio
+eta_t = mu_t/sigma_t.  The Gaussian-threshold links (sign, probit) admit closed
+forms; for the logistic link the mean update integrates the quadrature optimal
+aggregator matched to the state against the scheduled one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .glm import GlmParams, OptimalGlm, OptimalSign, _error_from_overlap, hat_h_p
 from .numerics import _SPLIT_HALF_WIDTH, _map_blocks, _square, gaussian_rule
+from .retrain import SeState
 
 # Quadrature order of the first state's rule over the latent margin and of
 # each step's rule over the prediction; the posterior rule's is glm.ORDER.
 DEFAULT_ORDER = 201
 
 
-@dataclass(frozen=True)
-class SeStateGlm:
-    """State-evolution pair (mu, sigma); eta = mu/sigma.
-
-    mu and sigma are floats, or arrays of one shape for a batch of states
-    (the array-valued map :func:`se_step_glm_opt` steps one per point).
-    """
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not np.all((np.asarray(self.sigma) > 0) & np.isfinite(self.sigma)):
-            raise DomainError("sigma must be positive and finite")
-        if not np.all(np.isfinite(self.mu)):
-            raise DomainError("mu must be finite")
-
-    @property
-    def eta(self) -> float:
-        return self.mu / self.sigma
-
-
-def se_init_glm(params: GlmParams) -> SeStateGlm:
+def se_init_glm(params: GlmParams) -> SeState:
     """State after the identity first step: sigma_1 = sqrt(alpha).
 
     A Gaussian-threshold link has the closed form eta_1 = (1-2p)*sqrt(2/pi)/alpha
@@ -57,7 +36,7 @@ def se_init_glm(params: GlmParams) -> SeStateGlm:
     if params.link.noise_var is not None:
         eta1 = ((1.0 - 2.0 * params.p) * math.sqrt(2.0 / math.pi) / params.alpha
                 * math.sqrt(params.alpha / (params.prior_var + params.link.noise_var)))
-        return SeStateGlm(mu=eta1 * sigma1, sigma=sigma1)
+        return SeState(mu=eta1 * sigma1, sigma=sigma1)
     sd = math.sqrt(params.prior_var)
     # h turns from 0 to 1 on |z| < 8: split there, within the rule's window, so
     # the pieces resolve the turn however many link widths sd spans
@@ -65,7 +44,7 @@ def se_init_glm(params: GlmParams) -> SeStateGlm:
                    *(b for b in (-8.0, 8.0) if abs(b) < _SPLIT_HALF_WIDTH * sd)}
     z, w = gaussian_rule(0.0, sd, sorted(breakpoints), DEFAULT_ORDER)
     mu1 = 2.0 / params.prior_var * float((z * hat_h_p(z, params.link, params.p)) @ w)
-    return SeStateGlm(mu=mu1, sigma=sigma1)
+    return SeState(mu=mu1, sigma=sigma1)
 
 
 def se_step_glm_opt(eta, params: GlmParams):
@@ -88,13 +67,13 @@ def se_step_glm_opt(eta, params: GlmParams):
     def step(eta):
         with np.errstate(over="ignore"):   # an infinite mu is refused by the state
             mu = params.alpha * _square(eta, "eta")
-        return _step(SeStateGlm(mu=mu, sigma=params.alpha * eta), None, params).eta
+        return _step(SeState(mu=mu, sigma=params.alpha * eta), None, params).eta
 
     # per eta: the posterior's two moments at two labels on DEFAULT_ORDER nodes
     return _map_blocks(step, eta, 4 * DEFAULT_ORDER)
 
 
-def se_step_glm_generic(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm:
+def se_step_glm_generic(state: SeState, agg, params: GlmParams) -> SeState:
     """One (mu, sigma) step for an arbitrary aggregator g.
 
     mu' = E[g*(Z_t, Yhat) g(Z_t, Yhat)],  sigma'^2 = alpha * E[g^2],
@@ -109,13 +88,13 @@ def se_step_glm_generic(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm
                  params)
 
 
-def _step(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm:
+def _step(state: SeState, agg, params: GlmParams) -> SeState:
     """:func:`se_step_glm_generic` of a state or of a batch of states (1-D
     arrays), with agg None for the aggregator matched to each.  The
     prediction's rule has one row per state, and a batch's matched
     aggregators have columns of coefficients, one per row."""
     star = optimal_aggregator_for_state(
-        SeStateGlm(mu=state.mu[:, None], sigma=state.sigma[:, None]) if np.ndim(state.mu)
+        SeState(mu=state.mu[:, None], sigma=state.sigma[:, None]) if np.ndim(state.mu)
         else state, params)
     with np.errstate(over="ignore"):   # an infinite sd is refused by the rule
         sd = np.sqrt(_square(state.mu, "mu") * params.prior_var + _square(state.sigma, "sigma"))
@@ -137,7 +116,7 @@ def _step(state: SeStateGlm, agg, params: GlmParams) -> SeStateGlm:
     s2 = params.alpha * e_gg
     if not np.all((s2 > 0) & np.isfinite(s2) & np.isfinite(mu_next)):
         raise DomainError("state-evolution expectation degenerate or non-finite")
-    return SeStateGlm(mu=mu_next, sigma=np.sqrt(s2))
+    return SeState(mu=mu_next, sigma=np.sqrt(s2))
 
 
 def se_error_glm(eta: float, params: GlmParams) -> float:
@@ -151,7 +130,7 @@ def se_error_glm(eta: float, params: GlmParams) -> float:
                                params)
 
 
-def optimal_aggregator_for_state(state: SeStateGlm, params: GlmParams):
+def optimal_aggregator_for_state(state: SeState, params: GlmParams):
     """Aggregator matched to the channel of a given state (closed form for sign and probit)."""
     cls = OptimalGlm if params.link.noise_var is None else OptimalSign
     return cls.from_se_state(state, params)

@@ -102,6 +102,9 @@ class GmmDataset:
         return math.sqrt(self.n)
 
 
+_MAX_GAMMA2_SQRT_N = float(np.finfo(np.float32).max) / 2
+
+
 def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
     """Draw x_i = y_i * mu + z_i with z_i ~ N(0, I_d) and flipped labels.
 
@@ -113,10 +116,19 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
     identical datasets.  (Before version 0.2.0 the generator also drew the
     noise, between the labels and the flips; before 0.19.0 each block's
     noise was numpy's ziggurat ``standard_normal``, where it is now a
-    Box-Muller transform of the block's uniforms.)
+    Box-Muller transform of the block's uniforms.)  A gamma whose
+    gamma^2*sqrt(n) reaches half of float32's largest value raises
+    :class:`ConfigError`: the retraining products would overflow.
     """
     if params.n * (params.d or 0) == 0:
         raise ConfigError("empty dataset requested")
+    # the float32 product X @ w of a retraining step reaches about
+    # gamma^2*sqrt(n) (the label-weighted w_1 is about sqrt(n)*mu); half of
+    # float32's range leaves room for the noise and the rounding of the sum
+    if not params.gamma**2 * math.sqrt(params.n) < _MAX_GAMMA2_SQRT_N:
+        raise ConfigError(f"gamma^2*sqrt(n) must be below {_MAX_GAMMA2_SQRT_N:.3g} (half of "
+                          f"float32's largest value) to sample the mixture, "
+                          f"not {params.gamma!r}^2*sqrt({params.n})")
     gen = rng.generator()
     mu = gen.standard_normal(params.d)
     mu *= params.gamma / np.linalg.norm(mu)
@@ -164,6 +176,14 @@ class IdentityAggregator:
         return yhat.copy(), np.zeros_like(y)
 
 
+def _channel(state, params: GmmParams):
+    """(m_bar, sigma_bar) of the soft predictions U ~ N(m_bar*Y, sigma_bar^2)
+    under a state-evolution state (``retrain.SeState``, floats):
+    m_bar = gamma*sqrt(alpha)*mu and sigma_bar^2 = alpha*(mu^2 + sigma^2)."""
+    return (params.gamma * math.sqrt(params.alpha) * state.mu,
+            math.sqrt(params.alpha * (_square(state.mu, "mu") + _square(state.sigma, "sigma"))))
+
+
 @dataclass(frozen=True)
 class OptimalGmm:
     """Posterior-mean aggregator tanh((yhat*L + slope*y + prior) / 2).
@@ -194,7 +214,7 @@ class OptimalGmm:
     @classmethod
     def from_se_state(cls, state, params: GmmParams) -> "OptimalGmm":
         """Slope 2*m_bar/sigma_bar^2: exact posterior mean for the prediction
-        channel described by a state-evolution state (see gmm_se).
+        channel (:func:`_channel`) of a state-evolution state.
 
         On the self-consistent trajectory this equals the slope of
         :meth:`from_eta`; after the identity first step the exact channel
@@ -202,7 +222,8 @@ class OptimalGmm:
         what makes the empirical run track the state evolution (and the Bayes
         identity hold) from t = 1 on.
         """
-        slope = 2.0 * state.m_bar / _square(state.sigma_bar, "sigma_bar")
+        m_bar, sigma_bar = _channel(state, params)
+        slope = 2.0 * m_bar / _square(sigma_bar, "sigma_bar")
         return cls._build(slope, params)
 
     @classmethod

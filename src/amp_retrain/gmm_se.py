@@ -1,10 +1,11 @@
 """Deterministic state evolution for the Gaussian-mixture retraining loop.
 
-Tracks the scalar pair (m_t, sigma_t) describing the asymptotic law of the
-model iterates, the induced test-error prediction, the one-dimensional update
-maps for the optimal / full / consensus aggregation rules, their fixed points
-and crossover, and the noise-level threshold above which retraining provably
-keeps improving.
+Tracks the state (mu_t, sigma_t) (:class:`amp_retrain.retrain.SeState`)
+describing the asymptotic law of the model iterates, whose prediction channel
+the params give (``gmm._channel``), the induced test-error prediction, the
+one-dimensional update maps for the optimal / full / consensus aggregation
+rules, their fixed points and crossover, and the noise-level threshold above
+which retraining provably keeps improving.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import BracketError, ConfigError, DomainError
-from .gmm import AGGREGATORS, GmmParams, OptimalGmm, aggregator_from_name
+from .gmm import AGGREGATORS, GmmParams, OptimalGmm, _channel, aggregator_from_name
 from .numerics import _map_blocks, _square, find_root_bisect, gaussian_rule, std_normal_cdf
+from .retrain import SeState
 
 # Quadrature order of every expectation here (SE steps and maps).  The optimal
 # aggregator can be a steep tanh, and the self-consistency identities are
@@ -35,44 +37,11 @@ _CROSSOVER_U_MAX = 50.0
 _P_STAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SeStateGmm:
-    """State-evolution pair (m, sigma) with derived channel parameters.
-
-    eta = m/sigma is the signal-to-noise ratio; (m_bar, sigma_bar) describe
-    the law of the soft predictions: m_bar = gamma*sqrt(alpha)*m and
-    sigma_bar^2 = alpha*(m^2 + sigma^2).
-    """
-
-    m: float
-    sigma: float
-    gamma: float
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise DomainError("sigma must be positive and finite")
-        if not math.isfinite(self.m):
-            raise DomainError("m must be finite")
-
-    @property
-    def eta(self) -> float:
-        return self.m / self.sigma
-
-    @property
-    def m_bar(self) -> float:
-        return self.gamma * math.sqrt(self.alpha) * self.m
-
-    @property
-    def sigma_bar(self) -> float:
-        return math.sqrt(self.alpha * (_square(self.m, "m") + _square(self.sigma, "sigma")))
-
-
-def se_init_gmm(params: GmmParams) -> SeStateGmm:
+def se_init_gmm(params: GmmParams) -> SeState:
     """State after the identity-aggregator first step:
-    m_1 = gamma*(1-2p)/sqrt(alpha), sigma_1 = 1."""
-    m1 = params.gamma * (1.0 - 2.0 * params.p) / math.sqrt(params.alpha)
-    return SeStateGmm(m=m1, sigma=1.0, gamma=params.gamma, alpha=params.alpha)
+    mu_1 = gamma*(1-2p)/sqrt(alpha), sigma_1 = 1."""
+    mu1 = params.gamma * (1.0 - 2.0 * params.p) / math.sqrt(params.alpha)
+    return SeState(mu=mu1, sigma=1.0)
 
 
 def label_atoms(params: GmmParams) -> List[Tuple[float, float, float]]:
@@ -127,20 +96,21 @@ def _class_moments(agg, m_bar, sigma_bar, params: GmmParams):
     return [float(e) for e in out] if not shape else list(out)
 
 
-def se_step_gmm(state: SeStateGmm, agg, params: GmmParams) -> SeStateGmm:
+def se_step_gmm(state: SeState, agg, params: GmmParams) -> SeState:
     """One state-evolution step for an arbitrary aggregator:
-    m' = (gamma/sqrt(alpha)) E[g*Y], (sigma')^2 = E[g^2]."""
-    e_gy, e_gg = _class_moments(agg, state.m_bar, state.sigma_bar, params)
-    m_next = params.gamma / math.sqrt(params.alpha) * e_gy
+    mu' = (gamma/sqrt(alpha)) E[g*Y], (sigma')^2 = E[g^2], over the state's
+    channel (``gmm._channel``)."""
+    e_gy, e_gg = _class_moments(agg, *_channel(state, params), params)
+    mu_next = params.gamma / math.sqrt(params.alpha) * e_gy
     s2 = e_gg
-    if not (s2 > 0 and math.isfinite(s2) and math.isfinite(m_next)):
+    if not (s2 > 0 and math.isfinite(s2) and math.isfinite(mu_next)):
         raise DomainError("state-evolution expectation degenerate or non-finite")
-    return SeStateGmm(m=m_next, sigma=math.sqrt(s2), gamma=params.gamma, alpha=params.alpha)
+    return SeState(mu=mu_next, sigma=math.sqrt(s2))
 
 
 def se_error_gmm(eta: float, params: GmmParams) -> float:
     """Predicted test error Phi(-gamma*eta / sqrt(eta^2 + 1)) at signal-to-noise
-    eta = m/sigma."""
+    eta = mu/sigma."""
     return std_normal_cdf(-params.gamma * eta / math.sqrt(_square(eta, "eta") + 1.0))
 
 
@@ -220,7 +190,7 @@ class SeMapSpec:
     variant: one of :data:`VARIANTS`.  "opt" is :func:`eta_map_opt`, the
     limits are :func:`eta_map_ft` and :func:`eta_map_ct`.  A constant
     aggregator's map evaluates one state-evolution step from the
-    self-consistent slice m = sqrt(alpha)/gamma * u, sigma = sqrt(alpha*u)/gamma,
+    self-consistent slice mu = sqrt(alpha)/gamma * u, sigma = sqrt(alpha*u)/gamma,
     whose channel is (m_bar, sigma_bar) = (alpha*u, (alpha/gamma)*sqrt(u*(1+u))),
     as F(u) = (gamma^2/alpha) E[g*Y]^2 / E[g^2], and 0 where E[g^2] = 0.  At
     u = 0 the channel is the point mass at 0 (finite-beta dynamics are not

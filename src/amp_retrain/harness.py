@@ -211,25 +211,26 @@ def _free_bytes() -> int:
 def simulate(config: ExperimentConfig, jobs: Optional[int] = None) -> SimulationResult:
     """Replicated runs plus the matching theory trace and gap report.
 
-    ``jobs`` processes run the replications; one runs them in this process.
-    None picks min(usable CPUs, replications, free memory // (2 * 4*n*d)),
-    at least 1: each worker holds one float32 X of 4*n*d bytes, and the
-    factor 2 leaves as much again for everything else.
+    At most ``jobs`` processes run the replications, and never more than
+    min(usable CPUs, replications, free memory // (2 * 4*n*d)), at least 1:
+    each worker holds one float32 X of 4*n*d bytes, and the factor 2 leaves
+    as much again for everything else.  None asks for that bound; one worker
+    runs the replications in this process.
 
     The schedule is built once and handed to every replication (its
     aggregators are frozen dataclasses, so it pickles into pool workers).
     Results are keyed by replication index and merged in order, so the output
     is identical for any job count.
     """
-    if jobs is None:
-        params = build_params(config)
-        jobs = min(_usable_cpus(), max(1, _free_bytes() // (8 * params.n * params.d)))
-    elif jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    params, cpus = build_params(config), _usable_cpus()
+    # a pool forks all its workers at start-up, so never more than there is work,
+    # cores or memory for
+    workers = min(jobs or cpus, cpus, config.replications,
+                  max(1, _free_bytes() // (8 * params.n * params.d)))
     se_rows, schedule = se_trace(config)
     reps_idx = range(config.replications)
-    # a pool forks all its workers at start-up, so never more than there is work for
-    workers = min(jobs, config.replications)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reps = list(pool.map(run_replication, [config] * len(reps_idx), reps_idx,

@@ -17,6 +17,9 @@ matrix's dtype (float32 for the sampled datasets) and its result back.
 A schedule is a tuple of aggregators, one per step.  Its first entry is the
 identity aggregator, which makes the first iterate the one-shot estimator
 X^T y_noisy / s.
+
+Both models' state evolutions follow the iterate through one two-scalar
+:class:`SeState` (signal mu, noise sigma).
 """
 
 from __future__ import annotations
@@ -27,10 +30,33 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (ConfigError, DegenerateFitError, DegenerateModelError, DivergenceError,
-                     ShapeError)
+                     DomainError, ShapeError)
 from .numerics import _matvec, _rmatvec
 
 Evaluate = Callable[[np.ndarray], Tuple[float, float]]
+
+
+@dataclass(frozen=True)
+class SeState:
+    """State-evolution pair (mu, sigma) of either model; eta = mu/sigma.
+
+    mu and sigma are floats, or arrays of one shape for a batch of states
+    (``glm_se.se_step_glm_opt`` steps one per point).  A model derives its
+    prediction channel from the state and its params.
+    """
+
+    mu: float
+    sigma: float
+
+    def __post_init__(self):
+        if not np.all((np.asarray(self.sigma) > 0) & np.isfinite(self.sigma)):
+            raise DomainError("sigma must be positive and finite")
+        if not np.all(np.isfinite(self.mu)):
+            raise DomainError("mu must be finite")
+
+    @property
+    def eta(self) -> float:
+        return self.mu / self.sigma
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,9 +20,9 @@ from amp_retrain.gmm import (
     GmmParams,
     OptimalGmm,
     SmoothedFullRT,
+    _channel,
 )
 from amp_retrain.gmm_se import (
-    SeStateGmm,
     eta_map_ct,
     eta_map_ft,
     eta_map_opt,
@@ -43,6 +43,7 @@ from amp_retrain.glm import (
 from amp_retrain.glm_se import se_init_glm
 from amp_retrain.harness import ExperimentConfig, se_states, simulate
 from amp_retrain.numerics import RngStream, gauss_hermite
+from amp_retrain.retrain import SeState
 
 
 def _passed(num: int, message: str) -> None:
@@ -111,13 +112,14 @@ def test_criterion_04_initializations_exact():
 
 
 def test_criterion_05_posterior_mean_step_identities():
-    """Optimal steps satisfy m' = (gamma/sqrt(alpha)) sigma'^2 and sigma'^2 = alpha mu'."""
+    """Optimal steps satisfy mu' = (gamma/sqrt(alpha)) sigma'^2 (mixture) and
+    sigma'^2 = alpha mu' (GLM)."""
     params = GmmParams(gamma=1.5, alpha=0.8, p=0.4, pi_plus=0.3, n=100)
     states, _ = se_states(ExperimentConfig(model="gmm", gamma=1.5, alpha=0.8, p=0.4,
                                            pi_plus=0.3, n=100, iterations=10))
     worst = 0.0
     for state in states[1:]:
-        worst = max(worst, abs(state.m - params.gamma / math.sqrt(params.alpha) * state.sigma**2))
+        worst = max(worst, abs(state.mu - params.gamma / math.sqrt(params.alpha) * state.sigma**2))
     assert worst <= 1e-9
     glm = GlmParams(gamma=1.0, alpha=0.5, p=0.2, link=SignLink(), n=100)
     glm_states, _ = se_states(ExperimentConfig(model="glm", gamma=1.0, alpha=0.5, p=0.2,
@@ -144,11 +146,12 @@ def test_criterion_06_bayes_identity_random_tuples():
         eta = gen.uniform(0.05, 3.0)
         params = GmmParams(gamma=gamma, alpha=alpha, p=p, pi_plus=pi_plus, n=100)
         scale = math.sqrt(alpha) / gamma
-        state = SeStateGmm(m=scale * eta**2, sigma=scale * eta, gamma=gamma, alpha=alpha)
+        state = SeState(mu=scale * eta**2, sigma=scale * eta)
         agg = OptimalGmm.from_se_state(state, params)
+        m_bar, sigma_bar = _channel(state, params)
         e_yg = e_gg = 0.0
         for w, y_lab, yhat in label_atoms(params):
-            vals = agg.value_and_deriv(state.m_bar * y_lab + state.sigma_bar * nodes, yhat)[0]
+            vals = agg.value_and_deriv(m_bar * y_lab + sigma_bar * nodes, yhat)[0]
             e_yg += w * y_lab * float(rule.weights @ vals) / math.sqrt(math.pi)
             e_gg += w * float(rule.weights @ (vals * vals)) / math.sqrt(math.pi)
         worst = max(worst, abs(e_yg - e_gg))

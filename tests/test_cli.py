@@ -15,7 +15,9 @@ from amp_retrain import harness
 from amp_retrain.cli import build_parser, main
 from amp_retrain.datafiles import read_table, write_logit_file
 from amp_retrain.errors import ConfigError
-from amp_retrain.gmm import AGGREGATORS, GmmParams
+from amp_retrain.bayesmix import bayesmix_retrain_demo
+from amp_retrain.gmm import (AGGREGATORS, GmmParams, IdentityAggregator, aggregator_from_name,
+                             sample_gmm_dataset)
 from amp_retrain.gmm_se import VARIANTS, SeMapSpec
 from amp_retrain.harness import (ExperimentConfig, build_params, replication_data,
                                  run_replication, se_trace)
@@ -115,9 +117,10 @@ class TestSimulate:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         return asked
 
-    def test_jobs_capped_at_replications(self, asked):
+    def test_jobs_capped_at_replications(self, asked, usable_cpus):
         config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.5, p=0.2, n=200,
                                   iterations=3, replications=2, master_seed=6)
+        usable_cpus(4)
         capped = harness.simulate(config, jobs=64)
         assert asked == [2]
         assert capped == harness.simulate(config, jobs=1)
@@ -140,6 +143,24 @@ class TestSimulate:
         usable_cpus(cpus)
         monkeypatch.setattr(harness, "_free_bytes", lambda: free_xs * 4 * 40 * 20)
         result = harness.simulate(config)
+        assert asked == ([workers] if workers > 1 else [])
+        assert result == harness.simulate(config, jobs=1)
+
+    @pytest.mark.parametrize("cpus,jobs,replications,free_xs,workers", [
+        (2, 64, 8, 100, 2),   # capped by the CPUs
+        (4, 3, 8, 100, 3),    # by the count asked for
+        (4, 64, 3, 100, 3),   # by the replications
+        (4, 64, 8, 7, 3),     # by memory: two X per worker, 7 X free
+        (1, 2, 8, 100, 1),    # one CPU runs them inline
+    ])
+    def test_jobs_is_an_upper_bound(self, asked, monkeypatch, usable_cpus, cpus, jobs,
+                                    replications, free_xs, workers):
+        # X is float32: 4 * n * d = 4 * 40 * 20 bytes
+        config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.5, p=0.2, n=40,
+                                  iterations=2, replications=replications, master_seed=6)
+        usable_cpus(cpus)
+        monkeypatch.setattr(harness, "_free_bytes", lambda: free_xs * 4 * 40 * 20)
+        result = harness.simulate(config, jobs=jobs)
         assert asked == ([workers] if workers > 1 else [])
         assert result == harness.simulate(config, jobs=1)
 
@@ -618,6 +639,47 @@ class TestInputErrors:
 
     def test_gamma_inside_the_float32_bound_runs(self, tmp_path):
         assert self.run_gamma(tmp_path, "simulate_glm", "1e15") == 0
+
+    @pytest.mark.parametrize("command", ["simulate_gmm", "bayesmix_demo"])
+    def test_gamma_whose_mixture_products_overflow(self, tmp_path, capsys, command):
+        # gamma^2*sqrt(n) = 1.4e39: the float32 products X @ w would overflow
+        assert self.run_gamma(tmp_path, command, "1e19") == 2
+        assert "gamma" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*.tsv"))
+
+    @pytest.mark.parametrize("command", ["se_gmm", "se_gmm_ct_limit", "cobweb_gmm",
+                                         "cobweb_gmm_ft_limit", "crossover"])
+    def test_theory_takes_a_gamma_beyond_the_mixture_sampling_bound(self, tmp_path, command):
+        assert self.run_gamma(tmp_path, command, "1e19") == 0
+
+    def test_gamma_just_inside_the_mixture_sampling_bound_runs_finite(self):
+        # the bound is gamma^2*sqrt(n) < float32 max / 2; at the float32 max
+        # itself opt and smoothed_ft runs at alpha 0.1 diverged at step 2
+        # (n 200 and 2000) and a bayesmix demo halted
+        n, bound = 200, float(np.finfo(np.float32).max) / 2
+        gamma = math.sqrt(bound / math.sqrt(n)) * (1 - 1e-12)
+        with pytest.raises(ConfigError, match="gamma"):
+            sample_gmm_dataset(GmmParams(gamma=gamma * (1 + 2e-12), alpha=0.5, p=0.2, n=n),
+                               RngStream(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for alpha in (0.1, 0.5, 2.0):
+                for name in AGGREGATORS:
+                    beta = 5.0 if name.startswith("smoothed") else None
+                    config = ExperimentConfig(model="gmm", gamma=gamma, alpha=alpha, p=0.2, n=n,
+                                              iterations=4, aggregator=name, beta=beta)
+                    # the smoothed aggregators' state evolution is refused from
+                    # gamma about 3e17, so their schedule is built here
+                    schedule = (se_trace(config)[1] if beta is None else
+                                (IdentityAggregator(),) + (aggregator_from_name(name, beta),) * 3)
+                    for rep in range(2):
+                        traj = run_replication(config, rep, schedule)
+                        assert traj.diverged_at is None and len(traj.points) == 5, (alpha, name)
+                        assert all(math.isfinite(pt.model_norm) for pt in traj.points)
+                params = GmmParams(gamma=gamma, alpha=alpha, p=0.2, n=n)
+                for seed in (0, 1):
+                    demo = bayesmix_retrain_demo(params, 3, RngStream(seed, 0))
+                    assert demo.halted_at is None and len(demo.accuracies) == 3, (alpha, seed)
 
     def test_config_of_version_0_2_0_is_refused(self, tmp_path, capsys):
         # the quadrature order and the link scale left the config in 0.3.0

@@ -25,7 +25,6 @@ from amp_retrain.gmm import (
 )
 from amp_retrain.glm_se import (
     DEFAULT_ORDER,
-    SeStateGlm,
     optimal_aggregator_for_state,
     se_error_glm,
     se_init_glm,
@@ -34,7 +33,7 @@ from amp_retrain.glm_se import (
 )
 from amp_retrain.harness import ExperimentConfig, build_params, se_rows, se_states
 from amp_retrain.numerics import gaussian_rule
-from amp_retrain.retrain import AmpState, amp_step
+from amp_retrain.retrain import AmpState, SeState, amp_step
 
 
 class HalfLink:
@@ -129,7 +128,7 @@ class TestOptStep:
         with pytest.raises(DomainError, match="too large"):
             se_step_glm_opt(1e78, params)
         # and states whose channel coefficients overflow
-        for state in (SeStateGlm(mu=1e160, sigma=1.0), SeStateGlm(mu=1.0, sigma=1e160)):
+        for state in (SeState(mu=1e160, sigma=1.0), SeState(mu=1.0, sigma=1e160)):
             with pytest.raises(DomainError, match="too large"):
                 optimal_aggregator_for_state(state, params)
         with pytest.raises(DomainError, match="eta is too large"):
@@ -195,7 +194,7 @@ class TestGenericStep:
 
     def test_uninformative_gives_zero_mean(self):
         params = GlmParams(gamma=1.0, alpha=1.0, p=0.2, link=HalfLink(), n=100)
-        state = SeStateGlm(mu=0.4, sigma=1.0)
+        state = SeState(mu=0.4, sigma=1.0)
         agg = OptimalGlm.from_se_state(state, params)
         nxt = se_step_glm_generic(state, agg, params)
         assert nxt.mu == pytest.approx(0.0, abs=1e-12)
@@ -445,7 +444,7 @@ def reference_step(state, agg, params, order=82):
     g_plus, g_minus = (agg.value_and_deriv(u, lab)[0] for lab in (1.0, -1.0))
     mu = np.sum(w * (q * star_plus * g_plus + (1 - q) * star_minus * g_minus))
     e_gg = np.sum(w * (q * g_plus**2 + (1 - q) * g_minus**2))
-    return SeStateGlm(mu=float(mu), sigma=math.sqrt(params.alpha * e_gg))
+    return SeState(mu=float(mu), sigma=math.sqrt(params.alpha * e_gg))
 
 
 class TestFixedOrdersResolveTheTrace:
@@ -462,7 +461,7 @@ class TestFixedOrdersResolveTheTrace:
         params = build_params(config)
         z, zw = gaussian_rule(0.0, math.sqrt(params.prior_var), params.link.discontinuities, 301)
         mu1 = 2.0 / params.prior_var * float((z * hat_h_p(z, params.link, params.p)) @ zw)
-        ref = SeStateGlm(mu=mu1, sigma=math.sqrt(params.alpha))
+        ref = SeState(mu=mu1, sigma=math.sqrt(params.alpha))
         assert abs(states[0].eta - ref.eta) <= 1e-12
         for state in states[1:]:
             agg = aggregator_from_name(name, beta) or optimal_aggregator_for_state(ref, params)

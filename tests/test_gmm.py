@@ -19,16 +19,18 @@ from amp_retrain.gmm import (
     OptimalGmm,
     SmoothedConsensusRT,
     SmoothedFullRT,
+    _channel,
     gmm_evaluator,
     sample_gmm_dataset,
 )
 from amp_retrain.gmm import test_error_gmm as gmm_error
 from amp_retrain.glm import GlmParams, LogisticLink, OptimalGlm, OptimalSign, SignLink
-from amp_retrain.gmm_se import SeStateGmm, label_atoms, se_init_gmm
+from amp_retrain.gmm_se import label_atoms, se_init_gmm
 from amp_retrain.numerics import RngStream, gauss_hermite, std_normal_cdf
 from amp_retrain.retrain import (
     HARD_RULES,
     AmpState,
+    SeState,
     amp_step,
     run_hard_baseline,
     run_retraining,
@@ -146,9 +148,9 @@ class TestAggregators:
         # finite eta, but a Python float's eta**2 raises the built-in OverflowError
         with pytest.raises(DomainError, match="eta is too large"):
             OptimalGmm.from_eta(1e160, params_for(p=0.2, pi_plus=0.3))
-        # and a state whose sigma_bar^2 = alpha*(m^2 + sigma^2) overflows
-        state = SeStateGmm(m=1e160, sigma=1.0, gamma=1.5, alpha=2.0)
-        with pytest.raises(DomainError, match="m is too large"):
+        # and a state whose channel's sigma_bar^2 = alpha*(mu^2 + sigma^2) overflows
+        state = SeState(mu=1e160, sigma=1.0)
+        with pytest.raises(DomainError, match="mu is too large"):
             OptimalGmm.from_se_state(state, params_for(p=0.2, pi_plus=0.3))
 
     def test_optimal_p_zero_returns_label(self):
@@ -408,11 +410,12 @@ class TestRunRetraining:
         params = params_for(gamma=1.4, alpha=1.1, p=0.25, pi_plus=0.4, n=100)
         state = se_init_gmm(params)
         agg = OptimalGmm.from_se_state(state, params)
+        m_bar, sigma_bar = _channel(state, params)
         rule = gauss_hermite(201)
         nodes = math.sqrt(2.0) * rule.nodes
         e_yg = e_gg = 0.0
         for w, y_lab, yhat in label_atoms(params):
-            vals = agg.value_and_deriv(state.m_bar * y_lab + state.sigma_bar * nodes, yhat)[0]
+            vals = agg.value_and_deriv(m_bar * y_lab + sigma_bar * nodes, yhat)[0]
             e_yg += w * y_lab * float(rule.weights @ vals) / math.sqrt(math.pi)
             e_gg += w * float(rule.weights @ (vals * vals)) / math.sqrt(math.pi)
         assert abs(e_yg - e_gg) <= 1e-8

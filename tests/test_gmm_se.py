@@ -10,11 +10,11 @@ from amp_retrain.gmm import (
     IdentityAggregator,
     OptimalGmm,
     SmoothedFullRT,
+    _channel,
     aggregator_from_name,
 )
 from amp_retrain.gmm_se import (
     SeMapSpec,
-    SeStateGmm,
     cobweb_trace,
     eta_map_ct,
     eta_map_ft,
@@ -29,6 +29,7 @@ from amp_retrain.gmm_se import (
 )
 from amp_retrain.harness import ExperimentConfig, se_states
 from amp_retrain.numerics import gaussian_rule, std_normal_cdf
+from amp_retrain.retrain import SeState
 
 
 def params_for(gamma=1.5, alpha=2.0, p=0.3, pi_plus=0.3, n=100):
@@ -50,25 +51,26 @@ class TestInit:
 
     def test_pure_noise_limit(self):
         state = se_init_gmm(params_for(p=0.4999999))
-        assert abs(state.m) <= 1e-6
+        assert abs(state.mu) <= 1e-6
 
     def test_derived_fields_consistent(self):
         params = params_for()
         state = se_init_gmm(params)
-        assert state.m_bar == pytest.approx(params.gamma * math.sqrt(params.alpha) * state.m, abs=1e-12)
-        assert state.sigma_bar**2 == pytest.approx(
-            params.alpha * (state.m**2 + state.sigma**2), abs=1e-12
+        m_bar, sigma_bar = _channel(state, params)
+        assert m_bar == pytest.approx(params.gamma * math.sqrt(params.alpha) * state.mu, abs=1e-12)
+        assert sigma_bar**2 == pytest.approx(
+            params.alpha * (state.mu**2 + state.sigma**2), abs=1e-12
         )
-        assert state.eta == pytest.approx(state.m / state.sigma, abs=1e-15)
+        assert state.eta == pytest.approx(state.mu / state.sigma, abs=1e-15)
 
 
 class TestStep:
     def test_identity_reenters_init(self):
         params = params_for()
-        arbitrary = SeStateGmm(m=0.7, sigma=2.3, gamma=params.gamma, alpha=params.alpha)
+        arbitrary = SeState(mu=0.7, sigma=2.3)
         nxt = se_step_gmm(arbitrary, IdentityAggregator(), params)
         init = se_init_gmm(params)
-        assert nxt.m == pytest.approx(init.m, abs=1e-12)
+        assert nxt.mu == pytest.approx(init.mu, abs=1e-12)
         assert nxt.sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_optimal_step_self_consistency(self):
@@ -78,7 +80,7 @@ class TestStep:
         for _ in range(4):
             agg = OptimalGmm.from_se_state(state, params)
             state = se_step_gmm(state, agg, params)
-            assert abs(state.m - params.gamma / math.sqrt(params.alpha) * state.sigma**2) <= 1e-9
+            assert abs(state.mu - params.gamma / math.sqrt(params.alpha) * state.sigma**2) <= 1e-9
 
     def test_optimal_step_matches_eta_map(self):
         params = params_for()
@@ -96,27 +98,28 @@ class TestStep:
         state = se_init_gmm(params)
         agg = SmoothedFullRT(2.0)
         stepped = se_step_gmm(state, agg, params)
+        m_bar, sigma_bar = _channel(state, params)
         m_acc = 0.0
         s2_acc = 0.0
         for w, y_lab, yhat in label_atoms(params):
-            y, weights = gaussian_rule(state.m_bar * y_lab, state.sigma_bar, (), 201)
+            y, weights = gaussian_rule(m_bar * y_lab, sigma_bar, (), 201)
             vals = agg.value_and_deriv(y, yhat)[0]
             m_acc += w * y_lab * float(vals @ weights)
             s2_acc += w * float((vals * vals) @ weights)
-        assert stepped.m == pytest.approx(params.gamma / math.sqrt(params.alpha) * m_acc, abs=1e-9)
+        assert stepped.mu == pytest.approx(params.gamma / math.sqrt(params.alpha) * m_acc, abs=1e-9)
         assert stepped.sigma**2 == pytest.approx(s2_acc, abs=1e-9)
 
 
 def reference_step(state, agg, params, order=301):
     """se_step_gmm atom by atom on a finer rule (Hermite stops at order 370)."""
+    m_bar, sigma_bar = _channel(state, params)
     e_gy = e_gg = 0.0
     for w, y_lab, yhat in label_atoms(params):
-        y, weights = gaussian_rule(state.m_bar * y_lab, state.sigma_bar, agg.y_breakpoints, order)
+        y, weights = gaussian_rule(m_bar * y_lab, sigma_bar, agg.y_breakpoints, order)
         vals = agg.value_and_deriv(y, yhat)[0]
         e_gy += w * y_lab * float(vals @ weights)
         e_gg += w * float((vals * vals) @ weights)
-    return SeStateGmm(m=params.gamma / math.sqrt(params.alpha) * e_gy, sigma=math.sqrt(e_gg),
-                      gamma=params.gamma, alpha=params.alpha)
+    return SeState(mu=params.gamma / math.sqrt(params.alpha) * e_gy, sigma=math.sqrt(e_gg))
 
 
 class TestFixedOrderResolvesTheTrace:
@@ -140,7 +143,7 @@ class TestFixedOrderResolvesTheTrace:
 class TestErrorPrediction:
     def test_chance_level(self):
         params = params_for()
-        state = SeStateGmm(m=0.0, sigma=1.0, gamma=params.gamma, alpha=params.alpha)
+        state = SeState(mu=0.0, sigma=1.0)
         assert se_error_gmm(state.eta, params) == 0.5
 
     def test_infinite_snr_limit(self):
@@ -160,9 +163,12 @@ class TestErrorPrediction:
         # a Python float's ** raises the built-in OverflowError
         with pytest.raises(DomainError, match="eta is too large"):
             se_error_gmm(1e160, params_for())
-        state = SeStateGmm(m=1e160, sigma=1.0, gamma=1.5, alpha=2.0)
-        with pytest.raises(DomainError, match="m is too large"):
-            state.sigma_bar
+        # and a state whose channel's sigma_bar^2 = alpha*(mu^2 + sigma^2) overflows
+        state = SeState(mu=1e160, sigma=1.0)
+        with pytest.raises(DomainError, match="mu is too large"):
+            _channel(state, params_for())
+        with pytest.raises(DomainError, match="mu is too large"):
+            se_step_gmm(state, IdentityAggregator(), params_for())
 
 
 class TestMaps:

@@ -12,8 +12,10 @@ MIXTURE = dict(model="gmm", gamma=1.5, alpha=0.8, p=0.4, pi_plus=0.3, n=1000, re
 SIGN = dict(model="glm", link="sign", gamma=1.0, alpha=0.5, p=0.2, n=2000, replications=4)
 LOGISTIC = dict(model="glm", link="logistic", gamma=2.0, alpha=0.5, p=0.2, n=2000,
                 replications=4)
+PROBIT = dict(model="glm", link="probit", gamma=1.0, alpha=0.5, p=0.2, n=2000, replications=4)
 CASES = ([("gmm", MIXTURE, agg) for agg in AGGREGATORS]
          + [("glm-sign", SIGN, agg) for agg in AGGREGATORS]
+         + [("glm-probit", PROBIT, agg) for agg in AGGREGATORS]
          + [("glm-logistic", LOGISTIC, "smoothed_ct")])
 
 

@@ -17,9 +17,10 @@ import pytest
 
 from amp_retrain.glm import (GlmParams, LogisticLink, OptimalGlm, OptimalSign, ProbitLink,
                               SignLink, _error_from_overlap)
-from amp_retrain.glm_se import SeStateGlm, se_init_glm, se_step_glm_generic
-from amp_retrain.gmm import GmmParams, OptimalGmm
+from amp_retrain.glm_se import se_init_glm, se_step_glm_generic
+from amp_retrain.gmm import GmmParams, OptimalGmm, _channel
 from amp_retrain.gmm_se import eta_map_opt, find_crossover, p_star, se_init_gmm, se_step_gmm
+from amp_retrain.retrain import SeState
 
 mp = pytest.importorskip("mpmath")
 
@@ -219,7 +220,7 @@ def logistic_e_gstar2(mu, sigma, params):
 def test_logistic_step(mu, sigma, tol):
     # mu' = E[g*^2] and sigma'^2 = alpha*E[g*^2] with the matched aggregator
     params = GlmParams(gamma=2.0, alpha=0.5, p=0.2, link=LogisticLink(), n=100)
-    state = SeStateGlm(mu=mu, sigma=sigma)
+    state = SeState(mu=mu, sigma=sigma)
     nxt = se_step_glm_generic(state, OptimalGlm.from_se_state(state, params), params)
     e_gg = logistic_e_gstar2(mu, sigma, params)
     assert float(abs((nxt.mu - e_gg) / e_gg)) <= tol
@@ -254,7 +255,7 @@ def mixture_e_gg(m_bar, sigma_bar, p, pi_plus):
 def test_mixture_opt_map_and_step(gamma, alpha, p, pi_plus, map_gaps, step_gap):
     # the opt map's reduced channel has m_bar = sigma_bar^2 = gamma^2*u/(1+u),
     # and F(u) = (gamma^2/alpha)*E[g^2]; the step from the first state has
-    # m' = (gamma/sqrt(alpha))*E[g*Y] and sigma'^2 = E[g^2]
+    # mu' = (gamma/sqrt(alpha))*E[g*Y] and sigma'^2 = E[g^2]
     params = GmmParams(gamma=gamma, alpha=alpha, p=p, pi_plus=pi_plus, n=100)
     for u, tol in map_gaps.items():
         s2 = mp.mpf(gamma) ** 2 * u / (1 + mp.mpf(u))
@@ -262,9 +263,9 @@ def test_mixture_opt_map_and_step(gamma, alpha, p, pi_plus, map_gaps, step_gap):
         assert float(abs((eta_map_opt(u, params) - ref) / ref)) <= tol, u
     state = se_init_gmm(params)
     nxt = se_step_gmm(state, OptimalGmm.from_se_state(state, params), params)
-    e_gg = mixture_e_gg(state.m_bar, state.sigma_bar, p, pi_plus)
-    m_ref = mp.mpf(gamma) / mp.sqrt(alpha) * e_gg
-    assert float(abs((nxt.m - m_ref) / m_ref)) <= step_gap
+    e_gg = mixture_e_gg(*_channel(state, params), p, pi_plus)
+    mu_ref = mp.mpf(gamma) / mp.sqrt(alpha) * e_gg
+    assert float(abs((nxt.mu - mu_ref) / mu_ref)) <= step_gap
     assert float(abs((nxt.sigma - mp.sqrt(e_gg)) / mp.sqrt(e_gg))) <= step_gap
 
 
