@@ -9,4 +9,4 @@ Names are imported from their modules (``from amp_retrain.gmm import
 OptimalGmm``); the package root holds only ``__version__``.
 """
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"

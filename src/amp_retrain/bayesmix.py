@@ -84,27 +84,27 @@ def fit_bimodal_em(logits: Sequence[float]) -> BimodalFit:
         raise DegenerateFitError("all logits identical")
     floor = _EM_FLOOR_FRACTION * spread
 
+    # one column per component, plus then minus, so each E- and M-step
+    # quantity is one (2, 1) or (2, n) array
     pos = z[z > 0]
     neg = z[z <= 0]
     if pos.size == 0 or neg.size == 0:
         med = float(np.median(z))
-        mu_p, mu_m = med + spread, med - spread
-        s_p = s_m = max(spread, floor)
+        mu = np.array([[med + spread], [med - spread]])
+        sigma = np.full((2, 1), max(spread, floor))
         w_p = 0.5
     else:
-        mu_p, mu_m = float(np.mean(pos)), float(np.mean(neg))
-        s_p = max(float(np.std(pos)), floor)
-        s_m = max(float(np.std(neg)), floor)
+        mu = np.array([[np.mean(pos)], [np.mean(neg)]])
+        sigma = np.maximum([[np.std(pos)], [np.std(neg)]], floor)
         w_p = float(np.clip(pos.size / z.size, 0.05, 0.95))
 
+    resp = np.empty((2, z.size))
     loglik = -np.inf
     clamped = False
     iterations = 0
     for iterations in range(1, _EM_ITERATIONS + 1):
-        dens_p = w_p * _gauss_pdf(z, mu_p, s_p)
-        dens_m = (1.0 - w_p) * _gauss_pdf(z, mu_m, s_m)
-        total = dens_p + dens_m
-        total = np.maximum(total, 1e-300)
+        dens = np.array([[w_p], [1.0 - w_p]]) * _gauss_pdf(z, mu, sigma)
+        total = np.maximum(dens[0] + dens[1], 1e-300)
         new_loglik = float(np.sum(np.log(total)))
         if not clamped and new_loglik < loglik - 1e-8 * max(1.0, abs(loglik)):
             raise AssertionError(
@@ -114,30 +114,22 @@ def fit_bimodal_em(logits: Sequence[float]) -> BimodalFit:
         loglik = new_loglik
         if improved < _EM_LOGLIK_TOL and iterations > 1:
             break
-        resp = dens_p / total
-        resp_m = 1.0 - resp
-        # each component's responsibility mass, once (np.mean is the same sum over z.size)
-        mass_p, mass_m = np.sum(resp), np.sum(resp_m)
-        w_p = float(np.clip(mass_p / z.size, 1e-12, 1.0 - 1e-12))
-        mu_p = float(np.sum(resp * z) / mass_p)
-        mu_m = float(np.sum(resp_m * z) / mass_m)
-        var_p = float(np.sum(resp * (z - mu_p) ** 2) / mass_p)
-        var_m = float(np.sum(resp_m * (z - mu_m) ** 2) / mass_m)
-        s_p = math.sqrt(max(var_p, 0.0))
-        s_m = math.sqrt(max(var_m, 0.0))
-        if s_p < floor:
-            s_p, clamped = floor, True
-        if s_m < floor:
-            s_m, clamped = floor, True
-        if mu_p < mu_m:
-            mu_p, mu_m = mu_m, mu_p
-            s_p, s_m = s_m, s_p
-            w_p = 1.0 - w_p
+        np.divide(dens[0], total, out=resp[0])
+        np.subtract(1.0, resp[0], out=resp[1])
+        mass = np.sum(resp, axis=1, keepdims=True)
+        w_p = float(np.clip(mass[0, 0] / z.size, 1e-12, 1.0 - 1e-12))
+        mu = np.sum(resp * z, axis=1, keepdims=True) / mass
+        var = np.sum(resp * (z - mu) ** 2, axis=1, keepdims=True) / mass
+        sigma = np.sqrt(np.maximum(var, 0.0))
+        if np.any(sigma < floor):
+            sigma, clamped = np.maximum(sigma, floor), True
+        if mu[0, 0] < mu[1, 0]:
+            mu, sigma, w_p = mu[::-1], sigma[::-1], 1.0 - w_p
     return BimodalFit(
-        mu_plus=mu_p,
-        mu_minus=mu_m,
-        sigma_plus=s_p,
-        sigma_minus=s_m,
+        mu_plus=float(mu[0, 0]),
+        mu_minus=float(mu[1, 0]),
+        sigma_plus=float(sigma[0, 0]),
+        sigma_minus=float(sigma[1, 0]),
         pi_plus=w_p,
         loglik=loglik,
         iterations=iterations,
@@ -148,8 +140,10 @@ def fit_bimodal_em(logits: Sequence[float]) -> BimodalFit:
 def bayesmix_aggregate(z, yhat, fit: BimodalFit, p: float):
     """Soft target from a logit and its given label.
 
-    tanh of half the posterior log-odds: label evidence yhat*log((1-p)/p),
-    the two quadratic mixture terms, and the component-weight prior.  p = 0
+    The posterior mean of the class under the fitted mixture: tanh of half
+    the posterior log-odds, that is the label evidence yhat*log((1-p)/p), the
+    two quadratic mixture terms, the Gaussian normalizer
+    log(sigma_minus/sigma_plus) and the component-weight prior.  p = 0
     returns the given label exactly (infinite label evidence); p = 0.5 removes
     the label term.  Vectorized over z / yhat; a non-finite logit or a label
     other than +-1 raises :class:`DomainError`, as for the aggregators.
@@ -161,11 +155,13 @@ def bayesmix_aggregate(z, yhat, fit: BimodalFit, p: float):
         out = yhat_arr.copy()
         return float(out) if out.ndim == 0 else out
     label_term = yhat_arr * math.log((1.0 - p) / p)
-    quad = (z - fit.mu_minus) ** 2 / (2.0 * fit.sigma_minus**2) - (
+    # log N(z; mu_plus, sigma_plus) - log N(z; mu_minus, sigma_minus); the
+    # normalizer adds exactly 0.0 when the sigmas are equal
+    log_ratio = (z - fit.mu_minus) ** 2 / (2.0 * fit.sigma_minus**2) - (
         z - fit.mu_plus
-    ) ** 2 / (2.0 * fit.sigma_plus**2)
+    ) ** 2 / (2.0 * fit.sigma_plus**2) + math.log(fit.sigma_minus / fit.sigma_plus)
     prior = math.log(fit.pi_plus / (1.0 - fit.pi_plus))
-    out = np.tanh(0.5 * (label_term + quad + prior))
+    out = np.tanh(0.5 * (label_term + log_ratio + prior))
     return float(out) if out.ndim == 0 else out
 
 

@@ -21,6 +21,7 @@ from amp_retrain.gmm import GmmParams, OptimalGmm
 from amp_retrain.numerics import RngStream
 
 DATA_DIR = Path(__file__).parent / "data"
+FIT_FIELDS = ("mu_plus", "mu_minus", "sigma_plus", "sigma_minus", "pi_plus", "loglik")
 
 
 def symmetric_fit(mean=2.0, sigma=1.0, pi_plus=0.5):
@@ -32,8 +33,9 @@ def raw_rule(z, yhat, fit, p):
     # direct transcription of the aggregation rule, kept independent of the
     # tanh-form implementation
     ratio = (p / (1 - p)) ** yhat
-    expo = math.exp((z - fit.mu_plus) ** 2 / (2 * fit.sigma_plus**2)
-                    - (z - fit.mu_minus) ** 2 / (2 * fit.sigma_minus**2))
+    expo = fit.sigma_plus / fit.sigma_minus * math.exp(
+        (z - fit.mu_plus) ** 2 / (2 * fit.sigma_plus**2)
+        - (z - fit.mu_minus) ** 2 / (2 * fit.sigma_minus**2))
     prior = (1 - fit.pi_plus) / fit.pi_plus
     return 2.0 / (1.0 + ratio * expo * prior) - 1.0
 
@@ -94,19 +96,49 @@ class TestFit:
     def test_pinned_bits(self):
         # the fits of version 0.13.0 bit for bit: each EM iteration takes the
         # responsibilities' sums once, with the bits of the sums it took before
-        fields = ("mu_plus", "mu_minus", "sigma_plus", "sigma_minus", "pi_plus", "loglik")
         fits = []
         for seed in range(8):
             gen = np.random.default_rng(seed)
             n = (40, 300, 1000, 2500)[seed % 4]
             fits.append(fit_bimodal_em(np.concatenate([gen.normal(2.0, 0.9, n),
                                                        gen.normal(-1.2, 0.6, n // 2)])))
-        assert [getattr(fits[3], name).hex() for name in fields] == [
+        assert [getattr(fits[3], name).hex() for name in FIT_FIELDS] == [
             "0x1.04ae085d89717p+1", "-0x1.33b546e791cdbp+0", "0x1.c580bbdfb0d48p-1",
             "0x1.4110d799dbcccp-1", "0x1.5358641f10501p-1", "-0x1.a0a6c00b7de96p+12"]
-        text = " ".join(getattr(fit, name).hex() for fit in fits for name in fields)
+        text = " ".join(getattr(fit, name).hex() for fit in fits for name in FIT_FIELDS)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "df592453cb93736f93d12c82330909546a0104014ae985e8704219d4f4939585")
+
+    @pytest.mark.parametrize("branch, floor_fraction, expected", [
+        # all logits positive: the means start at the median +- one sd
+        ("one_sided", 1e-3, ["0x1.140795bfc1c12p+2", "0x1.e132fd12eac35p+1",
+                             "0x1.050cdf62439e2p+0", "0x1.f9dd35fd23657p-1",
+                             "0x1.f026a602ace93p-2", "-0x1.b5b732336dccfp+8", 200, False]),
+        # both sigmas held at a floor of half the logits' sd
+        ("clamp", 0.5, ["0x1.7f11f9f7e2576p+1", "-0x1.7c65890c7643ap+1",
+                        "0x1.8197e77a733b9p+0", "0x1.8197e77a733b9p+0",
+                        "0x1.fff886d309592p-2", "-0x1.9b4407147f52dp+9", 4, True]),
+        # two close clusters whose components swap at iteration 46
+        ("swap", 1e-3, ["-0x1.491231fd37707p+0", "-0x1.6d47a43b00cebp+0",
+                        "0x1.5860b2081c905p-1", "0x1.8244d692dc445p+0",
+                        "0x1.efd189a25b98ep-1", "-0x1.4245389d17172p+8", 193, False]),
+    ])
+    def test_pinned_bits_of_each_branch(self, monkeypatch, branch, floor_fraction, expected):
+        # the fits of version 0.21.0 bit for bit on the branches the two-cluster
+        # pins above do not reach
+        monkeypatch.setattr(bayesmix, "_EM_FLOOR_FRACTION", floor_fraction)
+        if branch == "one_sided":
+            z = RngStream(105).generator().normal(4.0, 1.0, 300)
+        elif branch == "clamp":
+            gen = RngStream(104).generator()
+            z = np.concatenate([gen.normal(-3.0, 0.4, 200), gen.normal(3.0, 0.4, 200)])
+        else:
+            gen = np.random.default_rng(357)
+            m1, m2 = gen.uniform(-3, 3, 2)
+            z = np.concatenate([gen.normal(m1, 0.9, 200), gen.normal(m2, 0.6, 100)])
+        fit = fit_bimodal_em(z)
+        assert [getattr(fit, name).hex() for name in FIT_FIELDS] + [
+            fit.iterations, fit.sigma_clamped] == expected
 
     def test_one_sided_initialization(self):
         gen = RngStream(105).generator()
@@ -132,6 +164,28 @@ class TestAggregate:
         got = bayesmix_aggregate(2.0, 1, fit, p)
         assert got == pytest.approx(raw_rule(2.0, 1, fit, p), abs=1e-12)
         assert got > 0
+
+    def test_posterior_mean_with_unequal_sigmas(self):
+        # E[Y | z, yhat] from the log-sum-exp of the two weighted log-densities,
+        # log pi_y + log N(z; mu_y, sigma_y) + log P(yhat | y)
+        fit = BimodalFit(mu_plus=1.0, mu_minus=-1.0, sigma_plus=0.5, sigma_minus=1.5,
+                         pi_plus=0.5, loglik=0.0, iterations=1)
+        for p in (0.05, 0.3, 0.45):
+            for yhat in (1, -1):
+                z = np.linspace(-3.0, 3.0, 25)
+                log_joint = [
+                    math.log(pi) - 0.5 * ((z - mu) / sigma) ** 2 - math.log(sigma)
+                    + math.log(1.0 - p if yhat == y else p)
+                    for y, mu, sigma, pi in ((1, fit.mu_plus, fit.sigma_plus, fit.pi_plus),
+                                             (-1, fit.mu_minus, fit.sigma_minus,
+                                              1.0 - fit.pi_plus))]
+                norm = np.logaddexp(*log_joint)
+                expected = np.exp(log_joint[0] - norm) - np.exp(log_joint[1] - norm)
+                np.testing.assert_allclose(bayesmix_aggregate(z, yhat, fit, p), expected,
+                                           rtol=0, atol=1e-12)
+        # binned Monte Carlo means of 4M draws at p 0.3: +0.130 and +0.509
+        assert bayesmix_aggregate([0.5, 1.0], -1, fit, 0.3) == pytest.approx(
+            [0.125, 0.515], abs=0.01)
 
     def test_midpoint_collapses_to_label_confidence(self):
         fit = symmetric_fit(mean=1.7, sigma=0.8, pi_plus=0.5)
