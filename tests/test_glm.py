@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,8 +23,8 @@ from amp_retrain.glm import (
 )
 from amp_retrain.glm import test_error_glm as glm_error
 from amp_retrain.gmm import IdentityAggregator
-from amp_retrain.numerics import RngStream
-from amp_retrain.retrain import AmpState, amp_step, run_retraining
+from amp_retrain.numerics import RngStream, gaussian_rule
+from amp_retrain.retrain import AmpState, SeState, amp_step, run_retraining
 
 
 def zero_state(data):
@@ -289,6 +290,50 @@ class TestPosteriorKernel:
         g_plus, g_minus, _ = agg.label_values(u)
         assert np.array_equal(g_plus, agg.value_and_deriv(u, 1.0)[0])
         assert np.array_equal(g_minus, agg.value_and_deriv(u, -1.0)[0])
+
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)).hexdigest()
+
+
+class TestPosteriorPins:
+    """The logistic posterior kernel's values of version 0.22.0, bit for bit,
+    on one and two threads."""
+
+    PARAMS = GlmParams(gamma=2.0, alpha=0.5, p=0.2, link=LogisticLink())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("points,expected", [
+        # one row block; two, the last partial; five
+        (700, "4425c60a7c422a19410f9fe09fc6a8ca1ee2ce55b1c2ef25c413cedc7d0228f1"),
+        (_POSTERIOR_ROWS + 300, "84a3978ff9240b76423b54e7d5b91f24a851dd3ded8b9a740325f7f6a5e741f9"),
+        (4 * _POSTERIOR_ROWS + 17,
+         "d5746f198f3416a72dc121606ff1e53e31a73d5d43519af5a08df113998af0af"),
+    ])
+    def test_scalar_sd(self, usable_cpus, cpus, points, expected):
+        usable_cpus(cpus)
+        agg = OptimalGlm.from_eta(0.8, self.PARAMS)
+        gen = np.random.default_rng(points)
+        u = gen.normal(0.0, 3.0, points)
+        yhat = np.where(gen.random(points) < 0.6, 1.0, -1.0)
+        assert digest(*agg.value_and_deriv(u, yhat), *agg.label_values(u)) == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_per_row_sd(self, usable_cpus, cpus):
+        # one matched aggregator per row of nodes, as se_step_glm_opt batches
+        # its states: 12 rows of 201 nodes, three row blocks
+        usable_cpus(cpus)
+        eta = np.linspace(0.3, 3.0, 12)
+        alpha, prior_var = self.PARAMS.alpha, self.PARAMS.prior_var
+        state = SeState(mu=(alpha * eta**2)[:, None], sigma=(alpha * eta)[:, None])
+        agg = OptimalGlm.from_se_state(state, self.PARAMS)
+        u, _ = gaussian_rule(0.0, np.sqrt((alpha * eta**2)**2 * prior_var + (alpha * eta)**2),
+                             (), 201)
+        yhat = np.where(np.arange(u.size).reshape(u.shape) % 3 == 0, -1.0, 1.0)
+        g_plus, g_minus, q = agg.label_values(u)
+        assert float(g_minus[5, 100]).hex() == "-0x1.1bf4c6bf39534p-2"
+        assert digest(*agg.value_and_deriv(u, yhat), g_plus, g_minus, q) == (
+            "a6b7a97a41b4e093773cad49a1ec3a36c757528adde94b49f2fa103b7d79db20")
 
 
 class TestOnsagerGlm:

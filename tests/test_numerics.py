@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import math
 import pathlib
 import threading
@@ -451,6 +452,18 @@ class TestStableLogistic:
         assert 0.0 <= v <= 1.0
         assert v + stable_logistic(-x) == pytest.approx(1.0, abs=1e-12)
 
+    def test_bits_of_the_two_exponential_form(self):
+        # the one-exponential kernel has the bits of exp(min(x, 0))/(1 + exp(-|x|))
+        edges = [0.0, 1e-300, 708.0, 745.0, 746.0, math.inf]
+        x = np.concatenate([edges, np.negative(edges),
+                            50.0 * np.random.default_rng(7).standard_normal(10**5)])
+        reference = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+        got = numerics._logistic(x)
+        assert got.tobytes() == reference.tobytes()
+        assert [stable_logistic(v) for v in x[:12]] == reference[:12].tolist()
+        with pytest.raises(DomainError):
+            numerics._logistic(np.array([1.0, np.nan]))
+
 
 class TestRngStream:
     def test_bit_exact_reproduction(self):
@@ -538,6 +551,14 @@ class TestGaussianMatrix:
         assert math.sqrt(n) * ks <= 0.8
         squares = x * x
         assert abs(np.corrcoef(squares[0::2], squares[1::2])[0, 1]) <= 5e-4
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pinned_bits(self, draw, cpus):
+        # three blocks, the last of 5 rows: the draw of version 0.22.0 bit for bit
+        X, threads = draw(cpus, sd=0.5, shape=(2 * 2097 + 5, 1000))
+        assert threads == [cpus]
+        assert float(X[-1, -1]).hex() == "0x1.4d49b60000000p-5"
+        assert hashlib.sha256(X.tobytes()).hexdigest() == "d2778115b06c2819dc2da4e9adcd4e2a49fa787f1c1e86c62790eb71d02ed1f6"
 
     def test_independent_of_generator(self):
         stream = RngStream(42, 3)
