@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateModelError, DomainError
 from .gmm import _label_arrays, _validate_shared_params
 from .numerics import (_SPLIT_HALF_WIDTH, RngStream, _erfcx, _logistic, _matvec, _ndtr, _rule_at,
-                       _split, _square, gaussian_rule)
+                       _split, _split_threads, _square, gaussian_rule)
 
 
 # Quadrature order of the posterior rule of OptimalGlm and of the error curve.
@@ -37,9 +37,14 @@ _PRECISION_MAX = 1e19
 # --------------------------------------------------------------------------
 # Each link has h(u) > h(-u) for u > 0, which makes the error curve decreasing in the
 # overlap.  A link has no scale of its own: a steeper link is a larger gamma, the norm
-# of beta.  h returns a fresh array, which hat_h_p and the posterior kernel overwrite,
-# and calls numpy and private helpers only, since the kernel runs it on helper threads.
-# noise_var is tau^2 of a Gaussian-threshold link, h(z) = Phi(z/tau), or else None.
+# of beta.  h(z, out=None, scratch=None) returns h(z) in an array that hat_h_p and the
+# posterior kernel overwrite: in out where given, with scratch for any temporary (both
+# arrays of z's shape, which the kernel allocates for its helper threads), or else
+# fresh.  A link may return a fresh array anyway: the probit link does, since _ndtr
+# builds its pieces in fresh arrays (the engine and the SE evaluate probit in closed
+# form, so OptimalGlm runs it in tests only).  h calls numpy and private helpers only,
+# since the kernel runs it on helper threads.  noise_var is tau^2 of a
+# Gaussian-threshold link, h(z) = Phi(z/tau), or else None.
 
 @dataclass(frozen=True)
 class SignLink:
@@ -49,8 +54,11 @@ class SignLink:
     discontinuities: ClassVar[Tuple[float, ...]] = (0.0,)
     noise_var: ClassVar[Optional[float]] = 0.0
 
-    def h(self, z):
-        return 0.5 * (1.0 + np.sign(z))
+    def h(self, z, out=None, scratch=None):
+        h = np.sign(np.asarray(z, dtype=float), out=out)
+        h += 1.0
+        h *= 0.5
+        return h
 
 
 @dataclass(frozen=True)
@@ -61,9 +69,9 @@ class LogisticLink:
     discontinuities: ClassVar[Tuple[float, ...]] = ()
     noise_var: ClassVar[Optional[float]] = None
 
-    def h(self, z):
+    def h(self, z, out=None, scratch=None):
         # [()] gives a scalar for scalar z, as the other links do
-        return _logistic(np.asarray(z, dtype=float))[()]
+        return _logistic(np.asarray(z, dtype=float), out, scratch)[()]
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,7 @@ class ProbitLink:
     discontinuities: ClassVar[Tuple[float, ...]] = ()
     noise_var: ClassVar[Optional[float]] = 1.0
 
-    def h(self, z):
+    def h(self, z, out=None, scratch=None):
         return _ndtr(np.asarray(z, dtype=float))
 
 
@@ -274,25 +282,33 @@ class OptimalGlm(_OptimalAggregator):
         # moments 0, 1 and, for the derivative, 2; one row per label asked for
         sums = np.empty((2, 2, m.size) if yhat is None else (3, 1, m.size))
         blocks = max(1, -(-m.size // _POSTERIOR_ROWS))
+        threads = _split_threads(blocks)
+        # each thread's block arrays: the nodes, the label factor, a temporary
+        # (the logistic's numerator, then label +1's factor) and a split rule's
+        # weights, allocated here so that the helper threads allocate nothing
+        arrays = 4 if self.link.discontinuities else 3
+        scratch = np.empty((threads, arrays, min(m.size, _POSTERIOR_ROWS), place.width))
 
         # runs on the helper threads too, so it calls numpy and private helpers
         # only (see numerics._split)
-        def block_range(a, b):
+        def block_range(j, a, b):
             for k in range(a, b):
                 rows = slice(k * _POSTERIOR_ROWS, (k + 1) * _POSTERIOR_ROWS)
-                z, w = place(m, rows)
-                f = _label_factor(self.link.h(z), self.p)
+                z, f, tmp, *w = scratch[j, :, :m[rows].size]
+                z, w = place(m, rows, out=(z, *w))
+                f = _label_factor(self.link.h(z, out=f, scratch=tmp), self.p)
                 # the link has read the nodes: their offsets from the centre overwrite them
                 offset = np.subtract(z, m[rows, None], out=z)
                 if yhat is None:
-                    _centred_sums(f.copy(), offset, w, sums[:, 0, rows])
+                    np.copyto(tmp, f)
+                    _centred_sums(tmp, offset, w, sums[:, 0, rows])
                     np.subtract(1.0, f, out=f)
                 else:
                     np.subtract(1.0, f, out=f, where=yhat[rows, None] < 0.0)
                 # the last row: the given labels', or label -1's
                 _centred_sums(f, offset, w, sums[:, -1, rows])
 
-        _split(blocks, block_range)
+        _split(blocks, block_range, threads)
         sums = sums.reshape(sums.shape[:2] + shape)
         den = sums[0]
         if np.any(den <= 0.0) or not np.all(np.isfinite(den)):

@@ -38,24 +38,36 @@ array passes each piece only the elements that fall in it.
 
 The logistic
 ------------
-:func:`stable_logistic` is exp(min(x, 0)) / (1 + exp(-|x|)) in numpy: no
-exponent is positive, so nothing overflows, and no branch is taken per
-element.  It is within 4 ulp of the exact value where that is normal, gives
-the subnormal tail below x = -708 (scipy's ``expit`` returns 0 there), maps
-+-inf to exactly 1 and 0, and raises :class:`DomainError` on NaN.
+:func:`stable_logistic` is max(e, sign(x)) / (1 + e) with e = exp(-|x|) in
+numpy: the numerator is e below 0 and 1 from -0.0 up, so one exponential
+gives the bits of exp(min(x, 0)) / (1 + exp(-|x|)).  No exponent is
+positive, so nothing overflows, and no branch is taken per element.  It is
+within 4 ulp of the exact value where that is normal, gives the subnormal
+tail below x = -708 (scipy's ``expit`` returns 0 there), maps +-inf to
+exactly 1 and 0, and raises :class:`DomainError` on NaN.
 
 Threads
 -------
-:func:`_split` gives each of up to one thread per usable CPU a contiguous
-range of a call's blocks, under the caller's numpy error state.  Its users are
-:meth:`RngStream.gaussian_matrix`, :func:`_matvec` and :func:`_rmatvec` (the
-row blocks of X) and ``glm.OptimalGlm``'s posterior kernel (row blocks of
-its quadrature).  Each fixes its blocks by the shape alone, so the bits do
-not depend on the thread count, and its work calls numpy and private helpers
-only (:func:`_logistic`, :func:`_ndtr` and the function :func:`_rule_at`
-returns): perfbench traces the public functions on one span stack per
-process, which a call from a second thread would corrupt.  A contiguous range
-lets a product make one call per thread (see Design-matrix products).
+:func:`_split` runs ``work(j, a, b)`` for each of up to one thread per usable
+CPU, j = 0, 1, ..., on a contiguous range [a, b) of a call's blocks, under the
+caller's numpy error state.  Its users are :meth:`RngStream.gaussian_matrix`,
+:func:`_matvec` and :func:`_rmatvec` (the row blocks of X) and
+``glm.OptimalGlm``'s posterior kernel (row blocks of its quadrature).  Each
+fixes its blocks by the shape alone, so the bits do not depend on the thread
+count, and its work calls numpy and private helpers only (:func:`_logistic`,
+:func:`_ndtr` and the function :func:`_rule_at` returns): perfbench traces the
+public functions on one span stack per process, which a call from a second
+thread would corrupt.  A contiguous range lets a product make one call per
+thread (see Design-matrix products).
+
+Memory a thread needs (the draw's Box-Muller scratch, the posterior kernel's
+block arrays) is row j of one array the caller allocates, for all the
+threads, before the split, and the work writes through ``out=`` arguments, so
+no helper allocates an array of a block's size.  glibc gives each thread
+that allocates its own malloc arena and keeps freed memory there: when the
+helpers allocated their block arrays, a process kept about 5 MB more
+resident after a GLM cobweb.  The threads are joined before :func:`_split`
+returns, so none is alive when ``harness.simulate`` forks its pool.
 
 Random matrices
 ---------------
@@ -104,7 +116,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -375,19 +387,23 @@ def stable_logistic(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """:func:`stable_logistic` of a float array, as a fresh array: 1/(1 + e)
-    for x >= 0 and e/(1 + e) below, e = exp(-|x|).  It calls numpy only, so
-    it may run on a :func:`_split` thread."""
-    if np.isnan(x).any():
+def _logistic(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """:func:`stable_logistic` of a float array, into ``out`` and with
+    ``scratch`` for its numerator (each an array of x's shape, or fresh):
+    max(e, sign(x))/(1 + e) with e = exp(-|x|), one exponential where
+    exp(min(x, 0)) would take a second with the same bits (the numerator is
+    e below 0 and 1 from -0.0 up).  It calls numpy only, so it may run on a
+    :func:`_split` thread."""
+    e = np.abs(x, out=np.empty(x.shape) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.sign(x, out=np.empty(x.shape) if scratch is None else scratch)
+    np.maximum(num, e, out=num)
+    e += 1.0
+    out = np.divide(num, e, out=e)
+    # every other value lies in [0, 1], so the sum is NaN only if x has one
+    if np.isnan(out.sum()):
         raise DomainError("stable_logistic argument must not be NaN")
-    den = np.abs(x, out=np.empty(x.shape))
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    out = np.minimum(x, 0.0, out=np.empty(x.shape))
-    np.exp(out, out=out)
-    out /= den
     return out
 
 
@@ -488,13 +504,18 @@ def gaussian_rule(mean, sd, breakpoints: Sequence[float], order: int):
 
 
 def _rule_at(sd, breakpoints: Sequence[float], order: int):
-    """:func:`gaussian_rule` as a function ``place(mean, rows=...)``: the rule
-    at ``mean[rows]``, with ``sd[rows]`` where sd is an array (one sd per
-    row of the mean, as ``OptimalGlm``'s posterior blocks take them).
+    """:func:`gaussian_rule` as a function ``place(mean, rows=..., out=None)``:
+    the rule at ``mean[rows]``, with ``sd[rows]`` where sd is an array (one sd
+    per row of the mean, as ``OptimalGlm``'s posterior blocks take them).
+    ``out``, a pair of arrays of the nodes' shape, takes the nodes in its
+    first and a split rule's weights in its second (a Hermite rule's weights
+    are one shared row, and a Hermite rule may be given its first alone);
+    without it the arrays are fresh.  ``place.width`` is the number of nodes
+    per row.
 
     sd is checked and the raw rule fetched here, on the calling thread; the
-    returned function calls numpy only, so it may run on a :func:`_split`
-    thread.
+    returned function calls numpy only and, given ``out``, allocates no array
+    of the nodes' size, so it may run on a :func:`_split` thread.
     """
     sd = np.asarray(sd, dtype=float)
     if sd.size and not (0.0 < sd.min() and sd.max() < math.inf):   # a NaN is both
@@ -502,23 +523,37 @@ def _rule_at(sd, breakpoints: Sequence[float], order: int):
         raise DomainError(f"sd must be positive and finite, got {sd[bad].flat[0]}")
     rule = gauss_legendre(order) if len(breakpoints) else gauss_hermite(order)
     breakpoints = sorted(breakpoints)
+    hermite_weights = rule.weights / _SQRT_PI
 
-    def place(mean, rows=...):
+    def place(mean, rows=..., out=None):
         mean = np.asarray(mean, dtype=float)[rows][..., None]
         s = (sd if sd.ndim == 0 else sd[rows])[..., None]
         if not breakpoints:
-            return mean + (_SQRT_2 * s) * rule.nodes, rule.weights / _SQRT_PI
+            if out is None:
+                return mean + (_SQRT_2 * s) * rule.nodes, hermite_weights
+            nodes = np.multiply(_SQRT_2 * s, rule.nodes, out=out[0])
+            nodes += mean
+            return nodes, hermite_weights
         lo = mean - _SPLIT_HALF_WIDTH * s
         hi = mean + _SPLIT_HALF_WIDTH * s
         cuts = np.stack([lo, *(np.clip(b, lo, hi) for b in breakpoints), hi], axis=-2)
         half = 0.5 * (cuts[..., 1:, :] - cuts[..., :-1, :])
-        nodes = half * rule.nodes + 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
+        pieces = half.shape[:-1] + (order,)
+        nodes = np.empty(pieces) if out is None else out[0].reshape(pieces)
+        np.multiply(half, rule.nodes, out=nodes)
+        nodes += 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
         s = s[..., None]
-        density = np.exp((nodes - mean[..., None]) ** 2 * (-0.5 / (s * s)))
-        weights = density * (half / (s * _SQRT_2PI)) * rule.weights
-        shape = nodes.shape[:-2] + (-1,)
+        weights = np.empty(pieces) if out is None else out[1].reshape(pieces)
+        np.subtract(nodes, mean[..., None], out=weights)
+        np.square(weights, out=weights)
+        weights *= -0.5 / (s * s)
+        np.exp(weights, out=weights)   # the density
+        weights *= half / (s * _SQRT_2PI)
+        weights *= rule.weights
+        shape = pieces[:-2] + (-1,)
         return nodes.reshape(shape), weights.reshape(shape)
 
+    place.width = order * (len(breakpoints) + 1)
     return place
 
 
@@ -647,13 +682,16 @@ class RngStream:
         out = np.empty((n, d), dtype=np.float32)
         flat = out.reshape(-1)
         radius_scale = -2.0 * sd * sd
+        threads = _split_threads(blocks)
+        pairs = min(_SCRATCH_ELEMENTS, min(n, rows) * d + 1) // 2  # per chunk
+        # each thread's float64 uniforms and log terms, allocated here so that
+        # the helper threads allocate nothing
+        scratch = np.empty((threads, 3 * pairs))
 
         # runs on the fill threads, so it calls numpy only: a traced package
         # call from a second thread would corrupt perfbench's per-process span stack
-        def fill(a, b):
-            pairs = min(_SCRATCH_ELEMENTS, rows * d + 1) // 2  # per chunk
-            uniforms = np.empty(2 * pairs)
-            log_terms = np.empty(pairs)
+        def fill(j, a, b):
+            uniforms, log_terms = scratch[j, :2 * pairs], scratch[j, 2 * pairs:]
             # float32 radii, cosines and sines over the uniforms once read
             radius, cosine, sine = uniforms.view(np.float32).reshape(4, pairs)[:3]
             for k in range(a, b):
@@ -675,7 +713,7 @@ class RngStream:
                     np.multiply(radius[:m], cosine[:m], out=chunk[0::2])
                     np.multiply(radius[:m_sin], sine[:m_sin], out=chunk[1::2])
 
-        _split(blocks, fill)
+        _split(blocks, fill, threads)
         return out
 
 
@@ -685,26 +723,36 @@ def _row_blocks(n: int, d: int):
     return rows, -(-n // rows)
 
 
-def _split(blocks: int, work: Callable[[int, int], None]) -> None:
-    """Run ``work(a, b)`` on each thread's range [a, b) of the blocks, thread
-    j of min(blocks, usable CPUs) from blocks*j // threads: the calling thread
-    runs j = 0, and plain threads the rest, under the caller's numpy error
-    state (a new thread starts from numpy's default).  They are joined before
+def _split_threads(blocks: int) -> int:
+    """The number of threads :func:`_split` runs ``blocks`` blocks on: one per
+    usable CPU, and no more than there are blocks."""
+    return 1 if blocks == 1 else min(blocks, _usable_cpus())
+
+
+def _split(blocks: int, work: Callable[[int, int, int], None],
+           threads: Optional[int] = None) -> None:
+    """Run ``work(j, a, b)`` on each thread j's range [a, b) of the blocks, j
+    of ``threads`` (by default :func:`_split_threads`) from blocks*j // threads:
+    the calling thread runs j = 0, and plain threads the rest, under the
+    caller's numpy error state (a new thread starts from numpy's default).  A
+    work that needs scratch memory indexes by j one array the caller
+    allocated for all the threads, so no helper allocates (or keeps in its
+    malloc arena) anything of a block's size.  The threads are joined before
     return, so no thread outlives the call (``harness.simulate`` may fork a
     pool afterwards).  work must call numpy and private helpers only (see
     Threads in the module docstring); an exception it raises on any thread is
     raised here once every thread is joined."""
-    if blocks == 1:  # no helper to start: skip the CPU count and the error state
-        work(0, 1)
+    threads = _split_threads(blocks) if threads is None else threads
+    if threads == 1:  # no helper to start: skip the error state
+        work(0, 0, blocks)
         return
-    threads = min(blocks, _usable_cpus())
     errstate = np.geterr()
     errors = []
 
     def run(j):
         try:
             with np.errstate(**errstate):
-                work(blocks * j // threads, blocks * (j + 1) // threads)
+                work(j, blocks * j // threads, blocks * (j + 1) // threads)
         except BaseException as exc:  # raised on the calling thread after the join
             errors.append(exc)
 
@@ -712,7 +760,7 @@ def _split(blocks: int, work: Callable[[int, int], None]) -> None:
     for helper in helpers:
         helper.start()
     try:
-        work(0, blocks // threads)
+        work(0, 0, blocks // threads)
     finally:
         for helper in helpers:
             helper.join()
@@ -728,7 +776,7 @@ def _matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     rows, blocks = _row_blocks(*X.shape)
     out = np.empty(X.shape[0], dtype=X.dtype)
 
-    def dots(a, b):
+    def dots(_j, a, b):
         np.vecdot(X[a * rows:b * rows], v, out=out[a * rows:b * rows])
 
     _split(blocks, dots)
@@ -743,7 +791,7 @@ def _rmatvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     rows, blocks = _row_blocks(*X.shape)
     parts = np.empty((blocks, X.shape[1]), dtype=X.dtype)
 
-    def block_sums(a, b):
+    def block_sums(_j, a, b):
         for k in range(a, b):
             block = slice(k * rows, (k + 1) * rows)
             np.einsum("ij,i->j", X[block], v[block], out=parts[k])

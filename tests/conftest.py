@@ -34,22 +34,24 @@ class SplitCounts(list):
 @pytest.fixture
 def split_threads(monkeypatch):
     """A :class:`SplitCounts` that gets, for each ``numerics._split`` call, the
-    number of threads that ran its block ranges; the calling thread must be
-    one of them, and the ranges must tile [0, blocks) exactly once."""
+    number of threads that ran its block ranges; the calling thread must run
+    index 0, the others 1, 2, ... on threads of their own, and the ranges
+    must tile [0, blocks) exactly once."""
     counts = SplitCounts()
     split = numerics._split
 
-    def recording_split(blocks, work):
-        ran = set()
+    def recording_split(blocks, work, threads=None):
+        ran = {}
         ranges = []
 
-        def spy(a, b):
-            ran.add(threading.current_thread())
+        def spy(j, a, b):
+            ran[j] = threading.current_thread()
             ranges.append((a, b))
-            work(a, b)
+            work(j, a, b)
 
-        split(blocks, spy)
-        assert threading.current_thread() in ran
+        split(blocks, spy, threads)
+        assert ran[0] is threading.current_thread()
+        assert sorted(ran) == list(range(len(ran))) and len(set(ran.values())) == len(ran)
         assert sorted(k for a, b in ranges for k in range(a, b)) == list(range(blocks))
         assert all(a < b for a, b in ranges)
         counts.append(len(ran))

@@ -102,8 +102,8 @@ class TestSimulate:
         asked = []
 
         class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+            def __init__(self, workers):
+                asked.append(workers)
 
             def __enter__(self):
                 return self
@@ -114,7 +114,7 @@ class TestSimulate:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_process_pool", SerialPool)
         return asked
 
     def test_jobs_capped_at_replications(self, asked, usable_cpus):
@@ -740,16 +740,20 @@ class TestOneList:
 
 
 # every command in a fresh interpreter, then the modules it loaded
-NO_SCIPY_RUN = """
+FRESH_RUN = """
 import json, sys
 from amp_retrain.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_no_command_loads_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def fresh_run_modules(tmp_path_factory):
+    """The modules a fresh interpreter holds after running every command once,
+    simulate on one worker."""
+    tmp_path = tmp_path_factory.mktemp("fresh_run")
     gmm = ["--model", "gmm", "--gamma", "1.5", "--alpha", "0.5", "--p", "0.3"]
     glm = ["--model", "glm", "--link", "logistic", "--gamma", "2.0", "--alpha", "0.5",
            "--p", "0.2"]
@@ -767,6 +771,9 @@ def test_no_command_loads_scipy(tmp_path):
         ["simulate", *gmm, *small],
         *(["simulate", "--model", "glm", "--link", link, "--gamma", "2.0", "--alpha", "0.5",
            "--p", "0.2", *small] for link in ("sign", "logistic", "probit")),
+        # two replications that could run on two workers, asked to run on one
+        ["simulate", *gmm, "--n", "200", "--d", "100", "--iterations", "2", "--replications",
+         "2", "--jobs", "1", "--seed", "1"],
         ["bayesmix", "demo", "--p", "0.3", "--gamma", "2.0", "--alpha", "0.5", "--n", "200",
          "--d", "100", "--rounds", "2", "--seed", "1"],
         ["bayesmix", "fit", "--input", str(logits)],
@@ -778,6 +785,18 @@ def test_no_command_loads_scipy(tmp_path):
              for i, argv in enumerate(runs)]
     src = str(pathlib.Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, json.dumps(argvs)], env=env,
+    done = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(argvs)], env=env,
                           check=True, capture_output=True, text=True)
-    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_no_command_loads_scipy(fresh_run_modules):
+    assert [m for m in fresh_run_modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_one_worker_loads_no_process_pool(fresh_run_modules):
+    # the pool module (with multiprocessing) is imported only where simulate
+    # starts a pool
+    assert "amp_retrain.cli" in fresh_run_modules
+    assert "concurrent.futures.process" not in fresh_run_modules
+    assert [m for m in fresh_run_modules if m.split(".")[0] == "multiprocessing"] == []

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class HalfLink:
     discontinuities = ()
     noise_var = None
 
-    def h(self, z):
+    def h(self, z, out=None, scratch=None):
         return np.full_like(np.asarray(z, dtype=float), 0.5)
 
 
@@ -293,7 +294,9 @@ class TestPosteriorKernel:
 
 
 def digest(*arrays):
-    return hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)).hexdigest()
+    """sha256 of the arrays' float64 bytes, one after another."""
+    data = b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestPosteriorPins:
@@ -306,17 +309,34 @@ class TestPosteriorPins:
     @pytest.mark.parametrize("points,expected", [
         # one row block; two, the last partial; five
         (700, "4425c60a7c422a19410f9fe09fc6a8ca1ee2ce55b1c2ef25c413cedc7d0228f1"),
-        (_POSTERIOR_ROWS + 300, "84a3978ff9240b76423b54e7d5b91f24a851dd3ded8b9a740325f7f6a5e741f9"),
+        (_POSTERIOR_ROWS + 300,
+         "84a3978ff9240b76423b54e7d5b91f24a851dd3ded8b9a740325f7f6a5e741f9"),
         (4 * _POSTERIOR_ROWS + 17,
          "d5746f198f3416a72dc121606ff1e53e31a73d5d43519af5a08df113998af0af"),
     ])
     def test_scalar_sd(self, usable_cpus, cpus, points, expected):
         usable_cpus(cpus)
+        assert self.scalar_sd_digest(points) == expected
+
+    def scalar_sd_digest(self, points):
         agg = OptimalGlm.from_eta(0.8, self.PARAMS)
         gen = np.random.default_rng(points)
         u = gen.normal(0.0, 3.0, points)
         yhat = np.where(gen.random(points) < 0.6, 1.0, -1.0)
-        assert digest(*agg.value_and_deriv(u, yhat), *agg.label_values(u)) == expected
+        return digest(*agg.value_and_deriv(u, yhat), *agg.label_values(u))
+
+    def test_more_threads_than_cores(self, usable_cpus, split_threads):
+        # five threads share one scratch array, switching as often as the
+        # interpreter allows: each must write its own rows only
+        usable_cpus(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.scalar_sd_digest(4 * _POSTERIOR_ROWS + 17)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split_threads == [5, 5]
+        assert got == "d5746f198f3416a72dc121606ff1e53e31a73d5d43519af5a08df113998af0af"
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_per_row_sd(self, usable_cpus, cpus):

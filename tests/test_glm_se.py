@@ -41,7 +41,7 @@ class HalfLink:
     discontinuities = ()
     noise_var = None
 
-    def h(self, z):
+    def h(self, z, out=None, scratch=None):
         return np.full_like(np.asarray(z, dtype=float), 0.5)
 
 
@@ -50,8 +50,8 @@ class StepLink:
     discontinuities = (0.0,)
     noise_var = None
 
-    def h(self, z):
-        return SignLink().h(z)
+    def h(self, z, out=None, scratch=None):
+        return SignLink().h(z, out, scratch)
 
 
 def sign_params(alpha=0.5, p=0.2, n=1000, gamma=1.0):
@@ -323,9 +323,9 @@ class CountingLink(LogisticLink):
 
     sizes: ClassVar[list] = []
 
-    def h(self, z):
+    def h(self, z, out=None, scratch=None):
         CountingLink.sizes.append(int(np.size(z)))
-        return super().h(z)
+        return super().h(z, out, scratch)
 
 
 def counting_params():

@@ -558,7 +558,8 @@ class TestGaussianMatrix:
         X, threads = draw(cpus, sd=0.5, shape=(2 * 2097 + 5, 1000))
         assert threads == [cpus]
         assert float(X[-1, -1]).hex() == "0x1.4d49b60000000p-5"
-        assert hashlib.sha256(X.tobytes()).hexdigest() == "d2778115b06c2819dc2da4e9adcd4e2a49fa787f1c1e86c62790eb71d02ed1f6"
+        assert hashlib.sha256(X.tobytes()).hexdigest() == (
+            "d2778115b06c2819dc2da4e9adcd4e2a49fa787f1c1e86c62790eb71d02ed1f6")
 
     def test_independent_of_generator(self):
         stream = RngStream(42, 3)
@@ -675,7 +676,7 @@ class TestDesignMatrixProducts:
         usable_cpus(3)
         done = []
 
-        def work(a, b):
+        def work(_j, a, b):
             if a <= 3 < b:
                 raise DomainError("block 3")
             done.append((a, b))
@@ -691,7 +692,7 @@ class TestDesignMatrixProducts:
         usable_cpus(cpus)
         big = np.full(4, 1e38, dtype=np.float32)
         with np.errstate(over="ignore"):
-            numerics._split(2, lambda a, b: big * np.float32(10.0))
+            numerics._split(2, lambda j, a, b: big * np.float32(10.0))
         with pytest.raises(FloatingPointError):
             with np.errstate(over="raise"):
-                numerics._split(2, lambda a, b: big * np.float32(10.0))
+                numerics._split(2, lambda j, a, b: big * np.float32(10.0))
