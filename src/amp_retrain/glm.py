@@ -40,11 +40,11 @@ _PRECISION_MAX = 1e19
 # of beta.  h(z, out=None, scratch=None) returns h(z) in an array that hat_h_p and the
 # posterior kernel overwrite: in out where given, with scratch for any temporary (both
 # arrays of z's shape, which the kernel allocates for its helper threads), or else
-# fresh.  A link may return a fresh array anyway: the probit link does, since _ndtr
-# builds its pieces in fresh arrays (the engine and the SE evaluate probit in closed
-# form, so OptimalGlm runs it in tests only).  h calls numpy and private helpers only,
-# since the kernel runs it on helper threads.  noise_var is tau^2 of a
-# Gaussian-threshold link, h(z) = Phi(z/tau), or else None.
+# fresh.  A link may return a fresh array anyway, as the sign and probit links do: the
+# engine and the SE evaluate them in closed form, so OptimalGlm runs them in tests
+# only.  h calls numpy and private helpers only, since the kernel runs it on helper
+# threads.  noise_var is tau^2 of a Gaussian-threshold link, h(z) = Phi(z/tau), or
+# else None.
 
 @dataclass(frozen=True)
 class SignLink:
@@ -55,10 +55,7 @@ class SignLink:
     noise_var: ClassVar[Optional[float]] = 0.0
 
     def h(self, z, out=None, scratch=None):
-        h = np.sign(np.asarray(z, dtype=float), out=out)
-        h += 1.0
-        h *= 0.5
-        return h
+        return 0.5 * (1.0 + np.sign(z))
 
 
 @dataclass(frozen=True)
@@ -283,19 +280,18 @@ class OptimalGlm(_OptimalAggregator):
         sums = np.empty((2, 2, m.size) if yhat is None else (3, 1, m.size))
         blocks = max(1, -(-m.size // _POSTERIOR_ROWS))
         threads = _split_threads(blocks)
-        # each thread's block arrays: the nodes, the label factor, a temporary
-        # (the logistic's numerator, then label +1's factor) and a split rule's
-        # weights, allocated here so that the helper threads allocate nothing
-        arrays = 4 if self.link.discontinuities else 3
-        scratch = np.empty((threads, arrays, min(m.size, _POSTERIOR_ROWS), place.width))
+        # each thread's block arrays: the nodes, the label factor and a
+        # temporary (the logistic's numerator, then label +1's factor),
+        # allocated here so that the helper threads allocate nothing
+        scratch = np.empty((threads, 3, min(m.size, _POSTERIOR_ROWS), place.width))
 
         # runs on the helper threads too, so it calls numpy and private helpers
         # only (see numerics._split)
         def block_range(j, a, b):
             for k in range(a, b):
                 rows = slice(k * _POSTERIOR_ROWS, (k + 1) * _POSTERIOR_ROWS)
-                z, f, tmp, *w = scratch[j, :, :m[rows].size]
-                z, w = place(m, rows, out=(z, *w))
+                z, f, tmp = scratch[j, :, :m[rows].size]
+                z, w = place(m, rows, out=z)
                 f = _label_factor(self.link.h(z, out=f, scratch=tmp), self.p)
                 # the link has read the nodes: their offsets from the centre overwrite them
                 offset = np.subtract(z, m[rows, None], out=z)

@@ -507,15 +507,15 @@ def _rule_at(sd, breakpoints: Sequence[float], order: int):
     """:func:`gaussian_rule` as a function ``place(mean, rows=..., out=None)``:
     the rule at ``mean[rows]``, with ``sd[rows]`` where sd is an array (one sd
     per row of the mean, as ``OptimalGlm``'s posterior blocks take them).
-    ``out``, a pair of arrays of the nodes' shape, takes the nodes in its
-    first and a split rule's weights in its second (a Hermite rule's weights
-    are one shared row, and a Hermite rule may be given its first alone);
-    without it the arrays are fresh.  ``place.width`` is the number of nodes
-    per row.
+    ``out``, an array of the nodes' shape, takes a Hermite rule's nodes, whose
+    weights are one shared row; a split rule's nodes and weights are fresh
+    arrays (only tests send a link with jumps through ``OptimalGlm``).
+    ``place.width`` is the number of nodes per row.
 
     sd is checked and the raw rule fetched here, on the calling thread; the
-    returned function calls numpy only and, given ``out``, allocates no array
-    of the nodes' size, so it may run on a :func:`_split` thread.
+    returned function calls numpy only, so it may run on a :func:`_split`
+    thread, and given ``out`` a Hermite rule allocates no array of the nodes'
+    size there.
     """
     sd = np.asarray(sd, dtype=float)
     if sd.size and not (0.0 < sd.min() and sd.max() < math.inf):   # a NaN is both
@@ -531,26 +531,18 @@ def _rule_at(sd, breakpoints: Sequence[float], order: int):
         if not breakpoints:
             if out is None:
                 return mean + (_SQRT_2 * s) * rule.nodes, hermite_weights
-            nodes = np.multiply(_SQRT_2 * s, rule.nodes, out=out[0])
+            nodes = np.multiply(_SQRT_2 * s, rule.nodes, out=out)
             nodes += mean
             return nodes, hermite_weights
         lo = mean - _SPLIT_HALF_WIDTH * s
         hi = mean + _SPLIT_HALF_WIDTH * s
         cuts = np.stack([lo, *(np.clip(b, lo, hi) for b in breakpoints), hi], axis=-2)
         half = 0.5 * (cuts[..., 1:, :] - cuts[..., :-1, :])
-        pieces = half.shape[:-1] + (order,)
-        nodes = np.empty(pieces) if out is None else out[0].reshape(pieces)
-        np.multiply(half, rule.nodes, out=nodes)
-        nodes += 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
+        nodes = half * rule.nodes + 0.5 * (cuts[..., 1:, :] + cuts[..., :-1, :])
         s = s[..., None]
-        weights = np.empty(pieces) if out is None else out[1].reshape(pieces)
-        np.subtract(nodes, mean[..., None], out=weights)
-        np.square(weights, out=weights)
-        weights *= -0.5 / (s * s)
-        np.exp(weights, out=weights)   # the density
-        weights *= half / (s * _SQRT_2PI)
-        weights *= rule.weights
-        shape = pieces[:-2] + (-1,)
+        density = np.exp((nodes - mean[..., None]) ** 2 * (-0.5 / (s * s)))
+        weights = density * (half / (s * _SQRT_2PI)) * rule.weights
+        shape = nodes.shape[:-2] + (-1,)
         return nodes.reshape(shape), weights.reshape(shape)
 
     place.width = order * (len(breakpoints) + 1)
