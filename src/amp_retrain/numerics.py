@@ -63,7 +63,8 @@ thread (see Design-matrix products).
 Memory a thread needs (the draw's Box-Muller scratch, the posterior kernel's
 block arrays) is row j of one array the caller allocates, for all the
 threads, before the split, and the work writes through ``out=`` arguments, so
-no helper allocates an array of a block's size.  glibc gives each thread
+no helper allocates an array of a block's size (a split quadrature rule still
+does, which only tests run there).  glibc gives each thread
 that allocates its own malloc arena and keeps freed memory there: when the
 helpers allocated their block arrays, a process kept about 5 MB more
 resident after a GLM cobweb.  The threads are joined before :func:`_split`
@@ -401,7 +402,7 @@ def _logistic(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
     np.maximum(num, e, out=num)
     e += 1.0
     out = np.divide(num, e, out=e)
-    # every other value lies in [0, 1], so the sum is NaN only if x has one
+    # each value lies in [0, 1] unless its x is NaN, so only a NaN makes the sum NaN
     if np.isnan(out.sum()):
         raise DomainError("stable_logistic argument must not be NaN")
     return out
