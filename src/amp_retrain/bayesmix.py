@@ -3,23 +3,20 @@
 Fit a two-component univariate Gaussian mixture to the unnormalized logits of
 a trained classifier, then combine each logit with its (noisy) given label
 into a soft retraining target via the posterior-mean rule with general
-component means/variances.  A desk-scale retraining demo iterates the recipe
-with a plain least-squares trainer, as a rule of the uncorrected retraining
-loop.
+component means/variances.  The desk-scale retraining demo that iterates the
+recipe is ``harness.bayesmix_retrain_demo``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError
-from .gmm import GmmParams, _label_arrays, gmm_evaluator, sample_gmm_dataset
-from .numerics import RngStream
-from .retrain import run_hard_baseline
+from .gmm import _label_arrays
 
 
 # The EM fit: at most _EM_ITERATIONS iterations, stopping once the
@@ -163,34 +160,3 @@ def bayesmix_aggregate(z, yhat, fit: BimodalFit, p: float):
     prior = math.log(fit.pi_plus / (1.0 - fit.pi_plus))
     out = np.tanh(0.5 * (label_term + log_ratio + prior))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class RetrainDemoResult:
-    accuracies: List[float]   # clean-test accuracy after rounds 0..T-1
-    halted_at: Optional[int] = None  # last round before the run halted (EM fit degenerated)
-
-
-def bayesmix_retrain_demo(params: GmmParams, T: int, rng: RngStream) -> RetrainDemoResult:
-    """Desk-scale retraining on Gaussian-mixture data: T steps of
-    :func:`run_hard_baseline` with the BayesMix rule.
-
-    Round 0 trains the simplified linear model w = X^T y_noisy / sqrt(n) on
-    the noisy labels (the standard tractable stand-in for the least-squares
-    fit in this data model; the fully sphered solution shrinks the
-    class-mean direction by 1 + gamma^2 and starves the mixture fit).  Each
-    later round fits the bimodal mixture to the current train logits,
-    aggregates them with the given labels into soft targets, and refits.
-    Accuracy is the population clean-test accuracy of the current model.
-    The trainer is deliberately simple; the aggregation rule is the point.
-    """
-    data = sample_gmm_dataset(params, rng)
-
-    def rule(logits, y_noisy):
-        return bayesmix_aggregate(logits, y_noisy, fit_bimodal_em(logits), params.p)
-
-    traj = run_hard_baseline(data, rule, T, gmm_evaluator(data))
-    # the fit of round k fails in step t = k + 2, which diverged_at flags
-    halted_at = None if traj.diverged_at is None else traj.diverged_at - 2
-    return RetrainDemoResult(accuracies=[1.0 - e for e in traj.errors.tolist()],
-                             halted_at=halted_at)

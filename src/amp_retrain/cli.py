@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .bayesmix import BimodalFit, bayesmix_aggregate, bayesmix_retrain_demo, fit_bimodal_em
+from .bayesmix import BimodalFit, bayesmix_aggregate, fit_bimodal_em
 from .datafiles import read_logit_file, write_table, write_targets_file
 from .errors import (
     AmpRetrainError,
@@ -30,17 +30,16 @@ from .errors import (
     DivergenceError,
     ParseError,
 )
-from .gmm import GmmParams
 from .gmm_se import VARIANTS
 from .harness import (
     ExperimentConfig,
+    bayesmix_retrain_demo,
     cobweb_rows,
     crossover_rows,
     se_rows,
     simulate,
     write_simulation_outputs,
 )
-from .numerics import RngStream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -252,19 +251,21 @@ def _cmd_bayesmix_demo(args: argparse.Namespace) -> int:
     _check_flip_rate(args.p)
     if args.rounds < 1:
         raise ConfigError(f"--rounds must be at least 1, not {args.rounds}")
-    params = GmmParams(gamma=args.gamma, alpha=args.alpha, p=args.p,
-                       pi_plus=args.pi_plus, n=args.n, d=args.d)
-    result = bayesmix_retrain_demo(params, args.rounds, RngStream(args.master_seed, 0))
+    traj = bayesmix_retrain_demo(ExperimentConfig(
+        model="gmm", gamma=args.gamma, alpha=args.alpha, p=args.p, pi_plus=args.pi_plus,
+        n=args.n, d=args.d, iterations=args.rounds, master_seed=args.master_seed))
+    accuracies = [1.0 - e for e in traj.errors.tolist()]
     path = _out_dir(args) / "demo.tsv"
-    shown = ("gamma", "alpha", "p", "pi_plus", "n", "rounds", "master_seed")
+    # d as given, null when omitted, as simulate's config.json records it
+    shown = ("gamma", "alpha", "p", "pi_plus", "n", "d", "rounds", "master_seed")
     config = {key: getattr(args, key) for key in shown}
     meta = {"config": json.dumps(config, sort_keys=True),
             "master_seed": str(args.master_seed), "version": __version__}
-    if result.halted_at is not None:
-        meta["halted_at_round"] = str(result.halted_at)
-    write_table(path, meta, ["round", "accuracy"],
-                list(enumerate(result.accuracies)))
-    for rnd, acc in enumerate(result.accuracies):
+    if traj.diverged_at is not None:
+        # the fit of round k fails in step k + 2
+        meta["halted_at_round"] = str(traj.diverged_at - 2)
+    write_table(path, meta, ["round", "accuracy"], list(enumerate(accuracies)))
+    for rnd, acc in enumerate(accuracies):
         print(f"round={rnd:3d}  accuracy={acc:.6f}")
     print(f"wrote {path}")
     return EXIT_OK

@@ -18,6 +18,7 @@ from .errors import ConfigError, DegenerateModelError, DomainError
 from .gmm import _label_arrays, _validate_shared_params
 from .numerics import (_SPLIT_HALF_WIDTH, RngStream, _erfcx, _logistic, _matvec, _ndtr, _rule_at,
                        _split, _split_threads, _square, gaussian_rule)
+from .retrain import Dataset
 
 
 # Quadrature order of the posterior rule of OptimalGlm and of the error curve.
@@ -141,37 +142,13 @@ class GlmParams:
         return self.alpha * self.gamma_eff**2
 
 
-@dataclass(frozen=True, eq=False)
-class GlmDataset:
-    """Sampled design, coefficients, clean and flipped labels.
-
-    X is float32 (:func:`sample_glm_dataset`); the vectors are float64.
-    """
-
-    X: np.ndarray          # (n, d) float32, entries N(0, 1/n)
-    beta_true: np.ndarray  # (d,), ||beta||^2/d = gamma_eff^2
-    y_true: np.ndarray     # (n,) of +-1
-    y_noisy: np.ndarray    # (n,) of +-1
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def scale(self) -> float:
-        """Matvec scale of the retraining step: 1, X already carries the 1/n covariance."""
-        return 1.0
-
-
-def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
+def sample_glm_dataset(params: GlmParams, rng: RngStream) -> Dataset:
     """Rows x_i ~ N(0, I/n); P(y=1|x) = h(x.beta); labels flipped w.p. p.
 
     X is the float32 :meth:`RngStream.gaussian_matrix`; the margins x.beta
-    are its float32 product with beta, returned as float64.
+    are its float32 product with beta, returned as float64.  The dataset's
+    ``truth`` is beta and its ``scale`` 1: X already carries the 1/n
+    covariance.
     """
     gen = rng.generator()
     beta = gen.standard_normal(params.d)
@@ -181,7 +158,7 @@ def sample_glm_dataset(params: GlmParams, rng: RngStream) -> GlmDataset:
     y = np.where(gen.random(params.n) < params.link.h(margins), 1.0, -1.0)
     flips = gen.random(params.n) < params.p
     y_noisy = np.where(flips, -y, y)
-    return GlmDataset(X=X, beta_true=beta, y_true=y, y_noisy=y_noisy)
+    return Dataset(X=X, y_true=y, y_noisy=y_noisy, truth=beta, scale=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -402,17 +379,18 @@ def error_curve_glm(rho: float, params: GlmParams) -> float:
         + Phi(-rho*Z/sqrt(1-rho^2))*h(sqrt(alpha)*gamma*Z)],  Z ~ N(0,1).
     Where c = rho/sqrt(1-rho^2) is not 0, the rule is split at 0 and at
     +-8/c, where Phi(c*z) turns from 0 to 1 (a step at 0 as rho nears 1);
-    it is split at the link's jumps too.  Decreasing in rho whenever
+    the sign link's jump at 0 is then a breakpoint already, and at c = 0
+    its integrand is the constant 1/2.  Decreasing in rho whenever
     h(u) > h(-u) for u > 0.
     """
     if not (-1.0 <= rho <= 1.0):
         raise DomainError("rho must lie in [-1, 1]")
     scale = math.sqrt(params.alpha) * params.gamma_eff
-    breakpoints = {b / scale for b in params.link.discontinuities}
     # at |rho| = 1, c is +-inf: Phi(c*z) is the step at 0, and +-8/c are 0
     coef = math.copysign(math.inf, rho) if abs(rho) == 1.0 else rho / math.sqrt(1.0 - rho * rho)
-    if coef != 0.0:   # Phi(c*z) turns from 0 to 1 on |z| < 8/|c|, if in the window
-        breakpoints |= {0.0, *(b for b in (8 / coef, -8 / coef) if abs(b) < _SPLIT_HALF_WIDTH)}
+    # Phi(c*z) turns from 0 to 1 on |z| < 8/|c|: split there, if in the window
+    breakpoints = ({0.0, *(b for b in (8 / coef, -8 / coef) if abs(b) < _SPLIT_HALF_WIDTH)}
+                   if coef != 0.0 else ())
 
     def integrand(z):
         hv = params.link.h(scale * z)
@@ -442,19 +420,19 @@ def overlap_glm(theta: np.ndarray, beta_true: np.ndarray) -> float:
     return float(np.clip(beta_true @ theta / (bn * tn), -1.0, 1.0))
 
 
-def test_error_glm(theta: np.ndarray, data: GlmDataset, params: GlmParams) -> float:
+def test_error_glm(theta: np.ndarray, data: Dataset, params: GlmParams) -> float:
     """Population misclassification rate of sign(x.theta).
 
     Gaussian-threshold links (sign, probit) use the exact arccos form; other
     links evaluate the quadrature error curve (:func:`_error_from_overlap`).
     """
-    return _error_from_overlap(overlap_glm(theta, data.beta_true), params)
+    return _error_from_overlap(overlap_glm(theta, data.truth), params)
 
 
-def glm_evaluator(data: GlmDataset, params: GlmParams):
+def glm_evaluator(data: Dataset, params: GlmParams):
     """evaluate(beta) -> (test error, overlap rho) for the engine."""
 
     def evaluate(beta):
-        return test_error_glm(beta, data, params), overlap_glm(beta, data.beta_true)
+        return test_error_glm(beta, data, params), overlap_glm(beta, data.truth)
 
     return evaluate

@@ -40,9 +40,8 @@ def se_init_glm(params: GlmParams) -> SeState:
     sd = math.sqrt(params.prior_var)
     # h turns from 0 to 1 on |z| < 8: split there, within the rule's window, so
     # the pieces resolve the turn however many link widths sd spans
-    breakpoints = {*params.link.discontinuities, 0.0,
-                   *(b for b in (-8.0, 8.0) if abs(b) < _SPLIT_HALF_WIDTH * sd)}
-    z, w = gaussian_rule(0.0, sd, sorted(breakpoints), DEFAULT_ORDER)
+    breakpoints = [b for b in (-8.0, 0.0, 8.0) if abs(b) < _SPLIT_HALF_WIDTH * sd]
+    z, w = gaussian_rule(0.0, sd, breakpoints, DEFAULT_ORDER)
     mu1 = 2.0 / params.prior_var * float((z * hat_h_p(z, params.link, params.p)) @ w)
     return SeState(mu=mu1, sigma=sigma1)
 

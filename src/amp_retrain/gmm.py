@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, DomainError
 from .numerics import RngStream, _square, stable_logistic, std_normal_cdf
+from .retrain import Dataset
 
 
 # --------------------------------------------------------------------------
@@ -76,47 +77,22 @@ class GmmParams:
         return 1.0 - self.pi_plus
 
 
-@dataclass(frozen=True, eq=False)
-class GmmDataset:
-    """Sampled features, clean labels, flipped labels, and the mean direction.
-
-    X is float32 (:func:`sample_gmm_dataset`); the vectors are float64.
-    """
-
-    X: np.ndarray        # (n, d) float32
-    y_true: np.ndarray   # (n,) of +-1
-    y_noisy: np.ndarray  # (n,) of +-1
-    mu: np.ndarray       # (d,), norm equals gamma
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def scale(self) -> float:
-        """Matvec scale sqrt(n) of the retraining step (the noise has unit variance)."""
-        return math.sqrt(self.n)
-
-
 _MAX_GAMMA2_SQRT_N = float(np.finfo(np.float32).max) / 2
 
 
-def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
+def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> Dataset:
     """Draw x_i = y_i * mu + z_i with z_i ~ N(0, I_d) and flipped labels.
 
     The mean is sampled with iid standard normal entries and rescaled so its
     norm equals gamma exactly.  The stream's generator draws mu, the labels
     and the flips, in that order; the noise matrix comes from the stream's
     block children (:meth:`RngStream.gaussian_matrix`), and X is that float32
-    matrix plus +-mu rounded to float32.  Identical streams reproduce
-    identical datasets.  (Before version 0.2.0 the generator also drew the
-    noise, between the labels and the flips; before 0.19.0 each block's
-    noise was numpy's ziggurat ``standard_normal``, where it is now a
-    Box-Muller transform of the block's uniforms.)  A gamma whose
+    matrix plus +-mu rounded to float32.  The dataset's ``truth`` is mu and
+    its ``scale`` sqrt(n).  Identical streams reproduce identical datasets.
+    (Before version 0.2.0 the generator also drew the noise, between the
+    labels and the flips; before 0.19.0 each block's noise was numpy's
+    ziggurat ``standard_normal``, where it is now a Box-Muller transform of
+    the block's uniforms.)  A gamma whose
     gamma^2*sqrt(n) reaches half of float32's largest value raises
     :class:`ConfigError`: the retraining products would overflow.
     """
@@ -142,7 +118,7 @@ def sample_gmm_dataset(params: GmmParams, rng: RngStream) -> GmmDataset:
     np.subtract(X, mu32, out=X, where=~pos)
     flips = gen.random(params.n) < params.p
     y_noisy = np.where(flips, -y, y)
-    return GmmDataset(X=X, y_true=y, y_noisy=y_noisy, mu=mu)
+    return Dataset(X=X, y_true=y, y_noisy=y_noisy, truth=mu, scale=math.sqrt(params.n))
 
 
 # --------------------------------------------------------------------------
@@ -322,11 +298,11 @@ def test_error_gmm(theta: np.ndarray, mu: np.ndarray) -> float:
     return std_normal_cdf(-float(mu @ theta) / nrm)
 
 
-def gmm_evaluator(data: GmmDataset):
+def gmm_evaluator(data: Dataset):
     """evaluate(theta) -> (test error, overlap mu.theta/||theta||) for the engine."""
 
     def evaluate(theta):
-        return (test_error_gmm(theta, data.mu),
-                float(data.mu @ theta / np.linalg.norm(theta)))
+        return (test_error_gmm(theta, data.truth),
+                float(data.truth @ theta / np.linalg.norm(theta)))
 
     return evaluate

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple, get_args, get_type_hints
 import numpy as np
 
 from . import __version__
+from .bayesmix import bayesmix_aggregate, fit_bimodal_em
 from .datafiles import write_table
 from .errors import ConfigError
 from .gmm import (
@@ -51,7 +52,7 @@ from .glm_se import (
     se_step_glm_opt,
 )
 from .numerics import RngStream, _square, _usable_cpus
-from .retrain import Trajectory, run_retraining
+from .retrain import Trajectory, run_hard_baseline, run_retraining
 
 
 # the Python types a value of each annotated config type may have
@@ -176,6 +177,28 @@ def replication_data(config: ExperimentConfig, rep: int):
         return data, gmm_evaluator(data)
     data = sample_glm_dataset(params, rng)
     return data, glm_evaluator(data, params)
+
+
+def bayesmix_retrain_demo(config: ExperimentConfig) -> Trajectory:
+    """Desk-scale retraining with the BayesMix rule: config.iterations steps of
+    :func:`run_hard_baseline` on replication 0's :func:`replication_data`.
+
+    Round 0 (step 1) trains the simplified linear model w = X^T y_noisy / scale
+    on the noisy labels (the standard tractable stand-in for the least-squares
+    fit in this data model; for the mixture the fully sphered solution shrinks
+    the class-mean direction by 1 + gamma^2 and starves the mixture fit).  Each
+    later round fits the bimodal mixture to the current train logits,
+    aggregates them with the given labels at flip rate config.p into soft
+    targets, and refits.  A degenerate fit of round k's logits ends the
+    trajectory with diverged_at = k + 2.  The trainer is deliberately simple;
+    the aggregation rule is the point.
+    """
+    data, evaluate = replication_data(config, 0)
+
+    def rule(logits, y_noisy):
+        return bayesmix_aggregate(logits, y_noisy, fit_bimodal_em(logits), config.p)
+
+    return run_hard_baseline(data, rule, config.iterations, evaluate)
 
 
 def run_replication(config: ExperimentConfig, rep: int, schedule: Tuple) -> Trajectory:

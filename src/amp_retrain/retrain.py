@@ -6,10 +6,11 @@ denoiser g and its derivative:
     w' = X^T g(y, yhat) / s - c * w,    y' = X w' / s - g * d/n,
 
 with c = mean(dg/dy); g and dg/dy come from one ``agg.value_and_deriv(y,
-yhat)`` call.  The models differ only in the scale s of the design matrix
-(sqrt(n) for the mixture, whose noise has unit variance; 1 for the GLM, whose
-rows already carry the 1/n covariance), read from the dataset's ``scale``,
-and in how a model vector is scored, passed in as ``evaluate(w) -> (error,
+yhat)`` call.  Both models' samplers return one record, :class:`Dataset`, and
+the engine reads its ``scale`` as s: sqrt(n) for the mixture, whose noise has
+unit variance, and 1 for the GLM, whose rows already carry the 1/n
+covariance.  The models differ otherwise only in how a model vector is
+scored against ``Dataset.truth``, passed in as ``evaluate(w) -> (error,
 overlap)``.  The scale is applied by dividing after each matvec.  The state
 (w, y_soft, g, c) is float64; each matvec casts its operand to the design
 matrix's dtype (float32 for the sampled datasets) and its result back.
@@ -57,6 +58,30 @@ class SeState:
     @property
     def eta(self) -> float:
         return self.mu / self.sigma
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A sampled training set of either model.
+
+    X is float32 (the samplers' draw); the vectors are float64.  ``truth`` is
+    the ground-truth direction: the mixture's class mean (norm gamma) or the
+    GLM's coefficients (||beta||^2/d = gamma_eff^2).
+    """
+
+    X: np.ndarray        # (n, d)
+    y_true: np.ndarray   # (n,) of +-1
+    y_noisy: np.ndarray  # (n,) of +-1
+    truth: np.ndarray    # (d,)
+    scale: float         # the matvec scale s of the retraining step
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +138,7 @@ def amp_step(state: AmpState, X: np.ndarray, y_noisy: np.ndarray, scale: float,
     return _checked(w, y_soft, state.t + 1)
 
 
-def _run(data, steps: Sequence, step: Callable, evaluate: Evaluate) -> Trajectory:
+def _run(data: Dataset, steps: Sequence, step: Callable, evaluate: Evaluate) -> Trajectory:
     """Apply step(state, entry) once per entry from the zero state, scoring
     each iterate; divergence or a degenerate model or fit truncates the
     trajectory and flags the step that failed."""
@@ -130,11 +155,10 @@ def _run(data, steps: Sequence, step: Callable, evaluate: Evaluate) -> Trajector
     return Trajectory(points=points)
 
 
-def run_retraining(data, aggregators: Sequence, evaluate: Evaluate) -> Trajectory:
+def run_retraining(data: Dataset, aggregators: Sequence, evaluate: Evaluate) -> Trajectory:
     """One memory-corrected step per aggregator of the schedule.
 
-    ``data`` supplies ``X``, ``y_noisy`` and ``scale``.  On divergence the
-    trajectory is truncated and flagged rather than raised.
+    On divergence the trajectory is truncated and flagged rather than raised.
     """
     if not aggregators:
         raise ConfigError("a schedule needs at least one aggregator")
@@ -162,7 +186,7 @@ def _hard_consensus(y_soft, y_noisy):
 HARD_RULES = {"full": _hard_full, "consensus": _hard_consensus}
 
 
-def run_hard_baseline(data, rule: Callable, T: int, evaluate: Evaluate) -> Trajectory:
+def run_hard_baseline(data: Dataset, rule: Callable, T: int, evaluate: Evaluate) -> Trajectory:
     """T steps of retraining without memory correction.
 
     The hard rules of :data:`HARD_RULES` are not Lipschitz, so the corrected

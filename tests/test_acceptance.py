@@ -13,7 +13,6 @@ from amp_retrain import bayesmix
 from amp_retrain.bayesmix import (
     BimodalFit,
     bayesmix_aggregate,
-    bayesmix_retrain_demo,
     fit_bimodal_em,
 )
 from amp_retrain.gmm import (
@@ -41,7 +40,7 @@ from amp_retrain.glm import (
     error_curve_glm,
 )
 from amp_retrain.glm_se import se_init_glm
-from amp_retrain.harness import ExperimentConfig, se_states, simulate
+from amp_retrain.harness import ExperimentConfig, bayesmix_retrain_demo, se_states, simulate
 from amp_retrain.numerics import RngStream, gauss_hermite
 from amp_retrain.retrain import SeState
 
@@ -267,11 +266,13 @@ def test_criterion_11_bayesmix_reduction_and_em(monkeypatch):
 
 def test_criterion_12_high_noise_demo_improves():
     """Desk-scale retraining demo wins over its round-0 model in >= 8/10 seeds."""
-    params = GmmParams(gamma=2.0, alpha=0.1, p=0.45, pi_plus=0.5, n=2000, d=200)
     wins = 0
     for seed in range(10):
-        result = bayesmix_retrain_demo(params, 10, RngStream(seed))
-        assert result.halted_at is None
-        wins += result.accuracies[-1] > result.accuracies[0]
+        traj = bayesmix_retrain_demo(ExperimentConfig(
+            model="gmm", gamma=2.0, alpha=0.1, p=0.45, pi_plus=0.5, n=2000, d=200,
+            iterations=10, master_seed=seed))
+        assert traj.diverged_at is None
+        accuracies = 1.0 - traj.errors
+        wins += accuracies[-1] > accuracies[0]
     assert wins >= 8
     _passed(12, f"high-noise demo improved in {wins}/10 seeds (need >= 8)")

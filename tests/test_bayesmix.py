@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amp_retrain import bayesmix
-from amp_retrain.bayesmix import (
-    BimodalFit,
-    bayesmix_aggregate,
-    bayesmix_retrain_demo,
-    fit_bimodal_em,
-)
+from amp_retrain import bayesmix, harness
+from amp_retrain.bayesmix import BimodalFit, bayesmix_aggregate, fit_bimodal_em
 from amp_retrain.cli import main as cli_main
 from amp_retrain.datafiles import read_table
 from amp_retrain.errors import ConfigError, DegenerateFitError, DomainError
 from amp_retrain.gmm import GmmParams, OptimalGmm
+from amp_retrain.harness import ExperimentConfig, bayesmix_retrain_demo, simulate
 from amp_retrain.numerics import RngStream
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -279,34 +275,39 @@ class TestTargets:
         assert lines == golden
 
 
+def demo(rounds, seed, p=0.3, n=500):
+    """The demo's trajectory at gamma 2.0, alpha 0.1, and its accuracy per round."""
+    traj = bayesmix_retrain_demo(ExperimentConfig(model="gmm", gamma=2.0, alpha=0.1, p=p, n=n,
+                                                  iterations=rounds, master_seed=seed))
+    return traj, (1.0 - traj.errors).tolist()
+
+
 class TestRetrainDemo:
     def test_noiseless_is_flat(self):
-        params = GmmParams(gamma=2.0, alpha=0.1, p=0.0, pi_plus=0.5, n=500)
-        result = bayesmix_retrain_demo(params, 4, RngStream(7))
-        assert len(result.accuracies) == 4
-        assert max(result.accuracies) - min(result.accuracies) <= 1e-12
+        _traj, accuracies = demo(4, 7, p=0.0)
+        assert len(accuracies) == 4
+        assert max(accuracies) - min(accuracies) <= 1e-12
 
     def test_single_round_is_plain_training(self):
-        params = GmmParams(gamma=2.0, alpha=0.1, p=0.3, pi_plus=0.5, n=500)
-        one = bayesmix_retrain_demo(params, 1, RngStream(8))
-        many = bayesmix_retrain_demo(params, 5, RngStream(8))
-        assert len(one.accuracies) == 1
-        assert one.accuracies[0] == many.accuracies[0]
+        _traj, one = demo(1, 8)
+        _traj, many = demo(5, 8)
+        assert len(one) == 1
+        assert one[0] == many[0]
 
     def test_high_noise_improvement_trend(self):
         # directional check at moderate size; the full ten-seed version runs
         # in the acceptance suite
-        params = GmmParams(gamma=2.0, alpha=0.1, p=0.45, pi_plus=0.5, n=1500)
         wins = 0
         for seed in range(3):
-            result = bayesmix_retrain_demo(params, 8, RngStream(500 + seed))
-            wins += result.accuracies[-1] > result.accuracies[0]
+            _traj, accuracies = demo(8, 500 + seed, p=0.45, n=1500)
+            wins += accuracies[-1] > accuracies[0]
         assert wins >= 2
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_degenerate_fit_halts_the_demo(self, monkeypatch, tmp_path, k):
-        # the fit of round k's logits fails: rounds 0..k keep their accuracy
-        fit, calls = bayesmix.fit_bimodal_em, []
+        # the fit of round k's logits fails: rounds 0..k keep their accuracy,
+        # and the fit fails in step k + 2
+        fit, calls = harness.fit_bimodal_em, []
 
         def failing(logits):
             calls.append(len(calls))
@@ -314,11 +315,10 @@ class TestRetrainDemo:
                 raise DegenerateFitError("forced")
             return fit(logits)
 
-        monkeypatch.setattr(bayesmix, "fit_bimodal_em", failing)
-        params = GmmParams(gamma=2.0, alpha=0.1, p=0.3, pi_plus=0.5, n=500)
-        result = bayesmix_retrain_demo(params, 6, RngStream(8))
-        assert result.halted_at == k
-        assert len(result.accuracies) == k + 1
+        monkeypatch.setattr(harness, "fit_bimodal_em", failing)
+        traj, accuracies = demo(6, 8)
+        assert traj.diverged_at == k + 2
+        assert len(accuracies) == k + 1
         calls.clear()
         assert cli_main(["bayesmix", "demo", "--p", "0.3", "--gamma", "2.0", "--alpha", "0.1",
                          "--n", "500", "--rounds", "6", "--out", str(tmp_path)]) == 0
@@ -328,6 +328,16 @@ class TestRetrainDemo:
         assert (tmp_path / "demo.tsv").read_text().count(f"# halted_at_round: {k}\n") == 1
 
     def test_rejects_bad_rounds(self):
-        params = GmmParams(gamma=2.0, alpha=0.1, p=0.3, pi_plus=0.5, n=100)
         with pytest.raises(ConfigError):
-            bayesmix_retrain_demo(params, 0, RngStream(1))
+            demo(0, 1, n=100)
+
+    def test_round_0_is_replication_0_of_simulate(self):
+        # both are X^T y_noisy / sqrt(n) on stream (seed, 0): the demo's round-0
+        # error is simulate's replication-0 error at t = 1, bit for bit
+        config = ExperimentConfig(model="gmm", gamma=1.5, alpha=0.8, p=0.45, n=400,
+                                  iterations=2, master_seed=0)
+        first = bayesmix_retrain_demo(config).points[0]
+        replication = simulate(config, jobs=1).replications[0]
+        assert first.t == 1
+        assert first.error == next(pt.error for pt in replication.points if pt.t == 1)
+        assert first.error == 0.35631638953778055

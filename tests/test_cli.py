@@ -15,12 +15,11 @@ from amp_retrain import harness
 from amp_retrain.cli import build_parser, main
 from amp_retrain.datafiles import read_table, write_logit_file
 from amp_retrain.errors import ConfigError
-from amp_retrain.bayesmix import bayesmix_retrain_demo
 from amp_retrain.gmm import (AGGREGATORS, GmmParams, IdentityAggregator, aggregator_from_name,
                              sample_gmm_dataset)
 from amp_retrain.gmm_se import VARIANTS, SeMapSpec
-from amp_retrain.harness import (ExperimentConfig, build_params, replication_data,
-                                 run_replication, se_trace)
+from amp_retrain.harness import (ExperimentConfig, bayesmix_retrain_demo, build_params,
+                                 replication_data, run_replication, se_trace)
 from amp_retrain.numerics import RngStream
 from amp_retrain.retrain import Trajectory
 
@@ -446,6 +445,19 @@ class TestBayesmix:
         _m, _c, rows = read_table(out / "demo.tsv")
         assert len(rows) == 3
 
+    def test_demo_header_records_d(self, tmp_path):
+        # --d 4 and --d 5 both fit alpha 0.1 at n 40, and their rows differ
+        tables = {}
+        for d in ("4", "5", None):
+            out = tmp_path / str(d)
+            assert run_cli("bayesmix", "demo", "--p", "0.3", "--alpha", "0.1", "--n", "40",
+                           "--rounds", "1", "--out", str(out),
+                           *(("--d", d) if d else ())) == 0
+            tables[d] = read_table(out / "demo.tsv")
+        assert [json.loads(meta["config"])["d"] for meta, _c, _r in tables.values()] == [4, 5, None]
+        assert tables["4"][0]["config"] != tables["5"][0]["config"]
+        assert tables["4"][2] != tables["5"][2]
+
     def test_header_only_logits_give_header_only_targets(self, tmp_path):
         logit_path = tmp_path / "logits.tsv"
         logit_path.write_text("id\tz\tyhat\n")
@@ -676,10 +688,11 @@ class TestInputErrors:
                         traj = run_replication(config, rep, schedule)
                         assert traj.diverged_at is None and len(traj.points) == 5, (alpha, name)
                         assert all(math.isfinite(pt.model_norm) for pt in traj.points)
-                params = GmmParams(gamma=gamma, alpha=alpha, p=0.2, n=n)
                 for seed in (0, 1):
-                    demo = bayesmix_retrain_demo(params, 3, RngStream(seed, 0))
-                    assert demo.halted_at is None and len(demo.accuracies) == 3, (alpha, seed)
+                    demo = bayesmix_retrain_demo(ExperimentConfig(
+                        model="gmm", gamma=gamma, alpha=alpha, p=0.2, n=n, iterations=3,
+                        master_seed=seed))
+                    assert demo.diverged_at is None and len(demo.points) == 3, (alpha, seed)
 
     def test_config_of_version_0_2_0_is_refused(self, tmp_path, capsys):
         # the quadrature order and the link scale left the config in 0.3.0

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import amp_retrain
-from amp_retrain.bayesmix import bayesmix_retrain_demo
 from amp_retrain.cli import main
 from amp_retrain.errors import DivergenceError
 from amp_retrain.glm import GlmParams, OptimalSign, SignLink, sample_glm_dataset
 from amp_retrain.gmm import GmmParams, OptimalGmm, sample_gmm_dataset
+from amp_retrain.harness import ExperimentConfig, bayesmix_retrain_demo
 from amp_retrain.numerics import RngStream
 from amp_retrain.retrain import HARD_RULES, AmpState, amp_step, run_hard_baseline
 
@@ -110,9 +110,10 @@ class TestNoUpcastCopy:
 
     def test_bayesmix_demo_rounds(self, monkeypatch, n, d):
         X = predrawn(monkeypatch, n, d)
-        peak, result = traced_peak(
-            lambda: bayesmix_retrain_demo(replace(GMM, n=n, d=d), 3, RngStream(2)))
-        assert len(result.accuracies) == 3
+        config = ExperimentConfig(model="gmm", gamma=GMM.gamma, alpha=GMM.alpha, p=GMM.p,
+                                  pi_plus=GMM.pi_plus, n=n, d=d, iterations=3, master_seed=2)
+        peak, traj = traced_peak(lambda: bayesmix_retrain_demo(config))
+        assert len(traj.points) == 3
         assert peak < self.LIMIT * X.nbytes
 
 

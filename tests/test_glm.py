@@ -8,7 +8,6 @@ import pytest
 from amp_retrain.errors import ConfigError, DomainError, ShapeError
 from amp_retrain.glm import (
     _POSTERIOR_ROWS,
-    GlmDataset,
     GlmParams,
     LogisticLink,
     OptimalGlm,
@@ -25,7 +24,7 @@ from amp_retrain.glm import (
 from amp_retrain.glm import test_error_glm as glm_error
 from amp_retrain.gmm import IdentityAggregator
 from amp_retrain.numerics import RngStream, gaussian_rule
-from amp_retrain.retrain import AmpState, SeState, amp_step, run_retraining
+from amp_retrain.retrain import AmpState, Dataset, SeState, amp_step, run_retraining
 
 
 def zero_state(data):
@@ -108,18 +107,20 @@ class TestSampling:
     def test_sign_link_deterministic_labels(self):
         params = sign_params(n=500)
         data = sample_glm_dataset(params, RngStream(2))
-        margins = data.X @ data.beta_true
+        margins = data.X @ data.truth
         assert np.array_equal(data.y_true, np.sign(margins))
 
     def test_beta_normalization(self):
         params = GlmParams(gamma=1.7, alpha=0.5, p=0.1, link=LogisticLink(), n=600)
         data = sample_glm_dataset(params, RngStream(3))
-        assert np.linalg.norm(data.beta_true) ** 2 / data.d == pytest.approx(1.7**2, abs=1e-12)
+        assert np.linalg.norm(data.truth) ** 2 / data.d == pytest.approx(1.7**2, abs=1e-12)
+        # X already carries the 1/n covariance
+        assert data.scale == 1.0
 
     def test_noisy_label_statistics(self):
         params = GlmParams(gamma=1.0, alpha=0.5, p=0.2, link=LogisticLink(), n=1000)
         data = sample_glm_dataset(params, RngStream(4))
-        margins = data.X @ data.beta_true
+        margins = data.X @ data.truth
         pos = margins > 0
         emp = np.mean(data.y_noisy[pos] == 1.0)
         model = np.mean(hat_h_p(margins[pos], params.link, params.p))
@@ -398,8 +399,8 @@ class TestAmpStepGlm:
 
     def test_zero_matrix(self):
         n, d = 20, 10
-        data = GlmDataset(X=np.zeros((n, d)), beta_true=np.ones(d),
-                          y_true=np.ones(n), y_noisy=np.ones(n))
+        data = Dataset(X=np.zeros((n, d)), y_true=np.ones(n), y_noisy=np.ones(n),
+                       truth=np.ones(d), scale=1.0)
         params = sign_params(n=n, alpha=0.5)
         agg = OptimalSign.from_eta(0.5, params)
         beta0 = np.linspace(1, 2, d)
@@ -455,10 +456,10 @@ class TestErrorCurve:
         data = sample_glm_dataset(params, RngStream(9))
         ortho = np.zeros(params.d)
         # build an exactly orthogonal vector
-        ortho[0], ortho[1] = data.beta_true[1], -data.beta_true[0]
+        ortho[0], ortho[1] = data.truth[1], -data.truth[0]
         assert glm_error(ortho, data, params) == pytest.approx(0.5, abs=1e-12)
         # arccos amplifies rounding near rho = 1 by sqrt(eps)
-        assert glm_error(data.beta_true, data, params) == pytest.approx(0.0, abs=1e-7)
+        assert glm_error(data.truth, data, params) == pytest.approx(0.0, abs=1e-7)
 
     def test_logistic_chance_level(self):
         params = GlmParams(gamma=1.0, alpha=2.0, p=0.1, link=LogisticLink(), n=100)
@@ -505,7 +506,7 @@ class TestRunRetrainingGlm:
         traj = run_retraining(data, schedule(IdentityAggregator(), 1),
                               glm_evaluator(data, params))
         beta1 = rows_sum(data.X, data.y_noisy)
-        rho = overlap_glm(beta1, data.beta_true)
+        rho = overlap_glm(beta1, data.truth)
         assert traj.points[0].error == pytest.approx(math.acos(rho) / math.pi, abs=1e-14)
 
     def test_deterministic(self):

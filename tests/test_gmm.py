@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,7 +14,6 @@ from amp_retrain.errors import (
     ShapeError,
 )
 from amp_retrain.gmm import (
-    GmmDataset,
     GmmParams,
     IdentityAggregator,
     OptimalGmm,
@@ -30,6 +30,7 @@ from amp_retrain.numerics import RngStream, gauss_hermite, std_normal_cdf
 from amp_retrain.retrain import (
     HARD_RULES,
     AmpState,
+    Dataset,
     SeState,
     amp_step,
     run_hard_baseline,
@@ -98,7 +99,8 @@ class TestSampling:
     def test_mean_norm_and_balance(self):
         params = params_for(gamma=1.5, alpha=0.8, p=0.3, pi_plus=0.5, n=1000)
         data = sample_gmm_dataset(params, RngStream(3))
-        assert abs(np.linalg.norm(data.mu) - 1.5) <= 1e-12
+        assert abs(np.linalg.norm(data.truth) - 1.5) <= 1e-12
+        assert data.scale == math.sqrt(1000)
         # binomial bounds, 4 standard deviations
         bal = np.mean(data.y_true == 1.0)
         assert abs(bal - 0.5) <= 4 * math.sqrt(0.25 / params.n)
@@ -114,7 +116,7 @@ class TestSampling:
     def test_means_added_by_label(self):
         data = sample_gmm_dataset(params_for(alpha=77 / 333, n=333, d=77), RngStream(8))
         noise = RngStream(8).gaussian_matrix(333, 77)
-        means = (data.y_true[:, None] * data.mu[None, :]).astype(np.float32)
+        means = (data.y_true[:, None] * data.truth[None, :]).astype(np.float32)
         assert data.X.dtype == np.float32
         assert np.array_equal(data.X, noise + means)
 
@@ -269,8 +271,8 @@ class TestAmpStep:
 
     def test_zero_matrix_linearity(self):
         n, d = 30, 20
-        data = GmmDataset(X=np.zeros((n, d)), y_true=np.ones(n),
-                          y_noisy=np.ones(n), mu=np.ones(d))
+        data = Dataset(X=np.zeros((n, d)), y_true=np.ones(n), y_noisy=np.ones(n),
+                       truth=np.ones(d), scale=math.sqrt(n))
         agg = SmoothedFullRT(beta=2.0)
         theta0 = np.linspace(1, 2, d)
         y0 = np.linspace(-1, 1, n)
@@ -373,19 +375,18 @@ class TestVanilla:
         mu = np.zeros(d)
         mu[0] = gamma
         X = y[:, None] * mu[None, :] + gen.standard_normal((n, d))
-        data = GmmDataset(X=X, y_true=y, y_noisy=y, mu=mu)
+        data = Dataset(X=X, y_true=y, y_noisy=y, truth=mu, scale=math.sqrt(n))
         est = first_iterate(data) / math.sqrt(n)
         assert abs(est[0] - gamma) <= 5 / math.sqrt(n)
 
     def test_zero_matrix(self):
-        data = GmmDataset(X=np.zeros((4, 3)), y_true=np.ones(4),
-                          y_noisy=np.ones(4), mu=np.ones(3))
+        data = Dataset(X=np.zeros((4, 3)), y_true=np.ones(4), y_noisy=np.ones(4),
+                       truth=np.ones(3), scale=math.sqrt(4))
         assert np.array_equal(first_iterate(data), np.zeros(3))
 
     def test_linearity_in_labels(self):
         data = sample_gmm_dataset(params_for(n=50), RngStream(4))
-        flipped = GmmDataset(X=data.X, y_true=data.y_true,
-                             y_noisy=-data.y_noisy, mu=data.mu)
+        flipped = dataclasses.replace(data, y_noisy=-data.y_noisy)
         assert np.array_equal(first_iterate(flipped), -first_iterate(data))
 
 
@@ -396,7 +397,7 @@ class TestRunRetraining:
         traj = retrain(data, schedule(IdentityAggregator(), 1))
         theta1 = rows_sum(data.X, data.y_noisy) / math.sqrt(data.n)
         assert traj.points[0].t == 1
-        assert traj.points[0].error == pytest.approx(gmm_error(theta1, data.mu), abs=1e-15)
+        assert traj.points[0].error == pytest.approx(gmm_error(theta1, data.truth), abs=1e-15)
 
     def test_deterministic(self):
         params = params_for(n=150)
